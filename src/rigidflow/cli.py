@@ -47,12 +47,7 @@ from .flowio import (
 from .losses import total_loss
 from .masks import FBCheckParams, fb_check
 from .metrics import depth_metrics, flow_metrics, report_csv, report_text
-from .optimize import (
-    DivergenceError,
-    OptimizerConfig,
-    make_initial_state,
-    refine,
-)
+from .optimize import OptimizerConfig, make_initial_state, refine
 from .scenes import load_scene_spec, preset, render
 
 __all__ = ["main"]
@@ -253,7 +248,7 @@ def _cmd_viz_flow(args) -> int:
     return 0
 
 
-def _add_scene_args(p, required: bool = True):
+def _add_scene_args(p):
     p.add_argument("--scene", help="scene spec file (key=value)")
     p.add_argument("--preset", help="built-in scene name")
 
@@ -295,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mask)
 
     p = sub.add_parser("loss", help="evaluate the full objective")
-    _add_scene_args(p, required=False)
+    _add_scene_args(p)
     _add_config_args(p)
     for name in ("image-t", "image-t1", "depth-t", "depth-t1"):
         p.add_argument(f"--{name}", help=f"{name} (PFM)")
@@ -351,9 +346,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -20,15 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import Intrinsics, PoseSE3, invert, pixel_grid, project_backward, rigid_flow
-from .masks import FBCheckParams, fb_check, intersect
-from .sampling import (
-    bilinear_sample_grad,
-    bilinear_scatter,
-    depth_pyramid,
-    flow_pyramid,
-    image_pyramid,
-)
+from .camera import Intrinsics, PoseSE3, invert, project_backward, rigid_flow
+from .masks import FBCheckParams, _cycle_mask, intersect
+from .sampling import WarpPlan, flow_pyramid, image_pyramid
 
 __all__ = [
     "CensusParams",
@@ -205,38 +199,72 @@ def photometric_loss(
         raise ValueError("ref, warped, and mask sizes differ")
     warped_arr = np.asarray(warped, dtype=float)
     grad_warped = np.zeros_like(warped_arr)
-    nv = int(np.count_nonzero(mask))
-    if nv == 0:
+    (term,) = _census_terms(gray_r, [(gray_w, mask)], params)
+    if term is None:
         return 0.0, grad_warped, True
-    h, w = gray_r.shape
-    r = params.radius
-    eps2 = params.epsilon * params.epsilon
-    c = params.charbonnier_eps
-    pad_r = np.pad(gray_r, r, mode="edge")
-    pad_w = np.pad(gray_w, r, mode="edge")
-    mask = np.asarray(mask, dtype=bool)
-    pad_m = np.pad(mask, r, mode="constant", constant_values=False)
-    inv = 1.0 / nv
-    loss = 0.0
-    grad_gray = np.zeros((h, w))
-    for dy, dx in _offsets(r):
-        dr = pad_r[r + dy : r + dy + h, r + dx : r + dx + w] - gray_r
-        dw = pad_w[r + dy : r + dy + h, r + dx : r + dx + w] - gray_w
-        tr = dr / np.sqrt(dr * dr + eps2)
-        tw = dw / np.sqrt(dw * dw + eps2)
-        delta = tr - tw
-        root = np.sqrt(delta * delta + c * c)
-        gate = mask & pad_m[r + dy : r + dy + h, r + dx : r + dx + w]
-        loss += float(np.sum((root - c)[gate]))
-        # d phi / d dw = phi'(delta) * (-1) * t'(dw),  t'(d) = eps^2 / (d^2+eps^2)^1.5
-        g = np.where(gate, (delta / root) * (-eps2 / (dw * dw + eps2) ** 1.5) * inv, 0.0)
-        grad_gray -= g
-        _shift_add(grad_gray, g, dy, dx)
+    loss, grad_gray = term
     if warped_arr.ndim == 3:
         grad_warped += (grad_gray / warped_arr.shape[2])[..., None]
     else:
         grad_warped += grad_gray
-    return loss * inv, grad_warped, False
+    return loss, grad_warped, False
+
+
+def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams):
+    """Census loss of gray_ref against each (gray_warped, mask) branch.
+
+    The reference's soft descriptor is computed once per offset and shared
+    by every branch. Returns one (loss, grad wrt gray_warped) per branch,
+    or None for a branch whose mask is empty.
+    """
+    h, w = gray_ref.shape
+    r = params.radius
+    eps2 = params.epsilon * params.epsilon
+    c = params.charbonnier_eps
+    live = []  # (branch, gray_w, padded gray_w, mask, padded mask, 1 / valid count)
+    for b, (gray_w, mask) in enumerate(branches):
+        nv = int(np.count_nonzero(mask))
+        if nv:
+            mask = np.asarray(mask, dtype=bool)
+            pad_m = np.pad(mask, r, mode="constant", constant_values=False)
+            live.append((b, gray_w, np.pad(gray_w, r, mode="edge"), mask, pad_m, 1.0 / nv))
+    losses = [0.0] * len(branches)
+    grads = {b: np.zeros((h, w)) for b, *_ in live}
+    pad_r = np.pad(gray_ref, r, mode="edge")
+    # the arithmetic runs in place, in the order of the plain expressions
+    # noted beside it, so every value is the same to the bit
+    for dy, dx in _offsets(r):
+        win = (slice(r + dy, r + dy + h), slice(r + dx, r + dx + w))
+        tr = pad_r[win] - gray_ref  # dr
+        t = np.multiply(tr, tr)
+        t += eps2
+        np.sqrt(t, out=t)
+        tr /= t  # tr = dr / sqrt(dr^2 + eps^2)
+        for b, gray_w, pad_w, mask, pad_m, inv in live:
+            dw = pad_w[win] - gray_w
+            s = np.multiply(dw, dw)
+            s += eps2
+            delta = np.sqrt(s)
+            np.divide(dw, delta, out=delta)
+            np.subtract(tr, delta, out=delta)  # delta = tr - dw / sqrt(dw^2 + eps^2)
+            root = np.multiply(delta, delta)
+            root += c * c
+            np.sqrt(root, out=root)
+            gate = mask & pad_m[win]
+            losses[b] += float(np.sum(root[gate] - c))
+            # d phi / d dw = phi'(delta) * (-1) * t'(dw),  t'(d) = eps^2 / (d^2+eps^2)^1.5
+            np.power(s, 1.5, out=s)
+            np.divide(-eps2, s, out=s)
+            delta /= root
+            delta *= s
+            delta *= inv  # (delta / root) * (-eps^2 / (dw^2 + eps^2)^1.5) * inv
+            g = np.where(gate, delta, 0.0)
+            grads[b] -= g
+            _shift_add(grads[b], g, dy, dx)
+    out = [None] * len(branches)
+    for b, *_, inv in live:
+        out[b] = (losses[b] * inv, grads[b])
+    return out
 
 
 def smoothness_loss(field: np.ndarray, guide: np.ndarray, mean_normalize: bool = False):
@@ -296,33 +324,29 @@ def fb_flow_loss(fwd: np.ndarray, bwd: np.ndarray, mask: np.ndarray, eps: float 
     Returns (loss, grad wrt fwd, grad wrt bwd, degenerate flag).
     """
     fwd = np.asarray(fwd, dtype=float)
-    bwd = np.asarray(bwd, dtype=float)
-    h, w = fwd.shape[:2]
-    grad_fwd = np.zeros_like(fwd)
+    plan = WarpPlan.along(fwd)
+    return _fb_flow_terms(fwd, plan, plan.sample_grad(bwd), mask, eps)
+
+
+def _fb_flow_terms(fwd, plan: WarpPlan, cycle, mask, eps: float = DEFAULT_L1_EPS):
+    """`fb_flow_loss` from the cycle (b, db/dx, db/dy) sampled through the
+    plan of fwd, each (H, W, 2)."""
     nv = int(np.count_nonzero(mask))
     if nv == 0:
-        return 0.0, grad_fwd, np.zeros_like(bwd), True
-    xs, ys = pixel_grid(h, w)
-    qx = xs + fwd[..., 0]
-    qy = ys + fwd[..., 1]
-    bu, du_dx, du_dy, _ = bilinear_sample_grad(bwd[..., 0], qx, qy)
-    bv, dv_dx, dv_dy, _ = bilinear_sample_grad(bwd[..., 1], qx, qy)
-    ru = fwd[..., 0] + bu
-    rv = fwd[..., 1] + bv
-    phi_u, dphi_u = charbonnier(ru, eps)
-    phi_v, dphi_v = charbonnier(rv, eps)
+        return 0.0, np.zeros_like(fwd), np.zeros_like(fwd), True
+    back, bdx, bdy = cycle
+    mask = np.asarray(mask, dtype=bool)
+    phi, dphi = charbonnier(fwd + back, eps)
     inv = 1.0 / nv
-    loss = float(np.sum((phi_u + phi_v)[mask])) * inv
-    gu = np.where(mask, dphi_u * inv, 0.0)
-    gv = np.where(mask, dphi_v * inv, 0.0)
+    loss = float(np.sum((phi[..., 0] + phi[..., 1])[mask])) * inv
+    g = np.where(mask[..., None], dphi * inv, 0.0)
+    gu = g[..., 0]
+    gv = g[..., 1]
     # q depends on fwd, so the sampled b(q) feeds back into both components
-    grad_fwd[..., 0] = gu * (1.0 + du_dx) + gv * dv_dx
-    grad_fwd[..., 1] = gu * du_dy + gv * (1.0 + dv_dy)
-    grad_bwd = np.stack(
-        [bilinear_scatter(gu, qx, qy, (h, w)), bilinear_scatter(gv, qx, qy, (h, w))],
-        axis=-1,
-    )
-    return loss, grad_fwd, grad_bwd, False
+    grad_fwd = np.empty_like(fwd)
+    grad_fwd[..., 0] = gu * (1.0 + bdx[..., 0]) + gv * bdx[..., 1]
+    grad_fwd[..., 1] = gu * bdy[..., 0] + gv * (1.0 + bdy[..., 1])
+    return loss, grad_fwd, plan.scatter(g), False
 
 
 def fb_depth_loss(
@@ -339,23 +363,23 @@ def fb_depth_loss(
     degenerate flag).
     """
     depth_t = np.asarray(depth_t, dtype=float)
-    depth_t1 = np.asarray(depth_t1, dtype=float)
+    return _fb_depth_terms(depth_t, depth_t1, WarpPlan.along(rigid_fwd), mask, eps)
+
+
+def _fb_depth_terms(depth_t, depth_t1, plan: WarpPlan, mask, eps: float = DEFAULT_L1_EPS):
+    """`fb_depth_loss` with depth_t1 pulled back through the rigid flow's plan."""
     h, w = depth_t.shape
     nv = int(np.count_nonzero(mask))
     if nv == 0:
         return 0.0, np.zeros((h, w)), np.zeros((h, w)), np.zeros((h, w, 2)), True
-    xs, ys = pixel_grid(h, w)
-    qx = xs + rigid_fwd[..., 0]
-    qy = ys + rigid_fwd[..., 1]
-    pulled, ddx, ddy, _ = bilinear_sample_grad(depth_t1, qx, qy)
-    r = depth_t - pulled
-    phi, dphi = charbonnier(r, eps)
+    pulled, ddx, ddy = plan.sample_grad(depth_t1)
+    phi, dphi = charbonnier(depth_t - pulled, eps)
     inv = 1.0 / nv
     loss = float(np.sum(phi[mask])) * inv
     g = np.where(mask, dphi * inv, 0.0)
-    grad_rigid = np.stack([-g * ddx, -g * ddy], axis=-1)
-    grad_dt1 = bilinear_scatter(-g, qx, qy, (h, w))
-    return loss, g, grad_dt1, grad_rigid, False
+    neg = -g
+    grad_rigid = np.stack([neg * ddx, neg * ddy], axis=-1)
+    return loss, g, plan.scatter(neg), grad_rigid, False
 
 
 def cross_task_loss(rigid: np.ndarray, flow: np.ndarray, mask: np.ndarray, eps: float = DEFAULT_L1_EPS):
@@ -401,18 +425,26 @@ class ScaleResult:
     masks: LevelMasks
 
 
-def _photometric_branch(gray_ref, gray_src, flow_field, mask, census):
-    """Warp gray_src by flow_field, census-compare against gray_ref.
+def _photometric_pair(ref: np.ndarray, src: np.ndarray, branches, census: CensusParams):
+    """The two photometric branches that share `ref` as census reference.
 
-    Returns (loss, grad wrt flow_field).
+    Each branch (plan, mask, acc) warps `src` through the plan of its
+    correspondence field and adds the gradient wrt that field into acc.
+    Returns the two branch losses.
     """
-    h, w = gray_ref.shape
-    xs, ys = pixel_grid(h, w)
-    qx = xs + flow_field[..., 0]
-    qy = ys + flow_field[..., 1]
-    warped, ddx, ddy, _ = bilinear_sample_grad(gray_src, qx, qy)
-    loss, grad_warped, _ = photometric_loss(gray_ref, warped, mask, census)
-    return loss, np.stack([grad_warped * ddx, grad_warped * ddy], axis=-1)
+    warps = [plan.sample_grad(src) for plan, _, _ in branches]
+    pairs = [(val, mask) for (val, _, _), (_, mask, _) in zip(warps, branches)]
+    found = _census_terms(ref, pairs, census)
+    losses = []
+    for term, (_, ddx, ddy), (_, _, acc) in zip(found, warps, branches):
+        if term is None:
+            losses.append(0.0)
+            continue
+        loss, grad_warped = term
+        losses.append(loss)
+        acc[..., 0] += grad_warped * ddx
+        acc[..., 1] += grad_warped * ddy
+    return losses
 
 
 def scale_objective(
@@ -441,15 +473,32 @@ def scale_objective(
     gray_t = _gray(img_t)
     gray_t1 = _gray(img_t1)
     h, w = gray_t.shape
+    flow_fwd = np.asarray(flow_fwd, dtype=float)
+    flow_bwd = np.asarray(flow_bwd, dtype=float)
     rigid_f, cheir_f = rigid_flow(depth_t, k, pose_fwd)
     rigid_b, cheir_b = rigid_flow(depth_t1, k, pose_bwd)
+    # one warp plan per correspondence field serves every term of the level
+    plan_rf = WarpPlan.along(rigid_f)
+    plan_rb = WarpPlan.along(rigid_b)
+    plan_ff = WarpPlan.along(flow_fwd)
+    plan_fb = WarpPlan.along(flow_bwd)
+    # the fb cycle b(p + f(p)) of each flow direction feeds both its mask
+    # and its loss; its loss pops it, so it is freed as soon as it is used
+    cycles = {}
+    if "fb_flow" in terms:
+        cycles = {"fwd": plan_ff.sample_grad(flow_bwd), "bwd": plan_fb.sample_grad(flow_fwd)}
     if masks is None:
+        back_f = cycles["fwd"][0] if cycles else plan_ff.sample(flow_bwd)
+        back_b = cycles["bwd"][0] if cycles else plan_fb.sample(flow_fwd)
+        back_rf = plan_rf.sample(rigid_b)
+        back_rb = plan_rb.sample(rigid_f)
         masks = LevelMasks(
-            depth_fwd=fb_check(rigid_f, rigid_b, fb_params) & cheir_f,
-            depth_bwd=fb_check(rigid_b, rigid_f, fb_params) & cheir_b,
-            flow_fwd=fb_check(flow_fwd, flow_bwd, fb_params),
-            flow_bwd=fb_check(flow_bwd, flow_fwd, fb_params),
+            depth_fwd=_cycle_mask(rigid_f, back_rf, plan_rf.inbounds, fb_params) & cheir_f,
+            depth_bwd=_cycle_mask(rigid_b, back_rb, plan_rb.inbounds, fb_params) & cheir_b,
+            flow_fwd=_cycle_mask(flow_fwd, back_f, plan_ff.inbounds, fb_params),
+            flow_bwd=_cycle_mask(flow_bwd, back_b, plan_fb.inbounds, fb_params),
         )
+        del back_f, back_b, back_rf, back_rb
     g_rigid_f = np.zeros((h, w, 2))
     g_rigid_b = np.zeros((h, w, 2))
     g_flow_f = np.zeros((h, w, 2))
@@ -462,15 +511,19 @@ def scale_objective(
     cross = 0.0
 
     if "photometric" in terms:
-        l1, g1 = _photometric_branch(gray_t, gray_t1, rigid_f, masks.depth_fwd, census)
-        l2, g2 = _photometric_branch(gray_t, gray_t1, flow_fwd, masks.flow_fwd, census)
-        l3, g3 = _photometric_branch(gray_t1, gray_t, rigid_b, masks.depth_bwd, census)
-        l4, g4 = _photometric_branch(gray_t1, gray_t, flow_bwd, masks.flow_bwd, census)
+        l1, l2 = _photometric_pair(
+            gray_t,
+            gray_t1,
+            ((plan_rf, masks.depth_fwd, g_rigid_f), (plan_ff, masks.flow_fwd, g_flow_f)),
+            census,
+        )
+        l3, l4 = _photometric_pair(
+            gray_t1,
+            gray_t,
+            ((plan_rb, masks.depth_bwd, g_rigid_b), (plan_fb, masks.flow_bwd, g_flow_b)),
+            census,
+        )
         photometric = l1 + l2 + l3 + l4
-        g_rigid_f += g1
-        g_flow_f += g2
-        g_rigid_b += g3
-        g_flow_b += g4
 
     if "smooth" in terms:
         s1, gs1 = smoothness_loss(depth_t, img_t, mean_normalize=True)
@@ -484,26 +537,31 @@ def scale_objective(
         g_flow_b += weights.lambda_s * gs4
 
     if "fb_flow" in terms:
-        lf, gf, gb, _ = fb_flow_loss(flow_fwd, flow_bwd, masks.flow_fwd)
+        lf, gf, gb, _ = _fb_flow_terms(flow_fwd, plan_ff, cycles.pop("fwd"), masks.flow_fwd)
         fb_total += lf
         g_flow_f += weights.lambda_f * gf
         g_flow_b += weights.lambda_f * gb
-        lb, gb2, gf2, _ = fb_flow_loss(flow_bwd, flow_fwd, masks.flow_bwd)
+        lb, gb2, gf2, _ = _fb_flow_terms(flow_bwd, plan_fb, cycles.pop("bwd"), masks.flow_bwd)
         fb_total += lb
         g_flow_b += weights.lambda_f * gb2
         g_flow_f += weights.lambda_f * gf2
+    # the plans are dead once their last term has run: freeing them keeps
+    # the level's peak memory at the projection adjoint below that of the
+    # per-term sampling they replace
+    del plan_ff, plan_fb
 
     if "fb_depth" in terms:
-        ld, gdt, gdt1, grig, _ = fb_depth_loss(depth_t, depth_t1, rigid_f, masks.depth_fwd)
+        ld, gdt, gdt1, grig, _ = _fb_depth_terms(depth_t, depth_t1, plan_rf, masks.depth_fwd)
         fb_total += ld
         g_dt += weights.lambda_f * gdt
         g_dt1 += weights.lambda_f * gdt1
         g_rigid_f += weights.lambda_f * grig
-        ld2, gdt1b, gdtb, grigb, _ = fb_depth_loss(depth_t1, depth_t, rigid_b, masks.depth_bwd)
+        ld2, gdt1b, gdtb, grigb, _ = _fb_depth_terms(depth_t1, depth_t, plan_rb, masks.depth_bwd)
         fb_total += ld2
         g_dt1 += weights.lambda_f * gdt1b
         g_dt += weights.lambda_f * gdtb
         g_rigid_b += weights.lambda_f * grigb
+    del plan_rf, plan_rb
 
     if "cross" in terms and include_cross:
         m_f = intersect(masks.depth_fwd, masks.flow_fwd)
@@ -579,8 +637,8 @@ def multiscale_objective(
             raise ValueError(f"{name} must be finite")
     imgs_t = image_pyramid(img_t, scales)
     imgs_t1 = image_pyramid(img_t1, scales)
-    depths_t = depth_pyramid(depth_t, scales)
-    depths_t1 = depth_pyramid(depth_t1, scales)
+    depths_t = image_pyramid(depth_t, scales)
+    depths_t1 = image_pyramid(depth_t1, scales)
     flows_f = flow_pyramid(flow_fwd, scales)
     flows_b = flow_pyramid(flow_bwd, scales)
     pose_bwd = invert(pose)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import bilinear_sample
+from .sampling import WarpPlan
 
 __all__ = ["FBCheckParams", "fb_check", "intersect"]
 
@@ -39,9 +39,13 @@ def fb_check(fwd: np.ndarray, bwd: np.ndarray, params: FBCheckParams = FBCheckPa
     bwd = np.asarray(bwd, dtype=float)
     if fwd.shape != bwd.shape or fwd.ndim != 3 or fwd.shape[2] != 2:
         raise ValueError("flows must both be (H, W, 2)")
-    h, w = fwd.shape[:2]
-    ys, xs = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float), indexing="ij")
-    back, inb = bilinear_sample(bwd, xs + fwd[..., 0], ys + fwd[..., 1])
+    plan = WarpPlan.along(fwd)
+    return _cycle_mask(fwd, plan.sample(bwd), plan.inbounds, params)
+
+
+def _cycle_mask(fwd: np.ndarray, back: np.ndarray, inbounds: np.ndarray, params: FBCheckParams):
+    """The fb check of fwd given its cycle back = b(p + f(p)), sampled
+    through the plan of fwd whose in-bounds flags are `inbounds`."""
     ru = fwd[..., 0] + back[..., 0]
     rv = fwd[..., 1] + back[..., 1]
     lhs = ru * ru + rv * rv
@@ -51,7 +55,7 @@ def fb_check(fwd: np.ndarray, bwd: np.ndarray, params: FBCheckParams = FBCheckPa
         + back[..., 0] * back[..., 0]
         + back[..., 1] * back[..., 1]
     )
-    return (lhs < params.alpha1 * mag + params.alpha2) & inb
+    return (lhs < params.alpha1 * mag + params.alpha2) & inbounds
 
 
 def intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:

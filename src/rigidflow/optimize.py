@@ -124,6 +124,11 @@ class OptimizerConfig:
             raise ValueError("converge_tol must be nonnegative")
         if self.iterations < 0 or self.scales < 1:
             raise ValueError("iterations must be >= 0 and scales >= 1")
+        if self.cross_scales < 0:
+            raise ValueError(f"cross_scales must be >= 0, got {self.cross_scales}")
+        if self.scale_weights is not None and len(self.scale_weights) != self.scales:
+            n = len(self.scale_weights)
+            raise ValueError(f"scale_weights needs one weight per scale ({self.scales}), got {n}")
 
 
 _RAW_KEYS = ("log_depth_t", "log_depth_t1", "pose_params", "flow_fwd", "flow_bwd")

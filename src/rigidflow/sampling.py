@@ -4,6 +4,19 @@ Sampling clamps to the image border; coordinates outside
 [0, W-1] x [0, H-1] still return the clamped-edge value but are flagged
 invalid, and their coordinate derivative is zero (the clamped lookup is
 locally constant there, so this matches finite differences).
+
+All sampling goes through a `WarpPlan`, the bilinear bookkeeping of one set
+of sample points: the Spatial Transformer sampler, whose lookup, coordinate
+derivative and adjoint share one set of corner indices and weights. A plan
+does the clip/floor/weights step once and keeps only the flat index of each
+point's top-left corner, the two interpolation weights, and the in-bounds
+and free-axis flags. The other three corners are read as offset views of
+the flattened source (`flat[sx:]`, `flat[sy:]`, `flat[sy + sx:]`, with the
+offset 0 along an axis of size 1), so no other index array is stored. One
+plan serves any number of `sample`, `sample_grad` and `scatter` calls, on
+sources of any channel count. The objective builds one plan per
+correspondence field per pyramid level; the public `bilinear_*` functions
+and `inverse_warp` build a throwaway plan per call.
 """
 
 from __future__ import annotations
@@ -11,35 +24,127 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "WarpPlan",
     "bilinear_sample",
     "bilinear_sample_grad",
     "bilinear_scatter",
     "inverse_warp",
     "downsample_image",
-    "downsample_depth",
     "downsample_flow",
     "downsample_image_adjoint",
     "downsample_flow_adjoint",
     "image_pyramid",
-    "depth_pyramid",
     "flow_pyramid",
 ]
 
 
-def _cell(height, width, xs, ys):
-    """Shared bilinear bookkeeping: corner indices, weights, validity."""
-    xc = np.clip(xs, 0.0, width - 1.0)
-    yc = np.clip(ys, 0.0, height - 1.0)
-    x0 = np.floor(xc).astype(np.intp)
-    y0 = np.floor(yc).astype(np.intp)
-    x0 = np.minimum(x0, max(width - 2, 0))
-    y0 = np.minimum(y0, max(height - 2, 0))
-    x1 = np.minimum(x0 + 1, width - 1)
-    y1 = np.minimum(y0 + 1, height - 1)
-    wx = xc - x0
-    wy = yc - y0
-    inbounds = (xs >= 0.0) & (xs <= width - 1.0) & (ys >= 0.0) & (ys <= height - 1.0)
-    return x0, x1, y0, y1, wx, wy, inbounds
+class WarpPlan:
+    """Bilinear bookkeeping of sample points (xs, ys) on an (H, W) grid.
+
+    `inbounds` flags points inside [0, W-1] x [0, H-1]; `free_x` and
+    `free_y` flag points whose lookup is not clamped along that axis, where
+    the coordinate derivative is live. All three have the shape S of xs.
+    """
+
+    __slots__ = ("shape", "i00", "sx", "sy", "wx", "wy", "inbounds", "free_x", "free_y")
+
+    def __init__(self, shape, xs, ys):
+        h, w = shape
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        xc = np.clip(xs, 0.0, w - 1.0)
+        yc = np.clip(ys, 0.0, h - 1.0)
+        # floor in float: the corners are small integers, exact in float64
+        x0 = np.minimum(np.floor(xc), max(w - 2, 0))
+        y0 = np.minimum(np.floor(yc), max(h - 2, 0))
+        self.shape = (h, w)
+        self.sx = 1 if w > 1 else 0
+        self.sy = w if h > 1 else 0
+        self.wx = xc - x0
+        self.wy = yc - y0
+        self.i00 = (y0 * w + x0).astype(np.intp)
+        self.free_x = (xs >= 0.0) & (xs <= w - 1.0)
+        self.free_y = (ys >= 0.0) & (ys <= h - 1.0)
+        self.inbounds = self.free_x & self.free_y
+
+    @classmethod
+    def along(cls, field: np.ndarray) -> "WarpPlan":
+        """Plan of the points p + field(p) for every pixel p of an (H, W, 2) field."""
+        field = np.asarray(field, dtype=float)
+        h, w = field.shape[:2]
+        # the pixel grid, broadcast: p = (x, y) with integer x, y
+        xs = np.arange(w, dtype=float) + field[..., 0]
+        ys = np.arange(h, dtype=float)[:, None] + field[..., 1]
+        return cls((h, w), xs, ys)
+
+    def _corners(self, src: np.ndarray):
+        """Source values at the four corners, and the weights shaped to match."""
+        src = np.asarray(src, dtype=float)
+        h, w = self.shape
+        if src.shape[:2] != (h, w) or src.ndim not in (2, 3):
+            raise ValueError("source must be (H, W) or (H, W, C) on the plan's grid")
+        flat = src.reshape(h * w, -1) if src.ndim == 3 else src.reshape(h * w)
+        i, sx, sy = self.i00, self.sx, self.sy
+        corners = (
+            flat.take(i, axis=0),
+            flat[sx:].take(i, axis=0),
+            flat[sy:].take(i, axis=0),
+            flat[sy + sx :].take(i, axis=0),
+        )
+        if src.ndim == 3:
+            return corners, self.wx[..., None], self.wy[..., None]
+        return corners, self.wx, self.wy
+
+    def sample(self, src: np.ndarray) -> np.ndarray:
+        """src at the plan's points: shape S, or S + (C,) for (H, W, C)."""
+        (v00, v01, v10, v11), wx, wy = self._corners(src)
+        top = v00 + wx * (v01 - v00)
+        bot = v10 + wx * (v11 - v10)
+        return top + wy * (bot - top)
+
+    def sample_grad(self, src: np.ndarray):
+        """(values, d/dx, d/dy) of src at the plan's points, per channel.
+
+        Derivatives are zero where the lookup is clamped on that axis."""
+        (v00, v01, v10, v11), wx, wy = self._corners(src)
+        dx_top = v01 - v00
+        dx_bot = v11 - v10
+        top = v00 + wx * dx_top
+        bot = v10 + wx * dx_bot
+        dy = bot - top
+        free_x, free_y = self.free_x, self.free_y
+        if np.ndim(src) == 3:
+            free_x, free_y = free_x[..., None], free_y[..., None]
+        ddx = np.where(free_x, dx_top + wy * (dx_bot - dx_top), 0.0)
+        return top + wy * dy, ddx, np.where(free_y, dy, 0.0)
+
+    def scatter(self, grad_out) -> np.ndarray:
+        """Adjoint of `sample` w.r.t. the source: accumulate grad_out (shape S,
+        or S + (C,)) into an (H, W) or (H, W, C) array with the forward
+        lookup's corner weights, clamping included."""
+        h, w = self.shape
+        g = np.asarray(grad_out, dtype=float)
+        n = self.i00.size
+        i = self.i00.reshape(n)
+        sx, sy = self.sx, self.sy
+        # one bincount over all four corners per channel: each bin sums its
+        # terms corner by corner, in point order, whatever the channel count
+        idx = np.concatenate([i, i + sx, i + sy, i + (sy + sx)])
+        wx = self.wx.reshape(n)
+        wy = self.wy.reshape(n)
+        ux = 1.0 - wx
+        uy = 1.0 - wy
+        wgt = np.empty((4, n))
+
+        def one(gc):
+            for out, a, b in zip(wgt, (ux, wx, ux, wx), (uy, uy, wy, wy)):
+                np.multiply(gc, a, out=out)
+                out *= b
+            return np.bincount(idx, weights=wgt.reshape(4 * n), minlength=h * w).reshape(h, w)
+
+        if g.ndim == self.i00.ndim:
+            return one(g.reshape(n))
+        return np.stack([one(g[..., c].reshape(n)) for c in range(g.shape[-1])], axis=-1)
 
 
 def bilinear_sample(img: np.ndarray, xs: np.ndarray, ys: np.ndarray):
@@ -49,24 +154,8 @@ def bilinear_sample(img: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     (values with shape S or S+(C,), inbounds bool mask of shape S).
     """
     img = np.asarray(img, dtype=float)
-    h, w = img.shape[:2]
-    x0, x1, y0, y1, wx, wy, inb = _cell(h, w, xs, ys)
-    if img.ndim == 2:
-        v00 = img[y0, x0]
-        v01 = img[y0, x1]
-        v10 = img[y1, x0]
-        v11 = img[y1, x1]
-    else:
-        flat = img.reshape(h * w, -1)
-        v00 = flat[y0 * w + x0]
-        v01 = flat[y0 * w + x1]
-        v10 = flat[y1 * w + x0]
-        v11 = flat[y1 * w + x1]
-        wx = wx[..., None]
-        wy = wy[..., None]
-    top = v00 + wx * (v01 - v00)
-    bot = v10 + wx * (v11 - v10)
-    return top + wy * (bot - top), inb
+    plan = WarpPlan(img.shape[:2], xs, ys)
+    return plan.sample(img), plan.inbounds
 
 
 def bilinear_sample_grad(img: np.ndarray, xs: np.ndarray, ys: np.ndarray):
@@ -78,20 +167,8 @@ def bilinear_sample_grad(img: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     img = np.asarray(img, dtype=float)
     if img.ndim != 2:
         raise ValueError("expected a single-channel image")
-    h, w = img.shape
-    x0, x1, y0, y1, wx, wy, inb = _cell(h, w, xs, ys)
-    v00 = img[y0, x0]
-    v01 = img[y0, x1]
-    v10 = img[y1, x0]
-    v11 = img[y1, x1]
-    top = v00 + wx * (v01 - v00)
-    bot = v10 + wx * (v11 - v10)
-    val = top + wy * (bot - top)
-    free_x = (xs >= 0.0) & (xs <= w - 1.0)
-    free_y = (ys >= 0.0) & (ys <= h - 1.0)
-    ddx = np.where(free_x, (v01 - v00) + wy * ((v11 - v10) - (v01 - v00)), 0.0)
-    ddy = np.where(free_y, bot - top, 0.0)
-    return val, ddx, ddy, inb
+    plan = WarpPlan(img.shape, xs, ys)
+    return (*plan.sample_grad(img), plan.inbounds)
 
 
 def bilinear_scatter(grad_out, xs, ys, shape):
@@ -100,25 +177,7 @@ def bilinear_scatter(grad_out, xs, ys, shape):
     Accumulates grad_out (same shape as xs) into an (H, W) array using the
     same corner weights the forward lookup used (including clamping).
     """
-    h, w = shape
-    x0, x1, y0, y1, wx, wy, _ = _cell(h, w, xs, ys)
-    g = np.asarray(grad_out, dtype=float).ravel()
-    x0 = x0.ravel()
-    x1 = x1.ravel()
-    y0 = y0.ravel()
-    y1 = y1.ravel()
-    wx = wx.ravel()
-    wy = wy.ravel()
-    idx = np.concatenate([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1])
-    wgt = np.concatenate(
-        [
-            g * (1.0 - wx) * (1.0 - wy),
-            g * wx * (1.0 - wy),
-            g * (1.0 - wx) * wy,
-            g * wx * wy,
-        ]
-    )
-    return np.bincount(idx, weights=wgt, minlength=h * w).reshape(h, w)
+    return WarpPlan(shape, xs, ys).scatter(grad_out)
 
 
 def inverse_warp(target: np.ndarray, flow: np.ndarray):
@@ -130,11 +189,10 @@ def inverse_warp(target: np.ndarray, flow: np.ndarray):
     flow = np.asarray(flow, dtype=float)
     if flow.ndim != 3 or flow.shape[2] != 2:
         raise ValueError("flow must be (H, W, 2)")
-    h, w = flow.shape[:2]
-    if np.asarray(target).shape[:2] != (h, w):
+    if np.asarray(target).shape[:2] != flow.shape[:2]:
         raise ValueError("target and flow sizes differ")
-    ys, xs = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float), indexing="ij")
-    return bilinear_sample(target, xs + flow[..., 0], ys + flow[..., 1])
+    plan = WarpPlan.along(flow)
+    return plan.sample(target), plan.inbounds
 
 
 def _pool2(a: np.ndarray) -> np.ndarray:
@@ -169,17 +227,13 @@ def downsample_image(img: np.ndarray) -> np.ndarray:
     return _pool2(np.asarray(img, dtype=float))
 
 
-def downsample_depth(depth: np.ndarray) -> np.ndarray:
-    return _pool2(np.asarray(depth, dtype=float))
-
-
 def downsample_flow(flow: np.ndarray) -> np.ndarray:
     """Average-pool and halve the displacements to stay in level units."""
     return 0.5 * _pool2(np.asarray(flow, dtype=float))
 
 
 def downsample_image_adjoint(grad: np.ndarray, fine_shape) -> np.ndarray:
-    """Adjoint of downsample_image/downsample_depth (they share the kernel)."""
+    """Adjoint of downsample_image (depth maps share its kernel)."""
     return _pool2_adjoint(np.asarray(grad, dtype=float), fine_shape)
 
 
@@ -198,10 +252,6 @@ def _pyramid(arr, levels, step):
 
 def image_pyramid(img, levels):
     return _pyramid(img, levels, downsample_image)
-
-
-def depth_pyramid(depth, levels):
-    return _pyramid(depth, levels, downsample_depth)
 
 
 def flow_pyramid(flow, levels):

@@ -1,6 +1,8 @@
 """Config parsing and command-line entry points, end to end in a tmpdir."""
 
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from rigidflow.cli import main
 from rigidflow.config import optimizer_config_from, parse_kv_file, parse_overrides
 from rigidflow.flowio import FLO_MAGIC, read_flo, read_pfm, write_flo, write_pfm
 from rigidflow.losses import total_loss
+from rigidflow.optimize import OptimizerConfig
 from rigidflow.scenes import preset, render
 
 
@@ -87,6 +90,14 @@ def test_optimizer_config_defaults_when_unset():
 def test_optimizer_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys: momentum"):
         optimizer_config_from({"momentum": "0.9"})
+
+
+def test_optimizer_config_rejects_scale_settings_that_cannot_run():
+    with pytest.raises(ValueError, match=r"scale_weights needs one weight per scale \(3\), got 1"):
+        OptimizerConfig(scales=3, scale_weights=(1.0,))
+    with pytest.raises(ValueError, match="cross_scales must be >= 0, got -2"):
+        optimizer_config_from({"cross_scales": "-2"})
+    assert OptimizerConfig(scales=2, scale_weights=(1.0, 0.5), cross_scales=0).cross_scales == 0
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +252,19 @@ def test_refine_rejects_unknown_config_key(capsys):
     )
     assert code == 1
     assert "unknown config keys: bogus" in stderr
+
+
+def test_refine_rejects_scale_weights_of_the_wrong_length():
+    proc = subprocess.run(
+        [sys.executable, "-m", "rigidflow.cli", "refine", "--preset", "plane",
+         "--set", "scale_weights=1"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: scale_weights needs one weight per scale (4), got 1\n"
+    assert proc.stdout == ""
 
 
 def test_bad_pose_arity_fails_cleanly(tmp_path, capsys):

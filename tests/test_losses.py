@@ -671,3 +671,119 @@ def test_masks_length_validated(plane_gt):
             scales=3,
             masks=[None, None],
         )
+
+
+# ---------------------------------------------------------------------------
+# the level objective through shared warp plans, against term-by-term sampling
+
+
+def same_bits(a, b):
+    a = np.asarray(a)
+    b = np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def odd_level():
+    """An odd, non-square level with a perturbed state off every lattice."""
+    from rigidflow.camera import invert
+    from rigidflow.scenes import preset, render
+
+    gt = render(preset("mover", width=45, height=37))
+    rng = np.random.default_rng(31)
+    state = state_from_gt(gt)
+    depth_t = state.depth_t * rng.uniform(0.8, 1.2, state.depth_t.shape)
+    depth_t1 = state.depth_t1 * rng.uniform(0.8, 1.2, state.depth_t.shape)
+    flow_fwd = state.flow_fwd + rng.uniform(-0.7, 0.7, state.flow_fwd.shape)
+    flow_bwd = state.flow_bwd + rng.uniform(-0.7, 0.7, state.flow_bwd.shape)
+    pose = gt.pose
+    return (gt.image_t, gt.image_t1, depth_t, depth_t1, pose, invert(pose), flow_fwd, flow_bwd, gt.intrinsics)
+
+
+def assert_same_level(got, want):
+    for name in ("photometric", "smooth", "fb", "cross"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    for name in (
+        "grad_depth_t",
+        "grad_depth_t1",
+        "grad_r_fwd",
+        "grad_t_fwd",
+        "grad_r_bwd",
+        "grad_t_bwd",
+        "grad_flow_fwd",
+        "grad_flow_bwd",
+    ):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    for name in ("depth_fwd", "depth_bwd", "flow_fwd", "flow_bwd"):
+        assert same_bits(getattr(got.masks, name), getattr(want.masks, name)), name
+
+
+LEVEL_CASES = [
+    dict(),
+    dict(include_cross=False),
+    dict(terms=frozenset({"photometric"})),
+    dict(terms=frozenset({"fb_flow", "cross"})),
+    dict(terms=frozenset({"smooth", "fb_depth"})),
+]
+
+
+@pytest.mark.parametrize("case", LEVEL_CASES)
+@pytest.mark.parametrize("radius", [1, 2])
+def test_scale_objective_matches_term_by_term_sampling(odd_level, case, radius):
+    from rigidflow.losses import scale_objective
+    from rigidflow.masks import FBCheckParams
+    from oracles import scale_objective_cell
+
+    settings = (LossWeights(), CensusParams(radius=radius), FBCheckParams())
+    want = scale_objective_cell(*odd_level, *settings, **case)
+    got = scale_objective(*odd_level, *settings, **case)
+    assert_same_level(got, want)
+    # frozen masks: the ones just computed, and a sparse set with empty rows
+    frozen = want.masks
+    rng = np.random.default_rng(radius)
+    thinned = type(frozen)(
+        *(
+            m & (rng.uniform(size=m.shape) < 0.3)
+            for m in (frozen.depth_fwd, frozen.depth_bwd, frozen.flow_fwd, frozen.flow_bwd)
+        )
+    )
+    for masks in (frozen, thinned):
+        want = scale_objective_cell(*odd_level, *settings, masks=masks, **case)
+        got = scale_objective(*odd_level, *settings, masks=masks, **case)
+        assert_same_level(got, want)
+
+
+def test_scale_objective_with_an_empty_mask_matches(odd_level):
+    from rigidflow.losses import LevelMasks, scale_objective
+    from rigidflow.masks import FBCheckParams
+    from oracles import scale_objective_cell
+
+    settings = (LossWeights(), CensusParams(), FBCheckParams())
+    full = scale_objective_cell(*odd_level, *settings).masks
+    empty = np.zeros_like(full.flow_fwd)
+    masks = LevelMasks(full.depth_fwd, empty, empty, full.flow_bwd)
+    assert_same_level(
+        scale_objective(*odd_level, *settings, masks=masks),
+        scale_objective_cell(*odd_level, *settings, masks=masks),
+    )
+
+
+def test_public_terms_match_term_by_term_sampling(odd_level):
+    from rigidflow.masks import FBCheckParams, fb_check
+    from oracles import fb_check_cell, fb_depth_cell, fb_flow_cell, photometric_cell
+
+    img_t, img_t1, depth_t, depth_t1, pose, _, flow_fwd, flow_bwd, k = odd_level
+    mask = fb_check_cell(flow_fwd, flow_bwd, 0.01, 0.5)
+    assert same_bits(fb_check(flow_fwd, flow_bwd, FBCheckParams()), mask)
+    gray_t, gray_t1 = img_t[..., 0], img_t1[..., 0]
+    for got, want in (
+        (fb_flow_loss(flow_fwd, flow_bwd, mask), fb_flow_cell(flow_fwd, flow_bwd, mask)),
+        (fb_depth_loss(depth_t, depth_t1, flow_fwd, mask), fb_depth_cell(depth_t, depth_t1, flow_fwd, mask)),
+        (
+            photometric_loss(gray_t, gray_t1, mask, CensusParams(radius=2)),
+            photometric_cell(gray_t, gray_t1, mask, 2, 0.02, 1e-3),
+        ),
+    ):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert same_bits(a, b)

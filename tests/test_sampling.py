@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidflow.sampling import (
+    WarpPlan,
     bilinear_sample,
     bilinear_sample_grad,
     bilinear_scatter,
-    downsample_depth,
     downsample_flow,
     downsample_flow_adjoint,
     downsample_image,
@@ -17,7 +17,7 @@ from rigidflow.sampling import (
     inverse_warp,
 )
 
-from oracles import bilinear_ref
+from oracles import bilinear_ref, cell_sample, cell_sample_grad, cell_scatter
 
 coord = st.floats(min_value=-20.0, max_value=40.0, allow_nan=False)
 
@@ -117,6 +117,97 @@ def test_scatter_is_adjoint_of_sample():
 
 
 # ---------------------------------------------------------------------------
+# warp plan: bit for bit what per-call bookkeeping computes
+
+
+PLAN_SHAPES = [(45, 37), (1, 37), (45, 1), (1, 1)]
+
+
+def same_bits(a, b):
+    a = np.asarray(a)
+    b = np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def plan_points(shape, seed):
+    """Sample points over and around an (H, W) grid, with exact lattice and
+    border values and coordinates far out of range on either side."""
+    h, w = shape
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-3.0, w + 2.0, (h, w))
+    ys = rng.uniform(-3.0, h + 2.0, (h, w))
+    n = min(8, h * w)
+    xs.flat[:n] = [0.0, w - 1.0, -1e9, 1e9, np.inf, -np.inf, 2.0, w - 1.5][:n]
+    ys.flat[:n] = [h - 1.0, 0.0, 1e9, -1e9, -np.inf, np.inf, 1.0, 0.5][:n]
+    return xs, ys
+
+
+@pytest.mark.parametrize("shape", PLAN_SHAPES)
+def test_plan_sample_matches_per_call_sampling(shape):
+    rng = np.random.default_rng(11)
+    xs, ys = plan_points(shape, 12)
+    plan = WarpPlan(shape, xs, ys)
+    for img in (rng.uniform(size=shape), rng.uniform(size=shape + (3,))):
+        want, want_inb = cell_sample(img, xs, ys)
+        assert same_bits(plan.sample(img), want)
+        assert same_bits(plan.inbounds, want_inb)
+        got, got_inb = bilinear_sample(img, xs, ys)
+        assert same_bits(got, want) and same_bits(got_inb, want_inb)
+
+
+@pytest.mark.parametrize("shape", PLAN_SHAPES)
+def test_plan_sample_grad_matches_per_call_sampling(shape):
+    rng = np.random.default_rng(13)
+    xs, ys = plan_points(shape, 14)
+    plan = WarpPlan(shape, xs, ys)
+    img = rng.uniform(size=shape)
+    want = cell_sample_grad(img, xs, ys)
+    for got, ref in zip(plan.sample_grad(img), want[:3]):
+        assert same_bits(got, ref)
+    for got, ref in zip(bilinear_sample_grad(img, xs, ys), want):
+        assert same_bits(got, ref)
+    # a multi-channel source is per channel what each channel gives alone
+    stack = rng.uniform(size=shape + (2,))
+    for c in range(2):
+        want_c = cell_sample_grad(stack[..., c], xs, ys)
+        for got, ref in zip(plan.sample_grad(stack), want_c[:3]):
+            assert same_bits(got[..., c], ref)
+
+
+@pytest.mark.parametrize("shape", PLAN_SHAPES)
+def test_plan_scatter_matches_per_call_scatter(shape):
+    rng = np.random.default_rng(15)
+    xs, ys = plan_points(shape, 16)
+    plan = WarpPlan(shape, xs, ys)
+    g = rng.normal(size=shape)
+    want = cell_scatter(g, xs, ys, shape)
+    assert same_bits(plan.scatter(g), want)
+    assert same_bits(bilinear_scatter(g, xs, ys, shape), want)
+    g2 = rng.normal(size=shape + (2,))
+    got = plan.scatter(g2)
+    assert got.shape == shape + (2,)
+    for c in range(2):
+        assert same_bits(got[..., c], cell_scatter(g2[..., c], xs, ys, shape))
+
+
+def test_plan_along_a_field_samples_at_p_plus_field():
+    rng = np.random.default_rng(17)
+    field = rng.uniform(-4.0, 4.0, (9, 7, 2))
+    img = rng.uniform(size=(9, 7))
+    ys, xs = np.meshgrid(np.arange(9.0), np.arange(7.0), indexing="ij")
+    want, want_inb = cell_sample(img, xs + field[..., 0], ys + field[..., 1])
+    plan = WarpPlan.along(field)
+    assert same_bits(plan.sample(img), want)
+    assert same_bits(plan.inbounds, want_inb)
+
+
+def test_plan_rejects_a_source_of_another_size():
+    plan = WarpPlan((4, 5), np.zeros(3), np.zeros(3))
+    with pytest.raises(ValueError, match="plan's grid"):
+        plan.sample(np.zeros((5, 4)))
+
+
+# ---------------------------------------------------------------------------
 # warping
 
 
@@ -194,7 +285,7 @@ def test_size_one_dimension_rejected():
     with pytest.raises(ValueError, match="cannot downsample"):
         downsample_image(np.zeros((1, 8)))
     with pytest.raises(ValueError, match="cannot downsample"):
-        downsample_depth(np.zeros((8, 1)))
+        downsample_image(np.zeros((8, 1)))
 
 
 def test_pool_adjoint_dot_product_identity():
