@@ -22,13 +22,11 @@ from .losses import (
     LossReport,
     LossWeights,
     NonFiniteLossError,
-    census_descriptor,
     cross_task_loss,
     fb_depth_loss,
     fb_flow_loss,
     photometric_loss,
     smoothness_loss,
-    total_loss,
 )
 from .masks import FBCheckParams, fb_check, intersect
 from .metrics import DepthMetrics, FlowMetrics, depth_metrics, flow_metrics

@@ -223,8 +223,9 @@ def project_pixel(x: float, y: float, depth: float, k: Intrinsics, pose: PoseSE3
     return u, v, q2
 
 
-def project_coords(xs, ys, depth, k: Intrinsics, pose: PoseSE3):
-    """Vectorized `project_pixel` over coordinate/depth arrays of any shape."""
+def _transform(xs, ys, depth, k: Intrinsics, pose: PoseSE3):
+    """Rays (rx, ry), back-projected (depth * rx, depth * ry), and the
+    transformed point (q0, q1, q2) of each pixel, as in `project_pixel`."""
     r = pose.rotation
     t = pose.translation
     rx = (xs - k.cx) / k.fx
@@ -235,6 +236,12 @@ def project_coords(xs, ys, depth, k: Intrinsics, pose: PoseSE3):
     q0 = r[0, 0] * p0 + r[0, 1] * p1 + r[0, 2] * p2 + t[0]
     q1 = r[1, 0] * p0 + r[1, 1] * p1 + r[1, 2] * p2 + t[1]
     q2 = r[2, 0] * p0 + r[2, 1] * p1 + r[2, 2] * p2 + t[2]
+    return rx, ry, p0, p1, q0, q1, q2
+
+
+def project_coords(xs, ys, depth, k: Intrinsics, pose: PoseSE3):
+    """Vectorized `project_pixel` over coordinate/depth arrays of any shape."""
+    *_, q0, q1, q2 = _transform(xs, ys, depth, k, pose)
     with np.errstate(divide="ignore", invalid="ignore"):
         u = k.fx * (q0 / q2) + k.cx
         v = k.fy * (q1 / q2) + k.cy
@@ -288,25 +295,18 @@ def project_backward(depth, k: Intrinsics, pose: PoseSE3, grad_u, grad_v):
     depth = np.asarray(depth, dtype=float)
     h, w = depth.shape
     xs, ys = pixel_grid(h, w)
-    r = pose.rotation
-    t = pose.translation
-    rx = (xs - k.cx) / k.fx
-    ry = (ys - k.cy) / k.fy
-    q0 = r[0, 0] * (depth * rx) + r[0, 1] * (depth * ry) + r[0, 2] * depth + t[0]
-    q1 = r[1, 0] * (depth * rx) + r[1, 1] * (depth * ry) + r[1, 2] * depth + t[1]
-    q2 = r[2, 0] * (depth * rx) + r[2, 1] * (depth * ry) + r[2, 2] * depth + t[2]
+    rx, ry, drx, dry, q0, q1, q2 = _transform(xs, ys, depth, k, pose)
     valid = q2 > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.where(valid, k.fx * grad_u / q2, 0.0)
         b = np.where(valid, k.fy * grad_v / q2, 0.0)
         c = np.where(valid, -(a * q0 + b * q1) / q2, 0.0)
     # direction of the transformed point per unit depth: d(q)/d(depth) = R @ ray
+    r = pose.rotation
     w0 = r[0, 0] * rx + r[0, 1] * ry + r[0, 2]
     w1 = r[1, 0] * rx + r[1, 1] * ry + r[1, 2]
     w2 = r[2, 0] * rx + r[2, 1] * ry + r[2, 2]
     grad_depth = a * w0 + b * w1 + c * w2
-    drx = depth * rx
-    dry = depth * ry
     grad_r = np.array(
         [
             [np.sum(a * drx), np.sum(a * dry), np.sum(a * depth)],
@@ -318,26 +318,25 @@ def project_backward(depth, k: Intrinsics, pose: PoseSE3, grad_u, grad_v):
     return grad_depth, grad_r, grad_t
 
 
-def pose_param_gradient(params, grad_r_fwd, grad_t_fwd, grad_r_inv=None, grad_t_inv=None):
+def pose_param_gradient(params, grad_r_fwd, grad_t_fwd, grad_r_inv, grad_t_inv):
     """Fold rotation-matrix/translation gradients into the 6 pose parameters.
 
     grad_r_fwd/grad_t_fwd are gradients w.r.t. (R, t) of pose_from_params(params);
-    grad_r_inv/grad_t_inv (optional) are w.r.t. the inverted pose (R^T, -R^T t),
-    which shares the same parameters.
+    grad_r_inv/grad_t_inv are w.r.t. the inverted pose (R^T, -R^T t), which
+    shares the same parameters.
     """
     params = np.asarray(params, dtype=float)
     w = params[:3]
     t = params[3:]
     gr = np.array(grad_r_fwd, dtype=float, copy=True)
     gt = np.array(grad_t_fwd, dtype=float, copy=True)
-    if grad_r_inv is not None:
-        grad_r_inv = np.asarray(grad_r_inv, dtype=float)
-        grad_t_inv = np.asarray(grad_t_inv, dtype=float)
-        r = rodrigues(w)
-        # R_inv = R^T contributes transposed; t_inv = -R^T t touches both R and t
-        gr += grad_r_inv.T
-        gr -= np.outer(t, grad_t_inv)
-        gt -= r @ grad_t_inv
+    grad_r_inv = np.asarray(grad_r_inv, dtype=float)
+    grad_t_inv = np.asarray(grad_t_inv, dtype=float)
+    r = rodrigues(w)
+    # R_inv = R^T contributes transposed; t_inv = -R^T t touches both R and t
+    gr += grad_r_inv.T
+    gr -= np.outer(t, grad_t_inv)
+    gt -= r @ grad_t_inv
     jac = rotation_jacobians(w)
     gw = np.array([np.sum(gr * jac[i]) for i in range(3)])
     return np.concatenate([gw, gt])

@@ -44,10 +44,9 @@ from .flowio import (
     write_pgm,
     write_trace_csv,
 )
-from .losses import total_loss
 from .masks import FBCheckParams, fb_check
 from .metrics import depth_metrics, flow_metrics, report_csv, report_text
-from .optimize import OptimizerConfig, make_initial_state, refine
+from .optimize import OptimizerConfig, SceneState, evaluate, make_initial_state, refine
 from .scenes import load_scene_spec, preset, render
 
 __all__ = ["main"]
@@ -134,12 +133,10 @@ def _cmd_mask(args) -> int:
 def _cmd_loss(args) -> int:
     cfg = _config_from_args(args)
     if args.scene or args.preset:
-        gt = render(_scene_from_args(args))
-        img_t, img_t1 = gt.image_t, gt.image_t1
-        depth_t, depth_t1 = gt.depth_t, gt.depth_t1
-        pose = gt.pose
-        flow_fwd, flow_bwd = gt.flow_fwd, gt.flow_bwd
-        k = gt.intrinsics
+        spec = _scene_from_args(args)
+        gt = render(spec)
+        img_t, img_t1, k = gt.image_t, gt.image_t1, gt.intrinsics
+        state = SceneState(gt.depth_t, gt.depth_t1, spec.pose_params, gt.flow_fwd, gt.flow_bwd)
     else:
         needed = ("image_t", "image_t1", "depth_t", "depth_t1", "flow_fwd", "flow_bwd", "pose", "intrinsics")
         missing = [n for n in needed if getattr(args, n) is None]
@@ -154,14 +151,10 @@ def _cmd_loss(args) -> int:
         depth_t1 = read_pfm(args.depth_t1)
         flow_fwd = read_flo(args.flow_fwd)
         flow_bwd = read_flo(args.flow_bwd)
-        pose = pose_from_params(_pose_arg(args.pose))
+        pose_params = _pose_arg(args.pose)
         k = _intrinsics_arg(args.intrinsics)
-    report = total_loss(
-        img_t, img_t1, depth_t, depth_t1, pose, flow_fwd, flow_bwd, k,
-        weights=cfg.weights, census=cfg.census, fb_params=cfg.fb_params,
-        scales=cfg.scales, cross_scales=cfg.cross_scales,
-        scale_weights=list(cfg.scale_weights) if cfg.scale_weights else None,
-    )
+        state = SceneState(depth_t, depth_t1, pose_params, flow_fwd, flow_bwd)
+    report, _, _ = evaluate(state, img_t, img_t1, k, cfg, want_grads=False)
     print(_report_lines(report))
     return 0
 

@@ -64,18 +64,12 @@ def optimizer_config_from(settings: dict) -> OptimizerConfig:
             vals[key] = int(raw)
         elif key == "scale_weights":
             vals[key] = tuple(float(v) for v in raw.split(","))
-    weights = LossWeights(
-        lambda_s=vals.pop("lambda_s", 3.0),
-        lambda_f=vals.pop("lambda_f", 0.2),
-        lambda_c=vals.pop("lambda_c", 0.2),
-    )
-    census = CensusParams(
-        radius=vals.pop("census_radius", 1),
-        epsilon=vals.pop("census_epsilon", 0.02),
-        charbonnier_eps=vals.pop("census_charbonnier_eps", 1e-3),
-    )
-    fb = FBCheckParams(
-        alpha1=vals.pop("fb_alpha1", 0.01),
-        alpha2=vals.pop("fb_alpha2", 0.5),
-    )
+
+    def nested(cls, prefix, *fields):
+        # only the keys given: the dataclass keeps its own default elsewhere
+        return cls(**{f: vals.pop(prefix + f) for f in fields if prefix + f in vals})
+
+    weights = nested(LossWeights, "", "lambda_s", "lambda_f", "lambda_c")
+    census = nested(CensusParams, "census_", "radius", "epsilon", "charbonnier_eps")
+    fb = nested(FBCheckParams, "fb_", "alpha1", "alpha2")
     return OptimizerConfig(weights=weights, census=census, fb_params=fb, **vals)

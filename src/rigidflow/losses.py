@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import Intrinsics, PoseSE3, invert, project_backward, rigid_flow
+from .camera import Intrinsics, PoseSE3, project_backward, rigid_flow
 from .masks import FBCheckParams, _cycle_mask, intersect
-from .sampling import WarpPlan, flow_pyramid, image_pyramid
+from .sampling import WarpPlan
 
 __all__ = [
     "CensusParams",
@@ -31,15 +31,12 @@ __all__ = [
     "LevelMasks",
     "NonFiniteLossError",
     "charbonnier",
-    "census_descriptor",
     "photometric_loss",
     "smoothness_loss",
     "fb_flow_loss",
     "fb_depth_loss",
     "cross_task_loss",
     "scale_objective",
-    "multiscale_objective",
-    "total_loss",
     "ALL_TERMS",
 ]
 
@@ -136,44 +133,12 @@ def _offsets(radius: int):
     ]
 
 
-def _neighbor_inbounds(h: int, w: int, dy: int, dx: int) -> np.ndarray:
-    m = np.zeros((h, w), dtype=bool)
-    m[max(0, -dy) : h - max(0, dy), max(0, -dx) : w - max(0, dx)] = True
-    return m
-
-
 def _shift_add(dst: np.ndarray, src: np.ndarray, dy: int, dx: int) -> None:
     """dst[q + (dy, dx)] += src[q] over the in-bounds overlap."""
     h, w = dst.shape
     y0, y1 = max(0, -dy), h - max(0, dy)
     x0, x1 = max(0, -dx), w - max(0, dx)
     dst[y0 + dy : y1 + dy, x0 + dx : x1 + dx] += src[y0:y1, x0:x1]
-
-
-def census_descriptor(img: np.ndarray, params: CensusParams = CensusParams()):
-    """Hard ternary census descriptor.
-
-    Each pixel is compared against its neighborhood (row-major offset order,
-    center excluded): +1 where the neighbor is brighter than the center by
-    more than epsilon, -1 where darker, 0 otherwise.
-
-    Returns (descriptor (H, W, K) int8, neighbor_valid (H, W, K) bool) where
-    K = (2 * radius + 1)^2 - 1; neighbor_valid is False where the neighbor
-    falls outside the image (the descriptor there compares against the
-    edge-clamped value and should be ignored).
-    """
-    gray = _gray(img)
-    h, w = gray.shape
-    r = params.radius
-    offs = _offsets(r)
-    padded = np.pad(gray, r, mode="edge")
-    desc = np.zeros((h, w, len(offs)), dtype=np.int8)
-    valid = np.zeros((h, w, len(offs)), dtype=bool)
-    for idx, (dy, dx) in enumerate(offs):
-        d = padded[r + dy : r + dy + h, r + dx : r + dx + w] - gray
-        desc[..., idx] = (d > params.epsilon).astype(np.int8) - (d < -params.epsilon)
-        valid[..., idx] = _neighbor_inbounds(h, w, dy, dx)
-    return desc, valid
 
 
 def photometric_loss(
@@ -460,7 +425,6 @@ def scale_objective(
     weights: LossWeights,
     census: CensusParams,
     fb_params: FBCheckParams,
-    include_cross: bool = True,
     terms: frozenset = ALL_TERMS,
     masks: LevelMasks | None = None,
 ) -> ScaleResult:
@@ -563,7 +527,7 @@ def scale_objective(
         g_rigid_b += weights.lambda_f * grigb
     del plan_rf, plan_rb
 
-    if "cross" in terms and include_cross:
+    if "cross" in terms:
         m_f = intersect(masks.depth_fwd, masks.flow_fwd)
         m_b = intersect(masks.depth_bwd, masks.flow_bwd)
         lc, gr, gf, _ = cross_task_loss(rigid_f, flow_fwd, m_f)
@@ -597,141 +561,3 @@ def scale_objective(
         grad_flow_bwd=g_flow_b,
         masks=masks,
     )
-
-
-def multiscale_objective(
-    img_t,
-    img_t1,
-    depth_t,
-    depth_t1,
-    pose: PoseSE3,
-    flow_fwd,
-    flow_bwd,
-    k: Intrinsics,
-    weights: LossWeights = LossWeights(),
-    census: CensusParams = CensusParams(),
-    fb_params: FBCheckParams = FBCheckParams(),
-    scales: int = 4,
-    scale_weights=None,
-    cross_scales: int = 4,
-    terms: frozenset = ALL_TERMS,
-    masks=None,
-):
-    """Pyramid objective. Returns (LossReport, [ScaleResult], [LevelMasks]).
-
-    Inputs live at the finest level; each coarser level is built by 2x2
-    average pooling (flow displacements halved to stay in level units) and
-    evaluated natively with correspondingly scaled intrinsics. The cross-task
-    term runs on the finest `cross_scales` levels only.
-    """
-    if scales < 1:
-        raise ValueError("need at least one scale")
-    if scale_weights is None:
-        scale_weights = [1.0] * scales
-    if len(scale_weights) != scales:
-        raise ValueError("scale_weights length must equal scales")
-    if masks is not None and len(masks) != scales:
-        raise ValueError("masks must cover every scale")
-    for name, arr in (("img_t", img_t), ("img_t1", img_t1)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} must be finite")
-    imgs_t = image_pyramid(img_t, scales)
-    imgs_t1 = image_pyramid(img_t1, scales)
-    depths_t = image_pyramid(depth_t, scales)
-    depths_t1 = image_pyramid(depth_t1, scales)
-    flows_f = flow_pyramid(flow_fwd, scales)
-    flows_b = flow_pyramid(flow_bwd, scales)
-    pose_bwd = invert(pose)
-    ks = [k]
-    for _ in range(scales - 1):
-        ks.append(ks[-1].scaled_down())
-    photometric = 0.0
-    smooth = 0.0
-    fb_total = 0.0
-    cross = 0.0
-    results = []
-    for lvl in range(scales):
-        res = scale_objective(
-            imgs_t[lvl],
-            imgs_t1[lvl],
-            depths_t[lvl],
-            depths_t1[lvl],
-            pose,
-            pose_bwd,
-            flows_f[lvl],
-            flows_b[lvl],
-            ks[lvl],
-            weights,
-            census,
-            fb_params,
-            include_cross=lvl < cross_scales,
-            terms=terms,
-            masks=None if masks is None else masks[lvl],
-        )
-        sw = scale_weights[lvl]
-        photometric += sw * res.photometric
-        smooth += sw * res.smooth
-        fb_total += sw * res.fb
-        cross += sw * res.cross
-        results.append(res)
-    total = (
-        photometric
-        + weights.lambda_s * smooth
-        + weights.lambda_f * fb_total
-        + weights.lambda_c * cross
-    )
-    for name, value in (
-        ("photometric", photometric),
-        ("smooth", smooth),
-        ("forward_backward", fb_total),
-        ("cross", cross),
-        ("total", total),
-    ):
-        if not np.isfinite(value):
-            raise NonFiniteLossError(name, value)
-    report = LossReport(
-        photometric=photometric,
-        smooth=smooth,
-        forward_backward=fb_total,
-        cross=cross,
-        total=total,
-    )
-    return report, results, [r.masks for r in results]
-
-
-def total_loss(
-    img_t,
-    img_t1,
-    depth_t,
-    depth_t1,
-    pose: PoseSE3,
-    flow_fwd,
-    flow_bwd,
-    k: Intrinsics,
-    weights: LossWeights = LossWeights(),
-    census: CensusParams = CensusParams(),
-    fb_params: FBCheckParams = FBCheckParams(),
-    scales: int = 4,
-    scale_weights=None,
-    cross_scales: int = 4,
-    masks=None,
-) -> LossReport:
-    """Full objective value over the pyramid (no gradients exposed)."""
-    report, _, _ = multiscale_objective(
-        img_t,
-        img_t1,
-        depth_t,
-        depth_t1,
-        pose,
-        flow_fwd,
-        flow_bwd,
-        k,
-        weights=weights,
-        census=census,
-        fb_params=fb_params,
-        scales=scales,
-        scale_weights=scale_weights,
-        cross_scales=cross_scales,
-        masks=masks,
-    )
-    return report

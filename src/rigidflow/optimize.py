@@ -23,12 +23,13 @@ from .camera import (
 from .losses import (
     ALL_TERMS,
     CensusParams,
+    LossReport,
     LossWeights,
     NonFiniteLossError,
-    multiscale_objective,
+    scale_objective,
 )
 from .masks import FBCheckParams
-from .sampling import downsample_flow_adjoint, downsample_image_adjoint
+from .sampling import downsample_flow_adjoint, downsample_image_adjoint, flow_pyramid, image_pyramid
 
 __all__ = [
     "SceneState",
@@ -74,6 +75,9 @@ class SceneState:
             raise ValueError("flows must be (H, W, 2) matching the depths")
         if self.pose_params.shape != (6,):
             raise ValueError("pose_params must be a 6-vector")
+        for name in ("depth_t", "depth_t1", "pose_params", "flow_fwd", "flow_bwd"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if not (np.all(self.depth_t > 0.0) and np.all(self.depth_t1 > 0.0)):
             raise ValueError("depth must be positive")
 
@@ -177,34 +181,90 @@ def evaluate(
     terms: frozenset = ALL_TERMS,
     want_grads: bool = True,
 ):
-    """Full objective and state gradient.
+    """Full objective and state gradient: the one entry point of the objective.
 
-    Returns (LossReport, StateGrad or None, per-level masks). Passing
-    `masks` (as returned by a previous call) freezes the validity masks so
-    the objective is smooth in the state; by default they are recomputed.
-    Raises NonFiniteLossError naming the term that went bad.
+    Inputs live at the finest level; each coarser level is built by 2x2
+    average pooling (flow displacements halved to stay in level units) and
+    evaluated natively with correspondingly scaled intrinsics. The
+    cross-task term runs on the finest `cfg.cross_scales` levels only.
+
+    Returns (LossReport, StateGrad or None, per-level masks); the gradient
+    is None when `want_grads` is False. Passing `masks` (as returned by a
+    previous call) freezes the validity masks so the objective is smooth in
+    the state; by default they are recomputed. Raises NonFiniteLossError
+    naming the term that went bad.
     """
-    report, results, masks_used = multiscale_objective(
-        img_t,
-        img_t1,
-        state.depth_t,
-        state.depth_t1,
-        pose_from_params(state.pose_params),
-        state.flow_fwd,
-        state.flow_bwd,
-        k,
-        weights=cfg.weights,
-        census=cfg.census,
-        fb_params=cfg.fb_params,
-        scales=cfg.scales,
-        scale_weights=list(cfg.scale_weights) if cfg.scale_weights else None,
-        cross_scales=cfg.cross_scales,
-        terms=terms,
-        masks=masks,
+    scales = cfg.scales
+    if masks is not None and len(masks) != scales:
+        raise ValueError("masks must cover every scale")
+    for name, arr in (("img_t", img_t), ("img_t1", img_t1)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} must be finite")
+    h, w = state.depth_t.shape
+    if scales > 1 and min(h, w) <= 2 ** (scales - 1):
+        raise ValueError(
+            f"scales={scales} needs both image sides above {2 ** (scales - 1)}, "
+            f"got {h}x{w}: the coarsest level would have a side of 1"
+        )
+    sw = list(cfg.scale_weights) if cfg.scale_weights else [1.0] * scales
+    imgs_t = image_pyramid(img_t, scales)
+    imgs_t1 = image_pyramid(img_t1, scales)
+    depths_t = image_pyramid(state.depth_t, scales)
+    depths_t1 = image_pyramid(state.depth_t1, scales)
+    flows_f = flow_pyramid(state.flow_fwd, scales)
+    flows_b = flow_pyramid(state.flow_bwd, scales)
+    pose = pose_from_params(state.pose_params)
+    pose_bwd = invert(pose)
+    ks = [k]
+    for _ in range(scales - 1):
+        ks.append(ks[-1].scaled_down())
+    photometric = 0.0
+    smooth = 0.0
+    fb_total = 0.0
+    cross = 0.0
+    results = []
+    for lvl in range(scales):
+        res = scale_objective(
+            imgs_t[lvl],
+            imgs_t1[lvl],
+            depths_t[lvl],
+            depths_t1[lvl],
+            pose,
+            pose_bwd,
+            flows_f[lvl],
+            flows_b[lvl],
+            ks[lvl],
+            cfg.weights,
+            cfg.census,
+            cfg.fb_params,
+            terms=terms if lvl < cfg.cross_scales else terms - {"cross"},
+            masks=None if masks is None else masks[lvl],
+        )
+        photometric += sw[lvl] * res.photometric
+        smooth += sw[lvl] * res.smooth
+        fb_total += sw[lvl] * res.fb
+        cross += sw[lvl] * res.cross
+        results.append(res)
+    weights = cfg.weights
+    total = (
+        photometric
+        + weights.lambda_s * smooth
+        + weights.lambda_f * fb_total
+        + weights.lambda_c * cross
     )
+    for name, value in (
+        ("photometric", photometric),
+        ("smooth", smooth),
+        ("forward_backward", fb_total),
+        ("cross", cross),
+        ("total", total),
+    ):
+        if not np.isfinite(value):
+            raise NonFiniteLossError(name, value)
+    report = LossReport(photometric, smooth, fb_total, cross, total)
+    masks_used = [r.masks for r in results]
     if not want_grads:
         return report, None, masks_used
-    sw = list(cfg.scale_weights) if cfg.scale_weights else [1.0] * cfg.scales
 
     def fold(per_level, adjoint):
         acc = sw[-1] * per_level[-1]
@@ -299,7 +359,8 @@ def refine(
         try:
             state, moments = step(state, grad, moments, cfg)
         except ValueError as exc:
-            # the update left the feasible set (e.g. depth underflowed to 0)
+            # the update left the feasible set (e.g. depth underflowed to 0,
+            # or a field went non-finite)
             raise DivergenceError(f"diverged at iteration {it}: {exc}", trace) from exc
     return state, trace
 

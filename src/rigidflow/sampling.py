@@ -15,8 +15,8 @@ the flattened source (`flat[sx:]`, `flat[sy:]`, `flat[sy + sx:]`, with the
 offset 0 along an axis of size 1), so no other index array is stored. One
 plan serves any number of `sample`, `sample_grad` and `scatter` calls, on
 sources of any channel count. The objective builds one plan per
-correspondence field per pyramid level; the public `bilinear_*` functions
-and `inverse_warp` build a throwaway plan per call.
+correspondence field per pyramid level; `bilinear_sample` and
+`inverse_warp` build a throwaway plan per call.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ import numpy as np
 __all__ = [
     "WarpPlan",
     "bilinear_sample",
-    "bilinear_sample_grad",
-    "bilinear_scatter",
     "inverse_warp",
     "downsample_image",
     "downsample_flow",
@@ -156,28 +154,6 @@ def bilinear_sample(img: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     img = np.asarray(img, dtype=float)
     plan = WarpPlan(img.shape[:2], xs, ys)
     return plan.sample(img), plan.inbounds
-
-
-def bilinear_sample_grad(img: np.ndarray, xs: np.ndarray, ys: np.ndarray):
-    """Sample a single-channel image and return coordinate derivatives.
-
-    Returns (values, d/dx, d/dy, inbounds). Derivatives are zero where the
-    lookup is clamped (coordinate outside the valid range on that axis).
-    """
-    img = np.asarray(img, dtype=float)
-    if img.ndim != 2:
-        raise ValueError("expected a single-channel image")
-    plan = WarpPlan(img.shape, xs, ys)
-    return (*plan.sample_grad(img), plan.inbounds)
-
-
-def bilinear_scatter(grad_out, xs, ys, shape):
-    """Adjoint of `bilinear_sample` w.r.t. the source image.
-
-    Accumulates grad_out (same shape as xs) into an (H, W) array using the
-    same corner weights the forward lookup used (including clamping).
-    """
-    return WarpPlan(shape, xs, ys).scatter(grad_out)
 
 
 def inverse_warp(target: np.ndarray, flow: np.ndarray):

@@ -538,7 +538,6 @@ def scale_objective_cell(
     weights,
     census,
     fb_params,
-    include_cross=True,
     terms=frozenset({"photometric", "smooth", "fb_flow", "fb_depth", "cross"}),
     masks=None,
 ):
@@ -617,7 +616,7 @@ def scale_objective_cell(
         g_dt += weights.lambda_f * gdtb
         g_rigid_b += weights.lambda_f * grigb
 
-    if "cross" in terms and include_cross:
+    if "cross" in terms:
         lc, gr, gf, _ = cross_task_loss(rigid_f, flow_fwd, masks.depth_fwd & masks.flow_fwd)
         cross += lc
         g_rigid_f += weights.lambda_c * gr

@@ -10,8 +10,7 @@ import pytest
 from rigidflow.cli import main
 from rigidflow.config import optimizer_config_from, parse_kv_file, parse_overrides
 from rigidflow.flowio import FLO_MAGIC, read_flo, read_pfm, write_flo, write_pfm
-from rigidflow.losses import total_loss
-from rigidflow.optimize import OptimizerConfig
+from rigidflow.optimize import OptimizerConfig, SceneState, evaluate
 from rigidflow.scenes import preset, render
 
 
@@ -85,6 +84,7 @@ def test_optimizer_config_defaults_when_unset():
     assert cfg.weights.lambda_c == 0.2
     assert cfg.iterations == 2000
     assert cfg.scales == 4
+    assert cfg == OptimizerConfig()
 
 
 def test_optimizer_config_rejects_unknown_keys():
@@ -202,17 +202,12 @@ def test_loss_on_ground_truth_preset_is_tiny(capsys):
     assert code == 0
     values = kv_lines(stdout)
     assert set(values) == {"photometric", "smooth", "forward_backward", "cross", "total"}
-    report = total_loss(*_plane_args())
+    spec = preset("plane")
+    gt = render(spec)
+    state = SceneState(gt.depth_t, gt.depth_t1, spec.pose_params, gt.flow_fwd, gt.flow_bwd)
+    report, _, _ = evaluate(state, gt.image_t, gt.image_t1, gt.intrinsics, want_grads=False)
     assert float(values["total"]) == report.total
     assert float(values["total"]) < 1e-6
-
-
-def _plane_args():
-    gt = render(preset("plane"))
-    return (
-        gt.image_t, gt.image_t1, gt.depth_t, gt.depth_t1, gt.pose,
-        gt.flow_fwd, gt.flow_bwd, gt.intrinsics,
-    )
 
 
 def test_loss_requires_full_inputs_without_scene(capsys):
@@ -220,6 +215,26 @@ def test_loss_requires_full_inputs_without_scene(capsys):
     assert code == 1
     assert "error:" in stderr
     assert "--image-t" in stderr
+
+
+def test_loss_names_a_non_finite_input_field(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "render-scene", "--preset", "plane", "--output-dir", str(tmp_path))
+    assert code == 0
+    # write_flo refuses a NaN, so patch one into the payload of flow (5, 5, 0)
+    raw = bytearray((tmp_path / "flow_fwd.flo").read_bytes())
+    offset = 12 + 4 * 2 * (5 * 64 + 5)
+    raw[offset : offset + 4] = struct.pack("<f", float("nan"))
+    (tmp_path / "nan.flo").write_bytes(bytes(raw))
+    assert np.isnan(read_flo(tmp_path / "nan.flo")[5, 5, 0])
+    argv = ["loss"]
+    for name in ("image-t", "image-t1", "depth-t", "depth-t1"):
+        argv += [f"--{name}", str(tmp_path / (name.replace("-", "_") + ".pfm"))]
+    argv += ["--flow-fwd", str(tmp_path / "nan.flo"), "--flow-bwd", str(tmp_path / "flow_bwd.flo")]
+    argv += ["--pose", "0,0,0,0.4,0,0", "--intrinsics", "100,100,31.5,31.5"]
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 1
+    assert stderr == "error: flow_fwd must be finite\n"
+    assert stdout == ""
 
 
 def test_refine_writes_trace_and_outputs(tmp_path, capsys):
@@ -265,6 +280,13 @@ def test_refine_rejects_scale_weights_of_the_wrong_length():
     assert proc.returncode == 1
     assert proc.stderr == "error: scale_weights needs one weight per scale (4), got 1\n"
     assert proc.stdout == ""
+
+
+def test_refine_rejects_scales_too_deep_for_the_image(capsys):
+    code, stdout, stderr = run_cli(capsys, "refine", "--preset", "plane", "--set", "scales=7")
+    assert code == 1
+    assert "scales=7" in stderr and "64x64" in stderr
+    assert stdout == ""
 
 
 def test_bad_pose_arity_fails_cleanly(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,16 +10,14 @@ from rigidflow.losses import (
     CensusParams,
     LossWeights,
     NonFiniteLossError,
-    census_descriptor,
     charbonnier,
     cross_task_loss,
     fb_depth_loss,
     fb_flow_loss,
-    multiscale_objective,
     photometric_loss,
     smoothness_loss,
-    total_loss,
 )
+from rigidflow.optimize import OptimizerConfig, evaluate
 
 from conftest import state_from_gt
 from oracles import (
@@ -57,46 +56,7 @@ def test_charbonnier_derivative_matches_fd():
 
 
 # ---------------------------------------------------------------------------
-# census descriptor
-
-
-def test_constant_image_zero_descriptor():
-    desc, valid = census_descriptor(np.full((6, 6), 0.4))
-    assert desc.shape == (6, 6, 8)
-    assert not desc.any()
-    assert valid[1:-1, 1:-1].all()
-    assert not valid[0, 0, :3].any()  # top-left corner misses its upper row
-
-
-def test_descriptor_invariant_to_brightness():
-    rng = np.random.default_rng(0)
-    img = rng.uniform(size=(8, 8))
-    d0, _ = census_descriptor(img)
-    d1, _ = census_descriptor(img + 0.3)
-    assert np.array_equal(d0, d1)
-
-
-def test_step_edge_signs_by_hand():
-    # columns 0..2 at 0.0, 0.0, 1.0; center pixel (1,1) with radius 1:
-    # neighbors in row-major offset order (skipping the center) are
-    # (-1,-1) (-1,0) (-1,+1) (0,-1) (0,+1) (+1,-1) (+1,0) (+1,+1)
-    img = np.zeros((3, 3))
-    img[:, 2] = 1.0
-    desc, _ = census_descriptor(img, CensusParams(radius=1, epsilon=0.01))
-    assert desc[1, 1].tolist() == [0, 0, 1, 0, 1, 0, 0, 1]
-
-
-def test_descriptor_thresholds_small_differences():
-    img = np.zeros((3, 3))
-    img[1, 2] = 0.005  # below epsilon 0.01: descriptor stays 0
-    desc, _ = census_descriptor(img, CensusParams(radius=1, epsilon=0.01))
-    assert desc[1, 1, 4] == 0
-    img[1, 2] = 0.02
-    desc, _ = census_descriptor(img, CensusParams(radius=1, epsilon=0.01))
-    assert desc[1, 1, 4] == 1
-    img[1, 2] = -0.02
-    desc, _ = census_descriptor(img, CensusParams(radius=1, epsilon=0.01))
-    assert desc[1, 1, 4] == -1
+# census parameters
 
 
 def test_census_params_validation():
@@ -507,80 +467,61 @@ def test_cross_validates_shapes():
 # assembled objective
 
 
+def loss_report(gt, state, **settings):
+    """The full objective of state on gt's frames, without gradients."""
+    report, _, _ = evaluate(
+        state, gt.image_t, gt.image_t1, gt.intrinsics, OptimizerConfig(**settings), want_grads=False
+    )
+    return report
+
+
 def test_gt_state_total_near_zero(plane_gt):
     state = state_from_gt(plane_gt)
-    report = total_loss(
-        plane_gt.image_t,
-        plane_gt.image_t1,
-        state.depth_t,
-        state.depth_t1,
-        plane_gt.pose,
-        state.flow_fwd,
-        state.flow_bwd,
-        plane_gt.intrinsics,
-        scales=4,
-    )
+    report = loss_report(plane_gt, state, scales=4)
     assert report.total < 1e-4
 
 
 def test_zero_weights_leave_only_photometric(plane_gt):
     state = state_from_gt(plane_gt)
-    report = total_loss(
-        plane_gt.image_t,
-        plane_gt.image_t1,
-        state.depth_t * 1.1,
-        state.depth_t1 * 1.1,
-        plane_gt.pose,
-        state.flow_fwd,
-        state.flow_bwd,
-        plane_gt.intrinsics,
-        weights=LossWeights(0.0, 0.0, 0.0),
-        scales=2,
-    )
+    state = replace(state, depth_t=state.depth_t * 1.1, depth_t1=state.depth_t1 * 1.1)
+    report = loss_report(plane_gt, state, weights=LossWeights(0.0, 0.0, 0.0), scales=2)
     assert report.total == report.photometric
 
 
 def test_doubling_a_weight_adds_that_term(plane_gt):
     state = state_from_gt(plane_gt)
-    args = (
-        plane_gt.image_t,
-        plane_gt.image_t1,
-        state.depth_t * 1.07,
-        state.depth_t1 * 1.07,
-        plane_gt.pose,
-        state.flow_fwd + 0.3,
-        state.flow_bwd + 0.3,
-        plane_gt.intrinsics,
+    state = replace(
+        state,
+        depth_t=state.depth_t * 1.07,
+        depth_t1=state.depth_t1 * 1.07,
+        flow_fwd=state.flow_fwd + 0.3,
+        flow_bwd=state.flow_bwd + 0.3,
     )
-    base = total_loss(*args, weights=LossWeights(1.0, 1.0, 1.0), scales=2)
-    doubled = total_loss(*args, weights=LossWeights(2.0, 1.0, 1.0), scales=2)
+    base = loss_report(plane_gt, state, weights=LossWeights(1.0, 1.0, 1.0), scales=2)
+    doubled = loss_report(plane_gt, state, weights=LossWeights(2.0, 1.0, 1.0), scales=2)
     assert abs((doubled.total - base.total) - base.smooth) < 1e-12
-    doubled = total_loss(*args, weights=LossWeights(1.0, 2.0, 1.0), scales=2)
+    doubled = loss_report(plane_gt, state, weights=LossWeights(1.0, 2.0, 1.0), scales=2)
     assert abs((doubled.total - base.total) - base.forward_backward) < 1e-12
-    doubled = total_loss(*args, weights=LossWeights(1.0, 1.0, 2.0), scales=2)
+    doubled = loss_report(plane_gt, state, weights=LossWeights(1.0, 1.0, 2.0), scales=2)
     assert abs((doubled.total - base.total) - base.cross) < 1e-12
 
 
 def test_report_equals_sum_of_separated_terms(plane_gt):
     state = state_from_gt(plane_gt)
     rng = np.random.default_rng(20)
-    depth_t = state.depth_t * rng.uniform(0.9, 1.1, state.depth_t.shape)
-    args = (
-        plane_gt.image_t,
-        plane_gt.image_t1,
-        depth_t,
-        state.depth_t1,
-        plane_gt.pose,
-        state.flow_fwd + rng.uniform(-0.5, 0.5, state.flow_fwd.shape),
-        state.flow_bwd,
-        plane_gt.intrinsics,
+    state = replace(
+        state,
+        depth_t=state.depth_t * rng.uniform(0.9, 1.1, state.depth_t.shape),
+        flow_fwd=state.flow_fwd + rng.uniform(-0.5, 0.5, state.flow_fwd.shape),
     )
+    frames = (plane_gt.image_t, plane_gt.image_t1, plane_gt.intrinsics)
     weights = LossWeights()
-    full, _, masks = multiscale_objective(*args, weights=weights, scales=3)
+    cfg = OptimizerConfig(weights=weights, scales=3)
+    full, _, masks = evaluate(state, *frames, cfg, want_grads=False)
     parts = {}
     for term in ALL_TERMS:
-        rep, _, _ = multiscale_objective(
-            *args, weights=weights, scales=3, terms=frozenset({term}), masks=masks
+        rep, _, _ = evaluate(
+            state, *frames, cfg, masks=masks, terms=frozenset({term}), want_grads=False
         )
         parts[term] = rep
     assert parts["photometric"].photometric == full.photometric
@@ -602,40 +543,22 @@ def test_report_equals_sum_of_separated_terms(plane_gt):
 def test_cross_scales_limits_cross_term(plane_gt):
     state = state_from_gt(plane_gt)
     rng = np.random.default_rng(21)
-    flow = state.flow_fwd + rng.uniform(-0.5, 0.5, state.flow_fwd.shape)
-    args = (
-        plane_gt.image_t,
-        plane_gt.image_t1,
-        state.depth_t,
-        state.depth_t1,
-        plane_gt.pose,
-        flow,
-        state.flow_bwd,
-        plane_gt.intrinsics,
-    )
-    all_scales = total_loss(*args, scales=3, cross_scales=3)
-    finest_only = total_loss(*args, scales=3, cross_scales=1)
-    none = total_loss(*args, scales=3, cross_scales=0)
+    state = replace(state, flow_fwd=state.flow_fwd + rng.uniform(-0.5, 0.5, state.flow_fwd.shape))
+    all_scales = loss_report(plane_gt, state, scales=3, cross_scales=3)
+    finest_only = loss_report(plane_gt, state, scales=3, cross_scales=1)
+    none = loss_report(plane_gt, state, scales=3, cross_scales=0)
     assert none.cross == 0.0
     assert 0.0 < finest_only.cross < all_scales.cross
 
 
 def test_non_finite_loss_names_the_term(plane_gt):
+    # a finite flow so large that its smoothness penalty overflows
     state = state_from_gt(plane_gt)
     flow = state.flow_fwd.copy()
-    flow[3, 3, 0] = np.inf
-    with pytest.raises(NonFiniteLossError) as err, np.errstate(invalid="ignore"):
-        multiscale_objective(
-            plane_gt.image_t,
-            plane_gt.image_t1,
-            state.depth_t,
-            state.depth_t1,
-            plane_gt.pose,
-            flow,
-            state.flow_bwd,
-            plane_gt.intrinsics,
-            scales=1,
-        )
+    flow[3, 3, 0] = 1e200
+    state = replace(state, flow_fwd=flow)
+    with pytest.raises(NonFiniteLossError) as err, np.errstate(over="ignore", invalid="ignore"):
+        loss_report(plane_gt, state, scales=1)
     assert err.value.term == "smooth"
 
 
@@ -644,31 +567,18 @@ def test_non_finite_image_rejected(plane_gt):
     img = plane_gt.image_t.copy()
     img[0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        multiscale_objective(
-            img,
-            plane_gt.image_t1,
-            state.depth_t,
-            state.depth_t1,
-            plane_gt.pose,
-            state.flow_fwd,
-            state.flow_bwd,
-            plane_gt.intrinsics,
-        )
+        evaluate(state, img, plane_gt.image_t1, plane_gt.intrinsics)
 
 
 def test_masks_length_validated(plane_gt):
     state = state_from_gt(plane_gt)
     with pytest.raises(ValueError, match="every scale"):
-        multiscale_objective(
+        evaluate(
+            state,
             plane_gt.image_t,
             plane_gt.image_t1,
-            state.depth_t,
-            state.depth_t1,
-            plane_gt.pose,
-            state.flow_fwd,
-            state.flow_bwd,
             plane_gt.intrinsics,
-            scales=3,
+            OptimizerConfig(scales=3),
             masks=[None, None],
         )
 
@@ -720,7 +630,7 @@ def assert_same_level(got, want):
 
 LEVEL_CASES = [
     dict(),
-    dict(include_cross=False),
+    dict(terms=ALL_TERMS - {"cross"}),
     dict(terms=frozenset({"photometric"})),
     dict(terms=frozenset({"fb_flow", "cross"})),
     dict(terms=frozenset({"smooth", "fb_depth"})),

@@ -12,6 +12,7 @@ from rigidflow.optimize import (
     refine,
     step,
 )
+from rigidflow.scenes import preset, render
 
 from conftest import state_from_gt
 
@@ -41,6 +42,12 @@ def test_scene_state_validation():
         SceneState(**{**good, "pose_params": np.zeros(5)})
     with pytest.raises(ValueError, match="matching"):
         SceneState(**{**good, "flow_fwd": np.zeros((5, 4, 2))})
+    for name, value in good.items():
+        for bad in (np.nan, np.inf):
+            field = value.copy()
+            field.flat[1] = bad
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                SceneState(**{**good, name: field})
 
 
 def test_scene_state_copy_is_deep(plane_gt):
@@ -92,6 +99,20 @@ def test_evaluate_gradient_shapes(plane_gt):
     assert grad.pose_params.shape == (6,)
     assert grad.flow_fwd.shape == (64, 64, 2)
     assert len(masks) == 2
+
+
+@pytest.mark.parametrize("scales", [4, 5, 6])
+def test_evaluate_rejects_scales_too_deep_for_the_image(scales):
+    gt = render(preset("plane", width=12, height=12))
+    args = (state_from_gt(gt), gt.image_t, gt.image_t1, gt.intrinsics, OptimizerConfig(scales=scales))
+    if scales == 4:
+        # 12 -> 6 -> 3 -> 2: no level has a side of 1
+        report, _, masks = evaluate(*args)
+        assert np.isfinite(report.total)
+        assert masks[-1].flow_fwd.shape == (2, 2)
+    else:
+        with pytest.raises(ValueError, match=f"^scales={scales} .* got 12x12"):
+            evaluate(*args)
 
 
 def test_evaluate_gradient_matches_fd_with_frozen_masks(plane_gt):
@@ -287,6 +308,24 @@ def test_divergence_carries_partial_trace(plane_gt):
         )
     assert len(err.value.trace) >= 1
     assert np.isfinite(err.value.trace[0].total)
+
+
+def test_step_to_a_non_finite_state_is_divergence(plane_gt, monkeypatch):
+    import rigidflow.optimize as optimize
+
+    evaluate_finite = optimize.evaluate
+
+    def evaluate_nan_grad(*args, **kwargs):
+        report, grad, masks = evaluate_finite(*args, **kwargs)
+        if grad is not None:
+            grad.flow_fwd[5, 5, 0] = np.nan
+        return report, grad, masks
+
+    monkeypatch.setattr(optimize, "evaluate", evaluate_nan_grad)
+    state = make_initial_state(plane_gt, np.random.default_rng(0))
+    with pytest.raises(DivergenceError, match="iteration 0: flow_fwd must be finite") as err:
+        refine(plane_gt.image_t, plane_gt.image_t1, plane_gt.intrinsics, state, small_cfg())
+    assert len(err.value.trace) == 1
 
 
 def test_refine_recovers_depth_quickly(plane_gt):

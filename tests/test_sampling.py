@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from rigidflow.sampling import (
     WarpPlan,
     bilinear_sample,
-    bilinear_sample_grad,
-    bilinear_scatter,
     downsample_flow,
     downsample_flow_adjoint,
     downsample_image,
@@ -82,7 +80,7 @@ def test_sample_grad_matches_finite_differences():
     # stay away from integer lattice lines where the gradient has kinks
     xs = np.where(np.abs(xs - np.round(xs)) < 0.05, xs + 0.1, xs)
     ys = np.where(np.abs(ys - np.round(ys)) < 0.05, ys + 0.1, ys)
-    val, ddx, ddy, _ = bilinear_sample_grad(img, xs, ys)
+    val, ddx, ddy = WarpPlan(img.shape, xs, ys).sample_grad(img)
     h = 1e-6
     vx1, _ = bilinear_sample(img, xs + h, ys)
     vx0, _ = bilinear_sample(img, xs - h, ys)
@@ -94,14 +92,11 @@ def test_sample_grad_matches_finite_differences():
 
 def test_sample_grad_zero_outside_valid_range():
     img = np.arange(16.0).reshape(4, 4)
-    _, ddx, ddy, inb = bilinear_sample_grad(img, np.array([-0.5, 5.0]), np.array([1.0, 1.0]))
+    plan = WarpPlan(img.shape, np.array([-0.5, 5.0]), np.array([1.0, 1.0]))
+    _, ddx, ddy = plan.sample_grad(img)
+    inb = plan.inbounds
     assert ddx[0] == 0.0 and ddx[1] == 0.0
     assert not inb.any()
-
-
-def test_sample_grad_rejects_multichannel():
-    with pytest.raises(ValueError):
-        bilinear_sample_grad(np.zeros((4, 4, 2)), np.zeros(1), np.zeros(1))
 
 
 def test_scatter_is_adjoint_of_sample():
@@ -112,7 +107,7 @@ def test_scatter_is_adjoint_of_sample():
     ys = rng.uniform(-1.0, 9.5, (30,))
     g = rng.normal(size=(30,))
     sampled, _ = bilinear_sample(img, xs, ys)
-    scattered = bilinear_scatter(g, xs, ys, (9, 7))
+    scattered = WarpPlan((9, 7), xs, ys).scatter(g)
     assert abs(np.sum(scattered * img) - np.sum(g * sampled)) < 1e-10
 
 
@@ -164,8 +159,7 @@ def test_plan_sample_grad_matches_per_call_sampling(shape):
     want = cell_sample_grad(img, xs, ys)
     for got, ref in zip(plan.sample_grad(img), want[:3]):
         assert same_bits(got, ref)
-    for got, ref in zip(bilinear_sample_grad(img, xs, ys), want):
-        assert same_bits(got, ref)
+    assert same_bits(plan.inbounds, want[3])
     # a multi-channel source is per channel what each channel gives alone
     stack = rng.uniform(size=shape + (2,))
     for c in range(2):
@@ -182,7 +176,6 @@ def test_plan_scatter_matches_per_call_scatter(shape):
     g = rng.normal(size=shape)
     want = cell_scatter(g, xs, ys, shape)
     assert same_bits(plan.scatter(g), want)
-    assert same_bits(bilinear_scatter(g, xs, ys, shape), want)
     g2 = rng.normal(size=shape + (2,))
     got = plan.scatter(g2)
     assert got.shape == shape + (2,)
