@@ -10,7 +10,6 @@ synthetic scenes with exact ground truth, evaluation metrics, and file I/O.
 from .camera import (
     Intrinsics,
     PoseSE3,
-    compose,
     invert,
     params_from_pose,
     pose_from_params,

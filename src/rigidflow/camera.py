@@ -27,7 +27,6 @@ __all__ = [
     "so3_log",
     "pose_from_params",
     "params_from_pose",
-    "compose",
     "invert",
     "rotation_jacobians",
     "project_pixel",
@@ -165,11 +164,6 @@ def pose_from_params(params) -> PoseSE3:
 
 def params_from_pose(pose: PoseSE3) -> np.ndarray:
     return np.concatenate([so3_log(pose.rotation), pose.translation])
-
-
-def compose(a: PoseSE3, b: PoseSE3) -> PoseSE3:
-    """compose(a, b) applies b first: X -> a(b(X))."""
-    return PoseSE3(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
 
 
 def invert(pose: PoseSE3) -> PoseSE3:

@@ -22,6 +22,7 @@ from .camera import (
 )
 from .losses import (
     ALL_TERMS,
+    SIDES,
     CensusParams,
     LossReport,
     LossWeights,
@@ -68,6 +69,11 @@ class SceneState:
         self.pose_params = np.asarray(self.pose_params, dtype=float)
         self.flow_fwd = np.asarray(self.flow_fwd, dtype=float)
         self.flow_bwd = np.asarray(self.flow_bwd, dtype=float)
+        self.check()
+
+    def check(self) -> None:
+        """Raise ValueError naming the malformed field. `evaluate` calls this
+        again, since the arrays can be changed in place after construction."""
         if self.depth_t.ndim != 2 or self.depth_t.shape != self.depth_t1.shape:
             raise ValueError("depth maps must be matching (H, W) arrays")
         h, w = self.depth_t.shape
@@ -191,30 +197,33 @@ def evaluate(
     Returns (LossReport, StateGrad or None, per-level masks); the gradient
     is None when `want_grads` is False. Passing `masks` (as returned by a
     previous call) freezes the validity masks so the objective is smooth in
-    the state; by default they are recomputed. Raises NonFiniteLossError
-    naming the term that went bad.
+    the state; by default they are recomputed. Raises ValueError naming a
+    malformed state field or image, and NonFiniteLossError naming the term
+    that went bad.
     """
     scales = cfg.scales
     if masks is not None and len(masks) != scales:
         raise ValueError("masks must cover every scale")
+    state.check()
+    h, w = state.depth_t.shape
     for name, arr in (("img_t", img_t), ("img_t1", img_t1)):
+        if np.shape(arr)[:2] != (h, w):
+            size = "x".join(map(str, np.shape(arr)[:2]))
+            raise ValueError(f"{name} is {size} but the state is {h}x{w}")
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} must be finite")
-    h, w = state.depth_t.shape
     if scales > 1 and min(h, w) <= 2 ** (scales - 1):
         raise ValueError(
             f"scales={scales} needs both image sides above {2 ** (scales - 1)}, "
             f"got {h}x{w}: the coarsest level would have a side of 1"
         )
     sw = list(cfg.scale_weights) if cfg.scale_weights else [1.0] * scales
-    imgs_t = image_pyramid(img_t, scales)
-    imgs_t1 = image_pyramid(img_t1, scales)
-    depths_t = image_pyramid(state.depth_t, scales)
-    depths_t1 = image_pyramid(state.depth_t1, scales)
-    flows_f = flow_pyramid(state.flow_fwd, scales)
-    flows_b = flow_pyramid(state.flow_bwd, scales)
+    # per level, the (side 0, side 1) pair of each input
+    imgs = list(zip(*(image_pyramid(img, scales) for img in (img_t, img_t1))))
+    depths = list(zip(*(image_pyramid(d, scales) for d in (state.depth_t, state.depth_t1))))
+    flows = list(zip(*(flow_pyramid(f, scales) for f in (state.flow_fwd, state.flow_bwd))))
     pose = pose_from_params(state.pose_params)
-    pose_bwd = invert(pose)
+    poses = (pose, invert(pose))
     ks = [k]
     for _ in range(scales - 1):
         ks.append(ks[-1].scaled_down())
@@ -225,14 +234,10 @@ def evaluate(
     results = []
     for lvl in range(scales):
         res = scale_objective(
-            imgs_t[lvl],
-            imgs_t1[lvl],
-            depths_t[lvl],
-            depths_t1[lvl],
-            pose,
-            pose_bwd,
-            flows_f[lvl],
-            flows_b[lvl],
+            imgs[lvl],
+            depths[lvl],
+            poses,
+            flows[lvl],
             ks[lvl],
             cfg.weights,
             cfg.census,
@@ -272,18 +277,18 @@ def evaluate(
             acc = sw[lvl] * per_level[lvl] + adjoint(acc, per_level[lvl].shape[:2])
         return acc
 
+    depth = [fold([r.grad_depth[d] for r in results], downsample_image_adjoint) for d in SIDES]
+    flow = [fold([r.grad_flow[d] for r in results], downsample_flow_adjoint) for d in SIDES]
+    # (rotation, translation) gradient of the forward pose, then of its inverse
+    pose_grads = [
+        sum(w * r.grad_pose[d][i] for w, r in zip(sw, results)) for d in SIDES for i in (0, 1)
+    ]
     grad = StateGrad(
-        depth_t=fold([r.grad_depth_t for r in results], downsample_image_adjoint),
-        depth_t1=fold([r.grad_depth_t1 for r in results], downsample_image_adjoint),
-        pose_params=pose_param_gradient(
-            state.pose_params,
-            sum(w * r.grad_r_fwd for w, r in zip(sw, results)),
-            sum(w * r.grad_t_fwd for w, r in zip(sw, results)),
-            sum(w * r.grad_r_bwd for w, r in zip(sw, results)),
-            sum(w * r.grad_t_bwd for w, r in zip(sw, results)),
-        ),
-        flow_fwd=fold([r.grad_flow_fwd for r in results], downsample_flow_adjoint),
-        flow_bwd=fold([r.grad_flow_bwd for r in results], downsample_flow_adjoint),
+        depth_t=depth[0],
+        depth_t1=depth[1],
+        pose_params=pose_param_gradient(state.pose_params, *pose_grads),
+        flow_fwd=flow[0],
+        flow_bwd=flow[1],
     )
     return report, grad, masks_used
 

@@ -115,6 +115,7 @@ def _perturbed(state: SceneState, field: str, index, delta: float) -> SceneState
 
 def check_block(
     scene: GradScene,
+    cfg: OptimizerConfig,
     term: str,
     wrt: str,
     n_coords: int,
@@ -126,10 +127,11 @@ def check_block(
 
     Masks are frozen from the base state so the objective is differentiable
     in the state; the error scale is max(|analytic|, |fd|, floor), the floor
-    covering structurally zero blocks. Returns (worst relative error, largest
-    |analytic| seen) so callers can tell a passing block from an empty one.
+    covering structurally zero blocks. `cfg` should keep unit loss weights
+    and a lax fb check, as `suite_cfg` does. Returns (worst relative error,
+    largest |analytic| seen) so callers can tell a passing block from an
+    empty one.
     """
-    cfg = suite_cfg()
     terms = frozenset({term})
     args = (scene.img_t, scene.img_t1, scene.k)
     _, grad, masks = evaluate(scene.state, *args, cfg, terms=terms)

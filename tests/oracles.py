@@ -55,18 +55,6 @@ def project_pixel_ref(x, y, depth, fx, fy, cx, cy, r, t):
     return fx * q[0] / q[2] + cx, fy * q[1] / q[2] + cy, q[2]
 
 
-def compose_matrices(a_r, a_t, b_r, b_t):
-    """Compose two rigid transforms via their 4x4 homogeneous matrices."""
-    ma = np.eye(4)
-    ma[:3, :3] = a_r
-    ma[:3, 3] = a_t
-    mb = np.eye(4)
-    mb[:3, :3] = b_r
-    mb[:3, 3] = b_t
-    m = ma @ mb
-    return m[:3, :3], m[:3, 3]
-
-
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -526,14 +514,10 @@ def _photometric_branch_cell(gray_ref, gray_src, flow_field, mask, census):
 
 
 def scale_objective_cell(
-    img_t,
-    img_t1,
-    depth_t,
-    depth_t1,
-    pose_fwd,
-    pose_bwd,
-    flow_fwd,
-    flow_bwd,
+    imgs,
+    depths,
+    poses,
+    flows,
     k,
     weights,
     census,
@@ -548,6 +532,10 @@ def scale_objective_cell(
     from rigidflow.camera import project_backward, rigid_flow
     from rigidflow.losses import LevelMasks, ScaleResult, cross_task_loss, smoothness_loss
 
+    img_t, img_t1 = imgs
+    depth_t, depth_t1 = depths
+    pose_fwd, pose_bwd = poses
+    flow_fwd, flow_bwd = flows
     gray_t = img_t.mean(axis=2) if img_t.ndim == 3 else img_t
     gray_t1 = img_t1.mean(axis=2) if img_t1.ndim == 3 else img_t1
     h, w = gray_t.shape
@@ -635,13 +623,8 @@ def scale_objective_cell(
         smooth=smooth,
         fb=fb_total,
         cross=cross,
-        grad_depth_t=g_dt,
-        grad_depth_t1=g_dt1,
-        grad_r_fwd=gr_f,
-        grad_t_fwd=gt_f,
-        grad_r_bwd=gr_b,
-        grad_t_bwd=gt_b,
-        grad_flow_fwd=g_flow_f,
-        grad_flow_bwd=g_flow_b,
+        grad_depth=(g_dt, g_dt1),
+        grad_pose=((gr_f, gt_f), (gr_b, gt_b)),
+        grad_flow=(g_flow_f, g_flow_b),
         masks=masks,
     )

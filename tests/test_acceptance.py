@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from gradcheck import TERMS, WRTS, check_block, random_scene
+from gradcheck import TERMS, WRTS, check_block, random_scene, suite_cfg
 from oracles import depth_metrics_ref, flow_metrics_ref
 
 from rigidflow.camera import Intrinsics, PoseSE3, invert, params_from_pose, pose_from_params, rigid_flow
@@ -82,11 +82,12 @@ def test_03_gradient_suite_matches_finite_differences():
     rng = np.random.default_rng(515)
     t0 = time.perf_counter()
     worst, worst_at = 0.0, "-"
+    cfg = suite_cfg()
     for seed in (11, 12, 13):
         scene = random_scene(seed)
         for term in TERMS:
             for wrt in WRTS:
-                err, _ = check_block(scene, term, wrt, 100, rng)
+                err, _ = check_block(scene, cfg, term, wrt, 100, rng)
                 if err > worst:
                     worst, worst_at = err, f"{term}/{wrt} scene {seed}"
     dt = time.perf_counter() - t0

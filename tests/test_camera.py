@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from rigidflow.camera import (
     Intrinsics,
     PoseSE3,
-    compose,
     invert,
     params_from_pose,
     pixel_grid,
@@ -23,7 +22,7 @@ from rigidflow.camera import (
     so3_log,
 )
 
-from oracles import compose_matrices, project_pixel_ref, rotation_series
+from oracles import project_pixel_ref, rotation_series
 
 K = Intrinsics(fx=100.0, fy=100.0, cx=31.5, cy=31.5)
 
@@ -121,24 +120,11 @@ def test_invert_pure_translation_negates():
     assert np.allclose(invert(pose).translation, [-1.0, -2.0, -3.0], atol=1e-15)
 
 
-def test_compose_matches_homogeneous_matrix_product():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        a = random_pose(rng, angle_scale=2.0)
-        b = random_pose(rng, angle_scale=2.0)
-        c = compose(a, b)
-        r_ref, t_ref = compose_matrices(a.rotation, a.translation, b.rotation, b.translation)
-        assert np.abs(c.rotation - r_ref).max() < 1e-12
-        assert np.abs(c.translation - t_ref).max() < 1e-12
-
-
-def test_compose_with_inverse_is_identity():
+def test_pose_times_its_inverse_is_identity():
     rng = np.random.default_rng(4)
     for _ in range(20):
         pose = random_pose(rng, angle_scale=2.0)
-        ident = compose(pose, invert(pose))
-        assert np.abs(ident.rotation - np.eye(3)).max() < 1e-9
-        assert np.abs(ident.translation).max() < 1e-9
+        assert np.abs(pose.matrix() @ invert(pose).matrix() - np.eye(4)).max() < 1e-9
 
 
 def test_params_round_trip():

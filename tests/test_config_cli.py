@@ -237,6 +237,27 @@ def test_loss_names_a_non_finite_input_field(tmp_path, capsys):
     assert stdout == ""
 
 
+def test_loss_names_an_image_of_another_size(tmp_path, capsys):
+    big = render(preset("plane"))
+    small = render(preset("plane", width=32, height=32))
+    write_pfm(tmp_path / "image_t.pfm", small.image_t)
+    write_pfm(tmp_path / "image_t1.pfm", big.image_t1)
+    write_pfm(tmp_path / "depth_t.pfm", small.depth_t)
+    write_pfm(tmp_path / "depth_t1.pfm", small.depth_t1)
+    write_flo(tmp_path / "flow_fwd.flo", small.flow_fwd)
+    write_flo(tmp_path / "flow_bwd.flo", small.flow_bwd)
+    argv = ["loss"]
+    for name in ("image-t", "image-t1", "depth-t", "depth-t1"):
+        argv += [f"--{name}", str(tmp_path / (name.replace("-", "_") + ".pfm"))]
+    for name in ("flow-fwd", "flow-bwd"):
+        argv += [f"--{name}", str(tmp_path / (name.replace("-", "_") + ".flo"))]
+    argv += ["--pose", "0,0,0,0.4,0,0", "--intrinsics", "100,100,15.5,15.5"]
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 1
+    assert stderr == "error: img_t1 is 64x64 but the state is 32x32\n"
+    assert stdout == ""
+
+
 def test_refine_writes_trace_and_outputs(tmp_path, capsys):
     trace_path = tmp_path / "trace.csv"
     out_dir = tmp_path / "refined"

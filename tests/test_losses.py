@@ -607,23 +607,23 @@ def odd_level():
     flow_fwd = state.flow_fwd + rng.uniform(-0.7, 0.7, state.flow_fwd.shape)
     flow_bwd = state.flow_bwd + rng.uniform(-0.7, 0.7, state.flow_bwd.shape)
     pose = gt.pose
-    return (gt.image_t, gt.image_t1, depth_t, depth_t1, pose, invert(pose), flow_fwd, flow_bwd, gt.intrinsics)
+    return (
+        (gt.image_t, gt.image_t1),
+        (depth_t, depth_t1),
+        (pose, invert(pose)),
+        (flow_fwd, flow_bwd),
+        gt.intrinsics,
+    )
 
 
 def assert_same_level(got, want):
     for name in ("photometric", "smooth", "fb", "cross"):
         assert same_bits(getattr(got, name), getattr(want, name)), name
-    for name in (
-        "grad_depth_t",
-        "grad_depth_t1",
-        "grad_r_fwd",
-        "grad_t_fwd",
-        "grad_r_bwd",
-        "grad_t_bwd",
-        "grad_flow_fwd",
-        "grad_flow_bwd",
-    ):
-        assert same_bits(getattr(got, name), getattr(want, name)), name
+    for side in (0, 1):
+        assert same_bits(got.grad_depth[side], want.grad_depth[side]), ("grad_depth", side)
+        assert same_bits(got.grad_flow[side], want.grad_flow[side]), ("grad_flow", side)
+        for i, part in enumerate(("rotation", "translation")):
+            assert same_bits(got.grad_pose[side][i], want.grad_pose[side][i]), ("grad_pose", side, part)
     for name in ("depth_fwd", "depth_bwd", "flow_fwd", "flow_bwd"):
         assert same_bits(getattr(got.masks, name), getattr(want.masks, name)), name
 
@@ -682,7 +682,7 @@ def test_public_terms_match_term_by_term_sampling(odd_level):
     from rigidflow.masks import FBCheckParams, fb_check
     from oracles import fb_check_cell, fb_depth_cell, fb_flow_cell, photometric_cell
 
-    img_t, img_t1, depth_t, depth_t1, pose, _, flow_fwd, flow_bwd, k = odd_level
+    (img_t, img_t1), (depth_t, depth_t1), _, (flow_fwd, flow_bwd), _ = odd_level
     mask = fb_check_cell(flow_fwd, flow_bwd, 0.01, 0.5)
     assert same_bits(fb_check(flow_fwd, flow_bwd, FBCheckParams()), mask)
     gray_t, gray_t1 = img_t[..., 0], img_t1[..., 0]

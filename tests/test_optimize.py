@@ -50,6 +50,27 @@ def test_scene_state_validation():
                 SceneState(**{**good, name: field})
 
 
+def test_evaluate_rechecks_a_state_changed_in_place(plane_gt):
+    args = (plane_gt.image_t, plane_gt.image_t1, plane_gt.intrinsics)
+    state = state_from_gt(plane_gt)
+    state.flow_fwd[5, 5, 0] = np.nan
+    with pytest.raises(ValueError, match="^flow_fwd must be finite$"):
+        evaluate(state, *args)
+    state = state_from_gt(plane_gt)
+    state.depth_t1[3, 4] = 0.0
+    with pytest.raises(ValueError, match="^depth must be positive$"):
+        evaluate(state, *args)
+
+
+def test_evaluate_rejects_images_of_another_size(plane_gt):
+    small = render(preset("plane", width=32, height=32))
+    state = state_from_gt(small)
+    with pytest.raises(ValueError, match="^img_t is 64x64 but the state is 32x32$"):
+        evaluate(state, plane_gt.image_t, small.image_t1, small.intrinsics)
+    with pytest.raises(ValueError, match="^img_t1 is 64x64 but the state is 32x32$"):
+        evaluate(state, small.image_t, plane_gt.image_t1, small.intrinsics)
+
+
 def test_scene_state_copy_is_deep(plane_gt):
     state = state_from_gt(plane_gt)
     other = state.copy()
