@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from .losses import CensusParams, LossWeights
 from .masks import FBCheckParams
 from .optimize import OptimizerConfig
@@ -51,19 +53,28 @@ def parse_overrides(items) -> dict:
     return out
 
 
+def _parse(key: str, raw: str):
+    """The value of one setting; ValueError naming the key and the text when
+    it does not convert or, for a float, is not finite."""
+    kind, what = (int, "an integer") if key in _INT_KEYS else (float, "a number")
+    parts = raw.split(",") if key == "scale_weights" else [raw]
+    try:
+        values = [kind(part) for part in parts]
+    except ValueError:
+        if key == "scale_weights":
+            what = "comma-separated numbers"
+        raise ValueError(f"{key} must be {what}, got {raw!r}") from None
+    if kind is float and not all(map(math.isfinite, values)):
+        raise ValueError(f"{key} must be finite, got {raw!r}")
+    return tuple(values) if key == "scale_weights" else values[0]
+
+
 def optimizer_config_from(settings: dict) -> OptimizerConfig:
     """Build an OptimizerConfig from string settings; unknown keys error."""
     unknown = set(settings) - _KNOWN
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    vals: dict = {}
-    for key, raw in settings.items():
-        if key in _FLOAT_KEYS:
-            vals[key] = float(raw)
-        elif key in _INT_KEYS:
-            vals[key] = int(raw)
-        elif key == "scale_weights":
-            vals[key] = tuple(float(v) for v in raw.split(","))
+    vals = {key: _parse(key, raw) for key, raw in settings.items()}
 
     def nested(cls, prefix, *fields):
         # only the keys given: the dataclass keeps its own default elsewhere

@@ -143,7 +143,8 @@ def _shift_add(dst: np.ndarray, src: np.ndarray, dy: int, dx: int) -> None:
     h, w = dst.shape
     y0, y1 = max(0, -dy), h - max(0, dy)
     x0, x1 = max(0, -dx), w - max(0, dx)
-    dst[y0 + dy : y1 + dy, x0 + dx : x1 + dx] += src[y0:y1, x0:x1]
+    if y0 < y1 and x0 < x1:  # no overlap when the shift is longer than a side
+        dst[y0 + dy : y1 + dy, x0 + dx : x1 + dx] += src[y0:y1, x0:x1]
 
 
 def photometric_loss(
@@ -186,6 +187,15 @@ def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams):
     The reference's soft descriptor is computed once per offset and shared
     by every branch. Returns one (loss, grad wrt gray_warped) per branch,
     or None for a branch whose mask is empty.
+
+    Only the first half of the offsets is computed. The second half is the
+    first negated and reversed, and offset -o adds exactly what o adds,
+    shifted by o: its differences, descriptors and gated gradient are the
+    IEEE negations of those of o at p - o, its penalty and gate those of o
+    at p - o. So the half is replayed backward with the `-=` and the shift
+    swapped, and every sum runs in the order of the full offset list. (A
+    zero may flip sign under negation; the accumulators start at +0 and so
+    never hold -0, and adding a zero of either sign leaves them unchanged.)
     """
     h, w = gray_ref.shape
     r = params.radius
@@ -200,10 +210,13 @@ def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams):
             live.append((b, gray_w, np.pad(gray_w, r, mode="edge"), mask, pad_m, 1.0 / nv))
     losses = [0.0] * len(branches)
     grads = {b: np.zeros((h, w)) for b, *_ in live}
+    kept = {b: [] for b, *_ in live}  # (loss, gated gradient) per offset of the half
     pad_r = np.pad(gray_ref, r, mode="edge")
+    offsets = _offsets(r)
+    half = offsets[: len(offsets) // 2]
     # the arithmetic runs in place, in the order of the plain expressions
     # noted beside it, so every value is the same to the bit
-    for dy, dx in _offsets(r):
+    for dy, dx in half:
         win = (slice(r + dy, r + dy + h), slice(r + dx, r + dx + w))
         tr = pad_r[win] - gray_ref  # dr
         t = np.multiply(tr, tr)
@@ -221,7 +234,7 @@ def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams):
             root += c * c
             np.sqrt(root, out=root)
             gate = mask & pad_m[win]
-            losses[b] += float(np.sum(root[gate] - c))
+            part = float(np.sum(root[gate] - c))
             # d phi / d dw = phi'(delta) * (-1) * t'(dw),  t'(d) = eps^2 / (d^2+eps^2)^1.5
             np.power(s, 1.5, out=s)
             np.divide(-eps2, s, out=s)
@@ -229,8 +242,18 @@ def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams):
             delta *= s
             delta *= inv  # (delta / root) * (-eps^2 / (dw^2 + eps^2)^1.5) * inv
             g = np.where(gate, delta, 0.0)
+            losses[b] += part
             grads[b] -= g
             _shift_add(grads[b], g, dy, dx)
+            kept[b].append((part, g))
+    # the mirrored half: -o's `-= g` is o's shift-add and -o's shift-add is
+    # o's `-= g`; a translation keeps row-major order, so `part` is the same
+    for dy, dx in reversed(half):
+        for b, *_ in live:
+            part, g = kept[b].pop()
+            losses[b] += part
+            _shift_add(grads[b], g, dy, dx)
+            grads[b] -= g
     out = [None] * len(branches)
     for b, *_, inv in live:
         out[b] = (losses[b] * inv, grads[b])

@@ -9,7 +9,7 @@ the two with masks recomputed from the current state each iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -177,6 +177,22 @@ def _grad_to_raw(state: SceneState, grad: StateGrad) -> dict:
     }
 
 
+def _check_masks(masks, sizes) -> None:
+    """Raise ValueError naming the frozen mask that is not a bool array of
+    its level's (H, W); a level given as None is recomputed."""
+    for lvl, (level, (h, w)) in enumerate(zip(masks, sizes)):
+        if level is None:
+            continue
+        for f in fields(level):
+            arr = np.asarray(getattr(level, f.name))
+            name = f"masks[{lvl}].{f.name}"
+            if arr.shape != (h, w):
+                size = "x".join(map(str, arr.shape))
+                raise ValueError(f"{name} is {size} but level {lvl} is {h}x{w}")
+            if arr.dtype != bool:
+                raise ValueError(f"{name} must be a bool array, got {arr.dtype}")
+
+
 def evaluate(
     state: SceneState,
     img_t: np.ndarray,
@@ -198,8 +214,8 @@ def evaluate(
     is None when `want_grads` is False. Passing `masks` (as returned by a
     previous call) freezes the validity masks so the objective is smooth in
     the state; by default they are recomputed. Raises ValueError naming a
-    malformed state field or image, and NonFiniteLossError naming the term
-    that went bad.
+    malformed state field, image or frozen mask, and NonFiniteLossError
+    naming the term that went bad.
     """
     scales = cfg.scales
     if masks is not None and len(masks) != scales:
@@ -220,6 +236,8 @@ def evaluate(
     sw = list(cfg.scale_weights) if cfg.scale_weights else [1.0] * scales
     # per level, the (side 0, side 1) pair of each input
     imgs = list(zip(*(image_pyramid(img, scales) for img in (img_t, img_t1))))
+    if masks is not None:
+        _check_masks(masks, [pair[0].shape[:2] for pair in imgs])
     depths = list(zip(*(image_pyramid(d, scales) for d in (state.depth_t, state.depth_t1))))
     flows = list(zip(*(flow_pyramid(f, scales) for f in (state.flow_fwd, state.flow_bwd))))
     pose = pose_from_params(state.pose_params)

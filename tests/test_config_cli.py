@@ -1,14 +1,17 @@
 """Config parsing and command-line entry points, end to end in a tmpdir."""
 
+import math
 import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidflow.cli import main
-from rigidflow.config import optimizer_config_from, parse_kv_file, parse_overrides
+from rigidflow.config import _INT_KEYS, _KNOWN, optimizer_config_from, parse_kv_file, parse_overrides
 from rigidflow.flowio import FLO_MAGIC, read_flo, read_pfm, write_flo, write_pfm
 from rigidflow.optimize import OptimizerConfig, SceneState, evaluate
 from rigidflow.scenes import preset, render
@@ -98,6 +101,53 @@ def test_optimizer_config_rejects_scale_settings_that_cannot_run():
     with pytest.raises(ValueError, match="cross_scales must be >= 0, got -2"):
         optimizer_config_from({"cross_scales": "-2"})
     assert OptimizerConfig(scales=2, scale_weights=(1.0, 0.5), cross_scales=0).cross_scales == 0
+
+
+@pytest.mark.parametrize(
+    "key, raw, message",
+    [
+        ("scales", "1.5", "scales must be an integer, got '1.5'"),
+        ("learning_rate", "fast", "learning_rate must be a number, got 'fast'"),
+        ("scale_weights", "1,,2,3", "scale_weights must be comma-separated numbers, got '1,,2,3'"),
+        ("learning_rate", "nan", "learning_rate must be finite, got 'nan'"),
+        ("census_epsilon", "inf", "census_epsilon must be finite, got 'inf'"),
+        ("scale_weights", "1,-inf,1,1", "scale_weights must be finite, got '1,-inf,1,1'"),
+    ],
+)
+def test_optimizer_config_names_a_value_it_cannot_use(key, raw, message):
+    with pytest.raises(ValueError) as err:
+        optimizer_config_from({key: raw})
+    assert str(err.value) == message
+
+
+_NUMBER_TEXT = st.one_of(
+    st.text(),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.lists(st.floats(), min_size=1, max_size=5).map(lambda xs: ",".join(map(repr, xs))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(sorted(_KNOWN)), raw=_NUMBER_TEXT)
+def test_optimizer_config_from_any_text_builds_or_names_the_key(key, raw):
+    try:
+        cfg = optimizer_config_from({key: raw})
+    except ValueError as err:
+        message = str(err)
+    else:
+        assert isinstance(cfg, OptimizerConfig)
+        return
+    # the conversion rules, restated: a failure to convert, or a float that
+    # is not finite, must name the key and the text
+    kind = int if key in _INT_KEYS else float
+    try:
+        values = [kind(part) for part in (raw.split(",") if key == "scale_weights" else [raw])]
+    except ValueError:
+        assert message.startswith(f"{key} must be ") and message.endswith(f"got {raw!r}")
+        return
+    if kind is float and not all(map(math.isfinite, values)):
+        assert message == f"{key} must be finite, got {raw!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +351,20 @@ def test_refine_rejects_scale_weights_of_the_wrong_length():
     assert proc.returncode == 1
     assert proc.stderr == "error: scale_weights needs one weight per scale (4), got 1\n"
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("scales=1.5", "error: scales must be an integer, got '1.5'\n"),
+        ("learning_rate=nan", "error: learning_rate must be finite, got 'nan'\n"),
+    ],
+)
+def test_refine_names_a_config_value_it_cannot_use(capsys, setting, message):
+    code, stdout, stderr = run_cli(capsys, "refine", "--preset", "plane", "--set", setting)
+    assert code == 1
+    assert stderr == message
+    assert stdout == ""
 
 
 def test_refine_rejects_scales_too_deep_for_the_image(capsys):

@@ -18,6 +18,7 @@ from rigidflow.losses import (
     smoothness_loss,
 )
 from rigidflow.optimize import OptimizerConfig, evaluate
+from rigidflow.scenes import preset, render
 
 from conftest import state_from_gt
 from oracles import (
@@ -583,6 +584,30 @@ def test_masks_length_validated(plane_gt):
         )
 
 
+def _frozen_masks(gt):
+    return evaluate(state_from_gt(gt), gt.image_t, gt.image_t1, gt.intrinsics, OptimizerConfig(scales=2))[2]
+
+
+def _evaluate_frozen(gt, masks):
+    state = state_from_gt(gt)
+    evaluate(state, gt.image_t, gt.image_t1, gt.intrinsics, OptimizerConfig(scales=2), masks=masks)
+
+
+def test_frozen_masks_of_another_size_are_named(plane_gt):
+    masks = _frozen_masks(render(preset("plane", width=32, height=32)))
+    with pytest.raises(ValueError) as err:
+        _evaluate_frozen(plane_gt, masks)
+    assert str(err.value) == "masks[0].depth_fwd is 32x32 but level 0 is 64x64"
+
+
+def test_frozen_masks_that_are_not_bool_are_named(plane_gt):
+    masks = _frozen_masks(plane_gt)
+    masks[1] = replace(masks[1], flow_bwd=masks[1].flow_bwd.astype(float))
+    with pytest.raises(ValueError) as err:
+        _evaluate_frozen(plane_gt, masks)
+    assert str(err.value) == "masks[1].flow_bwd must be a bool array, got float64"
+
+
 # ---------------------------------------------------------------------------
 # the level objective through shared warp plans, against term-by-term sampling
 
@@ -697,3 +722,78 @@ def test_public_terms_match_term_by_term_sampling(odd_level):
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert same_bits(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the census over half the offsets, mirrored, against the full offset loop
+
+
+def _census_inputs(h, w, seed):
+    """A reference, a warped image and a mask with holes; the images are
+    quantized so that many neighbour differences are exactly zero."""
+    rng = np.random.default_rng(seed)
+    ref, warped = rng.integers(0, 5, size=(2, h, w)) / 4.0
+    warped = warped + rng.uniform(-0.01, 0.01, size=(h, w)) * (rng.uniform(size=(h, w)) < 0.5)
+    holes = rng.uniform(size=(h, w)) < 0.7
+    return ref, warped, holes
+
+
+@pytest.mark.parametrize(
+    "h, w, radius",
+    [(1, 23, 1), (1, 23, 2), (23, 1, 1), (23, 1, 2), (2, 5, 2), (5, 2, 2), (1, 1, 1), (13, 11, 3), (4, 9, 3)],
+)
+def test_census_matches_the_full_offset_oracle_on_edge_geometries(h, w, radius):
+    from rigidflow.losses import _census_terms
+    from oracles import photometric_cell
+
+    ref, warped, holes = _census_inputs(h, w, 100 * h + 10 * w + radius)
+    for mask in (np.ones((h, w), dtype=bool), holes):
+        if not mask.any():
+            continue
+        (got,) = _census_terms(ref, [(warped, mask)], CensusParams(radius=radius))
+        loss, grad, degenerate = photometric_cell(ref, warped, mask, radius, 0.02, 1e-3)
+        assert not degenerate
+        assert same_bits(got[0], loss)
+        assert same_bits(got[1], grad)
+
+
+def test_census_with_an_empty_and_a_live_branch_matches_the_oracle():
+    from rigidflow.losses import _census_terms
+    from oracles import photometric_cell
+
+    ref, warped, holes = _census_inputs(17, 12, 7)
+    empty = np.zeros_like(holes)
+    other = warped[::-1].copy()
+    params = CensusParams(radius=2)
+    for branches, live in (([(other, empty), (warped, holes)], 1), ([(warped, holes), (other, empty)], 0)):
+        out = _census_terms(ref, branches, params)
+        assert out[1 - live] is None
+        loss, grad, _ = photometric_cell(ref, warped, holes, 2, 0.02, 1e-3)
+        assert same_bits(out[live][0], loss)
+        assert same_bits(out[live][1], grad)
+
+
+@pytest.mark.parametrize("h, w", [(2, 5), (5, 2), (1, 4), (3, 3)])
+def test_census_on_a_side_shorter_than_the_radius_equals_a_masked_canvas(h, w):
+    """Offsets longer than a side have no overlap. The result must be that of
+    the same image on a larger canvas whose extra pixels are masked out, since
+    a neighbour outside the mask carries no weight."""
+    from rigidflow.losses import _census_terms
+    from oracles import photometric_cell
+
+    r = 4
+    ref, warped, holes = _census_inputs(h, w, 10 * h + w)
+    rng = np.random.default_rng(h + w)
+    canvas_ref, canvas_warped = rng.uniform(size=(2, h + r, w + r))
+    canvas_ref[:h, :w] = ref
+    canvas_warped[:h, :w] = warped
+    for mask in (np.ones((h, w), dtype=bool), holes):
+        if not mask.any():
+            continue
+        canvas_mask = np.zeros((h + r, w + r), dtype=bool)
+        canvas_mask[:h, :w] = mask
+        (got,) = _census_terms(ref, [(warped, mask)], CensusParams(radius=r))
+        loss, grad, _ = photometric_cell(canvas_ref, canvas_warped, canvas_mask, r, 0.02, 1e-3)
+        assert same_bits(got[0], loss)
+        assert same_bits(got[1], grad[:h, :w])
+        assert not grad[h:].any() and not grad[:, w:].any()
