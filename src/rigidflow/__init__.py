@@ -22,9 +22,6 @@ from .losses import (
     LossWeights,
     NonFiniteLossError,
     cross_task_loss,
-    fb_depth_loss,
-    fb_flow_loss,
-    photometric_loss,
     smoothness_loss,
 )
 from .masks import FBCheckParams, fb_check, intersect
@@ -40,7 +37,7 @@ from .optimize import (
     refine,
     step,
 )
-from .sampling import bilinear_sample, inverse_warp
+from .sampling import inverse_warp
 from .scenes import GroundTruth, SceneSpec, preset, render
 from .flowio import read_flo, read_pfm, write_flo, write_pfm
 

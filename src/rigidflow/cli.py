@@ -154,8 +154,11 @@ def _cmd_loss(args) -> int:
         pose_params = _pose_arg(args.pose)
         k = _intrinsics_arg(args.intrinsics)
         state = SceneState(depth_t, depth_t1, pose_params, flow_fwd, flow_bwd)
-    report, _, _ = evaluate(state, img_t, img_t1, k, cfg, want_grads=False)
+    report, _, masks = evaluate(state, img_t, img_t1, k, cfg, want_grads=False)
     print(_report_lines(report))
+    for lvl, level in enumerate(masks):
+        for name in [name for name, mask in vars(level).items() if not mask.any()]:
+            print(f"warning: level {lvl} mask {name} is empty", file=sys.stderr)
     return 0
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+from ._checks import FieldError
 from .losses import CensusParams, LossWeights
 from .masks import FBCheckParams
 from .optimize import OptimizerConfig
@@ -70,7 +71,7 @@ def _parse(key: str, raw: str):
 
 
 def optimizer_config_from(settings: dict) -> OptimizerConfig:
-    """Build an OptimizerConfig from string settings; unknown keys error."""
+    """Build an OptimizerConfig from string settings; each ValueError names the key."""
     unknown = set(settings) - _KNOWN
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -78,7 +79,10 @@ def optimizer_config_from(settings: dict) -> OptimizerConfig:
 
     def nested(cls, prefix, *fields):
         # only the keys given: the dataclass keeps its own default elsewhere
-        return cls(**{f: vals.pop(prefix + f) for f in fields if prefix + f in vals})
+        try:
+            return cls(**{f: vals.pop(prefix + f) for f in fields if prefix + f in vals})
+        except FieldError as exc:  # the message starts with the field; prefixed, the key
+            raise ValueError(prefix + str(exc)) from None
 
     weights = nested(LossWeights, "", "lambda_s", "lambda_f", "lambda_c")
     census = nested(CensusParams, "census_", "radius", "epsilon", "charbonnier_eps")

@@ -3,8 +3,9 @@ forward-backward consistency, and cross-task consistency terms.
 
 Every term comes with a hand-derived analytic gradient. Losses are means
 over their own valid-pixel count (smoothness over the full pixel count) so
-the weights below do not depend on image size. An empty mask yields a zero
-loss plus a `degenerate` flag rather than NaN.
+the weights below do not depend on image size. A term whose mask is empty
+gives a zero loss and zero gradients rather than NaN, with no flag: the masks
+that `optimize.evaluate` returns say which mask was empty.
 
 The charbonnier penalty used throughout is
 
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import check_fields
 from .camera import Intrinsics, project_backward, rigid_flow
 from .masks import FBCheckParams, _cycle_mask, intersect
 from .sampling import WarpPlan
@@ -31,10 +33,7 @@ __all__ = [
     "LevelMasks",
     "NonFiniteLossError",
     "charbonnier",
-    "photometric_loss",
     "smoothness_loss",
-    "fb_flow_loss",
-    "fb_depth_loss",
     "cross_task_loss",
     "scale_objective",
     "ALL_TERMS",
@@ -72,10 +71,8 @@ class CensusParams:
     charbonnier_eps: float = 1e-3
 
     def __post_init__(self):
-        if self.radius < 1:
-            raise ValueError("radius must be >= 1")
-        if self.epsilon <= 0.0 or self.charbonnier_eps <= 0.0:
-            raise ValueError("epsilons must be positive")
+        check_fields(self, ("radius",), lambda v: v >= 1, ">= 1")
+        check_fields(self, ("epsilon", "charbonnier_eps"), lambda v: v > 0.0, "positive")
 
 
 @dataclass(frozen=True)
@@ -85,8 +82,7 @@ class LossWeights:
     lambda_c: float = 0.2
 
     def __post_init__(self):
-        if self.lambda_s < 0.0 or self.lambda_f < 0.0 or self.lambda_c < 0.0:
-            raise ValueError("weights must be non-negative")
+        check_fields(self, ("lambda_s", "lambda_f", "lambda_c"), lambda v: v >= 0.0, "non-negative")
 
 
 @dataclass(frozen=True)
@@ -147,46 +143,14 @@ def _shift_add(dst: np.ndarray, src: np.ndarray, dy: int, dx: int) -> None:
         dst[y0 + dy : y1 + dy, x0 + dx : x1 + dx] += src[y0:y1, x0:x1]
 
 
-def photometric_loss(
-    ref: np.ndarray,
-    warped: np.ndarray,
-    mask: np.ndarray,
-    params: CensusParams = CensusParams(),
-):
-    """Census distance between ref and warped, averaged over mask.
-
-    The comparison runs on a soft ternary descriptor t = d / sqrt(d^2 + eps^2)
-    of the grayscale neighborhood differences d, so the loss is differentiable
-    while inheriting census invariance to additive brightness changes.
-    Neighbors outside the image or outside the mask carry zero weight — a
-    masked-out pixel holds no trustworthy warped value, so comparisons
-    against it would inject garbage at validity boundaries.
-
-    Returns (loss, grad wrt warped, degenerate flag).
-    """
-    gray_r = _gray(ref)
-    gray_w = _gray(warped)
-    if gray_r.shape != gray_w.shape or gray_r.shape != np.asarray(mask).shape:
-        raise ValueError("ref, warped, and mask sizes differ")
-    warped_arr = np.asarray(warped, dtype=float)
-    grad_warped = np.zeros_like(warped_arr)
-    (term,) = _census_terms(gray_r, [(gray_w, mask)], params)
-    if term is None:
-        return 0.0, grad_warped, True
-    loss, grad_gray = term
-    if warped_arr.ndim == 3:
-        grad_warped += (grad_gray / warped_arr.shape[2])[..., None]
-    else:
-        grad_warped += grad_gray
-    return loss, grad_warped, False
-
-
 def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams):
-    """Census loss of gray_ref against each (gray_warped, mask) branch.
-
-    The reference's soft descriptor is computed once per offset and shared
-    by every branch. Returns one (loss, grad wrt gray_warped) per branch,
-    or None for a branch whose mask is empty.
+    """Census distance of gray_ref against each (gray_warped, mask) branch,
+    on the soft ternary descriptor d / sqrt(d^2 + eps^2) of the neighborhood
+    differences d: differentiable, and invariant to additive brightness as
+    the census is. A neighbor outside the image or the mask carries zero
+    weight. The reference's descriptor is computed once per offset and shared
+    by every branch. Returns one (loss, grad wrt gray_warped) per branch, or
+    None for a branch whose mask is empty.
 
     Only the first half of the offsets is computed. The second half is the
     first negated and reversed, and offset -o adds exactly what o adds,
@@ -311,25 +275,16 @@ def smoothness_loss(field: np.ndarray, guide: np.ndarray, mean_normalize: bool =
     return float(loss), grad_f[..., 0] if squeeze else grad_f
 
 
-def fb_flow_loss(fwd: np.ndarray, bwd: np.ndarray, mask: np.ndarray, eps: float = DEFAULT_L1_EPS):
-    """Charbonnier norm of f(p) + b(p + f(p)) over mask.
-
-    Returns (loss, grad wrt fwd, grad wrt bwd, degenerate flag).
-    """
-    fwd = np.asarray(fwd, dtype=float)
-    plan = WarpPlan.along(fwd)
-    return _fb_flow_terms(fwd, plan, plan.sample_grad(bwd), mask, eps)
-
-
-def _fb_flow_terms(fwd, plan: WarpPlan, cycle, mask, eps: float = DEFAULT_L1_EPS):
-    """`fb_flow_loss` from the cycle (b, db/dx, db/dy) sampled through the
-    plan of fwd, each (H, W, 2)."""
+def _fb_flow_terms(fwd, plan: WarpPlan, cycle, mask):
+    """Charbonnier norm of f(p) + b(p + f(p)) over mask, from the cycle (b,
+    db/dx, db/dy) sampled through the plan of f = fwd, each (H, W, 2).
+    Returns (loss, grad wrt fwd, grad wrt bwd)."""
     nv = int(np.count_nonzero(mask))
     if nv == 0:
-        return 0.0, np.zeros_like(fwd), np.zeros_like(fwd), True
+        return 0.0, np.zeros_like(fwd), np.zeros_like(fwd)
     back, bdx, bdy = cycle
     mask = np.asarray(mask, dtype=bool)
-    phi, dphi = charbonnier(fwd + back, eps)
+    phi, dphi = charbonnier(fwd + back)
     inv = 1.0 / nv
     loss = float(np.sum((phi[..., 0] + phi[..., 1])[mask])) * inv
     g = np.where(mask[..., None], dphi * inv, 0.0)
@@ -339,46 +294,31 @@ def _fb_flow_terms(fwd, plan: WarpPlan, cycle, mask, eps: float = DEFAULT_L1_EPS
     grad_fwd = np.empty_like(fwd)
     grad_fwd[..., 0] = gu * (1.0 + bdx[..., 0]) + gv * bdx[..., 1]
     grad_fwd[..., 1] = gu * bdy[..., 0] + gv * (1.0 + bdy[..., 1])
-    return loss, grad_fwd, plan.scatter(g), False
+    return loss, grad_fwd, plan.scatter(g)
 
 
-def fb_depth_loss(
-    depth_t: np.ndarray,
-    depth_t1: np.ndarray,
-    rigid_fwd: np.ndarray,
-    mask: np.ndarray,
-    eps: float = DEFAULT_L1_EPS,
-):
-    """Charbonnier gap between frame-t depth and frame-t+1 depth pulled back
-    along the rigid flow.
-
-    Returns (loss, grad wrt depth_t, grad wrt depth_t1, grad wrt rigid_fwd,
-    degenerate flag).
-    """
-    depth_t = np.asarray(depth_t, dtype=float)
-    return _fb_depth_terms(depth_t, depth_t1, WarpPlan.along(rigid_fwd), mask, eps)
-
-
-def _fb_depth_terms(depth_t, depth_t1, plan: WarpPlan, mask, eps: float = DEFAULT_L1_EPS):
-    """`fb_depth_loss` with depth_t1 pulled back through the rigid flow's plan."""
+def _fb_depth_terms(depth_t, depth_t1, plan: WarpPlan, mask):
+    """Charbonnier gap over mask between depth_t and depth_t1 pulled back
+    through the plan of the rigid flow. Returns (loss, grad wrt depth_t,
+    grad wrt depth_t1, grad wrt the rigid flow)."""
     h, w = depth_t.shape
     nv = int(np.count_nonzero(mask))
     if nv == 0:
-        return 0.0, np.zeros((h, w)), np.zeros((h, w)), np.zeros((h, w, 2)), True
+        return 0.0, np.zeros((h, w)), np.zeros((h, w)), np.zeros((h, w, 2))
     pulled, ddx, ddy = plan.sample_grad(depth_t1)
-    phi, dphi = charbonnier(depth_t - pulled, eps)
+    phi, dphi = charbonnier(depth_t - pulled)
     inv = 1.0 / nv
     loss = float(np.sum(phi[mask])) * inv
     g = np.where(mask, dphi * inv, 0.0)
     neg = -g
     grad_rigid = np.stack([neg * ddx, neg * ddy], axis=-1)
-    return loss, g, plan.scatter(neg), grad_rigid, False
+    return loss, g, plan.scatter(neg), grad_rigid
 
 
 def cross_task_loss(rigid: np.ndarray, flow: np.ndarray, mask: np.ndarray, eps: float = DEFAULT_L1_EPS):
     """Charbonnier gap between rigid flow and estimated flow over mask.
 
-    Returns (loss, grad wrt rigid, grad wrt flow, degenerate flag).
+    Returns (loss, grad wrt rigid, grad wrt flow).
     """
     rigid = np.asarray(rigid, dtype=float)
     flow = np.asarray(flow, dtype=float)
@@ -386,7 +326,7 @@ def cross_task_loss(rigid: np.ndarray, flow: np.ndarray, mask: np.ndarray, eps: 
         raise ValueError("field sizes differ")
     nv = int(np.count_nonzero(mask))
     if nv == 0:
-        return 0.0, np.zeros_like(rigid), np.zeros_like(flow), True
+        return 0.0, np.zeros_like(rigid), np.zeros_like(flow)
     ru = rigid[..., 0] - flow[..., 0]
     rv = rigid[..., 1] - flow[..., 1]
     phi_u, dphi_u = charbonnier(ru, eps)
@@ -396,7 +336,7 @@ def cross_task_loss(rigid: np.ndarray, flow: np.ndarray, mask: np.ndarray, eps: 
     grad_rigid = np.stack(
         [np.where(mask, dphi_u * inv, 0.0), np.where(mask, dphi_v * inv, 0.0)], axis=-1
     )
-    return loss, grad_rigid, -grad_rigid, False
+    return loss, grad_rigid, -grad_rigid
 
 
 @dataclass
@@ -516,7 +456,7 @@ def scale_objective(
 
     if "fb_flow" in terms:
         for d in SIDES:
-            loss, grad, grad_other, _ = _fb_flow_terms(
+            loss, grad, grad_other = _fb_flow_terms(
                 flows[d], flow_plans[d], cycles.pop(d), flow_masks[d]
             )
             fb_total += loss
@@ -529,7 +469,7 @@ def scale_objective(
 
     if "fb_depth" in terms:
         for d in SIDES:
-            loss, grad, grad_other, grad_rigid, _ = _fb_depth_terms(
+            loss, grad, grad_other, grad_rigid = _fb_depth_terms(
                 depths[d], depths[1 - d], rigid_plans[d], depth_masks[d]
             )
             fb_total += loss
@@ -541,7 +481,7 @@ def scale_objective(
     if "cross" in terms:
         for d in SIDES:
             mask = intersect(depth_masks[d], flow_masks[d])
-            loss, grad_rigid, grad_flow, _ = cross_task_loss(rigid[d], flows[d], mask)
+            loss, grad_rigid, grad_flow = cross_task_loss(rigid[d], flows[d], mask)
             cross += loss
             g_rigid[d] += weights.lambda_c * grad_rigid
             g_flow[d] += weights.lambda_c * grad_flow

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_fields
 from .sampling import WarpPlan
 
 __all__ = ["FBCheckParams", "fb_check", "intersect"]
@@ -26,8 +27,7 @@ class FBCheckParams:
     alpha2: float = 0.5
 
     def __post_init__(self):
-        if self.alpha1 < 0.0 or self.alpha2 < 0.0:
-            raise ValueError("thresholds must be non-negative")
+        check_fields(self, ("alpha1", "alpha2"), lambda v: v >= 0.0, "non-negative")
 
 
 def fb_check(fwd: np.ndarray, bwd: np.ndarray, params: FBCheckParams = FBCheckParams()):

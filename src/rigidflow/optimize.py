@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._checks import check_fields
 from .camera import (
     Intrinsics,
     invert,
@@ -126,16 +127,11 @@ class OptimizerConfig:
     converge_tol: float = 1e-10
 
     def __post_init__(self):
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ValueError("betas must be in [0, 1)")
-        if self.learning_rate <= 0.0 or self.adam_eps <= 0.0:
-            raise ValueError("learning rate and adam_eps must be positive")
-        if self.converge_tol < 0.0:
-            raise ValueError("converge_tol must be nonnegative")
-        if self.iterations < 0 or self.scales < 1:
-            raise ValueError("iterations must be >= 0 and scales >= 1")
-        if self.cross_scales < 0:
-            raise ValueError(f"cross_scales must be >= 0, got {self.cross_scales}")
+        # each message starts with the field's name; config keys use the same names
+        check_fields(self, ("beta1", "beta2"), lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+        check_fields(self, ("learning_rate", "adam_eps"), lambda v: v > 0.0, "positive")
+        check_fields(self, ("iterations", "cross_scales", "converge_tol"), lambda v: v >= 0, ">= 0")
+        check_fields(self, ("scales",), lambda v: v >= 1, ">= 1")
         if self.scale_weights is not None and len(self.scale_weights) != self.scales:
             n = len(self.scale_weights)
             raise ValueError(f"scale_weights needs one weight per scale ({self.scales}), got {n}")

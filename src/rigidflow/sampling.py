@@ -15,8 +15,8 @@ the flattened source (`flat[sx:]`, `flat[sy:]`, `flat[sy + sx:]`, with the
 offset 0 along an axis of size 1), so no other index array is stored. One
 plan serves any number of `sample`, `sample_grad` and `scatter` calls, on
 sources of any channel count. The objective builds one plan per
-correspondence field per pyramid level; `bilinear_sample` and
-`inverse_warp` build a throwaway plan per call.
+correspondence field per pyramid level; `inverse_warp` builds a throwaway
+plan per call.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "WarpPlan",
-    "bilinear_sample",
     "inverse_warp",
     "downsample_image",
     "downsample_flow",
@@ -143,17 +142,6 @@ class WarpPlan:
         if g.ndim == self.i00.ndim:
             return one(g.reshape(n))
         return np.stack([one(g[..., c].reshape(n)) for c in range(g.shape[-1])], axis=-1)
-
-
-def bilinear_sample(img: np.ndarray, xs: np.ndarray, ys: np.ndarray):
-    """Sample img at continuous coordinates.
-
-    img is (H, W) or (H, W, C); xs/ys share any shape S. Returns
-    (values with shape S or S+(C,), inbounds bool mask of shape S).
-    """
-    img = np.asarray(img, dtype=float)
-    plan = WarpPlan(img.shape[:2], xs, ys)
-    return plan.sample(img), plan.inbounds
 
 
 def inverse_warp(target: np.ndarray, flow: np.ndarray):

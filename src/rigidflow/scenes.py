@@ -15,10 +15,12 @@ frames see the same material value by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import FieldError, check_fields
 from .camera import Intrinsics, PoseSE3, invert, pixel_grid, pose_from_params, rigid_flow
 
 __all__ = [
@@ -43,12 +45,9 @@ class TextureParams:
     patch_scale: float = 12.0  # patch-texture wavelength, pixels
 
     def __post_init__(self):
-        if self.octaves < 1:
-            raise ValueError("need at least one octave")
-        if self.base_scale <= 0.0 or self.patch_scale <= 0.0:
-            raise ValueError("scales must be positive")
-        if not 0.0 <= self.contrast <= 1.0:
-            raise ValueError("contrast must be in [0, 1]")
+        check_fields(self, ("octaves",), lambda v: v >= 1, ">= 1")
+        check_fields(self, ("base_scale", "patch_scale"), lambda v: v > 0.0, "positive")
+        check_fields(self, ("contrast",), lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -85,10 +84,8 @@ class PatchSpec:
     seed: int
 
     def __post_init__(self):
-        if self.depth <= 0.0:
-            raise ValueError("patch depth must be positive")
-        if self.width <= 0.0 or self.height <= 0.0:
-            raise ValueError("patch size must be positive")
+        check_fields(self, ("depth",), lambda v: v > 0.0, "positive")
+        check_fields(self, ("width", "height"), lambda v: v > 0.0, "a positive size")
 
 
 @dataclass(frozen=True)
@@ -105,8 +102,7 @@ class SceneSpec:
     texture: TextureParams = TextureParams()
 
     def __post_init__(self):
-        if self.width < 2 or self.height < 2:
-            raise ValueError("scene must be at least 2x2")
+        check_fields(self, ("width", "height"), lambda v: v >= 2, "at least 2 (a scene is at least 2x2)")
         if len(self.planes) == 0:
             raise ValueError("scene needs at least one plane")
         if len(tuple(self.pose_params)) != 6:
@@ -465,6 +461,31 @@ def preset(name: str, **kwargs) -> SceneSpec:
     return PRESETS[name](**kwargs)
 
 
+# the keys whose value is a list: its length and its integer fields (seeds)
+_SCENE_LISTS = {"plane": (5, (4,)), "patch": (8, (7,)), "static_patch": (6, (5,)), "pose": (6, ())}
+_SCENE_INTS = ("width", "height", "texture_octaves")
+_SCENE_FLOATS = ("fx", "fy", "cx", "cy", "texture_base_scale", "texture_contrast", "texture_patch_scale")
+
+
+def _scene_value(where: str, key: str, value: str):
+    """The numbers of one scene-file value, a tuple for a list key. ValueError
+    naming the key unless every field is finite and every integer field whole."""
+    n, ints = _SCENE_LISTS.get(key, (1, (0,) if key in _SCENE_INTS else ()))
+    parts = value.split(",")
+    if n > 1 and len(parts) != n:
+        raise ValueError(f"{where}: {key} needs {n} fields")
+    try:
+        nums = [float(part) for part in parts]
+        if len(nums) != n or not all(map(math.isfinite, nums)) or any(nums[i] % 1 for i in ints):
+            raise ValueError
+    except ValueError:
+        what = f"{n} finite numbers" + (", the last an integer" if ints else "")
+        what = what if n > 1 else "an integer" if ints else "a finite number"
+        raise ValueError(f"{where}: {key} must be {what}, got {value!r}") from None
+    nums = [int(v) if i in ints else v for i, v in enumerate(nums)]
+    return tuple(nums) if n > 1 else nums[0]
+
+
 def load_scene_spec(path) -> SceneSpec:
     """Read a scene from a flat key=value file.
 
@@ -473,11 +494,11 @@ def load_scene_spec(path) -> SceneSpec:
         patch=x0,y0,w,h,depth,mx,my,seed
         static_patch=x0,y0,w,h,depth,seed
     Scalar keys: width height fx fy cx cy pose (6 comma floats) and the
-    texture_* settings. Lines starting with '#' are comments.
+    texture_* settings. Lines starting with '#' are comments. A bad value
+    raises ValueError naming the file, the line and the key.
     """
-    scalars: dict[str, str] = {}
-    planes = []
-    patches = []
+    vals, lines = {}, {}  # key -> its last value, and that value's "path:line"
+    planes, patches, unknown = [], [], set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -485,48 +506,30 @@ def load_scene_spec(path) -> SceneSpec:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key == "plane":
-                f = [float(v) for v in value.split(",")]
-                if len(f) != 5:
-                    raise ValueError(f"{path}:{lineno}: plane needs 5 fields")
-                planes.append(PlaneSpec((f[0], f[1], f[2]), f[3], int(f[4])))
-            elif key == "patch":
-                f = [float(v) for v in value.split(",")]
-                if len(f) != 8:
-                    raise ValueError(f"{path}:{lineno}: patch needs 8 fields")
-                patches.append(PatchSpec(f[0], f[1], f[2], f[3], f[4], (f[5], f[6]), int(f[7])))
-            elif key == "static_patch":
-                f = [float(v) for v in value.split(",")]
-                if len(f) != 6:
-                    raise ValueError(f"{path}:{lineno}: static_patch needs 6 fields")
-                patches.append(PatchSpec(f[0], f[1], f[2], f[3], f[4], None, int(f[5])))
-            else:
-                scalars[key] = value
+            key, _, value = (part.strip() for part in line.partition("="))
+            where = lines[key] = f"{path}:{lineno}"
+            if key not in {*_SCENE_LISTS, *_SCENE_INTS, *_SCENE_FLOATS}:
+                unknown.add(key)
+                continue
+            f = vals[key] = _scene_value(where, key, value)
+            try:
+                if key == "plane":
+                    planes.append(PlaneSpec(f[:3], f[3], f[4]))
+                elif key in ("patch", "static_patch"):
+                    patches.append(PatchSpec(*f[:5], f[5:7] if key == "patch" else None, f[-1]))
+            except FieldError as exc:
+                raise ValueError(f"{where}: {key} {exc}") from None
+    if unknown:
+        raise ValueError(f"{path}: unknown scene keys: {', '.join(sorted(unknown))}")
+    missing = {"width", "height", "fx", "fy", "cx", "cy"} - set(vals)
+    if missing:
+        raise ValueError(f"{path}: missing required scene keys: {', '.join(sorted(missing))}")
+    scalars = {key: vals[key] for key in ("width", "height", "fx", "fy", "cx", "cy")}
+    texture = {key[len("texture_") :]: v for key, v in vals.items() if key.startswith("texture_")}
+    pose = vals.get("pose", (0.0,) * 6)
     try:
-        pose = tuple(float(v) for v in scalars.pop("pose", "0,0,0,0,0,0").split(","))
-        texture = TextureParams(
-            octaves=int(scalars.pop("texture_octaves", 3)),
-            base_scale=float(scalars.pop("texture_base_scale", 2.0)),
-            contrast=float(scalars.pop("texture_contrast", 0.9)),
-            patch_scale=float(scalars.pop("texture_patch_scale", 12.0)),
-        )
-        spec = SceneSpec(
-            width=int(scalars.pop("width")),
-            height=int(scalars.pop("height")),
-            fx=float(scalars.pop("fx")),
-            fy=float(scalars.pop("fy")),
-            cx=float(scalars.pop("cx")),
-            cy=float(scalars.pop("cy")),
-            pose_params=pose,
-            planes=tuple(planes),
-            patches=tuple(patches),
-            texture=texture,
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing required scene key {exc}") from exc
-    if scalars:
-        raise ValueError(f"{path}: unknown scene keys: {', '.join(sorted(scalars))}")
-    return spec
+        texture = TextureParams(**texture)
+        return SceneSpec(**scalars, pose_params=pose, planes=tuple(planes), patches=tuple(patches), texture=texture)
+    except FieldError as exc:  # a field of SceneSpec, or of TextureParams behind texture_
+        prefix = "" if exc.name in scalars else "texture_"
+        raise ValueError(f"{lines[prefix + exc.name]}: {prefix}{exc}") from None

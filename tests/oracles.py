@@ -605,11 +605,11 @@ def scale_objective_cell(
         g_rigid_b += weights.lambda_f * grigb
 
     if "cross" in terms:
-        lc, gr, gf, _ = cross_task_loss(rigid_f, flow_fwd, masks.depth_fwd & masks.flow_fwd)
+        lc, gr, gf = cross_task_loss(rigid_f, flow_fwd, masks.depth_fwd & masks.flow_fwd)
         cross += lc
         g_rigid_f += weights.lambda_c * gr
         g_flow_f += weights.lambda_c * gf
-        lc2, gr2, gf2, _ = cross_task_loss(rigid_b, flow_bwd, masks.depth_bwd & masks.flow_bwd)
+        lc2, gr2, gf2 = cross_task_loss(rigid_b, flow_bwd, masks.depth_bwd & masks.flow_bwd)
         cross += lc2
         g_rigid_b += weights.lambda_c * gr2
         g_flow_b += weights.lambda_c * gf2

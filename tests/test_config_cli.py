@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rigidflow.camera import Intrinsics
 from rigidflow.cli import main
 from rigidflow.config import _INT_KEYS, _KNOWN, optimizer_config_from, parse_kv_file, parse_overrides
 from rigidflow.flowio import FLO_MAGIC, read_flo, read_pfm, write_flo, write_pfm
@@ -112,6 +113,13 @@ def test_optimizer_config_rejects_scale_settings_that_cannot_run():
         ("learning_rate", "nan", "learning_rate must be finite, got 'nan'"),
         ("census_epsilon", "inf", "census_epsilon must be finite, got 'inf'"),
         ("scale_weights", "1,-inf,1,1", "scale_weights must be finite, got '1,-inf,1,1'"),
+        # range errors of the nested settings carry the key's prefix
+        ("census_radius", "0", "census_radius must be >= 1, got 0"),
+        ("census_charbonnier_eps", "0", "census_charbonnier_eps must be positive, got 0.0"),
+        ("beta1", "2", "beta1 must be in [0, 1), got 2.0"),
+        ("lambda_s", "-1", "lambda_s must be non-negative, got -1.0"),
+        ("fb_alpha1", "-1", "fb_alpha1 must be non-negative, got -1.0"),
+        ("scales", "0", "scales must be >= 1, got 0"),
     ],
 )
 def test_optimizer_config_names_a_value_it_cannot_use(key, raw, message):
@@ -138,6 +146,8 @@ def test_optimizer_config_from_any_text_builds_or_names_the_key(key, raw):
     else:
         assert isinstance(cfg, OptimizerConfig)
         return
+    # every failure, range errors included, names the key first
+    assert message.startswith(f"{key} "), message
     # the conversion rules, restated: a failure to convert, or a float that
     # is not finite, must name the key and the text
     kind = int if key in _INT_KEYS else float
@@ -308,6 +318,31 @@ def test_loss_names_an_image_of_another_size(tmp_path, capsys):
     assert stdout == ""
 
 
+def test_loss_warns_of_each_empty_mask(tmp_path, capsys):
+    # a forward flow of +1000 px sends every pixel out of frame t+1, so both
+    # flow masks are empty at every level while the depth masks are not
+    code, _, _ = run_cli(capsys, "render-scene", "--preset", "plane", "--output-dir", str(tmp_path))
+    assert code == 0
+    far = read_flo(tmp_path / "flow_fwd.flo") + np.array([1000.0, 0.0])
+    write_flo(tmp_path / "far.flo", far)
+    argv = ["loss"]
+    for name in ("image-t", "image-t1", "depth-t", "depth-t1"):
+        argv += [f"--{name}", str(tmp_path / (name.replace("-", "_") + ".pfm"))]
+    argv += ["--flow-fwd", str(tmp_path / "far.flo"), "--flow-bwd", str(tmp_path / "flow_bwd.flo")]
+    argv += ["--pose", "0,0,0,0.4,0,0", "--intrinsics", "100,100,31.5,31.5"]
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 0
+    assert stderr == "".join(
+        f"warning: level {lvl} mask {name} is empty\n" for lvl in range(4) for name in ("flow_fwd", "flow_bwd")
+    )
+    # stdout is the report alone
+    depths = [read_pfm(tmp_path / f"depth_{t}.pfm") for t in ("t", "t1")]
+    state = SceneState(*depths, np.array([0, 0, 0, 0.4, 0, 0]), far, read_flo(tmp_path / "flow_bwd.flo"))
+    images = [read_pfm(tmp_path / f"image_{t}.pfm") for t in ("t", "t1")]
+    report, _, _ = evaluate(state, *images, Intrinsics(100.0, 100.0, 31.5, 31.5), want_grads=False)
+    assert stdout.splitlines() == [f"{name}={value!r}" for name, value in vars(report).items()]
+
+
 def test_refine_writes_trace_and_outputs(tmp_path, capsys):
     trace_path = tmp_path / "trace.csv"
     out_dir = tmp_path / "refined"
@@ -358,6 +393,7 @@ def test_refine_rejects_scale_weights_of_the_wrong_length():
     [
         ("scales=1.5", "error: scales must be an integer, got '1.5'\n"),
         ("learning_rate=nan", "error: learning_rate must be finite, got 'nan'\n"),
+        ("census_radius=0", "error: census_radius must be >= 1, got 0\n"),
     ],
 )
 def test_refine_names_a_config_value_it_cannot_use(capsys, setting, message):

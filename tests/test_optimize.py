@@ -100,9 +100,9 @@ def test_make_initial_state_flow_modes(plane_gt):
 
 
 def test_optimizer_config_validation():
-    with pytest.raises(ValueError, match="betas"):
+    with pytest.raises(ValueError, match=r"^beta1 must be in \[0, 1\), got 1.0$"):
         OptimizerConfig(beta1=1.0)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="^learning_rate must be positive"):
         OptimizerConfig(learning_rate=0.0)
 
 

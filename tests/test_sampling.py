@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from rigidflow.sampling import (
     WarpPlan,
-    bilinear_sample,
     downsample_flow,
     downsample_flow_adjoint,
     downsample_image,
@@ -21,13 +20,14 @@ coord = st.floats(min_value=-20.0, max_value=40.0, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
-# bilinear sampling
+# bilinear sampling through a warp plan of the sample points
 
 
 def test_integer_coordinates_gather_exactly():
     rng = np.random.default_rng(0)
     img = rng.uniform(size=(7, 9))
-    val, inb = bilinear_sample(img, np.array([3.0]), np.array([5.0]))
+    plan = WarpPlan(img.shape, np.array([3.0]), np.array([5.0]))
+    val, inb = plan.sample(img), plan.inbounds
     assert val[0] == img[5, 3]
     assert inb[0]
 
@@ -36,7 +36,8 @@ def test_midpoint_averages_two_pixels():
     img = np.zeros((2, 5))
     img[0, 3] = 0.2
     img[0, 4] = 0.8
-    val, inb = bilinear_sample(img, np.array([3.5]), np.array([0.0]))
+    plan = WarpPlan(img.shape, np.array([3.5]), np.array([0.0]))
+    val, inb = plan.sample(img), plan.inbounds
     assert abs(val[0] - 0.5) < 1e-15
     assert inb[0]
 
@@ -44,7 +45,8 @@ def test_midpoint_averages_two_pixels():
 def test_far_outside_clamps_to_corner_and_flags():
     rng = np.random.default_rng(1)
     img = rng.uniform(size=(6, 6))
-    val, inb = bilinear_sample(img, np.array([-10.0]), np.array([-10.0]))
+    plan = WarpPlan(img.shape, np.array([-10.0]), np.array([-10.0]))
+    val, inb = plan.sample(img), plan.inbounds
     assert val[0] == img[0, 0]
     assert not inb[0]
 
@@ -54,7 +56,8 @@ def test_far_outside_clamps_to_corner_and_flags():
 def test_bilinear_matches_scalar_reference(x, y):
     rng = np.random.default_rng(2)
     img = rng.uniform(size=(8, 12))
-    val, inb = bilinear_sample(img, np.array([x]), np.array([y]))
+    plan = WarpPlan(img.shape, np.array([x]), np.array([y]))
+    val, inb = plan.sample(img), plan.inbounds
     want, want_inb = bilinear_ref(img, x, y)
     assert abs(val[0] - want) < 1e-12
     assert inb[0] == want_inb
@@ -65,10 +68,11 @@ def test_multichannel_sampling_per_channel():
     img = rng.uniform(size=(8, 8, 3))
     xs = rng.uniform(0.0, 7.0, (4,))
     ys = rng.uniform(0.0, 7.0, (4,))
-    val, _ = bilinear_sample(img, xs, ys)
+    plan = WarpPlan(img.shape[:2], xs, ys)
+    val = plan.sample(img)
     assert val.shape == (4, 3)
     for c in range(3):
-        single, _ = bilinear_sample(img[..., c], xs, ys)
+        single = plan.sample(img[..., c])
         assert np.abs(val[:, c] - single).max() < 1e-15
 
 
@@ -82,10 +86,10 @@ def test_sample_grad_matches_finite_differences():
     ys = np.where(np.abs(ys - np.round(ys)) < 0.05, ys + 0.1, ys)
     val, ddx, ddy = WarpPlan(img.shape, xs, ys).sample_grad(img)
     h = 1e-6
-    vx1, _ = bilinear_sample(img, xs + h, ys)
-    vx0, _ = bilinear_sample(img, xs - h, ys)
-    vy1, _ = bilinear_sample(img, xs, ys + h)
-    vy0, _ = bilinear_sample(img, xs, ys - h)
+    vx1 = WarpPlan(img.shape, xs + h, ys).sample(img)
+    vx0 = WarpPlan(img.shape, xs - h, ys).sample(img)
+    vy1 = WarpPlan(img.shape, xs, ys + h).sample(img)
+    vy0 = WarpPlan(img.shape, xs, ys - h).sample(img)
     assert np.abs(ddx - (vx1 - vx0) / (2 * h)).max() < 1e-8
     assert np.abs(ddy - (vy1 - vy0) / (2 * h)).max() < 1e-8
 
@@ -106,8 +110,9 @@ def test_scatter_is_adjoint_of_sample():
     xs = rng.uniform(-1.0, 8.0, (30,))
     ys = rng.uniform(-1.0, 9.5, (30,))
     g = rng.normal(size=(30,))
-    sampled, _ = bilinear_sample(img, xs, ys)
-    scattered = WarpPlan((9, 7), xs, ys).scatter(g)
+    plan = WarpPlan((9, 7), xs, ys)
+    sampled = plan.sample(img)
+    scattered = plan.scatter(g)
     assert abs(np.sum(scattered * img) - np.sum(g * sampled)) < 1e-10
 
 
@@ -146,8 +151,6 @@ def test_plan_sample_matches_per_call_sampling(shape):
         want, want_inb = cell_sample(img, xs, ys)
         assert same_bits(plan.sample(img), want)
         assert same_bits(plan.inbounds, want_inb)
-        got, got_inb = bilinear_sample(img, xs, ys)
-        assert same_bits(got, want) and same_bits(got_inb, want_inb)
 
 
 @pytest.mark.parametrize("shape", PLAN_SHAPES)

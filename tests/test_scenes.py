@@ -1,8 +1,13 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidflow.camera import rigid_flow
-from rigidflow.losses import photometric_loss
+from rigidflow.losses import CensusParams, _census_terms
 from rigidflow.masks import fb_check
 from rigidflow.sampling import inverse_warp
 from rigidflow.scenes import (
@@ -84,7 +89,8 @@ def test_plane_images_match_under_exact_shift(plane_gt):
 
 def test_plane_gt_photometric_near_zero(plane_gt):
     warped, _ = inverse_warp(plane_gt.image_t1, plane_gt.flow_fwd)
-    loss, _, _ = photometric_loss(plane_gt.image_t, warped, ~plane_gt.occlusion)
+    # the census core on the one channel of the rendered images
+    ((loss, _),) = _census_terms(plane_gt.image_t[..., 0], [(warped[..., 0], ~plane_gt.occlusion)], CensusParams())
     assert loss < 1e-6
 
 
@@ -131,7 +137,8 @@ def test_depth_edge_occlusion_count(depth_edge_gt):
 
 def test_depth_edge_gt_photometric_near_zero(depth_edge_gt):
     warped, _ = inverse_warp(depth_edge_gt.image_t1, depth_edge_gt.flow_fwd)
-    loss, _, _ = photometric_loss(depth_edge_gt.image_t, warped, ~depth_edge_gt.occlusion)
+    # the census core on the one channel of the rendered images
+    ((loss, _),) = _census_terms(depth_edge_gt.image_t[..., 0], [(warped[..., 0], ~depth_edge_gt.occlusion)], CensusParams())
     assert loss < 1e-6
 
 
@@ -171,7 +178,8 @@ def test_mover_background_occluded_where_patch_lands(mover_gt):
 
 def test_mover_gt_photometric_near_zero(mover_gt):
     warped, _ = inverse_warp(mover_gt.image_t1, mover_gt.flow_fwd)
-    loss, _, _ = photometric_loss(mover_gt.image_t, warped, ~mover_gt.occlusion)
+    # the census core on the one channel of the rendered images
+    ((loss, _),) = _census_terms(mover_gt.image_t[..., 0], [(warped[..., 0], ~mover_gt.occlusion)], CensusParams())
     assert loss < 1e-6
 
 
@@ -316,3 +324,72 @@ def test_load_scene_spec_errors(tmp_path):
     )
     with pytest.raises(ValueError, match="unknown scene keys: wheels"):
         load_scene_spec(path)
+
+
+# every key of a scene file, each with a valid value, one per line in order
+VALID_SCENE = {
+    "width": "48",
+    "height": "40",
+    "fx": "90",
+    "fy": "90",
+    "cx": "23.5",
+    "cy": "19.5",
+    "pose": "0, 0, 0, 0.2, 0, 0",
+    "plane": "0, 0, 1, 6.0, 11",
+    "static_patch": "10, 8, 12, 12, 3.0, 12",
+    "patch": "28, 20, 8, 8, 2.0, -4, 2, 13",
+    "texture_octaves": "3",
+    "texture_base_scale": "2.0",
+    "texture_contrast": "0.7",
+    "texture_patch_scale": "12",
+}
+
+
+def write_scene(path, key, value):
+    """The valid scene with `value` for `key`; returns the key's line number."""
+    path.write_text("".join(f"{k} = {value if k == key else v}\n" for k, v in VALID_SCENE.items()), "utf-8")
+    return list(VALID_SCENE).index(key) + 1
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("plane", "0,0,1,x,3", "plane must be 5 finite numbers, the last an integer, got '0,0,1,x,3'"),
+        ("plane", "0,0,1,5,nan", "plane must be 5 finite numbers, the last an integer, got '0,0,1,5,nan'"),
+        ("patch", "28, 20, 8, 8, 2.0, -4, 2, 1.5", "patch must be 8 finite numbers, the last an integer, "
+         "got '28, 20, 8, 8, 2.0, -4, 2, 1.5'"),
+        ("width", "abc", "width must be an integer, got 'abc'"),
+        ("fx", "inf", "fx must be a finite number, got 'inf'"),
+        ("width", "1", "width must be at least 2 (a scene is at least 2x2), got 1"),
+        ("texture_octaves", "0", "texture_octaves must be >= 1, got 0"),
+        ("static_patch", "10, 8, 12, 12, -3.0, 12", "static_patch depth must be positive, got -3.0"),
+    ],
+)
+def test_load_scene_spec_names_the_file_line_and_key(tmp_path, key, value, message):
+    path = tmp_path / "scene.cfg"
+    lineno = write_scene(path, key, value)
+    with pytest.raises(ValueError) as err:
+        load_scene_spec(path)
+    assert str(err.value) == f"{path}:{lineno}: {message}"
+
+
+_VALUE_TEXT = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n")),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.lists(st.floats(), min_size=1, max_size=9).map(lambda xs: ",".join(map(repr, xs))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(sorted(VALID_SCENE)), value=_VALUE_TEXT)
+def test_load_scene_spec_of_any_value_builds_or_names_the_key(key, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scene.cfg"
+        lineno = write_scene(path, key, value)
+        try:
+            spec = load_scene_spec(path)
+        except ValueError as err:
+            assert str(err).startswith(f"{path}:{lineno}: {key} "), str(err)
+        else:
+            assert isinstance(spec, SceneSpec)
