@@ -36,9 +36,9 @@ def parse_kv_file(path) -> dict:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, sep, value = line.partition("=")
+            if not (sep and key.strip()):
                 raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
             out[key.strip()] = value.strip()
     return out
 
@@ -47,9 +47,9 @@ def parse_overrides(items) -> dict:
     """--set style 'key=value' strings to a dict."""
     out = {}
     for item in items or ():
-        if "=" not in item:
+        key, sep, value = item.partition("=")
+        if not (sep and key.strip()):
             raise ValueError(f"override '{item}': expected key=value")
-        key, _, value = item.partition("=")
         out[key.strip()] = value.strip()
     return out
 

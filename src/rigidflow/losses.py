@@ -5,7 +5,10 @@ Every term comes with a hand-derived analytic gradient. Losses are means
 over their own valid-pixel count (smoothness over the full pixel count) so
 the weights below do not depend on image size. A term whose mask is empty
 gives a zero loss and zero gradients rather than NaN, with no flag: the masks
-that `optimize.evaluate` returns say which mask was empty.
+that `optimize.evaluate` returns say which mask was empty. Every term core
+takes a `grads` flag: when it is False the core returns once its loss is
+known and none of the gradient arithmetic runs; its gradients are then
+None, or zeros where the mask is empty.
 
 The charbonnier penalty used throughout is
 
@@ -143,7 +146,7 @@ def _shift_add(dst: np.ndarray, src: np.ndarray, dy: int, dx: int) -> None:
         dst[y0 + dy : y1 + dy, x0 + dx : x1 + dx] += src[y0:y1, x0:x1]
 
 
-def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams):
+def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams, grads: bool = True):
     """Census distance of gray_ref against each (gray_warped, mask) branch,
     on the soft ternary descriptor d / sqrt(d^2 + eps^2) of the neighborhood
     differences d: differentiable, and invariant to additive brightness as
@@ -173,7 +176,7 @@ def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams):
             pad_m = np.pad(mask, r, mode="constant", constant_values=False)
             live.append((b, gray_w, np.pad(gray_w, r, mode="edge"), mask, pad_m, 1.0 / nv))
     losses = [0.0] * len(branches)
-    grads = {b: np.zeros((h, w)) for b, *_ in live}
+    gsum = {b: np.zeros((h, w)) for b, *_ in live} if grads else {}
     kept = {b: [] for b, *_ in live}  # (loss, gated gradient) per offset of the half
     pad_r = np.pad(gray_ref, r, mode="edge")
     offsets = _offsets(r)
@@ -199,6 +202,10 @@ def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams):
             np.sqrt(root, out=root)
             gate = mask & pad_m[win]
             part = float(np.sum(root[gate] - c))
+            losses[b] += part
+            if not grads:
+                kept[b].append((part, None))
+                continue
             # d phi / d dw = phi'(delta) * (-1) * t'(dw),  t'(d) = eps^2 / (d^2+eps^2)^1.5
             np.power(s, 1.5, out=s)
             np.divide(-eps2, s, out=s)
@@ -206,9 +213,8 @@ def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams):
             delta *= s
             delta *= inv  # (delta / root) * (-eps^2 / (dw^2 + eps^2)^1.5) * inv
             g = np.where(gate, delta, 0.0)
-            losses[b] += part
-            grads[b] -= g
-            _shift_add(grads[b], g, dy, dx)
+            gsum[b] -= g
+            _shift_add(gsum[b], g, dy, dx)
             kept[b].append((part, g))
     # the mirrored half: -o's `-= g` is o's shift-add and -o's shift-add is
     # o's `-= g`; a translation keeps row-major order, so `part` is the same
@@ -216,15 +222,16 @@ def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams):
         for b, *_ in live:
             part, g = kept[b].pop()
             losses[b] += part
-            _shift_add(grads[b], g, dy, dx)
-            grads[b] -= g
+            if grads:
+                _shift_add(gsum[b], g, dy, dx)
+                gsum[b] -= g
     out = [None] * len(branches)
     for b, *_, inv in live:
-        out[b] = (losses[b] * inv, grads[b])
+        out[b] = (losses[b] * inv, gsum.get(b))
     return out
 
 
-def smoothness_loss(field: np.ndarray, guide: np.ndarray, mean_normalize: bool = False):
+def smoothness_loss(field: np.ndarray, guide: np.ndarray, mean_normalize: bool = False, grads: bool = True):
     """Edge-aware first-order smoothness of field, guided by image gradients.
 
     sum over axes of phi(d field) * exp(-mean_c |d guide|), divided by the
@@ -259,6 +266,8 @@ def smoothness_loss(field: np.ndarray, guide: np.ndarray, mean_normalize: bool =
     phi_x, dphi_x = charbonnier(dx)
     phi_y, dphi_y = charbonnier(dy)
     loss = (np.sum(phi_x * wx[..., None]) + np.sum(phi_y * wy[..., None])) * inv
+    if not grads:
+        return float(loss), None
     grad_n = np.zeros_like(fc)
     sx = dphi_x * wx[..., None] * inv
     grad_n[:, 1:] += sx
@@ -275,18 +284,20 @@ def smoothness_loss(field: np.ndarray, guide: np.ndarray, mean_normalize: bool =
     return float(loss), grad_f[..., 0] if squeeze else grad_f
 
 
-def _fb_flow_terms(fwd, plan: WarpPlan, cycle, mask):
+def _fb_flow_terms(fwd, plan: WarpPlan, cycle, mask, grads: bool = True):
     """Charbonnier norm of f(p) + b(p + f(p)) over mask, from the cycle (b,
-    db/dx, db/dy) sampled through the plan of f = fwd, each (H, W, 2).
-    Returns (loss, grad wrt fwd, grad wrt bwd)."""
+    db/dx, db/dy) sampled through the plan of f = fwd, each (H, W, 2); only
+    b is read without `grads`. Returns (loss, grad wrt fwd, grad wrt bwd)."""
     nv = int(np.count_nonzero(mask))
     if nv == 0:
         return 0.0, np.zeros_like(fwd), np.zeros_like(fwd)
-    back, bdx, bdy = cycle
     mask = np.asarray(mask, dtype=bool)
-    phi, dphi = charbonnier(fwd + back)
+    phi, dphi = charbonnier(fwd + cycle[0])
     inv = 1.0 / nv
     loss = float(np.sum((phi[..., 0] + phi[..., 1])[mask])) * inv
+    if not grads:
+        return loss, None, None
+    _, bdx, bdy = cycle
     g = np.where(mask[..., None], dphi * inv, 0.0)
     gu = g[..., 0]
     gv = g[..., 1]
@@ -297,7 +308,7 @@ def _fb_flow_terms(fwd, plan: WarpPlan, cycle, mask):
     return loss, grad_fwd, plan.scatter(g)
 
 
-def _fb_depth_terms(depth_t, depth_t1, plan: WarpPlan, mask):
+def _fb_depth_terms(depth_t, depth_t1, plan: WarpPlan, mask, grads: bool = True):
     """Charbonnier gap over mask between depth_t and depth_t1 pulled back
     through the plan of the rigid flow. Returns (loss, grad wrt depth_t,
     grad wrt depth_t1, grad wrt the rigid flow)."""
@@ -305,17 +316,21 @@ def _fb_depth_terms(depth_t, depth_t1, plan: WarpPlan, mask):
     nv = int(np.count_nonzero(mask))
     if nv == 0:
         return 0.0, np.zeros((h, w)), np.zeros((h, w)), np.zeros((h, w, 2))
-    pulled, ddx, ddy = plan.sample_grad(depth_t1)
+    pulled, *deriv = plan.sample_grad(depth_t1) if grads else (plan.sample(depth_t1),)
     phi, dphi = charbonnier(depth_t - pulled)
     inv = 1.0 / nv
     loss = float(np.sum(phi[mask])) * inv
+    if not grads:
+        return loss, None, None, None
     g = np.where(mask, dphi * inv, 0.0)
     neg = -g
-    grad_rigid = np.stack([neg * ddx, neg * ddy], axis=-1)
+    grad_rigid = np.stack([neg * dd for dd in deriv], axis=-1)
     return loss, g, plan.scatter(neg), grad_rigid
 
 
-def cross_task_loss(rigid: np.ndarray, flow: np.ndarray, mask: np.ndarray, eps: float = DEFAULT_L1_EPS):
+def cross_task_loss(
+    rigid: np.ndarray, flow: np.ndarray, mask: np.ndarray, eps: float = DEFAULT_L1_EPS, grads: bool = True
+):
     """Charbonnier gap between rigid flow and estimated flow over mask.
 
     Returns (loss, grad wrt rigid, grad wrt flow).
@@ -333,6 +348,8 @@ def cross_task_loss(rigid: np.ndarray, flow: np.ndarray, mask: np.ndarray, eps: 
     phi_v, dphi_v = charbonnier(rv, eps)
     inv = 1.0 / nv
     loss = float(np.sum((phi_u + phi_v)[mask])) * inv
+    if not grads:
+        return loss, None, None
     grad_rigid = np.stack(
         [np.where(mask, dphi_u * inv, 0.0), np.where(mask, dphi_v * inv, 0.0)], axis=-1
     )
@@ -355,25 +372,23 @@ class ScaleResult:
     masks: LevelMasks
 
 
-def _photometric_pair(ref: np.ndarray, src: np.ndarray, branches, census: CensusParams):
+def _photometric_pair(ref: np.ndarray, src: np.ndarray, branches, census: CensusParams, grads: bool):
     """The two photometric branches that share `ref` as census reference.
 
     Each branch (plan, mask, acc) warps `src` through the plan of its
-    correspondence field and adds the gradient wrt that field into acc.
-    Returns the two branch losses.
+    correspondence field and, when `grads`, adds the gradient wrt that
+    field into acc. Returns the two branch losses.
     """
-    warps = [plan.sample_grad(src) for plan, _, _ in branches]
-    pairs = [(val, mask) for (val, _, _), (_, mask, _) in zip(warps, branches)]
-    found = _census_terms(ref, pairs, census)
+    warps = [plan.sample_grad(src) if grads else (plan.sample(src),) for plan, _, _ in branches]
+    pairs = [(warp[0], mask) for warp, (_, mask, _) in zip(warps, branches)]
+    found = _census_terms(ref, pairs, census, grads)
     losses = []
-    for term, (_, ddx, ddy), (_, _, acc) in zip(found, warps, branches):
-        if term is None:
-            losses.append(0.0)
-            continue
-        loss, grad_warped = term
+    for term, warp, (_, _, acc) in zip(found, warps, branches):
+        loss, grad_warped = term or (0.0, None)  # None: the branch's mask is empty
         losses.append(loss)
-        acc[..., 0] += grad_warped * ddx
-        acc[..., 1] += grad_warped * ddy
+        if grads and term:
+            acc[..., 0] += grad_warped * warp[1]
+            acc[..., 1] += grad_warped * warp[2]
     return losses
 
 
@@ -388,8 +403,10 @@ def scale_objective(
     fb_params: FBCheckParams,
     terms: frozenset = ALL_TERMS,
     masks: LevelMasks | None = None,
+    grads: bool = True,
 ) -> ScaleResult:
-    """Objective of a single pyramid level, both sides, with gradients.
+    """Objective of a single pyramid level, both sides, with gradients unless
+    `grads` is False (then the gradient fields are None; the losses are the same).
 
     imgs and depths are (frame t, frame t+1) pairs, poses is (t -> t+1,
     t+1 -> t) and flows is (forward, backward): entry d of each belongs to
@@ -411,7 +428,10 @@ def scale_objective(
     # loss; its loss pops it, so it is freed as soon as it is used
     cycles = {}
     if "fb_flow" in terms:
-        cycles = {d: flow_plans[d].sample_grad(flows[1 - d]) for d in SIDES}
+        cycles = {
+            d: flow_plans[d].sample_grad(flows[1 - d]) if grads else (flow_plans[d].sample(flows[1 - d]),)
+            for d in SIDES
+        }
     if masks is None:
         depth_masks, flow_masks = [], []
         for d in SIDES:
@@ -424,9 +444,9 @@ def scale_objective(
         masks = LevelMasks(*depth_masks, *flow_masks)
     depth_masks = (masks.depth_fwd, masks.depth_bwd)
     flow_masks = (masks.flow_fwd, masks.flow_bwd)
-    g_rigid = [np.zeros((h, w, 2)) for _ in SIDES]
-    g_flow = [np.zeros((h, w, 2)) for _ in SIDES]
-    g_depth = [np.zeros((h, w)) for _ in SIDES]
+    g_rigid, g_flow, g_depth = (
+        [np.zeros(shape) if grads else None for _ in SIDES] for shape in ((h, w, 2), (h, w, 2), (h, w))
+    )
     photometric = 0.0
     smooth = 0.0
     fb_total = 0.0
@@ -438,7 +458,7 @@ def scale_objective(
                 (rigid_plans[d], depth_masks[d], g_rigid[d]),
                 (flow_plans[d], flow_masks[d], g_flow[d]),
             )
-            for loss in _photometric_pair(gray[d], gray[1 - d], branches, census):
+            for loss in _photometric_pair(gray[d], gray[1 - d], branches, census, grads):
                 photometric += loss
 
     if "smooth" in terms:
@@ -446,22 +466,24 @@ def scale_objective(
         # after its add measured about 3% slower per refine iteration at 256²,
         # from the extra page faults of the reallocations
         parts = [
-            (acc, d, *smoothness_loss(fields[d], imgs[d], mean_normalize))
+            (acc, d, *smoothness_loss(fields[d], imgs[d], mean_normalize, grads))
             for fields, acc, mean_normalize in ((depths, g_depth, True), (flows, g_flow, False))
             for d in SIDES
         ]
         for acc, d, loss, grad in parts:
             smooth += loss
-            acc[d] += weights.lambda_s * grad
+            if grads:
+                acc[d] += weights.lambda_s * grad
 
     if "fb_flow" in terms:
         for d in SIDES:
             loss, grad, grad_other = _fb_flow_terms(
-                flows[d], flow_plans[d], cycles.pop(d), flow_masks[d]
+                flows[d], flow_plans[d], cycles.pop(d), flow_masks[d], grads
             )
             fb_total += loss
-            g_flow[d] += weights.lambda_f * grad
-            g_flow[1 - d] += weights.lambda_f * grad_other
+            if grads:
+                g_flow[d] += weights.lambda_f * grad
+                g_flow[1 - d] += weights.lambda_f * grad_other
     # the plans are dead once their last term has run: freeing them keeps
     # the level's peak memory at the projection adjoint below that of the
     # per-term sampling they replace
@@ -470,22 +492,26 @@ def scale_objective(
     if "fb_depth" in terms:
         for d in SIDES:
             loss, grad, grad_other, grad_rigid = _fb_depth_terms(
-                depths[d], depths[1 - d], rigid_plans[d], depth_masks[d]
+                depths[d], depths[1 - d], rigid_plans[d], depth_masks[d], grads
             )
             fb_total += loss
-            g_depth[d] += weights.lambda_f * grad
-            g_depth[1 - d] += weights.lambda_f * grad_other
-            g_rigid[d] += weights.lambda_f * grad_rigid
+            if grads:
+                g_depth[d] += weights.lambda_f * grad
+                g_depth[1 - d] += weights.lambda_f * grad_other
+                g_rigid[d] += weights.lambda_f * grad_rigid
     del rigid_plans
 
     if "cross" in terms:
         for d in SIDES:
             mask = intersect(depth_masks[d], flow_masks[d])
-            loss, grad_rigid, grad_flow = cross_task_loss(rigid[d], flows[d], mask)
+            loss, grad_rigid, grad_flow = cross_task_loss(rigid[d], flows[d], mask, grads=grads)
             cross += loss
-            g_rigid[d] += weights.lambda_c * grad_rigid
-            g_flow[d] += weights.lambda_c * grad_flow
+            if grads:
+                g_rigid[d] += weights.lambda_c * grad_rigid
+                g_flow[d] += weights.lambda_c * grad_flow
 
+    if not grads:
+        return ScaleResult(photometric, smooth, fb_total, cross, None, None, None, masks)
     # photometric branch gradients on rigid flow arrive unweighted; rescale
     # happens at accumulation sites above, so here only the chain through
     # the projection remains

@@ -206,8 +206,9 @@ def evaluate(
     evaluated natively with correspondingly scaled intrinsics. The
     cross-task term runs on the finest `cfg.cross_scales` levels only.
 
-    Returns (LossReport, StateGrad or None, per-level masks); the gradient
-    is None when `want_grads` is False. Passing `masks` (as returned by a
+    Returns (LossReport, StateGrad or None, per-level masks). With
+    `want_grads` False no level does any gradient work and the gradient is
+    None; the report and masks are the same to the bit. Passing `masks` (as returned by a
     previous call) freezes the validity masks so the objective is smooth in
     the state; by default they are recomputed. Raises ValueError naming a
     malformed state field, image or frozen mask, and NonFiniteLossError
@@ -215,7 +216,7 @@ def evaluate(
     """
     scales = cfg.scales
     if masks is not None and len(masks) != scales:
-        raise ValueError("masks must cover every scale")
+        raise ValueError(f"masks has {len(masks)} levels but scales is {scales}")
     state.check()
     h, w = state.depth_t.shape
     for name, arr in (("img_t", img_t), ("img_t1", img_t1)):
@@ -258,6 +259,7 @@ def evaluate(
             cfg.fb_params,
             terms=terms if lvl < cfg.cross_scales else terms - {"cross"},
             masks=None if masks is None else masks[lvl],
+            grads=want_grads,
         )
         photometric += sw[lvl] * res.photometric
         smooth += sw[lvl] * res.smooth

@@ -58,12 +58,12 @@ class PlaneSpec:
     offset: float
     seed: int
 
+    def __post_init__(self):
+        check_fields(self, ("normal",), lambda v: np.linalg.norm(np.asarray(v, dtype=float)) > 0.0, "nonzero")
+
     def unit_normal(self) -> np.ndarray:
         n = np.asarray(self.normal, dtype=float)
-        norm = float(np.linalg.norm(n))
-        if norm == 0.0:
-            raise ValueError("plane normal must be nonzero")
-        return n / norm
+        return n / np.linalg.norm(n)
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,7 @@ class SceneSpec:
 
     def __post_init__(self):
         check_fields(self, ("width", "height"), lambda v: v >= 2, "at least 2 (a scene is at least 2x2)")
+        check_fields(self, ("fx", "fy"), lambda v: v > 0.0, "positive")
         if len(self.planes) == 0:
             raise ValueError("scene needs at least one plane")
         if len(tuple(self.pose_params)) != 6:
@@ -504,9 +505,9 @@ def load_scene_spec(path) -> SceneSpec:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
+            key, sep, value = (part.strip() for part in line.partition("="))
+            if not (sep and key):
                 raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, value = (part.strip() for part in line.partition("="))
             where = lines[key] = f"{path}:{lineno}"
             if key not in {*_SCENE_LISTS, *_SCENE_INTS, *_SCENE_FLOATS}:
                 unknown.add(key)

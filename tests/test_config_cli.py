@@ -1,9 +1,12 @@
 """Config parsing and command-line entry points, end to end in a tmpdir."""
 
 import math
+import re
 import struct
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +49,59 @@ def test_parse_overrides():
     assert parse_overrides(None) == {}
     with pytest.raises(ValueError, match="expected key=value"):
         parse_overrides(["oops"])
+
+
+@pytest.mark.parametrize("item", ["=3", " = 3", "="])
+def test_parse_overrides_rejects_an_empty_key(item):
+    with pytest.raises(ValueError) as err:
+        parse_overrides(["scales=2", item])
+    assert str(err.value) == f"override '{item}': expected key=value"
+
+
+def test_parse_kv_file_rejects_an_empty_key(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("scales = 2\n# comment\n  = 3\n")
+    with pytest.raises(ValueError) as err:
+        parse_kv_file(path)
+    assert str(err.value) == f"{path}:3: expected key=value"
+
+
+# any character, with the ones the syntax gives a meaning drawn often
+_KV_TEXT = st.text(st.one_of(st.sampled_from(" =#\t\nk"), st.characters(blacklist_categories=("Cs",))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(items=st.lists(_KV_TEXT, max_size=5))
+def test_parse_overrides_of_any_items_parses_or_quotes_the_item(items):
+    try:
+        out = parse_overrides(items)
+    except ValueError as err:
+        m = re.fullmatch(r"override '(.*)': expected key=value", str(err), re.DOTALL)
+        assert m and m.group(1) in items, str(err)
+        key, sep, _ = m.group(1).partition("=")
+        assert not (sep and key.strip())
+    else:
+        assert set(out) <= {item.partition("=")[0].strip() for item in items}
+        assert all(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_KV_TEXT)
+def test_parse_kv_file_of_any_text_parses_or_names_the_line(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text(text, "utf-8")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        try:
+            out = parse_kv_file(path)
+        except ValueError as err:
+            m = re.fullmatch(rf"{re.escape(str(path))}:(\d+): expected key=value", str(err))
+            assert m, str(err)
+            key, sep, _ = lines[int(m.group(1)) - 1].split("#", 1)[0].partition("=")
+            assert not (sep and key.strip())
+        else:
+            assert all(key and key == key.strip() and not {"#", "="} & set(key) for key in out)
 
 
 def test_optimizer_config_from_full_settings():
@@ -373,6 +429,13 @@ def test_refine_rejects_unknown_config_key(capsys):
     )
     assert code == 1
     assert "unknown config keys: bogus" in stderr
+
+
+def test_refine_names_an_override_without_a_key(capsys):
+    code, stdout, stderr = run_cli(capsys, "refine", "--preset", "plane", "--set", "=3")
+    assert code == 1
+    assert stderr == "error: override '=3': expected key=value\n"
+    assert stdout == ""
 
 
 def test_refine_rejects_scale_weights_of_the_wrong_length():

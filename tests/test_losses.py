@@ -579,16 +579,10 @@ def test_non_finite_image_rejected(plane_gt):
 
 
 def test_masks_length_validated(plane_gt):
-    state = state_from_gt(plane_gt)
-    with pytest.raises(ValueError, match="every scale"):
-        evaluate(
-            state,
-            plane_gt.image_t,
-            plane_gt.image_t1,
-            plane_gt.intrinsics,
-            OptimizerConfig(scales=3),
-            masks=[None, None],
-        )
+    args = (state_from_gt(plane_gt), plane_gt.image_t, plane_gt.image_t1, plane_gt.intrinsics)
+    for levels in (2, 4):
+        with pytest.raises(ValueError, match=f"^masks has {levels} levels but scales is 3$"):
+            evaluate(*args, OptimizerConfig(scales=3), masks=[None] * levels)
 
 
 def _frozen_masks(gt):

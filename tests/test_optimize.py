@@ -1,7 +1,11 @@
+import functools
+from dataclasses import astuple, fields
+
 import numpy as np
 import pytest
 
-from rigidflow.losses import LossWeights
+from rigidflow import camera, losses, optimize
+from rigidflow.losses import ALL_TERMS, CensusParams, LevelMasks, LossWeights
 from rigidflow.optimize import (
     AdamMoments,
     DivergenceError,
@@ -12,6 +16,7 @@ from rigidflow.optimize import (
     refine,
     step,
 )
+from rigidflow.sampling import WarpPlan
 from rigidflow.scenes import preset, render
 
 from conftest import state_from_gt
@@ -183,6 +188,101 @@ def test_evaluate_gradient_matches_fd_with_frozen_masks(plane_gt):
         assert abs(grad.pose_params[i] - fd) / scale < 1e-3, ("pose", i)
         checked += 1
     assert checked == 14
+
+
+# ---------------------------------------------------------------------------
+# forward-only evaluate
+
+FORWARD_SCENES = {
+    "plane": ("plane", 64, 64),
+    "mover": ("mover", 64, 64),
+    "slanted-45x37": ("slanted", 45, 37),
+    "slanted-129x97": ("slanted", 129, 97),
+}
+# (scales, cross_scales, census radius, terms): between them every pyramid
+# depth from 1 to 4, the cross term on no level and on the finest only, both
+# radii, and term subsets from one term to all five
+FORWARD_CONFIGS = [
+    (1, 0, 1, ALL_TERMS),
+    (2, 1, 2, ALL_TERMS),
+    (3, 1, 1, frozenset({"photometric", "fb_flow", "cross"})),
+    (4, 0, 2, frozenset({"smooth", "fb_depth"})),
+    (4, 1, 1, frozenset({"cross"})),
+]
+MASK_MODES = {
+    "recomputed": None,
+    "frozen": lambda m, rng: m,
+    "thinned": lambda m, rng: m & (rng.random(m.shape) < 0.5),
+    "empty": lambda m, rng: np.zeros_like(m),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def forward_scene(name):
+    base, width, height = FORWARD_SCENES[name]
+    return render(preset(base, width=width, height=height))
+
+
+def forward_case(scene, config, mode):
+    """(state, evaluate's positional inputs, masks, terms) of one case: a
+    perturbed state, and for a frozen mode the masks of a nearer state,
+    passed as they are, with about half their pixels cleared, or cleared."""
+    gt = forward_scene(scene)
+    scales, cross_scales, radius, terms = config
+    cfg = OptimizerConfig(scales=scales, cross_scales=cross_scales, census=CensusParams(radius=radius))
+    rng = np.random.default_rng(17)
+    state = make_initial_state(gt, rng, depth_noise=0.1, pose_noise=0.01, flow_noise=0.5)
+    args = (gt.image_t, gt.image_t1, gt.intrinsics, cfg)
+    masks = None
+    if MASK_MODES[mode] is not None:
+        near = make_initial_state(gt, rng, depth_noise=0.05, flow_noise=0.2)
+        _, _, levels = evaluate(near, *args, want_grads=False)
+        keep = MASK_MODES[mode]
+        masks = [LevelMasks(*(keep(getattr(lv, f.name), rng) for f in fields(lv))) for lv in levels]
+    return state, args, masks, terms
+
+
+def report_bytes(report):
+    return np.asarray(astuple(report)).tobytes()
+
+
+@pytest.mark.parametrize("mode", list(MASK_MODES))
+@pytest.mark.parametrize("config", FORWARD_CONFIGS, ids=lambda c: f"s{c[0]}c{c[1]}r{c[2]}-{'+'.join(sorted(c[3]))}")
+@pytest.mark.parametrize("scene", list(FORWARD_SCENES))
+def test_forward_only_evaluate_matches_the_full_pass(scene, config, mode):
+    state, args, masks, terms = forward_case(scene, config, mode)
+    full, grad, full_masks = evaluate(state, *args, masks=masks, terms=terms)
+    fwd, no_grad, fwd_masks = evaluate(state, *args, masks=masks, terms=terms, want_grads=False)
+    assert grad is not None and no_grad is None
+    assert report_bytes(fwd) == report_bytes(full), (fwd, full)
+    assert len(fwd_masks) == len(full_masks) == config[0]
+    for lvl, (a, b) in enumerate(zip(fwd_masks, full_masks)):
+        for f in fields(a):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), (lvl, f.name)
+
+
+def test_forward_only_evaluate_runs_no_gradient_work(monkeypatch):
+    config = (4, 1, 2, ALL_TERMS)
+    cases = [forward_case(scene, config, mode) for scene in FORWARD_SCENES for mode in MASK_MODES]
+    expected = [evaluate(state, *args, masks=masks)[0] for state, args, masks, _ in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("gradient work in a forward-only evaluate")
+
+    monkeypatch.setattr(WarpPlan, "sample_grad", forbidden)
+    monkeypatch.setattr(WarpPlan, "scatter", forbidden)
+    monkeypatch.setattr(camera, "project_backward", forbidden)
+    # the names the objective calls them by
+    monkeypatch.setattr(losses, "project_backward", forbidden)
+    monkeypatch.setattr(losses, "_shift_add", forbidden)  # the census gradient's shifts
+    monkeypatch.setattr(optimize, "pose_param_gradient", forbidden)
+    for (state, args, masks, _), want in zip(cases, expected):
+        report, grad, _ = evaluate(state, *args, masks=masks, want_grads=False)
+        assert grad is None
+        assert report_bytes(report) == report_bytes(want)
+    state, args, masks, _ = cases[0]
+    with pytest.raises(AssertionError, match="gradient work"):
+        evaluate(state, *args, masks=masks)
 
 
 # ---------------------------------------------------------------------------

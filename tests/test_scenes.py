@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 
@@ -222,6 +223,10 @@ def test_scene_spec_validation():
         SceneSpec(64, 64, 100.0, 100.0, 0.0, 0.0, (0.0,) * 6, ())
     with pytest.raises(ValueError, match="6 entries"):
         SceneSpec(64, 64, 100.0, 100.0, 0.0, 0.0, (0.0,) * 5, (PlaneSpec((0, 0, 1), 5.0, 0),))
+    with pytest.raises(ValueError, match=r"^fy must be positive, got 0\.0$"):
+        SceneSpec(64, 64, 100.0, 0.0, 0.0, 0.0, (0.0,) * 6, (PlaneSpec((0, 0, 1), 5.0, 0),))
+    with pytest.raises(ValueError, match=r"^normal must be nonzero, got \(0, 0, 0\)$"):
+        PlaneSpec((0, 0, 0), 5.0, 0)
 
 
 def test_patch_spec_validation():
@@ -324,6 +329,9 @@ def test_load_scene_spec_errors(tmp_path):
     )
     with pytest.raises(ValueError, match="unknown scene keys: wheels"):
         load_scene_spec(path)
+    path.write_text("width=32\n = 3\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: expected key=value$"):
+        load_scene_spec(path)
 
 
 # every key of a scene file, each with a valid value, one per line in order
@@ -363,6 +371,9 @@ def write_scene(path, key, value):
         ("width", "1", "width must be at least 2 (a scene is at least 2x2), got 1"),
         ("texture_octaves", "0", "texture_octaves must be >= 1, got 0"),
         ("static_patch", "10, 8, 12, 12, -3.0, 12", "static_patch depth must be positive, got -3.0"),
+        ("fx", "0", "fx must be positive, got 0.0"),
+        ("fy", "-90", "fy must be positive, got -90.0"),
+        ("plane", "0,0,0,5,3", "plane normal must be nonzero, got (0.0, 0.0, 0.0)"),
     ],
 )
 def test_load_scene_spec_names_the_file_line_and_key(tmp_path, key, value, message):
