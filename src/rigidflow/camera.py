@@ -268,7 +268,7 @@ def rigid_flow(depth: np.ndarray, k: Intrinsics, pose: PoseSE3):
     if not np.all(depth > 0.0):
         raise ValueError("depth must be positive")
     h, w = depth.shape
-    xs, ys = pixel_grid(h, w)
+    xs, ys = np.arange(w, dtype=float), np.arange(h, dtype=float)[:, None]  # broadcast grid
     u, v, q2 = project_coords(xs, ys, depth, k, pose)
     valid = q2 > 0.0
     flow = np.zeros((h, w, 2))
@@ -288,7 +288,7 @@ def project_backward(depth, k: Intrinsics, pose: PoseSE3, grad_u, grad_v):
     """
     depth = np.asarray(depth, dtype=float)
     h, w = depth.shape
-    xs, ys = pixel_grid(h, w)
+    xs, ys = np.arange(w, dtype=float), np.arange(h, dtype=float)[:, None]
     rx, ry, drx, dry, q0, q1, q2 = _transform(xs, ys, depth, k, pose)
     valid = q2 > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -153,6 +153,8 @@ def write_flow_visualization(path, flow: np.ndarray, max_magnitude: float | None
     flow = np.asarray(flow, dtype=float)
     if flow.ndim != 3 or flow.shape[2] != 2:
         raise ValueError("flow must be (H, W, 2)")
+    if not np.all(np.isfinite(flow)):
+        raise ValueError("flow must be finite")
     u = flow[..., 0]
     v = flow[..., 1]
     mag = np.sqrt(u * u + v * v)

@@ -20,7 +20,7 @@ exactly zero for a zero residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +36,8 @@ __all__ = [
     "LevelMasks",
     "NonFiniteLossError",
     "charbonnier",
+    "edge_weights",
+    "LevelInputs",
     "smoothness_loss",
     "cross_task_loss",
     "scale_objective",
@@ -119,15 +121,6 @@ def charbonnier(x, eps: float = DEFAULT_L1_EPS):
     return root - eps, x / root
 
 
-def _gray(img: np.ndarray) -> np.ndarray:
-    img = np.asarray(img, dtype=float)
-    if img.ndim == 2:
-        return img
-    if img.ndim == 3:
-        return img.mean(axis=2)
-    raise ValueError("image must be (H, W) or (H, W, C)")
-
-
 def _offsets(radius: int):
     return [
         (dy, dx)
@@ -137,23 +130,14 @@ def _offsets(radius: int):
     ]
 
 
-def _shift_add(dst: np.ndarray, src: np.ndarray, dy: int, dx: int) -> None:
-    """dst[q + (dy, dx)] += src[q] over the in-bounds overlap."""
-    h, w = dst.shape
-    y0, y1 = max(0, -dy), h - max(0, dy)
-    x0, x1 = max(0, -dx), w - max(0, dx)
-    if y0 < y1 and x0 < x1:  # no overlap when the shift is longer than a side
-        dst[y0 + dy : y1 + dy, x0 + dx : x1 + dx] += src[y0:y1, x0:x1]
-
-
 def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams, grads: bool = True):
     """Census distance of gray_ref against each (gray_warped, mask) branch,
     on the soft ternary descriptor d / sqrt(d^2 + eps^2) of the neighborhood
     differences d: differentiable, and invariant to additive brightness as
     the census is. A neighbor outside the image or the mask carries zero
-    weight. The reference's descriptor is computed once per offset and shared
-    by every branch. Returns one (loss, grad wrt gray_warped) per branch, or
-    None for a branch whose mask is empty.
+    weight, so each offset runs on its in-bounds overlap only. The reference's
+    descriptor is computed once per offset and shared by every branch. Returns
+    one (loss, grad wrt gray_warped) per branch, or None for an empty mask.
 
     Only the first half of the offsets is computed. The second half is the
     first negated and reversed, and offset -o adds exactly what o adds,
@@ -165,33 +149,34 @@ def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams, grads: b
     never hold -0, and adding a zero of either sign leaves them unchanged.)
     """
     h, w = gray_ref.shape
-    r = params.radius
     eps2 = params.epsilon * params.epsilon
     c = params.charbonnier_eps
-    live = []  # (branch, gray_w, padded gray_w, mask, padded mask, 1 / valid count)
+    live = []  # (branch, gray_w, mask, 1 / valid count)
     for b, (gray_w, mask) in enumerate(branches):
         nv = int(np.count_nonzero(mask))
         if nv:
-            mask = np.asarray(mask, dtype=bool)
-            pad_m = np.pad(mask, r, mode="constant", constant_values=False)
-            live.append((b, gray_w, np.pad(gray_w, r, mode="edge"), mask, pad_m, 1.0 / nv))
+            live.append((b, gray_w, np.asarray(mask, dtype=bool), 1.0 / nv))
     losses = [0.0] * len(branches)
     gsum = {b: np.zeros((h, w)) for b, *_ in live} if grads else {}
     kept = {b: [] for b, *_ in live}  # (loss, gated gradient) per offset of the half
-    pad_r = np.pad(gray_ref, r, mode="edge")
-    offsets = _offsets(r)
-    half = offsets[: len(offsets) // 2]
+    offsets = _offsets(params.radius)
+    # each offset (dy, dx) of the half as (here, there): the pixels whose
+    # neighbour is in bounds, and those neighbours; a longer offset has none
+    wins = [
+        ((slice(max(0, -dy), h - max(0, dy)), slice(max(0, -dx), w - max(0, dx))),
+         (slice(max(0, dy), h - max(0, -dy)), slice(max(0, dx), w - max(0, -dx))))
+        for dy, dx in offsets[: len(offsets) // 2] if abs(dy) < h and abs(dx) < w
+    ]
     # the arithmetic runs in place, in the order of the plain expressions
     # noted beside it, so every value is the same to the bit
-    for dy, dx in half:
-        win = (slice(r + dy, r + dy + h), slice(r + dx, r + dx + w))
-        tr = pad_r[win] - gray_ref  # dr
+    for here, there in wins:
+        tr = gray_ref[there] - gray_ref[here]  # dr
         t = np.multiply(tr, tr)
         t += eps2
         np.sqrt(t, out=t)
         tr /= t  # tr = dr / sqrt(dr^2 + eps^2)
-        for b, gray_w, pad_w, mask, pad_m, inv in live:
-            dw = pad_w[win] - gray_w
+        for b, gray_w, mask, inv in live:
+            dw = gray_w[there] - gray_w[here]
             s = np.multiply(dw, dw)
             s += eps2
             delta = np.sqrt(s)
@@ -200,7 +185,7 @@ def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams, grads: b
             root = np.multiply(delta, delta)
             root += c * c
             np.sqrt(root, out=root)
-            gate = mask & pad_m[win]
+            gate = mask[here] & mask[there]
             part = float(np.sum(root[gate] - c))
             losses[b] += part
             if not grads:
@@ -213,26 +198,46 @@ def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams, grads: b
             delta *= s
             delta *= inv  # (delta / root) * (-eps^2 / (dw^2 + eps^2)^1.5) * inv
             g = np.where(gate, delta, 0.0)
-            gsum[b] -= g
-            _shift_add(gsum[b], g, dy, dx)
+            gsum[b][here] -= g
+            gsum[b][there] += g
             kept[b].append((part, g))
-    # the mirrored half: -o's `-= g` is o's shift-add and -o's shift-add is
-    # o's `-= g`; a translation keeps row-major order, so `part` is the same
-    for dy, dx in reversed(half):
+    # the mirrored half: -o's `-= g` is o's `+= g` and the other way round;
+    # a translation keeps row-major order, so `part` is the same
+    for here, there in reversed(wins):
         for b, *_ in live:
             part, g = kept[b].pop()
             losses[b] += part
             if grads:
-                _shift_add(gsum[b], g, dy, dx)
-                gsum[b] -= g
+                gsum[b][there] += g
+                gsum[b][here] -= g
     out = [None] * len(branches)
     for b, *_, inv in live:
         out[b] = (losses[b] * inv, gsum.get(b))
     return out
 
 
-def smoothness_loss(field: np.ndarray, guide: np.ndarray, mean_normalize: bool = False, grads: bool = True):
-    """Edge-aware first-order smoothness of field, guided by image gradients.
+def edge_weights(guide: np.ndarray):
+    """Edge weights (wx, wy) of a guide image, (H, W) or (H, W, C): exp(-mean_c
+    |d guide|) between horizontal neighbours, (H, W-1), and vertical ones, (H-1, W)."""
+    g = np.asarray(guide, dtype=float)
+    gc = g[..., None] if g.ndim == 2 else g
+    wx = np.exp(-np.mean(np.abs(gc[:, 1:] - gc[:, :-1]), axis=2))
+    wy = np.exp(-np.mean(np.abs(gc[1:] - gc[:-1]), axis=2))
+    return wx, wy
+
+
+@dataclass(frozen=True)
+class LevelInputs:
+    """Image-only inputs of one pyramid level: per side, the gray image and edge weights; the intrinsics."""
+
+    gray: tuple
+    edges: tuple
+    k: Intrinsics
+
+
+def smoothness_loss(field: np.ndarray, edges, mean_normalize: bool = False, grads: bool = True):
+    """Edge-aware first-order smoothness of field, weighted by the edge
+    weights (wx, wy) of its guide image (`edge_weights`).
 
     sum over axes of phi(d field) * exp(-mean_c |d guide|), divided by the
     pixel count H*W, where phi is the charbonnier surrogate for |.| (an exact
@@ -246,11 +251,10 @@ def smoothness_loss(field: np.ndarray, guide: np.ndarray, mean_normalize: bool =
     f = np.asarray(field, dtype=float)
     squeeze = f.ndim == 2
     fc = f[..., None] if squeeze else f
-    g = np.asarray(guide, dtype=float)
-    gc = g[..., None] if g.ndim == 2 else g
-    if fc.shape[:2] != gc.shape[:2]:
-        raise ValueError("field and guide sizes differ")
     h, w = fc.shape[:2]
+    wx, wy = edges
+    if np.shape(wx) != (h, w - 1) or np.shape(wy) != (h - 1, w):
+        raise ValueError("field and edge weight sizes differ")
     if mean_normalize:
         mu = f.mean()
         if abs(mu) < 1e-12:
@@ -258,8 +262,6 @@ def smoothness_loss(field: np.ndarray, guide: np.ndarray, mean_normalize: bool =
         n = fc / mu
     else:
         n = fc
-    wx = np.exp(-np.mean(np.abs(gc[:, 1:] - gc[:, :-1]), axis=2))
-    wy = np.exp(-np.mean(np.abs(gc[1:] - gc[:-1]), axis=2))
     dx = n[:, 1:] - n[:, :-1]
     dy = n[1:] - n[:-1]
     inv = 1.0 / (h * w)
@@ -393,11 +395,10 @@ def _photometric_pair(ref: np.ndarray, src: np.ndarray, branches, census: Census
 
 
 def scale_objective(
-    imgs,
+    level: LevelInputs,
     depths,
     poses,
     flows,
-    k: Intrinsics,
     weights: LossWeights,
     census: CensusParams,
     fb_params: FBCheckParams,
@@ -408,19 +409,18 @@ def scale_objective(
     """Objective of a single pyramid level, both sides, with gradients unless
     `grads` is False (then the gradient fields are None; the losses are the same).
 
-    imgs and depths are (frame t, frame t+1) pairs, poses is (t -> t+1,
-    t+1 -> t) and flows is (forward, backward): entry d of each belongs to
-    side d, whose other frame is 1 - d. Every term is written once and run
-    for each side in turn.
+    level holds the level's image-only inputs. depths are (frame t, frame
+    t+1), poses (t -> t+1, t+1 -> t) and flows (forward, backward): entry d
+    of each, and of level's pairs, belongs to side d, whose other frame is
+    1 - d. Every term is written once and run for each side in turn.
 
     When `masks` is given the validity masks are taken as-is instead of being
     recomputed from the current state (needed by finite-difference checks,
     where the masks must stay frozen while the state moves).
     """
-    gray = [_gray(img) for img in imgs]
-    h, w = gray[0].shape
+    h, w = level.gray[0].shape
     flows = [np.asarray(f, dtype=float) for f in flows]
-    rigid, cheir = zip(*(rigid_flow(depths[d], k, poses[d]) for d in SIDES))
+    rigid, cheir = zip(*(rigid_flow(depths[d], level.k, poses[d]) for d in SIDES))
     # one warp plan per correspondence field serves every term of the level
     rigid_plans = [WarpPlan.along(f) for f in rigid]
     flow_plans = [WarpPlan.along(f) for f in flows]
@@ -458,7 +458,7 @@ def scale_objective(
                 (rigid_plans[d], depth_masks[d], g_rigid[d]),
                 (flow_plans[d], flow_masks[d], g_flow[d]),
             )
-            for loss in _photometric_pair(gray[d], gray[1 - d], branches, census, grads):
+            for loss in _photometric_pair(level.gray[d], level.gray[1 - d], branches, census, grads):
                 photometric += loss
 
     if "smooth" in terms:
@@ -466,7 +466,7 @@ def scale_objective(
         # after its add measured about 3% slower per refine iteration at 256²,
         # from the extra page faults of the reallocations
         parts = [
-            (acc, d, *smoothness_loss(fields[d], imgs[d], mean_normalize, grads))
+            (acc, d, *smoothness_loss(fields[d], level.edges[d], mean_normalize, grads))
             for fields, acc, mean_normalize in ((depths, g_depth, True), (flows, g_flow, False))
             for d in SIDES
         ]
@@ -517,7 +517,7 @@ def scale_objective(
     # the projection remains
     g_pose = []
     for d in SIDES:
-        gd, gr, gt = project_backward(depths[d], k, poses[d], g_rigid[d][..., 0], g_rigid[d][..., 1])
+        gd, gr, gt = project_backward(depths[d], level.k, poses[d], g_rigid[d][..., 0], g_rigid[d][..., 1])
         g_depth[d] += gd
         g_pose.append((gr, gt))
     grads = (tuple(g_depth), tuple(g_pose), tuple(g_flow))

@@ -33,12 +33,15 @@ class FBCheckParams:
 def fb_check(fwd: np.ndarray, bwd: np.ndarray, params: FBCheckParams = FBCheckParams()):
     """Mask of pixels whose forward/backward flows are mutually consistent.
 
-    fwd and bwd are (H, W, 2) fields of the two directions; returns (H, W) bool.
+    fwd and bwd are finite (H, W, 2) fields of the two directions; returns (H, W) bool.
     """
     fwd = np.asarray(fwd, dtype=float)
     bwd = np.asarray(bwd, dtype=float)
     if fwd.shape != bwd.shape or fwd.ndim != 3 or fwd.shape[2] != 2:
         raise ValueError("flows must both be (H, W, 2)")
+    for name, flow in (("fwd", fwd), ("bwd", bwd)):
+        if not np.all(np.isfinite(flow)):
+            raise ValueError(f"{name} must be finite")
     plan = WarpPlan.along(fwd)
     return _cycle_mask(fwd, plan.sample(bwd), plan.inbounds, params)
 

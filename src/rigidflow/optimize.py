@@ -4,7 +4,7 @@
 gradient back onto the finest-level state (depth maps, 6 pose parameters,
 both flow fields). `step` applies one Adam update in the raw parameter
 space, where depth lives as log-depth so it stays positive. `refine` loops
-the two with masks recomputed from the current state each iteration.
+the two on one `PairContext` and recomputes the masks every iteration.
 """
 
 from __future__ import annotations
@@ -25,9 +25,11 @@ from .losses import (
     ALL_TERMS,
     SIDES,
     CensusParams,
+    LevelInputs,
     LossReport,
     LossWeights,
     NonFiniteLossError,
+    edge_weights,
     scale_objective,
 )
 from .masks import FBCheckParams
@@ -38,6 +40,7 @@ __all__ = [
     "StateGrad",
     "OptimizerConfig",
     "AdamMoments",
+    "PairContext",
     "DivergenceError",
     "evaluate",
     "step",
@@ -189,6 +192,31 @@ def _check_masks(masks, sizes) -> None:
                 raise ValueError(f"{name} must be a bool array, got {arr.dtype}")
 
 
+class PairContext:
+    """The image-only inputs of one frame pair: `levels[lvl]` holds those of
+    pyramid level lvl of `cfg.scales`. `refine` builds one for all its
+    iterations. Raises ValueError naming an image that is not (H, W) or
+    (H, W, C), not finite, or too small for the pyramid."""
+
+    def __init__(self, img_t: np.ndarray, img_t1: np.ndarray, k: Intrinsics, cfg: OptimizerConfig):
+        for name, arr in (("img_t", img_t), ("img_t1", img_t1)):
+            if np.ndim(arr) not in (2, 3):
+                raise ValueError(f"{name} must be (H, W) or (H, W, C)")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
+            h, w = np.shape(arr)[:2]
+            if cfg.scales > 1 and min(h, w) <= 2 ** (cfg.scales - 1):
+                raise ValueError(
+                    f"scales={cfg.scales} needs both image sides above {2 ** (cfg.scales - 1)}, "
+                    f"got {h}x{w}: the coarsest level would have a side of 1"
+                )
+        self.levels = []
+        for pair in zip(*(image_pyramid(img, cfg.scales) for img in (img_t, img_t1))):
+            gray = tuple(img.mean(axis=2) if img.ndim == 3 else img for img in pair)
+            self.levels.append(LevelInputs(gray, tuple(edge_weights(img) for img in pair), k))
+            k = k.scaled_down()
+
+
 def evaluate(
     state: SceneState,
     img_t: np.ndarray,
@@ -208,40 +236,33 @@ def evaluate(
 
     Returns (LossReport, StateGrad or None, per-level masks). With
     `want_grads` False no level does any gradient work and the gradient is
-    None; the report and masks are the same to the bit. Passing `masks` (as returned by a
-    previous call) freezes the validity masks so the objective is smooth in
-    the state; by default they are recomputed. Raises ValueError naming a
-    malformed state field, image or frozen mask, and NonFiniteLossError
-    naming the term that went bad.
+    None; the report and masks are the same to the bit. Passing `masks` (as
+    returned by a previous call) freezes the validity masks so the objective
+    is smooth in the state; by default they are recomputed. Raises ValueError
+    naming a malformed state field, image or frozen mask, and
+    NonFiniteLossError naming the term that went bad.
     """
+    return _objective(state, PairContext(img_t, img_t1, k, cfg), cfg, masks, terms, want_grads)
+
+
+def _objective(state: SceneState, ctx: PairContext, cfg: OptimizerConfig, masks, terms, want_grads):
+    """`evaluate` on the image-only inputs of ctx, built with the same cfg."""
     scales = cfg.scales
     if masks is not None and len(masks) != scales:
         raise ValueError(f"masks has {len(masks)} levels but scales is {scales}")
     state.check()
     h, w = state.depth_t.shape
-    for name, arr in (("img_t", img_t), ("img_t1", img_t1)):
-        if np.shape(arr)[:2] != (h, w):
-            size = "x".join(map(str, np.shape(arr)[:2]))
-            raise ValueError(f"{name} is {size} but the state is {h}x{w}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} must be finite")
-    if scales > 1 and min(h, w) <= 2 ** (scales - 1):
-        raise ValueError(
-            f"scales={scales} needs both image sides above {2 ** (scales - 1)}, "
-            f"got {h}x{w}: the coarsest level would have a side of 1"
-        )
+    for name, gray in zip(("img_t", "img_t1"), ctx.levels[0].gray):
+        if gray.shape != (h, w):
+            raise ValueError(f"{name} is {gray.shape[0]}x{gray.shape[1]} but the state is {h}x{w}")
     sw = list(cfg.scale_weights) if cfg.scale_weights else [1.0] * scales
-    # per level, the (side 0, side 1) pair of each input
-    imgs = list(zip(*(image_pyramid(img, scales) for img in (img_t, img_t1))))
     if masks is not None:
-        _check_masks(masks, [pair[0].shape[:2] for pair in imgs])
+        _check_masks(masks, [level.gray[0].shape for level in ctx.levels])
+    # per level, the (side 0, side 1) pair of each input
     depths = list(zip(*(image_pyramid(d, scales) for d in (state.depth_t, state.depth_t1))))
     flows = list(zip(*(flow_pyramid(f, scales) for f in (state.flow_fwd, state.flow_bwd))))
     pose = pose_from_params(state.pose_params)
     poses = (pose, invert(pose))
-    ks = [k]
-    for _ in range(scales - 1):
-        ks.append(ks[-1].scaled_down())
     photometric = 0.0
     smooth = 0.0
     fb_total = 0.0
@@ -249,11 +270,10 @@ def evaluate(
     results = []
     for lvl in range(scales):
         res = scale_objective(
-            imgs[lvl],
+            ctx.levels[lvl],
             depths[lvl],
             poses,
             flows[lvl],
-            ks[lvl],
             cfg.weights,
             cfg.census,
             cfg.fb_params,
@@ -362,12 +382,13 @@ def refine(
     with the partial trace attached, if the loss goes non-finite or an
     update leaves the feasible set.
     """
+    ctx = PairContext(img_t, img_t1, k, cfg)
     state = init_state.copy()
     moments = AdamMoments.zeros(state)
     trace = []
     for it in range(cfg.iterations + 1):
         try:
-            report, grad, _ = evaluate(state, img_t, img_t1, k, cfg, want_grads=it < cfg.iterations)
+            report, grad, _ = _objective(state, ctx, cfg, None, ALL_TERMS, it < cfg.iterations)
         except NonFiniteLossError as exc:
             raise DivergenceError(f"diverged at iteration {it}: {exc}", trace) from exc
         trace.append(report)

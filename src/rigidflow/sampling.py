@@ -155,6 +155,8 @@ def inverse_warp(target: np.ndarray, flow: np.ndarray):
         raise ValueError("flow must be (H, W, 2)")
     if np.asarray(target).shape[:2] != flow.shape[:2]:
         raise ValueError("target and flow sizes differ")
+    if not np.all(np.isfinite(flow)):
+        raise ValueError("flow must be finite")
     plan = WarpPlan.along(flow)
     return plan.sample(target), plan.inbounds
 

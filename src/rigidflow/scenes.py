@@ -59,10 +59,12 @@ class PlaneSpec:
     seed: int
 
     def __post_init__(self):
-        check_fields(self, ("normal",), lambda v: np.linalg.norm(np.asarray(v, dtype=float)) > 0.0, "nonzero")
+        check_fields(self, ("normal",), lambda v: np.max(np.abs(np.asarray(v, dtype=float))) > 0.0, "nonzero")
 
     def unit_normal(self) -> np.ndarray:
         n = np.asarray(self.normal, dtype=float)
+        # a power-of-two scale is exact, and keeps the norm from under- or overflowing
+        n = np.ldexp(n, -np.frexp(np.max(np.abs(n)))[1])
         return n / np.linalg.norm(n)
 
 

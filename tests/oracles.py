@@ -530,7 +530,7 @@ def scale_objective_cell(
     Returns the package's ScaleResult. Smoothness, the cross-task term and
     the projection are the package's own: they never sampled."""
     from rigidflow.camera import project_backward, rigid_flow
-    from rigidflow.losses import LevelMasks, ScaleResult, cross_task_loss, smoothness_loss
+    from rigidflow.losses import LevelMasks, ScaleResult, cross_task_loss, edge_weights, smoothness_loss
 
     img_t, img_t1 = imgs
     depth_t, depth_t1 = depths
@@ -572,10 +572,10 @@ def scale_objective_cell(
         g_flow_b += g4
 
     if "smooth" in terms:
-        s1, gs1 = smoothness_loss(depth_t, img_t, mean_normalize=True)
-        s2, gs2 = smoothness_loss(depth_t1, img_t1, mean_normalize=True)
-        s3, gs3 = smoothness_loss(flow_fwd, img_t)
-        s4, gs4 = smoothness_loss(flow_bwd, img_t1)
+        s1, gs1 = smoothness_loss(depth_t, edge_weights(img_t), mean_normalize=True)
+        s2, gs2 = smoothness_loss(depth_t1, edge_weights(img_t1), mean_normalize=True)
+        s3, gs3 = smoothness_loss(flow_fwd, edge_weights(img_t))
+        s4, gs4 = smoothness_loss(flow_bwd, edge_weights(img_t1))
         smooth = s1 + s2 + s3 + s4
         g_dt += weights.lambda_s * gs1
         g_dt1 += weights.lambda_s * gs2

@@ -309,6 +309,43 @@ def test_mask_counts_consistent_flows(tmp_path, capsys):
     assert "24/36 valid" in stdout
 
 
+def write_flo_with(path, h, w, value):
+    """An (h, w) .flo file of zero flow but for one component set to value;
+    `write_flo` itself refuses a non-finite flow."""
+    flow = np.zeros((h, w, 2), dtype="<f4")
+    flow[h // 2, w // 3, 1] = value
+    path.write_bytes(struct.pack("<fii", FLO_MAGIC, w, h) + flow.tobytes())
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize(
+    "command, flow_arg, message",
+    [
+        ("warp", "--flow", "flow must be finite"),
+        ("mask", "--forward", "fwd must be finite"),
+        ("mask", "--backward", "bwd must be finite"),
+        ("viz-flow", "--flow", "flow must be finite"),
+    ],
+)
+def test_a_non_finite_flow_file_fails_naming_the_flow(tmp_path, capsys, command, flow_arg, message, bad):
+    write_pfm(tmp_path / "img.pfm", np.zeros((8, 8), dtype=np.float32))
+    write_flo(tmp_path / "zero.flo", np.zeros((8, 8, 2)))
+    write_flo_with(tmp_path / "bad.flo", 8, 8, bad)
+    assert not np.all(np.isfinite(read_flo(tmp_path / "bad.flo")))  # read as it is
+    given = {
+        "warp": {"--image": "img.pfm", "--flow": "zero.flo", "--output": "out.pfm"},
+        "mask": {"--forward": "zero.flo", "--backward": "zero.flo", "--output": "out.pgm"},
+        "viz-flow": {"--flow": "zero.flo", "--output": "out.ppm"},
+    }[command]
+    given[flow_arg] = "bad.flo"
+    argv = [x for flag, name in given.items() for x in (flag, str(tmp_path / name))]
+    code, stdout, stderr = run_cli(capsys, command, *argv)
+    assert code == 1
+    assert stderr == f"error: {message}\n"
+    assert stdout == ""
+    assert not any(tmp_path.glob("out.*"))
+
+
 # ---------------------------------------------------------------------------
 # loss / refine
 

@@ -189,6 +189,15 @@ def test_visualization_rejects_bad_shapes(tmp_path):
         write_flow_visualization(tmp_path / "x.ppm", np.zeros((4, 4)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_visualization_rejects_a_non_finite_flow(tmp_path, bad):
+    flow = np.zeros((3, 4, 2))
+    flow[1, 2, 0] = bad
+    with pytest.raises(ValueError, match="^flow must be finite$"):
+        write_flow_visualization(tmp_path / "x.ppm", flow)
+    assert not (tmp_path / "x.ppm").exists()
+
+
 # ---------------------------------------------------------------------------
 # trace CSV
 

@@ -15,6 +15,7 @@ from rigidflow.losses import (
     _fb_flow_terms,
     charbonnier,
     cross_task_loss,
+    edge_weights,
     smoothness_loss,
 )
 from rigidflow.optimize import OptimizerConfig, SceneState, evaluate
@@ -172,7 +173,7 @@ def test_photometric_gradient_matches_fd():
 def test_smoothness_zero_for_constant_field():
     rng = np.random.default_rng(8)
     guide = rng.uniform(size=(6, 6))
-    loss, grad = smoothness_loss(np.full((6, 6), 2.0), guide)
+    loss, grad = smoothness_loss(np.full((6, 6), 2.0), edge_weights(guide))
     assert loss == 0.0
     assert not grad.any()
 
@@ -183,7 +184,7 @@ def test_smoothness_ramp_against_analytic_sum():
     # normalized by H*W
     h, w, s = 5, 8, 0.3
     field = s * pixel_grid(h, w)[0]
-    loss, _ = smoothness_loss(field, np.full((h, w), 0.5))
+    loss, _ = smoothness_loss(field, edge_weights(np.full((h, w), 0.5)))
     phi_s = math.sqrt(s * s + 1e-6) - 1e-3
     assert abs(loss - phi_s * h * (w - 1) / (h * w)) < 1e-12
     # the surrogate tracks the plain |slope| sum to within its epsilon
@@ -195,7 +196,7 @@ def test_smoothness_has_zero_gradient_at_near_constant_field():
     # constant field) must produce vanishing gradients, not sign gradients
     rng = np.random.default_rng(22)
     field = 8.0 + rng.uniform(-1e-15, 1e-15, (8, 8))
-    _, grad = smoothness_loss(field, rng.uniform(size=(8, 8)))
+    _, grad = smoothness_loss(field, edge_weights(rng.uniform(size=(8, 8))))
     assert np.abs(grad).max() < 1e-10
 
 
@@ -205,8 +206,8 @@ def test_guide_edges_damp_the_penalty():
     flat_guide = np.full((h, w), 0.5)
     edge_guide = np.zeros((h, w))
     edge_guide[:, 3:] = 1.0  # strong edge aligned with the field gradient
-    flat_loss, _ = smoothness_loss(field, flat_guide)
-    edge_loss, _ = smoothness_loss(field, edge_guide)
+    flat_loss, _ = smoothness_loss(field, edge_weights(flat_guide))
+    edge_loss, _ = smoothness_loss(field, edge_weights(edge_guide))
     assert edge_loss < flat_loss
 
 
@@ -214,9 +215,9 @@ def test_smoothness_matches_scalar_oracle():
     rng = np.random.default_rng(9)
     field = rng.uniform(1.0, 3.0, (7, 7))
     guide = rng.uniform(size=(7, 7))
-    loss, _ = smoothness_loss(field, guide)
+    loss, _ = smoothness_loss(field, edge_weights(guide))
     assert abs(loss - smoothness_ref(field, guide)) < 1e-12
-    loss_n, _ = smoothness_loss(field, guide, mean_normalize=True)
+    loss_n, _ = smoothness_loss(field, edge_weights(guide), mean_normalize=True)
     assert abs(loss_n - smoothness_ref(field, guide, mean_normalize=True)) < 1e-12
 
 
@@ -224,7 +225,7 @@ def test_smoothness_flow_field_sums_channels():
     rng = np.random.default_rng(10)
     flow = rng.uniform(-2.0, 2.0, (6, 6, 2))
     guide = rng.uniform(size=(6, 6))
-    loss, grad = smoothness_loss(flow, guide)
+    loss, grad = smoothness_loss(flow, edge_weights(guide))
     assert abs(loss - smoothness_ref(flow, guide)) < 1e-12
     assert grad.shape == (6, 6, 2)
 
@@ -233,23 +234,23 @@ def test_mean_normalized_smoothness_is_scale_invariant():
     rng = np.random.default_rng(11)
     field = rng.uniform(2.0, 4.0, (6, 6))
     guide = rng.uniform(size=(6, 6))
-    a, _ = smoothness_loss(field, guide, mean_normalize=True)
-    b, _ = smoothness_loss(field * 7.5, guide, mean_normalize=True)
+    a, _ = smoothness_loss(field, edge_weights(guide), mean_normalize=True)
+    b, _ = smoothness_loss(field * 7.5, edge_weights(guide), mean_normalize=True)
     assert abs(a - b) < 1e-12
 
 
 def test_mean_normalize_rejects_zero_mean():
     field = np.array([[1.0, -1.0], [-1.0, 1.0]])
     with pytest.raises(ValueError):
-        smoothness_loss(field, np.zeros((2, 2)), mean_normalize=True)
+        smoothness_loss(field, edge_weights(np.zeros((2, 2))), mean_normalize=True)
 
 
 def test_smoothness_gradient_matches_fd():
     rng = np.random.default_rng(12)
     field = rng.uniform(1.0, 3.0, (6, 6))
-    guide = rng.uniform(size=(6, 6))
+    edges = edge_weights(rng.uniform(size=(6, 6)))
     for normalize in (False, True):
-        _, grad = smoothness_loss(field, guide, mean_normalize=normalize)
+        _, grad = smoothness_loss(field, edges, mean_normalize=normalize)
         h = 1e-7
         for y, x in [(0, 0), (2, 3), (5, 5), (4, 1)]:
             fp = field.copy()
@@ -257,15 +258,15 @@ def test_smoothness_gradient_matches_fd():
             fm = field.copy()
             fm[y, x] -= h
             fd = (
-                smoothness_loss(fp, guide, mean_normalize=normalize)[0]
-                - smoothness_loss(fm, guide, mean_normalize=normalize)[0]
+                smoothness_loss(fp, edges, mean_normalize=normalize)[0]
+                - smoothness_loss(fm, edges, mean_normalize=normalize)[0]
             ) / (2 * h)
             assert abs(grad[y, x] - fd) < 1e-6
 
 
 def test_smoothness_validates_shapes():
     with pytest.raises(ValueError):
-        smoothness_loss(np.zeros((4, 4)), np.zeros((5, 5)))
+        smoothness_loss(np.zeros((4, 4)), edge_weights(np.zeros((5, 5))))
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +643,15 @@ def odd_level():
     )
 
 
+def level_objective(imgs, depths, poses, flows, k, *settings, **case):
+    """`scale_objective` on the level inputs of imgs and k, called as the oracle is."""
+    from rigidflow.losses import scale_objective
+    from rigidflow.optimize import PairContext
+
+    (level,) = PairContext(*imgs, k, OptimizerConfig(scales=1)).levels
+    return scale_objective(level, depths, poses, flows, *settings, **case)
+
+
 def assert_same_level(got, want):
     for name in ("photometric", "smooth", "fb", "cross"):
         assert same_bits(getattr(got, name), getattr(want, name)), name
@@ -666,13 +676,12 @@ LEVEL_CASES = [
 @pytest.mark.parametrize("case", LEVEL_CASES)
 @pytest.mark.parametrize("radius", [1, 2])
 def test_scale_objective_matches_term_by_term_sampling(odd_level, case, radius):
-    from rigidflow.losses import scale_objective
     from rigidflow.masks import FBCheckParams
     from oracles import scale_objective_cell
 
     settings = (LossWeights(), CensusParams(radius=radius), FBCheckParams())
     want = scale_objective_cell(*odd_level, *settings, **case)
-    got = scale_objective(*odd_level, *settings, **case)
+    got = level_objective(*odd_level, *settings, **case)
     assert_same_level(got, want)
     # frozen masks: the ones just computed, and a sparse set with empty rows
     frozen = want.masks
@@ -685,12 +694,12 @@ def test_scale_objective_matches_term_by_term_sampling(odd_level, case, radius):
     )
     for masks in (frozen, thinned):
         want = scale_objective_cell(*odd_level, *settings, masks=masks, **case)
-        got = scale_objective(*odd_level, *settings, masks=masks, **case)
+        got = level_objective(*odd_level, *settings, masks=masks, **case)
         assert_same_level(got, want)
 
 
 def test_scale_objective_with_an_empty_mask_matches(odd_level):
-    from rigidflow.losses import LevelMasks, scale_objective
+    from rigidflow.losses import LevelMasks
     from rigidflow.masks import FBCheckParams
     from oracles import scale_objective_cell
 
@@ -699,7 +708,7 @@ def test_scale_objective_with_an_empty_mask_matches(odd_level):
     empty = np.zeros_like(full.flow_fwd)
     masks = LevelMasks(full.depth_fwd, empty, empty, full.flow_bwd)
     assert_same_level(
-        scale_objective(*odd_level, *settings, masks=masks),
+        level_objective(*odd_level, *settings, masks=masks),
         scale_objective_cell(*odd_level, *settings, masks=masks),
     )
 

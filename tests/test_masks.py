@@ -70,6 +70,15 @@ def test_fb_check_validates_shapes():
         fb_check(np.zeros((4, 4)), np.zeros((4, 4)))
 
 
+@pytest.mark.parametrize("name", ["fwd", "bwd"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fb_check_rejects_a_non_finite_flow(name, bad):
+    flows = {"fwd": np.zeros((4, 5, 2)), "bwd": np.zeros((4, 5, 2))}
+    flows[name][1, 2, 1] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        fb_check(flows["fwd"], flows["bwd"])
+
+
 def test_fb_params_validation():
     with pytest.raises(ValueError):
         FBCheckParams(alpha1=-0.1)

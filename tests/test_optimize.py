@@ -274,7 +274,6 @@ def test_forward_only_evaluate_runs_no_gradient_work(monkeypatch):
     monkeypatch.setattr(camera, "project_backward", forbidden)
     # the names the objective calls them by
     monkeypatch.setattr(losses, "project_backward", forbidden)
-    monkeypatch.setattr(losses, "_shift_add", forbidden)  # the census gradient's shifts
     monkeypatch.setattr(optimize, "pose_param_gradient", forbidden)
     for (state, args, masks, _), want in zip(cases, expected):
         report, grad, _ = evaluate(state, *args, masks=masks, want_grads=False)
@@ -283,6 +282,69 @@ def test_forward_only_evaluate_runs_no_gradient_work(monkeypatch):
     state, args, masks, _ = cases[0]
     with pytest.raises(AssertionError, match="gradient work"):
         evaluate(state, *args, masks=masks)
+
+
+# ---------------------------------------------------------------------------
+# the per-pair context: the image-only inputs, built once per refine
+
+
+def test_refine_builds_edge_weights_once_per_frame_and_level(plane_gt, monkeypatch):
+    sizes = []
+
+    def counted(guide, real=optimize.edge_weights):
+        sizes.append(np.shape(guide)[:2])
+        return real(guide)
+
+    monkeypatch.setattr(optimize, "edge_weights", counted)
+    monkeypatch.setattr(losses, "edge_weights", counted)
+    state = make_initial_state(plane_gt, np.random.default_rng(4), depth_noise=0.1, flow_noise=0.3)
+    cfg = small_cfg(iterations=5, scales=3, cross_scales=3)
+    final, trace = refine(plane_gt.image_t, plane_gt.image_t1, plane_gt.intrinsics, state, cfg)
+    assert len(trace) == 6 and not np.array_equal(final.depth_t, state.depth_t)
+    assert sizes == [(64, 64)] * 2 + [(32, 32)] * 2 + [(16, 16)] * 2
+    sizes.clear()
+    evaluate(state, plane_gt.image_t, plane_gt.image_t1, plane_gt.intrinsics, cfg)
+    assert len(sizes) == 6
+
+
+def context_bytes(ctx):
+    return [a.tobytes() for level in ctx.levels for pair in (level.gray, *level.edges) for a in pair]
+
+
+@pytest.mark.parametrize("config", FORWARD_CONFIGS, ids=lambda c: f"s{c[0]}c{c[1]}r{c[2]}-{'+'.join(sorted(c[3]))}")
+@pytest.mark.parametrize("scene", list(FORWARD_SCENES))
+def test_one_context_serves_every_state_of_the_pair(scene, config):
+    """One context, run through the states and masks of every mode in turn,
+    gives what a fresh `evaluate` gives, and is left as it was."""
+    cases = [forward_case(scene, config, mode) for mode in MASK_MODES]
+    img_t, img_t1, k, cfg = cases[0][1]
+    ctx = optimize.PairContext(img_t, img_t1, k, cfg)
+    before = context_bytes(ctx)
+    for state, args, masks, terms in cases:
+        got_report, got_grad, got_masks = optimize._objective(state, ctx, cfg, masks, terms, True)
+        report, grad, want_masks = evaluate(state, *args, masks=masks, terms=terms)
+        assert report_bytes(got_report) == report_bytes(report)
+        for f in fields(grad):
+            assert getattr(got_grad, f.name).tobytes() == getattr(grad, f.name).tobytes(), f.name
+        assert len(got_masks) == len(want_masks) == config[0]
+        for a, b in zip(got_masks, want_masks):
+            for f in fields(a):
+                assert getattr(a, f.name).tobytes() == getattr(b, f.name).tobytes(), f.name
+    assert context_bytes(ctx) == before
+
+
+def test_context_names_a_bad_image(plane_gt):
+    k = plane_gt.intrinsics
+    bad = plane_gt.image_t1.copy()
+    bad[3, 4] = np.nan
+    with pytest.raises(ValueError, match="^img_t1 must be finite$"):
+        optimize.PairContext(plane_gt.image_t, bad, k, small_cfg())
+    with pytest.raises(ValueError, match=r"^img_t must be \(H, W\) or \(H, W, C\)$"):
+        optimize.PairContext(plane_gt.image_t.ravel(), plane_gt.image_t1, k, small_cfg())
+    # refine checks the images once, before its first iteration
+    state = state_from_gt(plane_gt)
+    with pytest.raises(ValueError, match="^img_t1 must be finite$"):
+        refine(plane_gt.image_t, bad, k, state, small_cfg())
 
 
 # ---------------------------------------------------------------------------
@@ -434,15 +496,16 @@ def test_divergence_carries_partial_trace(plane_gt):
 def test_step_to_a_non_finite_state_is_divergence(plane_gt, monkeypatch):
     import rigidflow.optimize as optimize
 
-    evaluate_finite = optimize.evaluate
+    # refine runs the objective through `_objective`, on its pair's context
+    objective_finite = optimize._objective
 
-    def evaluate_nan_grad(*args, **kwargs):
-        report, grad, masks = evaluate_finite(*args, **kwargs)
+    def objective_nan_grad(*args, **kwargs):
+        report, grad, masks = objective_finite(*args, **kwargs)
         if grad is not None:
             grad.flow_fwd[5, 5, 0] = np.nan
         return report, grad, masks
 
-    monkeypatch.setattr(optimize, "evaluate", evaluate_nan_grad)
+    monkeypatch.setattr(optimize, "_objective", objective_nan_grad)
     state = make_initial_state(plane_gt, np.random.default_rng(0))
     with pytest.raises(DivergenceError, match="iteration 0: flow_fwd must be finite") as err:
         refine(plane_gt.image_t, plane_gt.image_t1, plane_gt.intrinsics, state, small_cfg())

@@ -244,6 +244,14 @@ def test_warp_validates_shapes():
         inverse_warp(np.zeros((4, 5)), np.zeros((4, 4, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_warp_rejects_a_non_finite_flow(bad):
+    flow = np.zeros((4, 5, 2))
+    flow[2, 3, 0] = bad
+    with pytest.raises(ValueError, match="^flow must be finite$"):
+        inverse_warp(np.zeros((4, 5)), flow)
+
+
 # ---------------------------------------------------------------------------
 # pooling and pyramids
 

@@ -12,6 +12,7 @@ from rigidflow.losses import CensusParams, _census_terms
 from rigidflow.masks import fb_check
 from rigidflow.sampling import inverse_warp
 from rigidflow.scenes import (
+    PRESETS,
     PatchSpec,
     PlaneSpec,
     SceneSpec,
@@ -227,6 +228,26 @@ def test_scene_spec_validation():
         SceneSpec(64, 64, 100.0, 0.0, 0.0, 0.0, (0.0,) * 6, (PlaneSpec((0, 0, 1), 5.0, 0),))
     with pytest.raises(ValueError, match=r"^normal must be nonzero, got \(0, 0, 0\)$"):
         PlaneSpec((0, 0, 0), 5.0, 0)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 5e-324, 1e200, 1e308])
+def test_plane_normal_of_any_magnitude_is_judged_and_normalised(scale, tmp_path):
+    """The normal is judged nonzero and normalised without its norm under-
+    or overflowing."""
+    n = PlaneSpec((scale, 0.0, scale), 5.0, 0).unit_normal()
+    assert np.allclose(n, [np.sqrt(0.5), 0.0, np.sqrt(0.5)], rtol=1e-15, atol=0.0)
+    assert PlaneSpec((0.0, -scale, 0.0), 5.0, 0).unit_normal().tolist() == [0.0, -1.0, 0.0]
+    path = tmp_path / "scene.cfg"
+    write_scene(path, "plane", f"{scale!r}, 0, {scale!r}, 6.0, 11")
+    gt = render(load_scene_spec(path))
+    assert np.all(np.isfinite(gt.depth_t)) and np.all(gt.depth_t > 0.0)
+
+
+def test_preset_unit_normals_are_the_plain_quotient():
+    for name in PRESETS:
+        for plane in preset(name).planes:
+            n = np.asarray(plane.normal, dtype=float)
+            assert plane.unit_normal().tobytes() == (n / np.linalg.norm(n)).tobytes(), name
 
 
 def test_patch_spec_validation():
