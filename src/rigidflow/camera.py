@@ -6,7 +6,11 @@ Conventions used throughout the package:
   top-left pixel and x grows to the right, y downward;
 * a pixel p = (x, y) with depth d back-projects to X = d * K^-1 [x, y, 1]^T;
 * a pose (R, t) maps frame-t points into frame t+1 as X' = R X + t;
-* flow fields are (H, W, 2) arrays with [..., 0] = horizontal displacement.
+* flow fields are (H, W, 2) arrays with [..., 0] = horizontal displacement
+  at every public boundary (state, gradient, files, `rigid_flow`'s return);
+  inside the objective they are planar (2, H, W) arrays, [0] horizontal,
+  made by one copy of each state flow on entry and turned back by one copy
+  of each flow gradient on exit (see `sampling`).
 
 All camera math is written as explicit left-associated scalar expressions
 (no matmul in the per-pixel path) so the scalar reference `project_pixel`
@@ -259,7 +263,9 @@ def rigid_flow(depth: np.ndarray, k: Intrinsics, pose: PoseSE3):
         pose: frame-t -> frame-t+1 transform.
 
     Returns:
-        flow: (H, W, 2) displacement field, zeros where invalid.
+        flow: (H, W, 2) displacement field, zeros where invalid; a view of
+            planar (2, H, W) memory, so np.moveaxis(flow, -1, 0) is the
+            objective's contiguous planar field without a copy.
         valid: (H, W) bool, False where the point lands behind the camera.
     """
     depth = np.asarray(depth, dtype=float)
@@ -271,10 +277,10 @@ def rigid_flow(depth: np.ndarray, k: Intrinsics, pose: PoseSE3):
     xs, ys = np.arange(w, dtype=float), np.arange(h, dtype=float)[:, None]  # broadcast grid
     u, v, q2 = project_coords(xs, ys, depth, k, pose)
     valid = q2 > 0.0
-    flow = np.zeros((h, w, 2))
-    flow[..., 0] = np.where(valid, u - xs, 0.0)
-    flow[..., 1] = np.where(valid, v - ys, 0.0)
-    return flow, valid
+    flow = np.empty((2, h, w))
+    flow[0] = np.where(valid, u - xs, 0.0)
+    flow[1] = np.where(valid, v - ys, 0.0)
+    return np.moveaxis(flow, 0, -1), valid
 
 
 def project_backward(depth, k: Intrinsics, pose: PoseSE3, grad_u, grad_v):

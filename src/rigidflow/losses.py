@@ -197,7 +197,7 @@ def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams, grads: b
             delta /= root
             delta *= s
             delta *= inv  # (delta / root) * (-eps^2 / (dw^2 + eps^2)^1.5) * inv
-            g = np.where(gate, delta, 0.0)
+            g = np.multiply(delta, gate, out=delta)
             gsum[b][here] -= g
             gsum[b][there] += g
             kept[b].append((part, g))
@@ -235,9 +235,20 @@ class LevelInputs:
     k: Intrinsics
 
 
+def _channel_last_sum(phi: np.ndarray, wgt: np.ndarray) -> float:
+    """sum of phi * wgt over a planar (C, h, w) phi, added up as the
+    channel-last (h, w, C) products: the summation order of the loss, so
+    its value does not depend on the layout."""
+    prod = np.empty(phi.shape[1:] + phi.shape[:1])
+    for c, plane in enumerate(phi):
+        np.multiply(plane, wgt, out=prod[..., c])
+    return np.sum(prod)
+
+
 def smoothness_loss(field: np.ndarray, edges, mean_normalize: bool = False, grads: bool = True):
-    """Edge-aware first-order smoothness of field, weighted by the edge
-    weights (wx, wy) of its guide image (`edge_weights`).
+    """Edge-aware first-order smoothness of an (H, W) or planar (C, H, W)
+    field, weighted by the edge weights (wx, wy) of its guide image
+    (`edge_weights`).
 
     sum over axes of phi(d field) * exp(-mean_c |d guide|), divided by the
     pixel count H*W, where phi is the charbonnier surrogate for |.| (an exact
@@ -250,8 +261,8 @@ def smoothness_loss(field: np.ndarray, edges, mean_normalize: bool = False, grad
     """
     f = np.asarray(field, dtype=float)
     squeeze = f.ndim == 2
-    fc = f[..., None] if squeeze else f
-    h, w = fc.shape[:2]
+    fc = f[None] if squeeze else f
+    h, w = fc.shape[1:]
     wx, wy = edges
     if np.shape(wx) != (h, w - 1) or np.shape(wy) != (h - 1, w):
         raise ValueError("field and edge weight sizes differ")
@@ -262,62 +273,62 @@ def smoothness_loss(field: np.ndarray, edges, mean_normalize: bool = False, grad
         n = fc / mu
     else:
         n = fc
-    dx = n[:, 1:] - n[:, :-1]
-    dy = n[1:] - n[:-1]
+    dx = n[..., 1:] - n[..., :-1]
+    dy = n[:, 1:] - n[:, :-1]
     inv = 1.0 / (h * w)
     phi_x, dphi_x = charbonnier(dx)
     phi_y, dphi_y = charbonnier(dy)
-    loss = (np.sum(phi_x * wx[..., None]) + np.sum(phi_y * wy[..., None])) * inv
+    loss = (_channel_last_sum(phi_x, wx) + _channel_last_sum(phi_y, wy)) * inv
     if not grads:
         return float(loss), None
     grad_n = np.zeros_like(fc)
-    sx = dphi_x * wx[..., None] * inv
-    grad_n[:, 1:] += sx
-    grad_n[:, :-1] -= sx
-    sy = dphi_y * wy[..., None] * inv
-    grad_n[1:] += sy
-    grad_n[:-1] -= sy
+    sx = dphi_x * wx * inv
+    grad_n[..., 1:] += sx
+    grad_n[..., :-1] -= sx
+    sy = dphi_y * wy * inv
+    grad_n[:, 1:] += sy
+    grad_n[:, :-1] -= sy
     if mean_normalize:
         # n = f / mean(f): the mean couples every element
         corr = np.sum(grad_n * fc) / (fc.size * mu * mu)
         grad_f = grad_n / mu - corr
     else:
         grad_f = grad_n
-    return float(loss), grad_f[..., 0] if squeeze else grad_f
+    return float(loss), grad_f[0] if squeeze else grad_f
 
 
 def _fb_flow_terms(fwd, plan: WarpPlan, cycle, mask, grads: bool = True):
     """Charbonnier norm of f(p) + b(p + f(p)) over mask, from the cycle (b,
-    db/dx, db/dy) sampled through the plan of f = fwd, each (H, W, 2); only
-    b is read without `grads`. Returns (loss, grad wrt fwd, grad wrt bwd)."""
+    db/dx, db/dy) sampled through the plan of f = fwd, each planar (2, H, W);
+    only b is read without `grads`. Returns (loss, grad wrt fwd, grad wrt bwd)."""
     nv = int(np.count_nonzero(mask))
     if nv == 0:
         return 0.0, np.zeros_like(fwd), np.zeros_like(fwd)
     mask = np.asarray(mask, dtype=bool)
     phi, dphi = charbonnier(fwd + cycle[0])
     inv = 1.0 / nv
-    loss = float(np.sum((phi[..., 0] + phi[..., 1])[mask])) * inv
+    loss = float(np.sum((phi[0] + phi[1])[mask])) * inv
     if not grads:
         return loss, None, None
     _, bdx, bdy = cycle
-    g = np.where(mask[..., None], dphi * inv, 0.0)
-    gu = g[..., 0]
-    gv = g[..., 1]
+    g = np.where(mask, dphi * inv, 0.0)
+    del phi, dphi  # dead: freed before the scatter, where a level's memory peaks
+    gu, gv = g
     # q depends on fwd, so the sampled b(q) feeds back into both components
     grad_fwd = np.empty_like(fwd)
-    grad_fwd[..., 0] = gu * (1.0 + bdx[..., 0]) + gv * bdx[..., 1]
-    grad_fwd[..., 1] = gu * bdy[..., 0] + gv * (1.0 + bdy[..., 1])
+    grad_fwd[0] = gu * (1.0 + bdx[0]) + gv * bdx[1]
+    grad_fwd[1] = gu * bdy[0] + gv * (1.0 + bdy[1])
     return loss, grad_fwd, plan.scatter(g)
 
 
 def _fb_depth_terms(depth_t, depth_t1, plan: WarpPlan, mask, grads: bool = True):
     """Charbonnier gap over mask between depth_t and depth_t1 pulled back
     through the plan of the rigid flow. Returns (loss, grad wrt depth_t,
-    grad wrt depth_t1, grad wrt the rigid flow)."""
+    grad wrt depth_t1, planar grad wrt the rigid flow)."""
     h, w = depth_t.shape
     nv = int(np.count_nonzero(mask))
     if nv == 0:
-        return 0.0, np.zeros((h, w)), np.zeros((h, w)), np.zeros((h, w, 2))
+        return 0.0, np.zeros((h, w)), np.zeros((h, w)), np.zeros((2, h, w))
     pulled, *deriv = plan.sample_grad(depth_t1) if grads else (plan.sample(depth_t1),)
     phi, dphi = charbonnier(depth_t - pulled)
     inv = 1.0 / nv
@@ -326,14 +337,15 @@ def _fb_depth_terms(depth_t, depth_t1, plan: WarpPlan, mask, grads: bool = True)
         return loss, None, None, None
     g = np.where(mask, dphi * inv, 0.0)
     neg = -g
-    grad_rigid = np.stack([neg * dd for dd in deriv], axis=-1)
+    grad_rigid = np.stack([neg * dd for dd in deriv])
     return loss, g, plan.scatter(neg), grad_rigid
 
 
 def cross_task_loss(
     rigid: np.ndarray, flow: np.ndarray, mask: np.ndarray, eps: float = DEFAULT_L1_EPS, grads: bool = True
 ):
-    """Charbonnier gap between rigid flow and estimated flow over mask.
+    """Charbonnier gap between rigid flow and estimated flow, both planar
+    (2, H, W), over mask.
 
     Returns (loss, grad wrt rigid, grad wrt flow).
     """
@@ -344,17 +356,12 @@ def cross_task_loss(
     nv = int(np.count_nonzero(mask))
     if nv == 0:
         return 0.0, np.zeros_like(rigid), np.zeros_like(flow)
-    ru = rigid[..., 0] - flow[..., 0]
-    rv = rigid[..., 1] - flow[..., 1]
-    phi_u, dphi_u = charbonnier(ru, eps)
-    phi_v, dphi_v = charbonnier(rv, eps)
+    phi, dphi = charbonnier(rigid - flow, eps)
     inv = 1.0 / nv
-    loss = float(np.sum((phi_u + phi_v)[mask])) * inv
+    loss = float(np.sum((phi[0] + phi[1])[mask])) * inv
     if not grads:
         return loss, None, None
-    grad_rigid = np.stack(
-        [np.where(mask, dphi_u * inv, 0.0), np.where(mask, dphi_v * inv, 0.0)], axis=-1
-    )
+    grad_rigid = np.where(mask, dphi * inv, 0.0)
     return loss, grad_rigid, -grad_rigid
 
 
@@ -389,8 +396,8 @@ def _photometric_pair(ref: np.ndarray, src: np.ndarray, branches, census: Census
         loss, grad_warped = term or (0.0, None)  # None: the branch's mask is empty
         losses.append(loss)
         if grads and term:
-            acc[..., 0] += grad_warped * warp[1]
-            acc[..., 1] += grad_warped * warp[2]
+            acc[0] += grad_warped * warp[1]
+            acc[1] += grad_warped * warp[2]
     return losses
 
 
@@ -410,9 +417,10 @@ def scale_objective(
     `grads` is False (then the gradient fields are None; the losses are the same).
 
     level holds the level's image-only inputs. depths are (frame t, frame
-    t+1), poses (t -> t+1, t+1 -> t) and flows (forward, backward): entry d
-    of each, and of level's pairs, belongs to side d, whose other frame is
-    1 - d. Every term is written once and run for each side in turn.
+    t+1), poses (t -> t+1, t+1 -> t) and flows (forward, backward), planar
+    (2, h, w): entry d of each, and of level's pairs, belongs to side d,
+    whose other frame is 1 - d. Every term is written once and run for each
+    side in turn. The flow gradients are planar too.
 
     When `masks` is given the validity masks are taken as-is instead of being
     recomputed from the current state (needed by finite-difference checks,
@@ -421,6 +429,7 @@ def scale_objective(
     h, w = level.gray[0].shape
     flows = [np.asarray(f, dtype=float) for f in flows]
     rigid, cheir = zip(*(rigid_flow(depths[d], level.k, poses[d]) for d in SIDES))
+    rigid = [np.moveaxis(f, -1, 0) for f in rigid]  # planar views, no copy
     # one warp plan per correspondence field serves every term of the level
     rigid_plans = [WarpPlan.along(f) for f in rigid]
     flow_plans = [WarpPlan.along(f) for f in flows]
@@ -445,7 +454,7 @@ def scale_objective(
     depth_masks = (masks.depth_fwd, masks.depth_bwd)
     flow_masks = (masks.flow_fwd, masks.flow_bwd)
     g_rigid, g_flow, g_depth = (
-        [np.zeros(shape) if grads else None for _ in SIDES] for shape in ((h, w, 2), (h, w, 2), (h, w))
+        [np.zeros(shape) if grads else None for _ in SIDES] for shape in ((2, h, w), (2, h, w), (h, w))
     )
     photometric = 0.0
     smooth = 0.0
@@ -517,7 +526,7 @@ def scale_objective(
     # the projection remains
     g_pose = []
     for d in SIDES:
-        gd, gr, gt = project_backward(depths[d], level.k, poses[d], g_rigid[d][..., 0], g_rigid[d][..., 1])
+        gd, gr, gt = project_backward(depths[d], level.k, poses[d], *g_rigid[d])
         g_depth[d] += gd
         g_pose.append((gr, gt))
     grads = (tuple(g_depth), tuple(g_pose), tuple(g_flow))

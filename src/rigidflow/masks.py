@@ -42,22 +42,19 @@ def fb_check(fwd: np.ndarray, bwd: np.ndarray, params: FBCheckParams = FBCheckPa
     for name, flow in (("fwd", fwd), ("bwd", bwd)):
         if not np.all(np.isfinite(flow)):
             raise ValueError(f"{name} must be finite")
+    fwd, bwd = np.moveaxis(fwd, -1, 0), np.moveaxis(bwd, -1, 0)  # planar views
     plan = WarpPlan.along(fwd)
     return _cycle_mask(fwd, plan.sample(bwd), plan.inbounds, params)
 
 
 def _cycle_mask(fwd: np.ndarray, back: np.ndarray, inbounds: np.ndarray, params: FBCheckParams):
-    """The fb check of fwd given its cycle back = b(p + f(p)), sampled
-    through the plan of fwd whose in-bounds flags are `inbounds`."""
-    ru = fwd[..., 0] + back[..., 0]
-    rv = fwd[..., 1] + back[..., 1]
+    """The fb check of the planar (2, H, W) fwd given its cycle back =
+    b(p + f(p)), sampled through the plan of fwd whose in-bounds flags are
+    `inbounds`."""
+    ru = fwd[0] + back[0]
+    rv = fwd[1] + back[1]
     lhs = ru * ru + rv * rv
-    mag = (
-        fwd[..., 0] * fwd[..., 0]
-        + fwd[..., 1] * fwd[..., 1]
-        + back[..., 0] * back[..., 0]
-        + back[..., 1] * back[..., 1]
-    )
+    mag = fwd[0] * fwd[0] + fwd[1] * fwd[1] + back[0] * back[0] + back[1] * back[1]
     return (lhs < params.alpha1 * mag + params.alpha2) & inbounds
 
 

@@ -71,8 +71,10 @@ class SceneState:
         self.depth_t = np.asarray(self.depth_t, dtype=float)
         self.depth_t1 = np.asarray(self.depth_t1, dtype=float)
         self.pose_params = np.asarray(self.pose_params, dtype=float)
-        self.flow_fwd = np.asarray(self.flow_fwd, dtype=float)
-        self.flow_bwd = np.asarray(self.flow_bwd, dtype=float)
+        # row-major, whatever the layout of the input (`rigid_flow` returns a
+        # channel-last view of planar memory), so the Adam step's arrays agree
+        self.flow_fwd = np.ascontiguousarray(self.flow_fwd, dtype=float)
+        self.flow_bwd = np.ascontiguousarray(self.flow_bwd, dtype=float)
         self.check()
 
     def check(self) -> None:
@@ -258,9 +260,11 @@ def _objective(state: SceneState, ctx: PairContext, cfg: OptimizerConfig, masks,
     sw = list(cfg.scale_weights) if cfg.scale_weights else [1.0] * scales
     if masks is not None:
         _check_masks(masks, [level.gray[0].shape for level in ctx.levels])
-    # per level, the (side 0, side 1) pair of each input
+    # per level, the (side 0, side 1) pair of each input; the flows are
+    # planar (2, h, w) inside, one copy of each state flow on entry
     depths = list(zip(*(image_pyramid(d, scales) for d in (state.depth_t, state.depth_t1))))
-    flows = list(zip(*(flow_pyramid(f, scales) for f in (state.flow_fwd, state.flow_bwd))))
+    planar = (np.ascontiguousarray(np.moveaxis(f, -1, 0)) for f in (state.flow_fwd, state.flow_bwd))
+    flows = list(zip(*(flow_pyramid(f, scales) for f in planar)))
     pose = pose_from_params(state.pose_params)
     poses = (pose, invert(pose))
     photometric = 0.0
@@ -310,11 +314,13 @@ def _objective(state: SceneState, ctx: PairContext, cfg: OptimizerConfig, masks,
     def fold(per_level, adjoint):
         acc = sw[-1] * per_level[-1]
         for lvl in range(len(per_level) - 2, -1, -1):
-            acc = sw[lvl] * per_level[lvl] + adjoint(acc, per_level[lvl].shape[:2])
+            acc = sw[lvl] * per_level[lvl] + adjoint(acc, per_level[lvl].shape[-2:])
         return acc
 
     depth = [fold([r.grad_depth[d] for r in results], downsample_image_adjoint) for d in SIDES]
-    flow = [fold([r.grad_flow[d] for r in results], downsample_flow_adjoint) for d in SIDES]
+    # the flows fold planar; one copy of each turns it back to the state's (H, W, 2)
+    folded = (fold([r.grad_flow[d] for r in results], downsample_flow_adjoint) for d in SIDES)
+    flow = [np.ascontiguousarray(np.moveaxis(f, 0, -1)) for f in folded]
     # (rotation, translation) gradient of the forward pose, then of its inverse
     pose_grads = [
         sum(w * r.grad_pose[d][i] for w, r in zip(sw, results)) for d in SIDES for i in (0, 1)

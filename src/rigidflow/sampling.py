@@ -14,9 +14,18 @@ and free-axis flags. The other three corners are read as offset views of
 the flattened source (`flat[sx:]`, `flat[sy:]`, `flat[sy + sx:]`, with the
 offset 0 along an axis of size 1), so no other index array is stored. One
 plan serves any number of `sample`, `sample_grad` and `scatter` calls, on
-sources of any channel count. The objective builds one plan per
-correspondence field per pyramid level; `inverse_warp` builds a throwaway
-plan per call.
+(H, W) sources or planar (C, H, W) ones of any channel count. The objective
+builds one plan per correspondence field per pyramid level; `inverse_warp`
+builds a throwaway plan per call.
+
+Layout: inside the objective every two-channel field (flow, rigid flow,
+their cycles and gradients) is a planar (2, H, W) array, [0] the horizontal
+and [1] the vertical displacement, so each plane is contiguous and (H, W)
+masks and weights broadcast over the leading axis. `WarpPlan.along` and the
+flow pyramid (`downsample_flow`, its adjoint, `flow_pyramid`) take planar
+fields. The public boundary (`inverse_warp` here, `masks.fb_check`,
+`camera.rigid_flow`, the state and its gradient, `.flo` files) keeps
+channel-last (H, W, 2) fields and converts with `np.moveaxis`.
 """
 
 from __future__ import annotations
@@ -41,6 +50,8 @@ class WarpPlan:
     `inbounds` flags points inside [0, W-1] x [0, H-1]; `free_x` and
     `free_y` flag points whose lookup is not clamped along that axis, where
     the coordinate derivative is live. All three have the shape S of xs.
+    Sources are (H, W), sampled to shape S, or planar (C, H, W), sampled to
+    (C,) + S; the per-point arrays broadcast over the leading axis.
     """
 
     __slots__ = ("shape", "i00", "sx", "sy", "wx", "wy", "inbounds", "free_x", "free_y")
@@ -66,35 +77,33 @@ class WarpPlan:
 
     @classmethod
     def along(cls, field: np.ndarray) -> "WarpPlan":
-        """Plan of the points p + field(p) for every pixel p of an (H, W, 2) field."""
+        """Plan of the points p + field(p) for every pixel p of a planar (2, H, W) field."""
         field = np.asarray(field, dtype=float)
-        h, w = field.shape[:2]
+        h, w = field.shape[1:]
         # the pixel grid, broadcast: p = (x, y) with integer x, y
-        xs = np.arange(w, dtype=float) + field[..., 0]
-        ys = np.arange(h, dtype=float)[:, None] + field[..., 1]
+        xs = np.arange(w, dtype=float) + field[0]
+        ys = np.arange(h, dtype=float)[:, None] + field[1]
         return cls((h, w), xs, ys)
 
     def _corners(self, src: np.ndarray):
-        """Source values at the four corners, and the weights shaped to match."""
+        """Source values at the four corners, each of shape S or (C,) + S."""
         src = np.asarray(src, dtype=float)
         h, w = self.shape
-        if src.shape[:2] != (h, w) or src.ndim not in (2, 3):
-            raise ValueError("source must be (H, W) or (H, W, C) on the plan's grid")
-        flat = src.reshape(h * w, -1) if src.ndim == 3 else src.reshape(h * w)
+        if src.shape[-2:] != (h, w) or src.ndim not in (2, 3):
+            raise ValueError("source must be (H, W) or (C, H, W) on the plan's grid")
+        flat = src.reshape(src.shape[:-2] + (h * w,))
         i, sx, sy = self.i00, self.sx, self.sy
-        corners = (
-            flat.take(i, axis=0),
-            flat[sx:].take(i, axis=0),
-            flat[sy:].take(i, axis=0),
-            flat[sy + sx :].take(i, axis=0),
+        return (
+            flat.take(i, axis=-1),
+            flat[..., sx:].take(i, axis=-1),
+            flat[..., sy:].take(i, axis=-1),
+            flat[..., sy + sx :].take(i, axis=-1),
         )
-        if src.ndim == 3:
-            return corners, self.wx[..., None], self.wy[..., None]
-        return corners, self.wx, self.wy
 
     def sample(self, src: np.ndarray) -> np.ndarray:
-        """src at the plan's points: shape S, or S + (C,) for (H, W, C)."""
-        (v00, v01, v10, v11), wx, wy = self._corners(src)
+        """src at the plan's points: shape S, or (C,) + S for (C, H, W)."""
+        v00, v01, v10, v11 = self._corners(src)
+        wx, wy = self.wx, self.wy
         top = v00 + wx * (v01 - v00)
         bot = v10 + wx * (v11 - v10)
         return top + wy * (bot - top)
@@ -103,21 +112,19 @@ class WarpPlan:
         """(values, d/dx, d/dy) of src at the plan's points, per channel.
 
         Derivatives are zero where the lookup is clamped on that axis."""
-        (v00, v01, v10, v11), wx, wy = self._corners(src)
+        v00, v01, v10, v11 = self._corners(src)
+        wx, wy = self.wx, self.wy
         dx_top = v01 - v00
         dx_bot = v11 - v10
         top = v00 + wx * dx_top
         bot = v10 + wx * dx_bot
         dy = bot - top
-        free_x, free_y = self.free_x, self.free_y
-        if np.ndim(src) == 3:
-            free_x, free_y = free_x[..., None], free_y[..., None]
-        ddx = np.where(free_x, dx_top + wy * (dx_bot - dx_top), 0.0)
-        return top + wy * dy, ddx, np.where(free_y, dy, 0.0)
+        ddx = np.where(self.free_x, dx_top + wy * (dx_bot - dx_top), 0.0)
+        return top + wy * dy, ddx, np.where(self.free_y, dy, 0.0)
 
     def scatter(self, grad_out) -> np.ndarray:
         """Adjoint of `sample` w.r.t. the source: accumulate grad_out (shape S,
-        or S + (C,)) into an (H, W) or (H, W, C) array with the forward
+        or (C,) + S) into an (H, W) or (C, H, W) array with the forward
         lookup's corner weights, clamping included."""
         h, w = self.shape
         g = np.asarray(grad_out, dtype=float)
@@ -141,23 +148,29 @@ class WarpPlan:
 
         if g.ndim == self.i00.ndim:
             return one(g.reshape(n))
-        return np.stack([one(g[..., c].reshape(n)) for c in range(g.shape[-1])], axis=-1)
+        return np.stack([one(gc.reshape(n)) for gc in g])
 
 
 def inverse_warp(target: np.ndarray, flow: np.ndarray):
     """Pull target back through flow: out(p) = target(p + flow(p)).
 
-    Returns (warped, valid) where valid is False wherever p + flow(p) falls
-    outside the target bounds (the warped value there is a clamped lookup).
+    target is (H, W) or (H, W, C) and flow (H, W, 2); both must be finite.
+    Returns (warped, valid), warped shaped as target, where valid is False
+    wherever p + flow(p) falls outside the target bounds (the warped value
+    there is a clamped lookup).
     """
     flow = np.asarray(flow, dtype=float)
+    target = np.asarray(target, dtype=float)
     if flow.ndim != 3 or flow.shape[2] != 2:
         raise ValueError("flow must be (H, W, 2)")
-    if np.asarray(target).shape[:2] != flow.shape[:2]:
+    if target.shape[:2] != flow.shape[:2]:
         raise ValueError("target and flow sizes differ")
-    if not np.all(np.isfinite(flow)):
-        raise ValueError("flow must be finite")
-    plan = WarpPlan.along(flow)
+    for name, arr in (("flow", flow), ("target", target)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} must be finite")
+    plan = WarpPlan.along(np.moveaxis(flow, -1, 0))
+    if target.ndim == 3:
+        return np.moveaxis(plan.sample(np.moveaxis(target, -1, 0)), 0, -1), plan.inbounds
     return plan.sample(target), plan.inbounds
 
 
@@ -194,8 +207,11 @@ def downsample_image(img: np.ndarray) -> np.ndarray:
 
 
 def downsample_flow(flow: np.ndarray) -> np.ndarray:
-    """Average-pool and halve the displacements to stay in level units."""
-    return 0.5 * _pool2(np.asarray(flow, dtype=float))
+    """Average-pool a planar (2, H, W) field plane by plane and halve the
+    displacements to stay in level units."""
+    out = np.stack([_pool2(plane) for plane in np.asarray(flow, dtype=float)])
+    out *= 0.5
+    return out
 
 
 def downsample_image_adjoint(grad: np.ndarray, fine_shape) -> np.ndarray:
@@ -204,7 +220,10 @@ def downsample_image_adjoint(grad: np.ndarray, fine_shape) -> np.ndarray:
 
 
 def downsample_flow_adjoint(grad: np.ndarray, fine_shape) -> np.ndarray:
-    return 0.5 * _pool2_adjoint(np.asarray(grad, dtype=float), fine_shape)
+    """Adjoint of downsample_flow: a planar (2, h, w) gradient onto (2,) + fine_shape."""
+    out = np.stack([_pool2_adjoint(plane, fine_shape) for plane in np.asarray(grad, dtype=float)])
+    out *= 0.5
+    return out
 
 
 def _pyramid(arr, levels, step):
@@ -221,4 +240,5 @@ def image_pyramid(img, levels):
 
 
 def flow_pyramid(flow, levels):
+    """Levels of a planar (2, H, W) field, finest first, in each level's units."""
     return _pyramid(flow, levels, downsample_flow)

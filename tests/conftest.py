@@ -26,6 +26,17 @@ def slanted_gt():
     return render(preset("slanted"))
 
 
+def planar(a):
+    """The planar (C, H, W) view of a channel-last (H, W, C) array, as the
+    objective and the sampler hold multi-channel fields; (H, W) as it is."""
+    return np.moveaxis(a, -1, 0) if np.ndim(a) == 3 else a
+
+
+def channel_last(a):
+    """The channel-last view of a planar (C, H, W) array; (H, W) as it is."""
+    return np.moveaxis(a, 0, -1) if np.ndim(a) == 3 else a
+
+
 def state_from_gt(gt) -> SceneState:
     return SceneState(
         depth_t=gt.depth_t.copy(),

@@ -574,13 +574,14 @@ def scale_objective_cell(
     if "smooth" in terms:
         s1, gs1 = smoothness_loss(depth_t, edge_weights(img_t), mean_normalize=True)
         s2, gs2 = smoothness_loss(depth_t1, edge_weights(img_t1), mean_normalize=True)
-        s3, gs3 = smoothness_loss(flow_fwd, edge_weights(img_t))
-        s4, gs4 = smoothness_loss(flow_bwd, edge_weights(img_t1))
+        # the package's smoothness and cross-task terms take planar (2, H, W) flows
+        s3, gs3 = smoothness_loss(np.moveaxis(flow_fwd, -1, 0), edge_weights(img_t))
+        s4, gs4 = smoothness_loss(np.moveaxis(flow_bwd, -1, 0), edge_weights(img_t1))
         smooth = s1 + s2 + s3 + s4
         g_dt += weights.lambda_s * gs1
         g_dt1 += weights.lambda_s * gs2
-        g_flow_f += weights.lambda_s * gs3
-        g_flow_b += weights.lambda_s * gs4
+        g_flow_f += weights.lambda_s * np.moveaxis(gs3, 0, -1)
+        g_flow_b += weights.lambda_s * np.moveaxis(gs4, 0, -1)
 
     if "fb_flow" in terms:
         lf, gf, gb, _ = fb_flow_cell(flow_fwd, flow_bwd, masks.flow_fwd)
@@ -605,14 +606,18 @@ def scale_objective_cell(
         g_rigid_b += weights.lambda_f * grigb
 
     if "cross" in terms:
-        lc, gr, gf = cross_task_loss(rigid_f, flow_fwd, masks.depth_fwd & masks.flow_fwd)
+        lc, gr, gf = cross_task_loss(
+            np.moveaxis(rigid_f, -1, 0), np.moveaxis(flow_fwd, -1, 0), masks.depth_fwd & masks.flow_fwd
+        )
         cross += lc
-        g_rigid_f += weights.lambda_c * gr
-        g_flow_f += weights.lambda_c * gf
-        lc2, gr2, gf2 = cross_task_loss(rigid_b, flow_bwd, masks.depth_bwd & masks.flow_bwd)
+        g_rigid_f += weights.lambda_c * np.moveaxis(gr, 0, -1)
+        g_flow_f += weights.lambda_c * np.moveaxis(gf, 0, -1)
+        lc2, gr2, gf2 = cross_task_loss(
+            np.moveaxis(rigid_b, -1, 0), np.moveaxis(flow_bwd, -1, 0), masks.depth_bwd & masks.flow_bwd
+        )
         cross += lc2
-        g_rigid_b += weights.lambda_c * gr2
-        g_flow_b += weights.lambda_c * gf2
+        g_rigid_b += weights.lambda_c * np.moveaxis(gr2, 0, -1)
+        g_flow_b += weights.lambda_c * np.moveaxis(gf2, 0, -1)
 
     gd_f, gr_f, gt_f = project_backward(depth_t, k, pose_fwd, g_rigid_f[..., 0], g_rigid_f[..., 1])
     gd_b, gr_b, gt_b = project_backward(depth_t1, k, pose_bwd, g_rigid_b[..., 0], g_rigid_b[..., 1])

@@ -346,6 +346,27 @@ def test_a_non_finite_flow_file_fails_naming_the_flow(tmp_path, capsys, command,
     assert not any(tmp_path.glob("out.*"))
 
 
+def test_a_non_finite_image_file_fails_naming_the_target(tmp_path, capsys):
+    # an 8x8 PFM holding one NaN, written raw: `write_pfm` itself refuses it
+    img = np.zeros((8, 8), dtype="<f4")
+    img[3, 5] = np.nan
+    (tmp_path / "img.pfm").write_bytes(b"Pf\n8 8\n-1.0\n" + img.tobytes())
+    assert np.isnan(read_pfm(tmp_path / "img.pfm")).sum() == 1  # read as it is
+    write_flo(tmp_path / "zero.flo", np.zeros((8, 8, 2)))
+    code, stdout, stderr = run_cli(
+        capsys,
+        "warp",
+        "--image", str(tmp_path / "img.pfm"),
+        "--flow", str(tmp_path / "zero.flo"),
+        "--output", str(tmp_path / "out.pfm"),
+        "--valid-mask", str(tmp_path / "out.pgm"),
+    )
+    assert code == 1
+    assert stderr == "error: target must be finite\n"
+    assert stdout == ""
+    assert not any(tmp_path.glob("out.*"))
+
+
 # ---------------------------------------------------------------------------
 # loss / refine
 

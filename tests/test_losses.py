@@ -22,7 +22,7 @@ from rigidflow.optimize import OptimizerConfig, SceneState, evaluate
 from rigidflow.sampling import WarpPlan
 from rigidflow.scenes import preset, render
 
-from conftest import state_from_gt
+from conftest import channel_last, planar, state_from_gt
 from oracles import (
     census_loss_ref,
     cross_ref,
@@ -225,9 +225,9 @@ def test_smoothness_flow_field_sums_channels():
     rng = np.random.default_rng(10)
     flow = rng.uniform(-2.0, 2.0, (6, 6, 2))
     guide = rng.uniform(size=(6, 6))
-    loss, grad = smoothness_loss(flow, edge_weights(guide))
+    loss, grad = smoothness_loss(planar(flow), edge_weights(guide))
     assert abs(loss - smoothness_ref(flow, guide)) < 1e-12
-    assert grad.shape == (6, 6, 2)
+    assert channel_last(grad).shape == (6, 6, 2)
 
 
 def test_mean_normalized_smoothness_is_scale_invariant():
@@ -285,8 +285,8 @@ def test_fb_flow_zero_for_perfect_cycle():
     fwd = constant_flow(8, 8, 2.0, 0.0)
     mask = np.zeros((8, 8), bool)
     mask[:, :6] = True  # interior: landing points stay in bounds
-    plan = WarpPlan.along(fwd)
-    loss, gf, gb = _fb_flow_terms(fwd, plan, plan.sample_grad(-fwd), mask)
+    plan = WarpPlan.along(planar(fwd))
+    loss, gf, gb = _fb_flow_terms(planar(fwd), plan, plan.sample_grad(planar(-fwd)), mask)
     assert loss == 0.0
     assert np.abs(gf).max() == 0.0
     assert np.abs(gb).max() == 0.0
@@ -295,8 +295,8 @@ def test_fb_flow_zero_for_perfect_cycle():
 def test_fb_flow_unit_residual_value():
     fwd = constant_flow(6, 6, 1.0, 0.0)
     bwd = constant_flow(6, 6, 0.0, 0.0)
-    plan = WarpPlan.along(fwd)
-    loss, _, _ = _fb_flow_terms(fwd, plan, plan.sample_grad(bwd), np.ones((6, 6), bool))
+    plan = WarpPlan.along(planar(fwd))
+    loss, _, _ = _fb_flow_terms(planar(fwd), plan, plan.sample_grad(planar(bwd)), np.ones((6, 6), bool))
     assert abs(loss - PHI_1) < 1e-15
 
 
@@ -305,15 +305,15 @@ def test_fb_flow_matches_scalar_oracle():
     fwd = rng.uniform(-2.0, 2.0, (7, 7, 2))
     bwd = rng.uniform(-2.0, 2.0, (7, 7, 2))
     mask = rng.uniform(size=(7, 7)) > 0.3
-    plan = WarpPlan.along(fwd)
-    loss, _, _ = _fb_flow_terms(fwd, plan, plan.sample_grad(bwd), mask)
+    plan = WarpPlan.along(planar(fwd))
+    loss, _, _ = _fb_flow_terms(planar(fwd), plan, plan.sample_grad(planar(bwd)), mask)
     assert abs(loss - fb_flow_ref(fwd, bwd, mask)) < 1e-10
 
 
 def test_fb_flow_empty_mask_degenerate():
     fwd = np.ones((4, 4, 2))
-    plan = WarpPlan.along(fwd)
-    loss, gf, gb = _fb_flow_terms(fwd, plan, plan.sample_grad(np.ones((4, 4, 2))), np.zeros((4, 4), bool))
+    plan = WarpPlan.along(planar(fwd))
+    loss, gf, gb = _fb_flow_terms(planar(fwd), plan, plan.sample_grad(planar(np.ones((4, 4, 2)))), np.zeros((4, 4), bool))
     assert loss == 0.0
     assert not gf.any() and not gb.any()
 
@@ -323,25 +323,25 @@ def test_fb_flow_gradients_match_fd():
     fwd = rng.uniform(-1.5, 1.5, (6, 6, 2))
     bwd = rng.uniform(-1.5, 1.5, (6, 6, 2))
     mask = np.ones((6, 6), bool)
-    plan = WarpPlan.along(fwd)
-    _, gf, gb = _fb_flow_terms(fwd, plan, plan.sample_grad(bwd), mask)
+    plan = WarpPlan.along(planar(fwd))
+    gf, gb = map(channel_last, _fb_flow_terms(planar(fwd), plan, plan.sample_grad(planar(bwd)), mask)[1:])
     h = 1e-6
     for y, x, c in [(0, 0, 0), (2, 3, 1), (5, 5, 0), (3, 1, 1)]:
         fp = fwd.copy()
         fp[y, x, c] += h
         fm = fwd.copy()
         fm[y, x, c] -= h
-        plan_p, plan_m = WarpPlan.along(fp), WarpPlan.along(fm)
-        lp = _fb_flow_terms(fp, plan_p, plan_p.sample_grad(bwd), mask)[0]
-        lm = _fb_flow_terms(fm, plan_m, plan_m.sample_grad(bwd), mask)[0]
+        plan_p, plan_m = WarpPlan.along(planar(fp)), WarpPlan.along(planar(fm))
+        lp = _fb_flow_terms(planar(fp), plan_p, plan_p.sample_grad(planar(bwd)), mask)[0]
+        lm = _fb_flow_terms(planar(fm), plan_m, plan_m.sample_grad(planar(bwd)), mask)[0]
         assert abs(gf[y, x, c] - (lp - lm) / (2 * h)) < 1e-5
         bp = bwd.copy()
         bp[y, x, c] += h
         bm = bwd.copy()
         bm[y, x, c] -= h
         # the sample points depend on fwd alone, so its plan serves both
-        lp = _fb_flow_terms(fwd, plan, plan.sample_grad(bp), mask)[0]
-        lm = _fb_flow_terms(fwd, plan, plan.sample_grad(bm), mask)[0]
+        lp = _fb_flow_terms(planar(fwd), plan, plan.sample_grad(planar(bp)), mask)[0]
+        lm = _fb_flow_terms(planar(fwd), plan, plan.sample_grad(planar(bm)), mask)[0]
         assert abs(gb[y, x, c] - (lp - lm) / (2 * h)) < 1e-5
 
 
@@ -352,14 +352,14 @@ def test_fb_flow_gradients_match_fd():
 
 def test_fb_depth_zero_for_static_plane():
     depth = np.full((8, 8), 3.0)
-    loss, *_ = _fb_depth_terms(depth, depth, WarpPlan.along(np.zeros((8, 8, 2))), np.ones((8, 8), bool))
+    loss, *_ = _fb_depth_terms(depth, depth, WarpPlan.along(planar(np.zeros((8, 8, 2)))), np.ones((8, 8), bool))
     assert loss == 0.0
 
 
 def test_fb_depth_unit_gap_value():
     d_t = np.full((5, 5), 2.0)
     d_t1 = np.full((5, 5), 3.0)
-    loss, *_ = _fb_depth_terms(d_t, d_t1, WarpPlan.along(np.zeros((5, 5, 2))), np.ones((5, 5), bool))
+    loss, *_ = _fb_depth_terms(d_t, d_t1, WarpPlan.along(planar(np.zeros((5, 5, 2)))), np.ones((5, 5), bool))
     assert abs(loss - PHI_1) < 1e-15
 
 
@@ -367,7 +367,7 @@ def test_fb_depth_consistent_on_rendered_scene(plane_gt):
     from rigidflow.camera import rigid_flow
 
     rigid, _ = rigid_flow(plane_gt.depth_t, plane_gt.intrinsics, plane_gt.pose)
-    loss, *_ = _fb_depth_terms(plane_gt.depth_t, plane_gt.depth_t1, WarpPlan.along(rigid), ~plane_gt.occlusion)
+    loss, *_ = _fb_depth_terms(plane_gt.depth_t, plane_gt.depth_t1, WarpPlan.along(planar(rigid)), ~plane_gt.occlusion)
     assert loss < 1e-6
 
 
@@ -377,7 +377,7 @@ def test_fb_depth_matches_scalar_oracle():
     d_t1 = rng.uniform(2.0, 4.0, (7, 7))
     rigid = rng.uniform(-1.5, 1.5, (7, 7, 2))
     mask = rng.uniform(size=(7, 7)) > 0.3
-    loss, *_ = _fb_depth_terms(d_t, d_t1, WarpPlan.along(rigid), mask)
+    loss, *_ = _fb_depth_terms(d_t, d_t1, WarpPlan.along(planar(rigid)), mask)
     assert abs(loss - fb_depth_ref(d_t, d_t1, rigid, mask)) < 1e-10
 
 
@@ -387,8 +387,9 @@ def test_fb_depth_gradients_match_fd():
     d_t1 = rng.uniform(2.0, 4.0, (6, 6))
     rigid = rng.uniform(-1.2, 1.2, (6, 6, 2))
     mask = np.ones((6, 6), bool)
-    plan = WarpPlan.along(rigid)
+    plan = WarpPlan.along(planar(rigid))
     _, g_dt, g_dt1, g_rig = _fb_depth_terms(d_t, d_t1, plan, mask)
+    g_rig = channel_last(g_rig)
     h = 1e-6
     for y, x in [(0, 0), (3, 2), (5, 5)]:
         dp = d_t.copy()
@@ -408,8 +409,8 @@ def test_fb_depth_gradients_match_fd():
             rp[y, x, c] += h
             rm = rigid.copy()
             rm[y, x, c] -= h
-            lp = _fb_depth_terms(d_t, d_t1, WarpPlan.along(rp), mask)[0]
-            lm = _fb_depth_terms(d_t, d_t1, WarpPlan.along(rm), mask)[0]
+            lp = _fb_depth_terms(d_t, d_t1, WarpPlan.along(planar(rp)), mask)[0]
+            lm = _fb_depth_terms(d_t, d_t1, WarpPlan.along(planar(rm)), mask)[0]
             assert abs(g_rig[y, x, c] - (lp - lm) / (2 * h)) < 1e-5
 
 
@@ -420,7 +421,7 @@ def test_fb_depth_gradients_match_fd():
 def test_cross_zero_when_fields_agree():
     rng = np.random.default_rng(17)
     rigid = rng.uniform(-3.0, 3.0, (6, 6, 2))
-    loss, gr, gf = cross_task_loss(rigid, rigid.copy(), np.ones((6, 6), bool))
+    loss, gr, gf = cross_task_loss(planar(rigid), planar(rigid.copy()), np.ones((6, 6), bool))
     assert loss == 0.0
     assert not gr.any() and not gf.any()
 
@@ -428,7 +429,7 @@ def test_cross_zero_when_fields_agree():
 def test_cross_two_pixel_gap_value():
     rigid = constant_flow(5, 5, 2.0, 0.0)
     flow = constant_flow(5, 5, 0.0, 0.0)
-    loss, *_ = cross_task_loss(rigid, flow, np.ones((5, 5), bool))
+    loss, *_ = cross_task_loss(planar(rigid), planar(flow), np.ones((5, 5), bool))
     want = (math.sqrt(4.0 + 1e-6) - 1e-3) + 0.0
     assert abs(loss - want) < 1e-15
 
@@ -438,7 +439,7 @@ def test_cross_matches_scalar_oracle():
     rigid = rng.uniform(-2.0, 2.0, (7, 7, 2))
     flow = rng.uniform(-2.0, 2.0, (7, 7, 2))
     mask = rng.uniform(size=(7, 7)) > 0.4
-    loss, *_ = cross_task_loss(rigid, flow, mask)
+    loss, *_ = cross_task_loss(planar(rigid), planar(flow), mask)
     assert abs(loss - cross_ref(rigid, flow, mask)) < 1e-10
 
 
@@ -446,7 +447,7 @@ def test_cross_gradients_are_opposite():
     rng = np.random.default_rng(19)
     rigid = rng.uniform(-2.0, 2.0, (6, 6, 2))
     flow = rng.uniform(-2.0, 2.0, (6, 6, 2))
-    _, gr, gf = cross_task_loss(rigid, flow, np.ones((6, 6), bool))
+    gr, gf = map(channel_last, cross_task_loss(planar(rigid), planar(flow), np.ones((6, 6), bool))[1:])
     assert np.array_equal(gf, -gr)
     h = 1e-6
     for y, x, c in [(0, 0, 0), (4, 2, 1)]:
@@ -455,21 +456,21 @@ def test_cross_gradients_are_opposite():
         rm = rigid.copy()
         rm[y, x, c] -= h
         fd = (
-            cross_task_loss(rp, flow, np.ones((6, 6), bool))[0]
-            - cross_task_loss(rm, flow, np.ones((6, 6), bool))[0]
+            cross_task_loss(planar(rp), planar(flow), np.ones((6, 6), bool))[0]
+            - cross_task_loss(planar(rm), planar(flow), np.ones((6, 6), bool))[0]
         ) / (2 * h)
         assert abs(gr[y, x, c] - fd) < 1e-6
 
 
 def test_cross_empty_mask_degenerate():
-    loss, gr, gf = cross_task_loss(np.ones((4, 4, 2)), np.zeros((4, 4, 2)), np.zeros((4, 4), bool))
+    loss, gr, gf = cross_task_loss(planar(np.ones((4, 4, 2))), planar(np.zeros((4, 4, 2))), np.zeros((4, 4), bool))
     assert loss == 0.0
     assert not gr.any() and not gf.any()
 
 
 def test_cross_validates_shapes():
     with pytest.raises(ValueError):
-        cross_task_loss(np.zeros((4, 4, 2)), np.zeros((5, 4, 2)), np.ones((4, 4), bool))
+        cross_task_loss(planar(np.zeros((4, 4, 2))), planar(np.zeros((5, 4, 2))), np.ones((4, 4), bool))
 
 
 # ---------------------------------------------------------------------------
@@ -644,12 +645,14 @@ def odd_level():
 
 
 def level_objective(imgs, depths, poses, flows, k, *settings, **case):
-    """`scale_objective` on the level inputs of imgs and k, called as the oracle is."""
+    """`scale_objective` on the level inputs of imgs and k, called as the oracle
+    is: the (H, W, 2) flows go in planar and their gradients come back (H, W, 2)."""
     from rigidflow.losses import scale_objective
     from rigidflow.optimize import PairContext
 
     (level,) = PairContext(*imgs, k, OptimizerConfig(scales=1)).levels
-    return scale_objective(level, depths, poses, flows, *settings, **case)
+    res = scale_objective(level, depths, poses, [np.ascontiguousarray(planar(f)) for f in flows], *settings, **case)
+    return replace(res, grad_flow=tuple(np.ascontiguousarray(channel_last(g)) for g in res.grad_flow))
 
 
 def assert_same_level(got, want):
@@ -721,10 +724,12 @@ def test_public_terms_match_term_by_term_sampling(odd_level):
     mask = fb_check_cell(flow_fwd, flow_bwd, 0.01, 0.5)
     assert same_bits(fb_check(flow_fwd, flow_bwd, FBCheckParams()), mask)
     gray_t, gray_t1 = img_t[..., 0], img_t1[..., 0]
-    plan = WarpPlan.along(flow_fwd)
+    plan = WarpPlan.along(planar(flow_fwd))
+    fb_flow = _fb_flow_terms(planar(flow_fwd), plan, plan.sample_grad(planar(flow_bwd)), mask)
+    fb_depth = _fb_depth_terms(depth_t, depth_t1, plan, mask)
     for got, want in (
-        (_fb_flow_terms(flow_fwd, plan, plan.sample_grad(flow_bwd), mask), fb_flow_cell(flow_fwd, flow_bwd, mask)),
-        (_fb_depth_terms(depth_t, depth_t1, plan, mask), fb_depth_cell(depth_t, depth_t1, flow_fwd, mask)),
+        ((fb_flow[0], *map(channel_last, fb_flow[1:])), fb_flow_cell(flow_fwd, flow_bwd, mask)),
+        ((*fb_depth[:3], channel_last(fb_depth[3])), fb_depth_cell(depth_t, depth_t1, flow_fwd, mask)),
         (
             _census_terms(gray_t, [(gray_t1, mask)], CensusParams(radius=2))[0],
             photometric_cell(gray_t, gray_t1, mask, 2, 0.02, 1e-3),

@@ -127,6 +127,18 @@ def test_evaluate_gradient_shapes(plane_gt):
     assert len(masks) == 2
 
 
+def test_state_gradient_flows_stay_channel_last():
+    # the objective holds flows as planar (2, h, w) arrays; the state and its
+    # gradient keep (H, W, 2), row-major, on an odd non-square pyramid too
+    gt = render(preset("mover", width=45, height=37))
+    state = state_from_gt(gt)
+    _, grad, _ = evaluate(state, gt.image_t, gt.image_t1, gt.intrinsics, OptimizerConfig(scales=3))
+    for name in ("flow_fwd", "flow_bwd"):
+        for arr in (getattr(grad, name), getattr(state, name)):
+            assert arr.shape == (37, 45, 2), name
+            assert arr.flags.c_contiguous, name
+
+
 @pytest.mark.parametrize("scales", [4, 5, 6])
 def test_evaluate_rejects_scales_too_deep_for_the_image(scales):
     gt = render(preset("plane", width=12, height=12))

@@ -14,6 +14,7 @@ from rigidflow.sampling import (
     inverse_warp,
 )
 
+from conftest import channel_last, planar
 from oracles import bilinear_ref, cell_sample, cell_sample_grad, cell_scatter
 
 coord = st.floats(min_value=-20.0, max_value=40.0, allow_nan=False)
@@ -69,7 +70,7 @@ def test_multichannel_sampling_per_channel():
     xs = rng.uniform(0.0, 7.0, (4,))
     ys = rng.uniform(0.0, 7.0, (4,))
     plan = WarpPlan(img.shape[:2], xs, ys)
-    val = plan.sample(img)
+    val = np.moveaxis(plan.sample(planar(img)), 0, -1)
     assert val.shape == (4, 3)
     for c in range(3):
         single = plan.sample(img[..., c])
@@ -149,7 +150,7 @@ def test_plan_sample_matches_per_call_sampling(shape):
     plan = WarpPlan(shape, xs, ys)
     for img in (rng.uniform(size=shape), rng.uniform(size=shape + (3,))):
         want, want_inb = cell_sample(img, xs, ys)
-        assert same_bits(plan.sample(img), want)
+        assert same_bits(channel_last(plan.sample(planar(img))), want)
         assert same_bits(plan.inbounds, want_inb)
 
 
@@ -167,8 +168,8 @@ def test_plan_sample_grad_matches_per_call_sampling(shape):
     stack = rng.uniform(size=shape + (2,))
     for c in range(2):
         want_c = cell_sample_grad(stack[..., c], xs, ys)
-        for got, ref in zip(plan.sample_grad(stack), want_c[:3]):
-            assert same_bits(got[..., c], ref)
+        for got, ref in zip(plan.sample_grad(planar(stack)), want_c[:3]):
+            assert same_bits(channel_last(got)[..., c], ref)
 
 
 @pytest.mark.parametrize("shape", PLAN_SHAPES)
@@ -180,7 +181,7 @@ def test_plan_scatter_matches_per_call_scatter(shape):
     want = cell_scatter(g, xs, ys, shape)
     assert same_bits(plan.scatter(g), want)
     g2 = rng.normal(size=shape + (2,))
-    got = plan.scatter(g2)
+    got = channel_last(plan.scatter(planar(g2)))
     assert got.shape == shape + (2,)
     for c in range(2):
         assert same_bits(got[..., c], cell_scatter(g2[..., c], xs, ys, shape))
@@ -192,9 +193,50 @@ def test_plan_along_a_field_samples_at_p_plus_field():
     img = rng.uniform(size=(9, 7))
     ys, xs = np.meshgrid(np.arange(9.0), np.arange(7.0), indexing="ij")
     want, want_inb = cell_sample(img, xs + field[..., 0], ys + field[..., 1])
-    plan = WarpPlan.along(field)
+    plan = WarpPlan.along(planar(field))
     assert same_bits(plan.sample(img), want)
     assert same_bits(plan.inbounds, want_inb)
+
+
+def test_planar_sources_equal_their_per_channel_calls():
+    # an odd, non-square grid; plan_points puts points off the lattice, on
+    # its border and far out of bounds on either side
+    shape = (37, 45)
+    rng = np.random.default_rng(19)
+    xs, ys = plan_points(shape, 20)
+    plan = WarpPlan(shape, xs, ys)
+    for c in (1, 2, 3):
+        src = rng.uniform(size=(c,) + shape)
+        assert same_bits(plan.sample(src), np.stack([plan.sample(p) for p in src]))
+        per_channel = [plan.sample_grad(p) for p in src]
+        for i, got in enumerate(plan.sample_grad(src)):
+            assert same_bits(got, np.stack([part[i] for part in per_channel]))
+        g = rng.normal(size=(c,) + shape)
+        assert same_bits(plan.scatter(g), np.stack([plan.scatter(gc) for gc in g]))
+
+
+def test_scatter_is_adjoint_of_sample_for_two_channels():
+    rng = np.random.default_rng(21)
+    src = rng.uniform(size=(2, 9, 7))
+    xs = rng.uniform(-1.0, 8.0, (30,))
+    ys = rng.uniform(-1.0, 9.5, (30,))
+    g = rng.normal(size=(2, 30))
+    plan = WarpPlan((9, 7), xs, ys)
+    scattered = plan.scatter(g)
+    assert scattered.shape == (2, 9, 7)
+    assert abs(np.sum(scattered * src) - np.sum(g * plan.sample(src))) < 1e-10
+
+
+def test_warp_keeps_a_channel_last_target():
+    rng = np.random.default_rng(23)
+    img = rng.uniform(size=(6, 5, 3))
+    flow = rng.uniform(-1.5, 1.5, (6, 5, 2))
+    warped, valid = inverse_warp(img, flow)
+    assert warped.shape == (6, 5, 3)
+    for c in range(3):
+        single, single_valid = inverse_warp(img[..., c], flow)
+        assert same_bits(warped[..., c], single)
+        assert same_bits(valid, single_valid)
 
 
 def test_plan_rejects_a_source_of_another_size():
@@ -252,6 +294,15 @@ def test_warp_rejects_a_non_finite_flow(bad):
         inverse_warp(np.zeros((4, 5)), flow)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(4, 5), (4, 5, 3)])
+def test_warp_rejects_a_non_finite_target(bad, shape):
+    target = np.zeros(shape)
+    target[1, 2] = bad
+    with pytest.raises(ValueError, match="^target must be finite$"):
+        inverse_warp(target, np.zeros((4, 5, 2)))
+
+
 # ---------------------------------------------------------------------------
 # pooling and pyramids
 
@@ -272,7 +323,7 @@ def test_constant_flow_halves():
     flow = np.zeros((4, 4, 2))
     flow[..., 0] = 4.0
     flow[..., 1] = 2.0
-    out = downsample_flow(flow)
+    out = channel_last(downsample_flow(planar(flow)))
     assert np.abs(out[..., 0] - 2.0).max() < 1e-15
     assert np.abs(out[..., 1] - 1.0).max() < 1e-15
 
@@ -306,9 +357,9 @@ def test_pool_adjoint_dot_product_identity():
 def test_flow_adjoint_dot_product_identity():
     rng = np.random.default_rng(9)
     fine = rng.normal(size=(7, 6, 2))
-    g = rng.normal(size=downsample_flow(fine).shape)
-    lhs = np.sum(g * downsample_flow(fine))
-    rhs = np.sum(downsample_flow_adjoint(g, (7, 6)) * fine)
+    g = rng.normal(size=(4, 3, 2))  # the channel-last shape of downsample_flow(fine)
+    lhs = np.sum(g * channel_last(downsample_flow(planar(fine))))
+    rhs = np.sum(channel_last(downsample_flow_adjoint(planar(g), (7, 6))) * fine)
     assert abs(lhs - rhs) < 1e-12
 
 
@@ -320,7 +371,7 @@ def test_image_pyramid_shapes():
 def test_flow_pyramid_scales_displacements():
     flow = np.zeros((16, 16, 2))
     flow[..., 0] = 8.0
-    levels = flow_pyramid(flow, 4)
+    levels = [channel_last(lvl) for lvl in flow_pyramid(planar(flow), 4)]
     for i, lvl in enumerate(levels):
         assert np.abs(lvl[..., 0] - 8.0 / 2**i).max() < 1e-12
 
