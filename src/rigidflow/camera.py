@@ -8,9 +8,14 @@ Conventions used throughout the package:
 * a pose (R, t) maps frame-t points into frame t+1 as X' = R X + t;
 * flow fields are (H, W, 2) arrays with [..., 0] = horizontal displacement
   at every public boundary (state, gradient, files, `rigid_flow`'s return);
-  inside the objective they are planar (2, H, W) arrays, [0] horizontal,
-  made by one copy of each state flow on entry and turned back by one copy
-  of each flow gradient on exit (see `sampling`).
+  inside the objective they are planar, [0] horizontal, and stacked over the
+  two sides of the pair: (2, 2, H, W), component first, made by one copy of
+  the state flows on entry and turned back by one copy of each flow
+  gradient on exit (see `sampling`);
+* `project_backward` and `_rigid_flow`, the planar core of `rigid_flow`,
+  also take a stacked (n, H, W) depth with one pose per side; each pose
+  entry is then an (n, 1, 1) array that broadcasts over its side, so every
+  element sees the scalar expression of its own pose.
 
 All camera math is written as explicit left-associated scalar expressions
 (no matmul in the per-pixel path) so the scalar reference `project_pixel`
@@ -221,11 +226,23 @@ def project_pixel(x: float, y: float, depth: float, k: Intrinsics, pose: PoseSE3
     return u, v, q2
 
 
-def _transform(xs, ys, depth, k: Intrinsics, pose: PoseSE3):
+def _entries(pose):
+    """(rotation, translation) of a pose, indexed as r[i, j] and t[i]. For a
+    sequence of poses, one per side of a stacked (n, H, W) depth, each entry
+    is an (n, 1, 1) array."""
+    if not isinstance(pose, PoseSE3) and len(pose) == 1:
+        pose = pose[0]  # its scalar entries broadcast over the one side
+    if isinstance(pose, PoseSE3):
+        return pose.rotation, pose.translation
+    r = np.array([p.rotation for p in pose]).transpose(1, 2, 0)[..., None, None]
+    t = np.array([p.translation for p in pose]).T[..., None, None]
+    return r, t
+
+
+def _transform(xs, ys, depth, k: Intrinsics, r, t):
     """Rays (rx, ry), back-projected (depth * rx, depth * ry), and the
-    transformed point (q0, q1, q2) of each pixel, as in `project_pixel`."""
-    r = pose.rotation
-    t = pose.translation
+    transformed point (q0, q1, q2) of each pixel, as in `project_pixel`, for
+    the rotation and translation entries r, t of `_entries`."""
     rx = (xs - k.cx) / k.fx
     ry = (ys - k.cy) / k.fy
     p0 = depth * rx
@@ -237,9 +254,10 @@ def _transform(xs, ys, depth, k: Intrinsics, pose: PoseSE3):
     return rx, ry, p0, p1, q0, q1, q2
 
 
-def project_coords(xs, ys, depth, k: Intrinsics, pose: PoseSE3):
-    """Vectorized `project_pixel` over coordinate/depth arrays of any shape."""
-    *_, q0, q1, q2 = _transform(xs, ys, depth, k, pose)
+def project_coords(xs, ys, depth, k: Intrinsics, pose):
+    """Vectorized `project_pixel` over coordinate/depth arrays of any shape;
+    pose may be one per side of a stacked (n, H, W) depth (`_entries`)."""
+    *_, q0, q1, q2 = _transform(xs, ys, depth, k, *_entries(pose))
     with np.errstate(divide="ignore", invalid="ignore"):
         u = k.fx * (q0 / q2) + k.cx
         v = k.fy * (q1 / q2) + k.cy
@@ -264,26 +282,34 @@ def rigid_flow(depth: np.ndarray, k: Intrinsics, pose: PoseSE3):
 
     Returns:
         flow: (H, W, 2) displacement field, zeros where invalid; a view of
-            planar (2, H, W) memory, so np.moveaxis(flow, -1, 0) is the
-            objective's contiguous planar field without a copy.
+            planar (2, H, W) memory, so np.moveaxis(flow, -1, 0) is a
+            contiguous planar field without a copy.
         valid: (H, W) bool, False where the point lands behind the camera.
     """
     depth = np.asarray(depth, dtype=float)
     if depth.ndim != 2:
         raise ValueError("depth must be (H, W)")
-    if not np.all(depth > 0.0):
-        raise ValueError("depth must be positive")
-    h, w = depth.shape
-    xs, ys = np.arange(w, dtype=float), np.arange(h, dtype=float)[:, None]  # broadcast grid
-    u, v, q2 = project_coords(xs, ys, depth, k, pose)
-    valid = q2 > 0.0
-    flow = np.empty((2, h, w))
-    flow[0] = np.where(valid, u - xs, 0.0)
-    flow[1] = np.where(valid, v - ys, 0.0)
+    flow, valid = _rigid_flow(depth, k, pose)
     return np.moveaxis(flow, 0, -1), valid
 
 
-def project_backward(depth, k: Intrinsics, pose: PoseSE3, grad_u, grad_v):
+def _rigid_flow(depth: np.ndarray, k: Intrinsics, pose):
+    """`rigid_flow` of an (H, W) or stacked (n, H, W) depth, for one pose or
+    one per side (`_entries`): the planar (2, H, W) or (2, n, H, W) flow and
+    the cheirality mask."""
+    if not np.all(depth > 0.0):
+        raise ValueError("depth must be positive")
+    h, w = depth.shape[-2:]
+    xs, ys = np.arange(w, dtype=float), np.arange(h, dtype=float)[:, None]  # broadcast grid
+    u, v, q2 = project_coords(xs, ys, depth, k, pose)
+    valid = q2 > 0.0
+    flow = np.empty((2,) + depth.shape)
+    flow[0] = np.where(valid, u - xs, 0.0)
+    flow[1] = np.where(valid, v - ys, 0.0)
+    return flow, valid
+
+
+def project_backward(depth, k: Intrinsics, pose, grad_u, grad_v):
     """Adjoint of `rigid_flow` for per-pixel flow gradients.
 
     Given dL/d(flow_u), dL/d(flow_v) (zero expected wherever the forward
@@ -291,30 +317,34 @@ def project_backward(depth, k: Intrinsics, pose: PoseSE3, grad_u, grad_v):
         grad_depth: (H, W) dL/d(depth),
         grad_r: (3, 3) dL/d(rotation matrix),
         grad_t: (3,) dL/d(translation).
+    For a stacked (n, H, W) depth with one pose per side, grad_depth is
+    (n, H, W), grad_r (n, 3, 3) and grad_t (n, 3), each side's sums taken
+    over its own contiguous (H, W) slice.
     """
     depth = np.asarray(depth, dtype=float)
-    h, w = depth.shape
+    h, w = depth.shape[-2:]
     xs, ys = np.arange(w, dtype=float), np.arange(h, dtype=float)[:, None]
-    rx, ry, drx, dry, q0, q1, q2 = _transform(xs, ys, depth, k, pose)
+    r, t = _entries(pose)
+    rx, ry, drx, dry, q0, q1, q2 = _transform(xs, ys, depth, k, r, t)
     valid = q2 > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.where(valid, k.fx * grad_u / q2, 0.0)
         b = np.where(valid, k.fy * grad_v / q2, 0.0)
         c = np.where(valid, -(a * q0 + b * q1) / q2, 0.0)
     # direction of the transformed point per unit depth: d(q)/d(depth) = R @ ray
-    r = pose.rotation
     w0 = r[0, 0] * rx + r[0, 1] * ry + r[0, 2]
     w1 = r[1, 0] * rx + r[1, 1] * ry + r[1, 2]
     w2 = r[2, 0] * rx + r[2, 1] * ry + r[2, 2]
     grad_depth = a * w0 + b * w1 + c * w2
-    grad_r = np.array(
-        [
-            [np.sum(a * drx), np.sum(a * dry), np.sum(a * depth)],
-            [np.sum(b * drx), np.sum(b * dry), np.sum(b * depth)],
-            [np.sum(c * drx), np.sum(c * dry), np.sum(c * depth)],
-        ]
-    )
-    grad_t = np.array([np.sum(a), np.sum(b), np.sum(c)])
+
+    def sums(x):  # np.sum of each side, one side for an unstacked depth
+        return [np.add.reduce(side, None) for side in x.reshape(-1, h, w)]
+
+    grad_r = np.array([[sums(x * y) for y in (drx, dry, depth)] for x in (a, b, c)])
+    grad_t = np.array([sums(x) for x in (a, b, c)])
+    grad_r, grad_t = grad_r.transpose(2, 0, 1).copy(), grad_t.T.copy()
+    if depth.ndim == 2:
+        return grad_depth, grad_r[0], grad_t[0]
     return grad_depth, grad_r, grad_t
 
 

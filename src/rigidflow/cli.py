@@ -56,7 +56,13 @@ def _parse_floats(text: str, n: int, what: str):
     parts = [p for p in text.split(",") if p != ""]
     if len(parts) != n:
         raise ValueError(f"{what} needs {n} comma-separated values")
-    return [float(p) for p in parts]
+    values = []
+    for p in parts:
+        try:
+            values.append(float(p))
+        except ValueError:
+            raise ValueError(f"{what}: cannot parse {p!r} as a float") from None
+    return values
 
 
 def _intrinsics_arg(text: str) -> Intrinsics:
@@ -184,7 +190,7 @@ def _cmd_refine(args) -> int:
         write_flo(os.path.join(args.output_dir, "flow_fwd.flo"), final.flow_fwd)
         write_flo(os.path.join(args.output_dir, "flow_bwd.flo"), final.flow_bwd)
         with open(os.path.join(args.output_dir, "pose.txt"), "w") as fh:
-            fh.write(",".join(repr(v) for v in final.pose_params) + "\n")
+            fh.write(",".join(repr(float(v)) for v in final.pose_params) + "\n")
     print(_report_lines(trace[-1]))
     dm = depth_metrics(final.depth_t, gt.depth_t)
     fm = flow_metrics(final.flow_fwd, gt.flow_fwd, mask=~gt.occlusion)

@@ -10,6 +10,14 @@ takes a `grads` flag: when it is False the core returns once its loss is
 known and none of the gradient arithmetic runs; its gradients are then
 None, or zeros where the mask is empty.
 
+Every per-pixel array may carry a leading side axis: the objective stacks
+the two sides of the pair (side 0 is frame t against t+1, side 1 the
+reverse) into one (2, ...) array, and on small levels each kernel runs once
+for both (`scale_objective`). Every reduction runs per side on a contiguous
+(h, w) slice, in the order of the unstacked sum, and a loss comes back as
+one float per side (a tuple); without a side axis it is one float. Warp
+plans along a stacked field read each side's other frame (`sampling`).
+
 The charbonnier penalty used throughout is
 
     phi(x) = sqrt(x^2 + eps^2) - eps
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import check_fields
-from .camera import Intrinsics, project_backward, rigid_flow
+from .camera import Intrinsics, _rigid_flow, project_backward
 from .masks import FBCheckParams, _cycle_mask, intersect
 from .sampling import WarpPlan
 
@@ -42,14 +50,9 @@ __all__ = [
     "cross_task_loss",
     "scale_objective",
     "ALL_TERMS",
-    "SIDES",
 ]
 
 ALL_TERMS = frozenset({"photometric", "smooth", "fb_flow", "fb_depth", "cross"})
-
-# side 0 is frame t against frame t+1, side 1 the same with the frames
-# swapped; the other frame of side d is 1 - d
-SIDES = (0, 1)
 
 DEFAULT_L1_EPS = 1e-3
 
@@ -115,10 +118,41 @@ class LevelMasks:
     flow_bwd: np.ndarray
 
 
-def charbonnier(x, eps: float = DEFAULT_L1_EPS):
-    """Smooth L1: sqrt(x^2 + eps^2) - eps, and its derivative."""
-    root = np.sqrt(x * x + eps * eps)
-    return root - eps, x / root
+def charbonnier(x, eps: float = DEFAULT_L1_EPS, grads: bool = True):
+    """Smooth L1: sqrt(x^2 + eps^2) - eps, and its derivative (None
+    without `grads`)."""
+    root = np.asarray(x * x)
+    root += eps * eps
+    np.sqrt(root, out=root)  # in place: root = sqrt(x * x + eps * eps)
+    return root - eps, np.divide(x, root, out=root) if grads else None
+
+
+def _total(a: np.ndarray):
+    """np.sum(a): the same pairwise reduction over all axes, minus np.sum's
+    Python layers, which cost more than the sum on a small level."""
+    return np.add.reduce(a, None)
+
+
+def _sides(a: np.ndarray) -> np.ndarray:
+    """(n, h, w) view of a contiguous (h, w) or (n, h, w) array, one entry per side."""
+    return a.reshape((-1,) + a.shape[-2:])
+
+
+def _by_side(values, mask: np.ndarray):
+    """One value per side: a tuple for a stacked (n, h, w) mask, the value for an (h, w) one."""
+    return tuple(values) if mask.ndim == 3 else values[0]
+
+
+def _inverse_counts(mask: np.ndarray):
+    """1 / the valid count of each side of mask, 0.0 for an empty side: as a
+    list, and shaped to broadcast over mask."""
+    inv = [1.0 / n if n else 0.0 for n in (int(np.count_nonzero(m)) for m in _sides(mask))]
+    return inv, np.array(inv).reshape(mask.shape[:-2] + (1, 1))
+
+
+def _side_means(vals: np.ndarray, mask: np.ndarray, inv: list):
+    """Sum of vals over mask times inv, side by side (`_by_side`)."""
+    return _by_side([float(_total(v[m])) * i for v, m, i in zip(_sides(vals), _sides(mask), inv)], mask)
 
 
 def _offsets(radius: int):
@@ -136,8 +170,11 @@ def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams, grads: b
     differences d: differentiable, and invariant to additive brightness as
     the census is. A neighbor outside the image or the mask carries zero
     weight, so each offset runs on its in-bounds overlap only. The reference's
-    descriptor is computed once per offset and shared by every branch. Returns
-    one (loss, grad wrt gray_warped) per branch, or None for an empty mask.
+    descriptor is computed once per offset and shared by every branch. All
+    arrays are (h, w), or stacked (n, h, w) with the losses summed side by
+    side. Returns one (loss, grad wrt gray_warped) per branch, the loss one
+    per side (`_by_side`), or None for a branch whose mask is empty on every
+    side. An empty side adds zero loss and a zero gradient.
 
     Only the first half of the offsets is computed. The second half is the
     first negated and reversed, and offset -o adds exactly what o adds,
@@ -148,23 +185,24 @@ def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams, grads: b
     zero may flip sign under negation; the accumulators start at +0 and so
     never hold -0, and adding a zero of either sign leaves them unchanged.)
     """
-    h, w = gray_ref.shape
+    h, w = gray_ref.shape[-2:]
     eps2 = params.epsilon * params.epsilon
     c = params.charbonnier_eps
-    live = []  # (branch, gray_w, mask, 1 / valid count)
+    live = []  # (branch, gray_w, mask, 1 / valid count per side, the same broadcastable)
     for b, (gray_w, mask) in enumerate(branches):
-        nv = int(np.count_nonzero(mask))
-        if nv:
-            live.append((b, gray_w, np.asarray(mask, dtype=bool), 1.0 / nv))
-    losses = [0.0] * len(branches)
-    gsum = {b: np.zeros((h, w)) for b, *_ in live} if grads else {}
-    kept = {b: [] for b, *_ in live}  # (loss, gated gradient) per offset of the half
+        mask = np.asarray(mask, dtype=bool)
+        inv, scale = _inverse_counts(mask)
+        if any(inv):
+            live.append((b, gray_w, mask, inv, scale))
+    losses = {b: [0.0] * len(inv) for b, _, _, inv, _ in live}
+    gsum = {b: np.zeros(gray_ref.shape) for b, *_ in live} if grads else {}
+    kept = {b: [] for b, *_ in live}  # (losses, gated gradient) per offset of the half
     offsets = _offsets(params.radius)
     # each offset (dy, dx) of the half as (here, there): the pixels whose
     # neighbour is in bounds, and those neighbours; a longer offset has none
     wins = [
-        ((slice(max(0, -dy), h - max(0, dy)), slice(max(0, -dx), w - max(0, dx))),
-         (slice(max(0, dy), h - max(0, -dy)), slice(max(0, dx), w - max(0, -dx))))
+        ((..., slice(max(0, -dy), h - max(0, dy)), slice(max(0, -dx), w - max(0, dx))),
+         (..., slice(max(0, dy), h - max(0, -dy)), slice(max(0, dx), w - max(0, -dx))))
         for dy, dx in offsets[: len(offsets) // 2] if abs(dy) < h and abs(dx) < w
     ]
     # the arithmetic runs in place, in the order of the plain expressions
@@ -175,7 +213,7 @@ def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams, grads: b
         t += eps2
         np.sqrt(t, out=t)
         tr /= t  # tr = dr / sqrt(dr^2 + eps^2)
-        for b, gray_w, mask, inv in live:
+        for b, gray_w, mask, _, inv in live:
             dw = gray_w[there] - gray_w[here]
             s = np.multiply(dw, dw)
             s += eps2
@@ -186,10 +224,11 @@ def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams, grads: b
             root += c * c
             np.sqrt(root, out=root)
             gate = mask[here] & mask[there]
-            part = float(np.sum(root[gate] - c))
-            losses[b] += part
+            parts = [float(_total(r[g] - c)) for r, g in zip(_sides(root), _sides(gate))]
+            for side, part in enumerate(parts):
+                losses[b][side] += part
             if not grads:
-                kept[b].append((part, None))
+                kept[b].append((parts, None))
                 continue
             # d phi / d dw = phi'(delta) * (-1) * t'(dw),  t'(d) = eps^2 / (d^2+eps^2)^1.5
             np.power(s, 1.5, out=s)
@@ -200,19 +239,20 @@ def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams, grads: b
             g = np.multiply(delta, gate, out=delta)
             gsum[b][here] -= g
             gsum[b][there] += g
-            kept[b].append((part, g))
+            kept[b].append((parts, g))
     # the mirrored half: -o's `-= g` is o's `+= g` and the other way round;
     # a translation keeps row-major order, so `part` is the same
     for here, there in reversed(wins):
         for b, *_ in live:
-            part, g = kept[b].pop()
-            losses[b] += part
+            parts, g = kept[b].pop()
+            for side, part in enumerate(parts):
+                losses[b][side] += part
             if grads:
                 gsum[b][there] += g
                 gsum[b][here] -= g
     out = [None] * len(branches)
-    for b, *_, inv in live:
-        out[b] = (losses[b] * inv, gsum.get(b))
+    for b, _, mask, inv, _ in live:
+        out[b] = (_by_side([loss * i for loss, i in zip(losses[b], inv)], mask), gsum.get(b))
     return out
 
 
@@ -228,27 +268,31 @@ def edge_weights(guide: np.ndarray):
 
 @dataclass(frozen=True)
 class LevelInputs:
-    """Image-only inputs of one pyramid level: per side, the gray image and edge weights; the intrinsics."""
+    """Image-only inputs of one pyramid level: the gray images (2, h, w) of
+    both frames, their edge weights (wx (2, h, w-1), wy (2, h-1, w)), and
+    the intrinsics."""
 
-    gray: tuple
+    gray: np.ndarray
     edges: tuple
     k: Intrinsics
 
 
-def _channel_last_sum(phi: np.ndarray, wgt: np.ndarray) -> float:
-    """sum of phi * wgt over a planar (C, h, w) phi, added up as the
-    channel-last (h, w, C) products: the summation order of the loss, so
-    its value does not depend on the layout."""
+def _channel_last_sum(phi: np.ndarray, wgt: np.ndarray) -> list:
+    """Per side, the sum of phi * wgt over a planar (C, n, h, w) phi, added
+    up as the channel-last (h, w, C) products: the summation order of the
+    loss, so its value does not depend on the layout."""
     prod = np.empty(phi.shape[1:] + phi.shape[:1])
     for c, plane in enumerate(phi):
         np.multiply(plane, wgt, out=prod[..., c])
-    return np.sum(prod)
+    return [_total(side) for side in prod]
 
 
 def smoothness_loss(field: np.ndarray, edges, mean_normalize: bool = False, grads: bool = True):
     """Edge-aware first-order smoothness of an (H, W) or planar (C, H, W)
     field, weighted by the edge weights (wx, wy) of its guide image
-    (`edge_weights`).
+    (`edge_weights`). Edge weights with a leading side axis, (n, H, W-1)
+    and (n, H-1, W), take a stacked (n, H, W) or (C, n, H, W) field and
+    give one loss per side.
 
     sum over axes of phi(d field) * exp(-mean_c |d guide|), divided by the
     pixel count H*W, where phi is the charbonnier surrogate for |.| (an exact
@@ -260,58 +304,64 @@ def smoothness_loss(field: np.ndarray, edges, mean_normalize: bool = False, grad
     Returns (loss, grad wrt field).
     """
     f = np.asarray(field, dtype=float)
-    squeeze = f.ndim == 2
-    fc = f[None] if squeeze else f
-    h, w = fc.shape[1:]
     wx, wy = edges
-    if np.shape(wx) != (h, w - 1) or np.shape(wy) != (h - 1, w):
+    squeeze = f.ndim == np.ndim(wx)  # no channel axis
+    fc = f[None] if squeeze else f
+    h, w = fc.shape[-2:]
+    if np.shape(wx) != fc.shape[1:-1] + (w - 1,) or np.shape(wy) != fc.shape[1:-2] + (h - 1, w):
         raise ValueError("field and edge weight sizes differ")
+    fc = fc.reshape((len(fc), -1, h, w))  # (C, n, h, w), n = 1 unstacked
     if mean_normalize:
-        mu = f.mean()
-        if abs(mu) < 1e-12:
+        mu = [side.mean() for side in fc.swapaxes(0, 1)]
+        if min(abs(m) for m in mu) < 1e-12:
             raise ValueError("cannot mean-normalize a zero-mean field")
-        n = fc / mu
+        mus = np.array(mu).reshape(-1, 1, 1)
+        n = fc / mus
     else:
         n = fc
-    dx = n[..., 1:] - n[..., :-1]
-    dy = n[:, 1:] - n[:, :-1]
     inv = 1.0 / (h * w)
-    phi_x, dphi_x = charbonnier(dx)
-    phi_y, dphi_y = charbonnier(dy)
-    loss = (_channel_last_sum(phi_x, wx) + _channel_last_sum(phi_y, wy)) * inv
+    grad_n = np.zeros_like(fc) if grads else None
+    sums = []
+    # one axis at a time, x then y, each pair of neighbours (lo, hi)
+    for lo, hi, wgt in ((np.s_[..., :-1], np.s_[..., 1:], wx), (np.s_[..., :-1, :], np.s_[..., 1:, :], wy)):
+        phi, dphi = charbonnier(n[hi] - n[lo], grads=grads)
+        sums.append(_channel_last_sum(phi, wgt))
+        if grads:
+            dphi *= wgt
+            dphi *= inv  # dphi * wgt * inv
+            grad_n[hi] += dphi
+            grad_n[lo] -= dphi
+        del phi, dphi
+    loss = [float((along_x + along_y) * inv) for along_x, along_y in zip(*sums)]
+    loss = tuple(loss) if np.ndim(wx) == 3 else loss[0]
     if not grads:
-        return float(loss), None
-    grad_n = np.zeros_like(fc)
-    sx = dphi_x * wx * inv
-    grad_n[..., 1:] += sx
-    grad_n[..., :-1] -= sx
-    sy = dphi_y * wy * inv
-    grad_n[:, 1:] += sy
-    grad_n[:, :-1] -= sy
+        return loss, None
     if mean_normalize:
-        # n = f / mean(f): the mean couples every element
-        corr = np.sum(grad_n * fc) / (fc.size * mu * mu)
-        grad_f = grad_n / mu - corr
+        # n = f / mean(f): the mean couples every element of its side
+        size = fc.size // len(mu)
+        prod = (grad_n * fc).swapaxes(0, 1)
+        corr = np.array([_total(p) / (size * m * m) for p, m in zip(prod, mu)]).reshape(-1, 1, 1)
+        grad_f = grad_n / mus - corr
     else:
         grad_f = grad_n
-    return float(loss), grad_f[0] if squeeze else grad_f
+    return loss, grad_f.reshape(f.shape)
 
 
 def _fb_flow_terms(fwd, plan: WarpPlan, cycle, mask, grads: bool = True):
     """Charbonnier norm of f(p) + b(p + f(p)) over mask, from the cycle (b,
-    db/dx, db/dy) sampled through the plan of f = fwd, each planar (2, H, W);
-    only b is read without `grads`. Returns (loss, grad wrt fwd, grad wrt bwd)."""
-    nv = int(np.count_nonzero(mask))
-    if nv == 0:
-        return 0.0, np.zeros_like(fwd), np.zeros_like(fwd)
+    db/dx, db/dy) sampled through the plan of f = fwd, each planar (2, H, W)
+    or stacked (2, n, H, W); only b is read without `grads`. Returns (loss,
+    grad wrt fwd, grad wrt bwd), bwd being what the plan sampled."""
     mask = np.asarray(mask, dtype=bool)
-    phi, dphi = charbonnier(fwd + cycle[0])
-    inv = 1.0 / nv
-    loss = float(np.sum((phi[0] + phi[1])[mask])) * inv
+    inv, scale = _inverse_counts(mask)
+    if not any(inv):
+        return _by_side([0.0] * len(inv), mask), np.zeros_like(fwd), np.zeros_like(fwd)
+    phi, dphi = charbonnier(fwd + cycle[0], grads=grads)
+    loss = _side_means(phi[0] + phi[1], mask, inv)
     if not grads:
         return loss, None, None
     _, bdx, bdy = cycle
-    g = np.where(mask, dphi * inv, 0.0)
+    g = np.where(mask, dphi * scale, 0.0)
     del phi, dphi  # dead: freed before the scatter, where a level's memory peaks
     gu, gv = g
     # q depends on fwd, so the sampled b(q) feeds back into both components
@@ -323,21 +373,24 @@ def _fb_flow_terms(fwd, plan: WarpPlan, cycle, mask, grads: bool = True):
 
 def _fb_depth_terms(depth_t, depth_t1, plan: WarpPlan, mask, grads: bool = True):
     """Charbonnier gap over mask between depth_t and depth_t1 pulled back
-    through the plan of the rigid flow. Returns (loss, grad wrt depth_t,
-    grad wrt depth_t1, planar grad wrt the rigid flow)."""
-    h, w = depth_t.shape
-    nv = int(np.count_nonzero(mask))
-    if nv == 0:
-        return 0.0, np.zeros((h, w)), np.zeros((h, w)), np.zeros((2, h, w))
+    through the plan of the rigid flow, (H, W) or stacked (n, H, W) (a
+    stacked plan pulls each side from the other side of depth_t1). Returns
+    (loss, grad wrt depth_t, grad wrt depth_t1, planar grad wrt the rigid flow)."""
+    mask = np.asarray(mask, dtype=bool)
+    inv, scale = _inverse_counts(mask)
+    if not any(inv):
+        shape = np.shape(depth_t)
+        return _by_side([0.0] * len(inv), mask), np.zeros(shape), np.zeros(shape), np.zeros((2,) + shape)
     pulled, *deriv = plan.sample_grad(depth_t1) if grads else (plan.sample(depth_t1),)
-    phi, dphi = charbonnier(depth_t - pulled)
-    inv = 1.0 / nv
-    loss = float(np.sum(phi[mask])) * inv
+    phi, dphi = charbonnier(depth_t - pulled, grads=grads)
+    loss = _side_means(phi, mask, inv)
     if not grads:
         return loss, None, None, None
-    g = np.where(mask, dphi * inv, 0.0)
+    g = np.where(mask, dphi * scale, 0.0)
     neg = -g
-    grad_rigid = np.stack([neg * dd for dd in deriv])
+    grad_rigid = np.empty((2,) + neg.shape)
+    for dd, out in zip(deriv, grad_rigid):
+        np.multiply(neg, dd, out=out)
     return loss, g, plan.scatter(neg), grad_rigid
 
 
@@ -345,7 +398,7 @@ def cross_task_loss(
     rigid: np.ndarray, flow: np.ndarray, mask: np.ndarray, eps: float = DEFAULT_L1_EPS, grads: bool = True
 ):
     """Charbonnier gap between rigid flow and estimated flow, both planar
-    (2, H, W), over mask.
+    (2, H, W), or stacked (2, n, H, W) with an (n, H, W) mask, over mask.
 
     Returns (loss, grad wrt rigid, grad wrt flow).
     """
@@ -353,52 +406,79 @@ def cross_task_loss(
     flow = np.asarray(flow, dtype=float)
     if rigid.shape != flow.shape:
         raise ValueError("field sizes differ")
-    nv = int(np.count_nonzero(mask))
-    if nv == 0:
-        return 0.0, np.zeros_like(rigid), np.zeros_like(flow)
-    phi, dphi = charbonnier(rigid - flow, eps)
-    inv = 1.0 / nv
-    loss = float(np.sum((phi[0] + phi[1])[mask])) * inv
+    mask = np.asarray(mask, dtype=bool)
+    inv, scale = _inverse_counts(mask)
+    if not any(inv):
+        return _by_side([0.0] * len(inv), mask), np.zeros_like(rigid), np.zeros_like(flow)
+    phi, dphi = charbonnier(rigid - flow, eps, grads)
+    loss = _side_means(phi[0] + phi[1], mask, inv)
     if not grads:
         return loss, None, None
-    grad_rigid = np.where(mask, dphi * inv, 0.0)
+    grad_rigid = np.where(mask, dphi * scale, 0.0)
     return loss, grad_rigid, -grad_rigid
 
 
 @dataclass
 class ScaleResult:
     """Per-level term values and gradients w.r.t. that level's inputs, the
-    gradients indexed by side: grad_pose holds the (rotation, translation)
-    gradient of each side's pose."""
+    gradients indexed by side: grad_depth is (2, h, w), grad_flow (2, 2, h,
+    w) as [side][component], and grad_pose holds the (rotation,
+    translation) gradient of each side's pose."""
 
     photometric: float
     smooth: float
     fb: float
     cross: float
-    grad_depth: tuple
+    grad_depth: np.ndarray
     grad_pose: tuple
-    grad_flow: tuple
+    grad_flow: np.ndarray
     masks: LevelMasks
 
 
-def _photometric_pair(ref: np.ndarray, src: np.ndarray, branches, census: CensusParams, grads: bool):
-    """The two photometric branches that share `ref` as census reference.
+def _photometric_terms(ref: np.ndarray, src: np.ndarray, branches, census: CensusParams, grads: bool):
+    """The photometric branches of a block of sides, against the census
+    reference `ref`, their gray images.
 
-    Each branch (plan, mask, acc) warps `src` through the plan of its
-    correspondence field and, when `grads`, adds the gradient wrt that
-    field into acc. Returns the two branch losses.
+    Each branch (plan, mask, acc) warps `src`, the other frames, through
+    the plan of its correspondence field and, when `grads`, adds the
+    gradient wrt that field into acc. Returns the branch losses, side by
+    side and branch by branch within a side.
     """
     warps = [plan.sample_grad(src) if grads else (plan.sample(src),) for plan, _, _ in branches]
     pairs = [(warp[0], mask) for warp, (_, mask, _) in zip(warps, branches)]
     found = _census_terms(ref, pairs, census, grads)
-    losses = []
     for term, warp, (_, _, acc) in zip(found, warps, branches):
-        loss, grad_warped = term or (0.0, None)  # None: the branch's mask is empty
-        losses.append(loss)
-        if grads and term:
-            acc[0] += grad_warped * warp[1]
-            acc[1] += grad_warped * warp[2]
-    return losses
+        if grads and term:  # None: the branch's mask is empty on every side
+            acc[0] += term[1] * warp[1]
+            acc[1] += term[1] * warp[2]
+    by_branch = [term[0] if term else (0.0,) * len(ref) for term in found]
+    return [loss for side in zip(*by_branch) for loss in side]
+
+
+def _add_own_then_other(acc_own, acc_other, weight, own, other):
+    """acc_own += weight * own and acc_other += weight * other, the sides on
+    axis -3, in the order the sides' terms reach each element: side 0's own
+    term comes before the term side 1 sends it, side 1's after the term side
+    0 sends it. For a stacked block acc_own and acc_other are one array."""
+    acc_own[..., :1, :, :] += weight * own[..., :1, :, :]
+    acc_other += weight * other
+    acc_own[..., 1:, :, :] += weight * own[..., 1:, :, :]
+
+
+# the two sides run as one stacked block on levels of fewer pixels than
+# this, and one at a time on larger ones. Per level with gradients, one
+# stacked call measured 1.28x as fast as two per-side calls at 32x32, 1.07x
+# at 65x49 and no faster at 64x64; forward-only, 0.88x at 128x128. On large
+# levels the bigger arrays and each kernel's doubled transient heap (page
+# faults, peak memory) cost more than the numpy calls that stacking saves
+STACKED_PIXELS = 64 * 64
+
+
+def _side_blocks(h: int, w: int):
+    """(own, other) side slices of each block of a level, in evaluation order."""
+    if h * w < STACKED_PIXELS:
+        return [(slice(0, 2), slice(0, 2))]
+    return [(slice(0, 1), slice(1, 2)), (slice(1, 2), slice(0, 1))]
 
 
 def scale_objective(
@@ -418,116 +498,128 @@ def scale_objective(
 
     level holds the level's image-only inputs. depths are (frame t, frame
     t+1), poses (t -> t+1, t+1 -> t) and flows (forward, backward), planar
-    (2, h, w): entry d of each, and of level's pairs, belongs to side d,
-    whose other frame is 1 - d. Every term is written once and run for each
-    side in turn. The flow gradients are planar too.
+    (2, h, w): entry d of each belongs to side d, whose other frame is the
+    other entry. Inside, each pair is one array with a side axis, and every
+    term runs once per block of sides (`_side_blocks`): both sides at once
+    on small levels, where plans along a stacked field read each side's
+    other frame, and one side at a time on large ones, reading the other
+    side's slice. The flow gradients are planar too.
 
     When `masks` is given the validity masks are taken as-is instead of being
     recomputed from the current state (needed by finite-difference checks,
     where the masks must stay frozen while the state moves).
     """
-    h, w = level.gray[0].shape
-    flows = [np.asarray(f, dtype=float) for f in flows]
-    rigid, cheir = zip(*(rigid_flow(depths[d], level.k, poses[d]) for d in SIDES))
-    rigid = [np.moveaxis(f, -1, 0) for f in rigid]  # planar views, no copy
+    h, w = level.gray.shape[-2:]
+    depth = np.asarray(depths, dtype=float)
+    # [component, side]: a contiguous array passed as a.swapaxes(0, 1) is not copied
+    flow = np.ascontiguousarray(np.asarray(flows, dtype=float).swapaxes(0, 1))
+    blocks = _side_blocks(h, w)
+    # per block: its rigid flows, cheirality and plans; block b's other
+    # sides are those of block -1 - b
+    rigid, cheir = zip(*(_rigid_flow(depth[own], level.k, poses[own]) for own, _ in blocks))
     # one warp plan per correspondence field serves every term of the level
-    rigid_plans = [WarpPlan.along(f) for f in rigid]
-    flow_plans = [WarpPlan.along(f) for f in flows]
-    # the fb cycle b(p + f(p)) of each flow side feeds both its mask and its
-    # loss; its loss pops it, so it is freed as soon as it is used
-    cycles = {}
+    rigid_plans = [WarpPlan.along(r) for r in rigid]
+    flow_plans = [WarpPlan.along(flow[:, own]) for own, _ in blocks]
+    # the fb cycle b(p + f(p)) of the flows feeds both their masks and
+    # their loss; the loss frees it as soon as it is used
+    cycles = []
     if "fb_flow" in terms:
-        cycles = {
-            d: flow_plans[d].sample_grad(flows[1 - d]) if grads else (flow_plans[d].sample(flows[1 - d]),)
-            for d in SIDES
-        }
+        cycles = [
+            plan.sample_grad(flow[:, other]) if grads else (plan.sample(flow[:, other]),)
+            for plan, (_, other) in zip(flow_plans, blocks)
+        ]
     if masks is None:
-        depth_masks, flow_masks = [], []
-        for d in SIDES:
-            back = cycles[d][0] if cycles else flow_plans[d].sample(flows[1 - d])
-            flow_masks.append(_cycle_mask(flows[d], back, flow_plans[d].inbounds, fb_params))
-            back = rigid_plans[d].sample(rigid[1 - d])
-            mask = _cycle_mask(rigid[d], back, rigid_plans[d].inbounds, fb_params)
-            depth_masks.append(mask & cheir[d])
+        depth_mask = np.empty((2, h, w), dtype=bool)
+        flow_mask = np.empty((2, h, w), dtype=bool)
+        for b, (own, other) in enumerate(blocks):
+            back = cycles[b][0] if cycles else flow_plans[b].sample(flow[:, other])
+            flow_mask[own] = _cycle_mask(flow[:, own], back, flow_plans[b].inbounds, fb_params)
+            back = rigid_plans[b].sample(rigid[-1 - b])
+            depth_mask[own] = _cycle_mask(rigid[b], back, rigid_plans[b].inbounds, fb_params) & cheir[b]
         del back
-        masks = LevelMasks(*depth_masks, *flow_masks)
-    depth_masks = (masks.depth_fwd, masks.depth_bwd)
-    flow_masks = (masks.flow_fwd, masks.flow_bwd)
-    g_rigid, g_flow, g_depth = (
-        [np.zeros(shape) if grads else None for _ in SIDES] for shape in ((2, h, w), (2, h, w), (h, w))
-    )
+        masks = LevelMasks(*depth_mask, *flow_mask)
+    else:
+        depth_mask = np.stack((masks.depth_fwd, masks.depth_bwd))
+        flow_mask = np.stack((masks.flow_fwd, masks.flow_bwd))
+    g_rigid = [np.zeros(r.shape) if grads else None for r in rigid]
+    g_flow, g_depth = (np.zeros(a.shape) if grads else None for a in (flow, depth))
     photometric = 0.0
     smooth = 0.0
     fb_total = 0.0
     cross = 0.0
 
     if "photometric" in terms:
-        for d in SIDES:
+        for b, (own, other) in enumerate(blocks):
             branches = (
-                (rigid_plans[d], depth_masks[d], g_rigid[d]),
-                (flow_plans[d], flow_masks[d], g_flow[d]),
+                (rigid_plans[b], depth_mask[own], g_rigid[b]),
+                (flow_plans[b], flow_mask[own], None if g_flow is None else g_flow[:, own]),
             )
-            for loss in _photometric_pair(level.gray[d], level.gray[1 - d], branches, census, grads):
+            for loss in _photometric_terms(level.gray[own], level.gray[other], branches, census, grads):
                 photometric += loss
 
     if "smooth" in terms:
-        # all four terms run before any is added: freeing each gradient right
+        # all terms run before any is added: freeing each gradient right
         # after its add measured about 3% slower per refine iteration at 256²,
         # from the extra page faults of the reallocations
-        parts = [
-            (acc, d, *smoothness_loss(fields[d], level.edges[d], mean_normalize, grads))
-            for fields, acc, mean_normalize in ((depths, g_depth, True), (flows, g_flow, False))
-            for d in SIDES
-        ]
-        for acc, d, loss, grad in parts:
-            smooth += loss
+        parts = []
+        for field, acc, mean_normalize in ((depth, g_depth, True), (flow, g_flow, False)):
+            for own, _ in blocks:
+                edges = tuple(e[own] for e in level.edges)
+                loss, grad = smoothness_loss(field[..., own, :, :], edges, mean_normalize, grads)
+                parts.append((None if acc is None else acc[..., own, :, :], loss, grad))
+        for acc, loss, grad in parts:
+            for side in loss:
+                smooth += side
             if grads:
-                acc[d] += weights.lambda_s * grad
+                acc += weights.lambda_s * grad
+        del parts
 
     if "fb_flow" in terms:
-        for d in SIDES:
+        for b, (own, other) in enumerate(blocks):
             loss, grad, grad_other = _fb_flow_terms(
-                flows[d], flow_plans[d], cycles.pop(d), flow_masks[d], grads
+                flow[:, own], flow_plans[b], cycles[b], flow_mask[own], grads
             )
-            fb_total += loss
+            cycles[b] = None
+            for side in loss:
+                fb_total += side
             if grads:
-                g_flow[d] += weights.lambda_f * grad
-                g_flow[1 - d] += weights.lambda_f * grad_other
+                _add_own_then_other(g_flow[:, own], g_flow[:, other], weights.lambda_f, grad, grad_other)
     # the plans are dead once their last term has run: freeing them keeps
     # the level's peak memory at the projection adjoint below that of the
     # per-term sampling they replace
     del flow_plans
 
     if "fb_depth" in terms:
-        for d in SIDES:
+        for b, (own, other) in enumerate(blocks):
             loss, grad, grad_other, grad_rigid = _fb_depth_terms(
-                depths[d], depths[1 - d], rigid_plans[d], depth_masks[d], grads
+                depth[own], depth[other], rigid_plans[b], depth_mask[own], grads
             )
-            fb_total += loss
+            for side in loss:
+                fb_total += side
             if grads:
-                g_depth[d] += weights.lambda_f * grad
-                g_depth[1 - d] += weights.lambda_f * grad_other
-                g_rigid[d] += weights.lambda_f * grad_rigid
+                _add_own_then_other(g_depth[own], g_depth[other], weights.lambda_f, grad, grad_other)
+                g_rigid[b] += weights.lambda_f * grad_rigid
     del rigid_plans
 
     if "cross" in terms:
-        for d in SIDES:
-            mask = intersect(depth_masks[d], flow_masks[d])
-            loss, grad_rigid, grad_flow = cross_task_loss(rigid[d], flows[d], mask, grads=grads)
-            cross += loss
+        for b, (own, _) in enumerate(blocks):
+            mask = intersect(depth_mask[own], flow_mask[own])
+            loss, grad_rigid, grad_flow = cross_task_loss(rigid[b], flow[:, own], mask, grads=grads)
+            for side in loss:
+                cross += side
             if grads:
-                g_rigid[d] += weights.lambda_c * grad_rigid
-                g_flow[d] += weights.lambda_c * grad_flow
+                g_rigid[b] += weights.lambda_c * grad_rigid
+                g_flow[:, own] += weights.lambda_c * grad_flow
 
     if not grads:
         return ScaleResult(photometric, smooth, fb_total, cross, None, None, None, masks)
     # photometric branch gradients on rigid flow arrive unweighted; rescale
     # happens at accumulation sites above, so here only the chain through
     # the projection remains
-    g_pose = []
-    for d in SIDES:
-        gd, gr, gt = project_backward(depths[d], level.k, poses[d], *g_rigid[d])
-        g_depth[d] += gd
-        g_pose.append((gr, gt))
-    grads = (tuple(g_depth), tuple(g_pose), tuple(g_flow))
+    grad_pose = []
+    for b, (own, _) in enumerate(blocks):
+        gd, gr, gt = project_backward(depth[own], level.k, poses[own], *g_rigid[b])
+        g_depth[own] += gd
+        grad_pose += zip(gr, gt)
+    grads = (g_depth, tuple(grad_pose), g_flow.swapaxes(0, 1))
     return ScaleResult(photometric, smooth, fb_total, cross, *grads, masks)

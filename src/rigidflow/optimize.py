@@ -23,7 +23,6 @@ from .camera import (
 )
 from .losses import (
     ALL_TERMS,
-    SIDES,
     CensusParams,
     LevelInputs,
     LossReport,
@@ -33,7 +32,7 @@ from .losses import (
     scale_objective,
 )
 from .masks import FBCheckParams
-from .sampling import downsample_flow_adjoint, downsample_image_adjoint, flow_pyramid, image_pyramid
+from .sampling import _pool_planes, _pool_planes_adjoint, downsample_flow_adjoint, flow_pyramid, image_pyramid
 
 __all__ = [
     "SceneState",
@@ -198,9 +197,15 @@ class PairContext:
     """The image-only inputs of one frame pair: `levels[lvl]` holds those of
     pyramid level lvl of `cfg.scales`. `refine` builds one for all its
     iterations. Raises ValueError naming an image that is not (H, W) or
-    (H, W, C), not finite, or too small for the pyramid."""
+    (H, W, C), not finite, too small for the pyramid, or of another size
+    than img_t or than `shape`, the state's (H, W)."""
 
-    def __init__(self, img_t: np.ndarray, img_t1: np.ndarray, k: Intrinsics, cfg: OptimizerConfig):
+    def __init__(
+        self, img_t: np.ndarray, img_t1: np.ndarray, k: Intrinsics, cfg: OptimizerConfig, shape=None
+    ):
+        # the frames stack into one array: each must have the size of the
+        # state when its (H, W) `shape` is given, and img_t1 that of img_t
+        ref = None if shape is None else ("the state", tuple(shape))
         for name, arr in (("img_t", img_t), ("img_t1", img_t1)):
             if np.ndim(arr) not in (2, 3):
                 raise ValueError(f"{name} must be (H, W) or (H, W, C)")
@@ -212,10 +217,22 @@ class PairContext:
                     f"scales={cfg.scales} needs both image sides above {2 ** (cfg.scales - 1)}, "
                     f"got {h}x{w}: the coarsest level would have a side of 1"
                 )
+            if ref is None:
+                ref = (name, (h, w))
+            elif (h, w) != ref[1]:
+                raise ValueError(f"{name} is {h}x{w} but {ref[0]} is {'x'.join(map(str, ref[1]))}")
         self.levels = []
         for pair in zip(*(image_pyramid(img, cfg.scales) for img in (img_t, img_t1))):
-            gray = tuple(img.mean(axis=2) if img.ndim == 3 else img for img in pair)
-            self.levels.append(LevelInputs(gray, tuple(edge_weights(img) for img in pair), k))
+            h, w = pair[0].shape[:2]
+            # each frame's gray image and edge weights, written into its side
+            gray, wx, wy = np.empty((2, h, w)), np.empty((2, h, w - 1)), np.empty((2, h - 1, w))
+            for img, g, ex, ey in zip(pair, gray, wx, wy):
+                if img.ndim == 3:
+                    np.mean(img, axis=2, out=g)
+                else:
+                    g[...] = img
+                ex[...], ey[...] = edge_weights(img)
+            self.levels.append(LevelInputs(gray, (wx, wy), k))
             k = k.scaled_down()
 
 
@@ -244,7 +261,8 @@ def evaluate(
     naming a malformed state field, image or frozen mask, and
     NonFiniteLossError naming the term that went bad.
     """
-    return _objective(state, PairContext(img_t, img_t1, k, cfg), cfg, masks, terms, want_grads)
+    ctx = PairContext(img_t, img_t1, k, cfg, state.depth_t.shape[:2])
+    return _objective(state, ctx, cfg, masks, terms, want_grads)
 
 
 def _objective(state: SceneState, ctx: PairContext, cfg: OptimizerConfig, masks, terms, want_grads):
@@ -260,11 +278,13 @@ def _objective(state: SceneState, ctx: PairContext, cfg: OptimizerConfig, masks,
     sw = list(cfg.scale_weights) if cfg.scale_weights else [1.0] * scales
     if masks is not None:
         _check_masks(masks, [level.gray[0].shape for level in ctx.levels])
-    # per level, the (side 0, side 1) pair of each input; the flows are
-    # planar (2, h, w) inside, one copy of each state flow on entry
-    depths = list(zip(*(image_pyramid(d, scales) for d in (state.depth_t, state.depth_t1))))
-    planar = (np.ascontiguousarray(np.moveaxis(f, -1, 0)) for f in (state.flow_fwd, state.flow_bwd))
-    flows = list(zip(*(flow_pyramid(f, scales) for f in planar)))
+    # per level, the stacked (side 0, side 1) depths (2, h, w) and planar
+    # flows (2, 2, h, w), [component, side]: one copy of the state's on entry
+    depths = [np.stack((state.depth_t, state.depth_t1))]
+    for _ in range(scales - 1):
+        depths.append(_pool_planes(depths[-1], 1.0))
+    planar = [np.moveaxis(f, -1, 0) for f in (state.flow_fwd, state.flow_bwd)]
+    flows = flow_pyramid(np.stack(planar, axis=1), scales)
     pose = pose_from_params(state.pose_params)
     poses = (pose, invert(pose))
     photometric = 0.0
@@ -277,7 +297,7 @@ def _objective(state: SceneState, ctx: PairContext, cfg: OptimizerConfig, masks,
             ctx.levels[lvl],
             depths[lvl],
             poses,
-            flows[lvl],
+            flows[lvl].swapaxes(0, 1),
             cfg.weights,
             cfg.census,
             cfg.fb_params,
@@ -317,20 +337,20 @@ def _objective(state: SceneState, ctx: PairContext, cfg: OptimizerConfig, masks,
             acc = sw[lvl] * per_level[lvl] + adjoint(acc, per_level[lvl].shape[-2:])
         return acc
 
-    depth = [fold([r.grad_depth[d] for r in results], downsample_image_adjoint) for d in SIDES]
-    # the flows fold planar; one copy of each turns it back to the state's (H, W, 2)
-    folded = (fold([r.grad_flow[d] for r in results], downsample_flow_adjoint) for d in SIDES)
-    flow = [np.ascontiguousarray(np.moveaxis(f, 0, -1)) for f in folded]
-    # (rotation, translation) gradient of the forward pose, then of its inverse
+    depth = fold([r.grad_depth for r in results], lambda g, shape: _pool_planes_adjoint(g, shape, 1.0))
+    flow = fold([r.grad_flow.swapaxes(0, 1) for r in results], downsample_flow_adjoint)
+    # the (rotation, translation) gradient of the forward pose, then of its inverse
     pose_grads = [
-        sum(w * r.grad_pose[d][i] for w, r in zip(sw, results)) for d in SIDES for i in (0, 1)
+        sum(w * r.grad_pose[side][i] for w, r in zip(sw, results)) for side in (0, 1) for i in (0, 1)
     ]
+    # the flows fold planar; one copy of each turns it back to the state's (H, W, 2)
+    flow_fwd, flow_bwd = (np.ascontiguousarray(np.moveaxis(f, 0, -1)) for f in flow.swapaxes(0, 1))
     grad = StateGrad(
         depth_t=depth[0],
         depth_t1=depth[1],
         pose_params=pose_param_gradient(state.pose_params, *pose_grads),
-        flow_fwd=flow[0],
-        flow_bwd=flow[1],
+        flow_fwd=flow_fwd,
+        flow_bwd=flow_bwd,
     )
     return report, grad, masks_used
 
@@ -388,7 +408,7 @@ def refine(
     with the partial trace attached, if the loss goes non-finite or an
     update leaves the feasible set.
     """
-    ctx = PairContext(img_t, img_t1, k, cfg)
+    ctx = PairContext(img_t, img_t1, k, cfg, init_state.depth_t.shape[:2])
     state = init_state.copy()
     moments = AdamMoments.zeros(state)
     trace = []

@@ -14,21 +14,34 @@ and free-axis flags. The other three corners are read as offset views of
 the flattened source (`flat[sx:]`, `flat[sy:]`, `flat[sy + sx:]`, with the
 offset 0 along an axis of size 1), so no other index array is stored. One
 plan serves any number of `sample`, `sample_grad` and `scatter` calls, on
-(H, W) sources or planar (C, H, W) ones of any channel count. The objective
-builds one plan per correspondence field per pyramid level; `inverse_warp`
-builds a throwaway plan per call.
+sources of its grid's shape or planar ones with a leading channel axis of
+any size. The objective builds one plan per correspondence field per
+pyramid level and block of sides; `inverse_warp` builds a throwaway plan
+per call.
 
-Layout: inside the objective every two-channel field (flow, rigid flow,
-their cycles and gradients) is a planar (2, H, W) array, [0] the horizontal
-and [1] the vertical displacement, so each plane is contiguous and (H, W)
-masks and weights broadcast over the leading axis. `WarpPlan.along` and the
-flow pyramid (`downsample_flow`, its adjoint, `flow_pyramid`) take planar
-fields. The public boundary (`inverse_warp` here, `masks.fb_check`,
-`camera.rigid_flow`, the state and its gradient, `.flo` files) keeps
-channel-last (H, W, 2) fields and converts with `np.moveaxis`.
+Layout: inside the objective every field is stacked over the two sides of
+the pair (side 0 is frame t against t+1, side 1 the reverse): depths and
+gray images are (2, H, W), and every two-channel field (flow, rigid flow,
+their cycles and gradients) is planar and stacked, (2, 2, H, W), component
+first, [0] the horizontal and [1] the vertical displacement. Each (H, W)
+plane is contiguous, and (2, H, W) masks and weights broadcast over the
+leading component axis. A plan along a stacked field covers the 2·H·W
+points of both sides and indexes the flattened 2·H·W source, each side's
+points reading the other side: the other frame of every side, without a
+reversed copy. A corner never leaves its side, since x0 <= W-2 and
+y0 <= H-2, and `scatter`'s bincount still sums each bin in point order.
+A plan along one side's (2, 1, H, W) field reads a (1, H, W) source, the
+other side's slice, which is how large levels run one side at a time.
+`WarpPlan.along` and the flow pyramid (`downsample_flow`, its adjoint,
+`flow_pyramid`) take planar fields with any leading axes. The public
+boundary (`inverse_warp` here, `masks.fb_check`, the state and its
+gradient, `.flo` files) keeps channel-last (H, W, 2) fields and converts
+with `np.moveaxis`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -45,19 +58,23 @@ __all__ = [
 
 
 class WarpPlan:
-    """Bilinear bookkeeping of sample points (xs, ys) on an (H, W) grid.
+    """Bilinear bookkeeping of sample points (xs, ys) on a grid of shape
+    (H, W), or (n, H, W) for n stacked sides.
 
     `inbounds` flags points inside [0, W-1] x [0, H-1]; `free_x` and
     `free_y` flag points whose lookup is not clamped along that axis, where
     the coordinate derivative is live. All three have the shape S of xs.
-    Sources are (H, W), sampled to shape S, or planar (C, H, W), sampled to
-    (C,) + S; the per-point arrays broadcast over the leading axis.
+    Sources have the grid's shape, sampled to shape S, or a leading channel
+    axis, (C,) + grid sampled to (C,) + S; the per-point arrays broadcast
+    over it. On a stacked grid S is (n, ...) and side d's points read side
+    n-1-d of the source (the other frame of a pair), and `scatter` returns
+    the adjoint on that side.
     """
 
     __slots__ = ("shape", "i00", "sx", "sy", "wx", "wy", "inbounds", "free_x", "free_y")
 
     def __init__(self, shape, xs, ys):
-        h, w = shape
+        *sides, h, w = shape
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         xc = np.clip(xs, 0.0, w - 1.0)
@@ -65,33 +82,38 @@ class WarpPlan:
         # floor in float: the corners are small integers, exact in float64
         x0 = np.minimum(np.floor(xc), max(w - 2, 0))
         y0 = np.minimum(np.floor(yc), max(h - 2, 0))
-        self.shape = (h, w)
+        self.shape = tuple(shape)
         self.sx = 1 if w > 1 else 0
         self.sy = w if h > 1 else 0
         self.wx = xc - x0
         self.wy = yc - y0
-        self.i00 = (y0 * w + x0).astype(np.intp)
+        i00 = y0 * w + x0
+        if sides and sides[0] > 1:  # the offset of the source side each side reads
+            i00 += np.arange(sides[0] - 1, -1, -1).reshape(-1, 1, 1) * (h * w)
+        self.i00 = i00.astype(np.intp)
         self.free_x = (xs >= 0.0) & (xs <= w - 1.0)
         self.free_y = (ys >= 0.0) & (ys <= h - 1.0)
         self.inbounds = self.free_x & self.free_y
 
     @classmethod
     def along(cls, field: np.ndarray) -> "WarpPlan":
-        """Plan of the points p + field(p) for every pixel p of a planar (2, H, W) field."""
+        """Plan of the points p + field(p) for every pixel p of a planar
+        (2, H, W) field, or of each side of a stacked (2, n, H, W) one."""
         field = np.asarray(field, dtype=float)
-        h, w = field.shape[1:]
+        h, w = field.shape[-2:]
         # the pixel grid, broadcast: p = (x, y) with integer x, y
         xs = np.arange(w, dtype=float) + field[0]
         ys = np.arange(h, dtype=float)[:, None] + field[1]
-        return cls((h, w), xs, ys)
+        return cls(field.shape[1:-2] + (h, w), xs, ys)
 
     def _corners(self, src: np.ndarray):
         """Source values at the four corners, each of shape S or (C,) + S."""
         src = np.asarray(src, dtype=float)
-        h, w = self.shape
-        if src.shape[-2:] != (h, w) or src.ndim not in (2, 3):
-            raise ValueError("source must be (H, W) or (C, H, W) on the plan's grid")
-        flat = src.reshape(src.shape[:-2] + (h * w,))
+        grid = self.shape
+        lead = src.shape[: src.ndim - len(grid)]
+        if src.shape[len(lead) :] != grid or len(lead) > 1:
+            raise ValueError("source must be the plan's grid, with at most a leading channel axis")
+        flat = src.reshape(lead + (-1,))
         i, sx, sy = self.i00, self.sx, self.sy
         return (
             flat.take(i, axis=-1),
@@ -101,7 +123,7 @@ class WarpPlan:
         )
 
     def sample(self, src: np.ndarray) -> np.ndarray:
-        """src at the plan's points: shape S, or (C,) + S for (C, H, W)."""
+        """src at the plan's points: shape S, or (C,) + S for (C,) + grid."""
         v00, v01, v10, v11 = self._corners(src)
         wx, wy = self.wx, self.wy
         top = v00 + wx * (v01 - v00)
@@ -124,9 +146,8 @@ class WarpPlan:
 
     def scatter(self, grad_out) -> np.ndarray:
         """Adjoint of `sample` w.r.t. the source: accumulate grad_out (shape S,
-        or (C,) + S) into an (H, W) or (C, H, W) array with the forward
-        lookup's corner weights, clamping included."""
-        h, w = self.shape
+        or (C,) + S) into an array of the grid's shape, or (C,) + grid, with
+        the forward lookup's corner weights, clamping included."""
         g = np.asarray(grad_out, dtype=float)
         n = self.i00.size
         i = self.i00.reshape(n)
@@ -139,12 +160,13 @@ class WarpPlan:
         ux = 1.0 - wx
         uy = 1.0 - wy
         wgt = np.empty((4, n))
+        size = math.prod(self.shape)
 
         def one(gc):
             for out, a, b in zip(wgt, (ux, wx, ux, wx), (uy, uy, wy, wy)):
                 np.multiply(gc, a, out=out)
                 out *= b
-            return np.bincount(idx, weights=wgt.reshape(4 * n), minlength=h * w).reshape(h, w)
+            return np.bincount(idx, weights=wgt.reshape(4 * n), minlength=size).reshape(self.shape)
 
         if g.ndim == self.i00.ndim:
             return one(g.reshape(n))
@@ -174,8 +196,8 @@ def inverse_warp(target: np.ndarray, flow: np.ndarray):
     return plan.sample(target), plan.inbounds
 
 
-def _pool2(a: np.ndarray) -> np.ndarray:
-    """2x2 average pooling with edge replication for odd sizes."""
+def _pool2(a: np.ndarray, out=None) -> np.ndarray:
+    """2x2 average pooling with edge replication for odd sizes, into out if given."""
     h, w = a.shape[:2]
     if h < 2 or w < 2:
         raise ValueError("cannot downsample a dimension of size 1")
@@ -183,7 +205,10 @@ def _pool2(a: np.ndarray) -> np.ndarray:
         a = np.concatenate([a, a[-1:]], axis=0)
     if w % 2:
         a = np.concatenate([a, a[:, -1:]], axis=1)
-    return 0.25 * (a[0::2, 0::2] + a[0::2, 1::2] + a[1::2, 0::2] + a[1::2, 1::2])
+    s = a[0::2, 0::2] + a[0::2, 1::2]
+    s += a[1::2, 0::2]
+    s += a[1::2, 1::2]
+    return np.multiply(s, 0.25, out=s if out is None else out)  # 0.25 * (sum of the four)
 
 
 def _pool2_adjoint(grad: np.ndarray, fine_shape) -> np.ndarray:
@@ -206,17 +231,33 @@ def downsample_image(img: np.ndarray) -> np.ndarray:
     return _pool2(np.asarray(img, dtype=float))
 
 
-def downsample_flow(flow: np.ndarray) -> np.ndarray:
-    """Average-pool a planar (2, H, W) field plane by plane and halve the
-    displacements to stay in level units."""
-    flow = np.asarray(flow, dtype=float)
-    h, w = flow.shape[1:]
-    # written into one output: stacking per-plane results cost about 230
-    # more page faults per 129x97 evaluate
-    out = np.empty((flow.shape[0], (h + 1) // 2, (w + 1) // 2))
-    for plane, o in zip(flow, out):
-        np.multiply(_pool2(plane), 0.5, out=o)
+def _pool_planes(a: np.ndarray, scale: float) -> np.ndarray:
+    """`_pool2` of every (H, W) plane of a (..., H, W) array, times scale,
+    written into one output: stacking per-plane results cost about 230 more
+    page faults per 129x97 evaluate."""
+    h, w = a.shape[-2:]
+    out = np.empty(a.shape[:-2] + ((h + 1) // 2, (w + 1) // 2))
+    for plane, o in zip(a.reshape(-1, h, w), out.reshape((-1,) + out.shape[-2:])):
+        _pool2(plane, out=o)
+    if scale != 1.0:
+        out *= scale
     return out
+
+
+def _pool_planes_adjoint(grad: np.ndarray, fine_shape, scale: float) -> np.ndarray:
+    """Adjoint of `_pool_planes`: a (..., h, w) gradient onto (...,) + fine_shape."""
+    out = np.empty(grad.shape[:-2] + tuple(fine_shape))
+    for plane, o in zip(grad.reshape((-1,) + grad.shape[-2:]), out.reshape((-1,) + tuple(fine_shape))):
+        o[...] = _pool2_adjoint(plane, fine_shape)
+    if scale != 1.0:
+        out *= scale
+    return out
+
+
+def downsample_flow(flow: np.ndarray) -> np.ndarray:
+    """Average-pool a planar (..., H, W) field plane by plane and halve the
+    displacements to stay in level units."""
+    return _pool_planes(np.asarray(flow, dtype=float), 0.5)
 
 
 def downsample_image_adjoint(grad: np.ndarray, fine_shape) -> np.ndarray:
@@ -225,12 +266,8 @@ def downsample_image_adjoint(grad: np.ndarray, fine_shape) -> np.ndarray:
 
 
 def downsample_flow_adjoint(grad: np.ndarray, fine_shape) -> np.ndarray:
-    """Adjoint of downsample_flow: a planar (2, h, w) gradient onto (2,) + fine_shape."""
-    grad = np.asarray(grad, dtype=float)
-    out = np.empty(grad.shape[:1] + tuple(fine_shape))
-    for plane, o in zip(grad, out):
-        np.multiply(_pool2_adjoint(plane, fine_shape), 0.5, out=o)
-    return out
+    """Adjoint of downsample_flow: a planar (..., h, w) gradient onto (...,) + fine_shape."""
+    return _pool_planes_adjoint(np.asarray(grad, dtype=float), fine_shape, 0.5)
 
 
 def _pyramid(arr, levels, step):
@@ -247,5 +284,5 @@ def image_pyramid(img, levels):
 
 
 def flow_pyramid(flow, levels):
-    """Levels of a planar (2, H, W) field, finest first, in each level's units."""
+    """Levels of a planar (..., H, W) field, finest first, in each level's units."""
     return _pyramid(flow, levels, downsample_flow)

@@ -17,7 +17,7 @@ from rigidflow.camera import Intrinsics
 from rigidflow.cli import main
 from rigidflow.config import _INT_KEYS, _KNOWN, optimizer_config_from, parse_kv_file, parse_overrides
 from rigidflow.flowio import FLO_MAGIC, read_flo, read_pfm, write_flo, write_pfm
-from rigidflow.optimize import OptimizerConfig, SceneState, evaluate
+from rigidflow.optimize import OptimizerConfig, SceneState, evaluate, make_initial_state, refine
 from rigidflow.scenes import preset, render
 
 
@@ -481,6 +481,38 @@ def test_refine_writes_trace_and_outputs(tmp_path, capsys):
     assert float(values["abs_rel"]) >= 0.0
 
 
+def test_refined_outputs_feed_back_into_loss(tmp_path, capsys):
+    """render-scene -> refine --output-dir -> loss: the refined pose file
+    parses back to the refined float64 pose bit for bit, and `loss` on the
+    rendered images, camera.txt's intrinsics and the refined files gives the
+    trace's last total up to the float32 rounding of the .pfm and .flo files."""
+    scene, out = tmp_path / "scene", tmp_path / "refined"
+    assert run_cli(capsys, "render-scene", "--preset", "mover", "--output-dir", str(scene))[0] == 0
+    refine_args = ["--preset", "mover", "--seed", "5", "--set", "iterations=12"]
+    code, _, _ = run_cli(
+        capsys, "refine", *refine_args, "--trace", str(tmp_path / "trace.csv"), "--output-dir", str(out)
+    )
+    assert code == 0
+    pose_text = (out / "pose.txt").read_text().strip()
+    gt = render(preset("mover"))
+    init = make_initial_state(gt, np.random.default_rng(5), depth_noise=0.2)
+    cfg = optimizer_config_from(parse_overrides(["iterations=12"]))
+    final, _ = refine(gt.image_t, gt.image_t1, gt.intrinsics, init, cfg)
+    parsed = np.array([float(v) for v in pose_text.split(",")])
+    assert parsed.tobytes() == final.pose_params.tobytes()
+    camera = kv_lines((scene / "camera.txt").read_text())
+    argv = ["loss", "--pose", pose_text, "--intrinsics", camera["intrinsics"]]
+    argv += ["--image-t", str(scene / "image_t.pfm"), "--image-t1", str(scene / "image_t1.pfm")]
+    for name in ("depth_t.pfm", "depth_t1.pfm", "flow_fwd.flo", "flow_bwd.flo"):
+        argv += ["--" + name.split(".")[0].replace("_", "-"), str(out / name)]
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 0, stderr
+    last_total = float((tmp_path / "trace.csv").read_text().strip().splitlines()[-1].split(",")[-1])
+    # images, depths and flows pass through float32 files: a relative error
+    # of 2**-24 per input value, which the loss does not amplify past 1e-4
+    assert float(kv_lines(stdout)["total"]) == pytest.approx(last_total, rel=1e-4)
+
+
 def test_refine_rejects_unknown_config_key(capsys):
     code, _, stderr = run_cli(
         capsys, "refine", "--preset", "plane", "--set", "bogus=1"
@@ -543,6 +575,32 @@ def test_bad_pose_arity_fails_cleanly(tmp_path, capsys):
     )
     assert code == 1
     assert "--pose needs 6" in stderr
+
+
+@pytest.mark.parametrize(
+    "pose, intrinsics, message",
+    [
+        (
+            "np.float64(0.0054),0,0,0.4,0,0",
+            "10,10,1.5,1.5",
+            "error: --pose: cannot parse 'np.float64(0.0054)' as a float\n",
+        ),
+        ("0,0,0,0.4,0,0", "10,10,1.5,cy", "error: --intrinsics: cannot parse 'cy' as a float\n"),
+    ],
+)
+def test_an_unparsable_value_is_named_with_its_option(tmp_path, capsys, pose, intrinsics, message):
+    write_pfm(tmp_path / "d.pfm", np.full((4, 4), 2.0))
+    code, stdout, stderr = run_cli(
+        capsys,
+        "synth-flow",
+        "--depth", str(tmp_path / "d.pfm"),
+        "--pose", pose,
+        "--intrinsics", intrinsics,
+        "--output", str(tmp_path / "f.flo"),
+    )
+    assert code == 1
+    assert stderr == message
+    assert stdout == "" and not (tmp_path / "f.flo").exists()
 
 
 def test_unknown_preset_fails_cleanly(capsys):

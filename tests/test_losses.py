@@ -50,6 +50,17 @@ def test_charbonnier_approaches_l1():
     assert abs(der - 1.0) < 1e-7
 
 
+def test_charbonnier_without_grads_keeps_the_loss_bits():
+    xs = np.random.default_rng(3).normal(size=(4, 5)) * np.logspace(-6, 2, 5)
+    for eps in (1e-3, 0.02):
+        val, der = charbonnier(xs, eps=eps)
+        fwd, none = charbonnier(xs, eps=eps, grads=False)
+        assert none is None
+        assert fwd.tobytes() == val.tobytes()
+        assert val.tobytes() == (np.sqrt(xs * xs + eps * eps) - eps).tobytes()
+        assert der.tobytes() == (xs / np.sqrt(xs * xs + eps * eps)).tobytes()
+
+
 def test_charbonnier_derivative_matches_fd():
     xs = np.array([-2.0, -0.5, -0.01, 0.02, 0.7, 3.0])
     _, der = charbonnier(xs, eps=0.02)

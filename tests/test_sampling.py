@@ -239,6 +239,45 @@ def test_warp_keeps_a_channel_last_target():
         assert same_bits(valid, single_valid)
 
 
+@pytest.mark.parametrize("shape", [(7, 9), (2, 6), (5, 2), (2, 2)])
+def test_sides_of_a_stacked_plan_stay_apart(shape):
+    """A plan over (2, h, w) points reads a (2, h, w) source side for side,
+    side d from side 1 - d, and scatters back the same way: points clamped at
+    the last row or column, and grids with h = 2 or w = 2, never reach into
+    the other side. Each side gives exactly what its own plan gives alone."""
+    h, w = shape
+    rng = np.random.default_rng(25)
+    xs = rng.uniform(-2.0, w + 1.0, (2, h, w))
+    ys = rng.uniform(-2.0, h + 1.0, (2, h, w))
+    # on and past the last column and row, and the far corner
+    special = [(w - 1.0, 0.0), (1e9, 0.5), (0.5, 1e9), (w - 1.0, h - 1.0), (1e9, 1e9), (w - 1.5, h - 1.0)]
+    for k, (x, y) in enumerate(special[: h * w]):
+        xs.reshape(2, -1)[:, k], ys.reshape(2, -1)[:, k] = x, y
+    plan = WarpPlan((2, h, w), xs, ys)
+    alone = [WarpPlan(shape, xs[d], ys[d]) for d in (0, 1)]
+    big = 1e6
+    src = np.stack([rng.uniform(size=shape), np.full(shape, big)])
+    vals = plan.sample(src)
+    assert np.all(vals[0] == big) and np.all(vals[1] <= 1.0)
+    for d in (0, 1):
+        assert same_bits(vals[d], alone[d].sample(src[1 - d]))
+        assert same_bits(plan.inbounds[d], alone[d].inbounds)
+    for got, want in zip(plan.sample_grad(src), zip(*(alone[d].sample_grad(src[1 - d]) for d in (0, 1)))):
+        assert same_bits(got, np.stack(want))
+    two = rng.uniform(size=(2, 2) + shape)  # [channel, side]
+    assert same_bits(plan.sample(two), np.stack([alone[d].sample(two[:, 1 - d]) for d in (0, 1)], axis=1))
+    # gradients on side 0's points only: side 0 of the scatter stays zero
+    g = np.stack([rng.normal(size=shape), np.zeros(shape)])
+    out = plan.scatter(g)
+    assert np.all(out[0] == 0.0) and np.any(out[1] != 0.0)
+    g[1] = rng.normal(size=shape)
+    out = plan.scatter(g)
+    for d in (0, 1):
+        assert same_bits(out[1 - d], alone[d].scatter(g[d]))
+    g2 = rng.normal(size=(2, 2) + shape)
+    assert same_bits(plan.scatter(g2), np.stack([plan.scatter(gc) for gc in g2]))
+
+
 def test_plan_rejects_a_source_of_another_size():
     plan = WarpPlan((4, 5), np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError, match="plan's grid"):
