@@ -257,12 +257,13 @@ def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams, grads: b
 
 
 def edge_weights(guide: np.ndarray):
-    """Edge weights (wx, wy) of a guide image, (H, W) or (H, W, C): exp(-mean_c
+    """Edge weights (wx, wy) of a planar (C, H, W) guide image: exp(-mean_c
     |d guide|) between horizontal neighbours, (H, W-1), and vertical ones, (H-1, W)."""
     g = np.asarray(guide, dtype=float)
-    gc = g[..., None] if g.ndim == 2 else g
-    wx = np.exp(-np.mean(np.abs(gc[:, 1:] - gc[:, :-1]), axis=2))
-    wy = np.exp(-np.mean(np.abs(gc[1:] - gc[:-1]), axis=2))
+    if g.ndim != 3:
+        raise ValueError("guide must be a planar (C, H, W) image")
+    wx = np.exp(-np.mean(np.abs(g[..., 1:] - g[..., :-1]), axis=0))
+    wy = np.exp(-np.mean(np.abs(g[..., 1:, :] - g[..., :-1, :]), axis=0))
     return wx, wy
 
 
@@ -420,9 +421,9 @@ def cross_task_loss(
 
 @dataclass
 class ScaleResult:
-    """Per-level term values and gradients w.r.t. that level's inputs, the
-    gradients indexed by side: grad_depth is (2, h, w), grad_flow (2, 2, h,
-    w) as [side][component], and grad_pose holds the (rotation,
+    """Per-level term values and gradients w.r.t. that level's inputs:
+    grad_depth is (2, h, w), indexed by side, grad_flow the planar (2, 2, h,
+    w) as [component, side], and grad_pose holds the (rotation,
     translation) gradient of each side's pose."""
 
     photometric: float
@@ -497,13 +498,13 @@ def scale_objective(
     `grads` is False (then the gradient fields are None; the losses are the same).
 
     level holds the level's image-only inputs. depths are (frame t, frame
-    t+1), poses (t -> t+1, t+1 -> t) and flows (forward, backward), planar
-    (2, h, w): entry d of each belongs to side d, whose other frame is the
-    other entry. Inside, each pair is one array with a side axis, and every
-    term runs once per block of sides (`_side_blocks`): both sides at once
-    on small levels, where plans along a stacked field read each side's
-    other frame, and one side at a time on large ones, reading the other
-    side's slice. The flow gradients are planar too.
+    t+1), (2, h, w), poses (t -> t+1, t+1 -> t) and flows (forward,
+    backward), planar (2, 2, h, w) as [component, side]: entry d of each
+    belongs to side d, whose other frame is the other entry. Every term runs
+    once per block of sides (`_side_blocks`): both sides at once on small
+    levels, where plans along a stacked field read each side's other frame,
+    and one side at a time on large ones, reading the other side's slice.
+    The flow gradient has the flows' layout.
 
     When `masks` is given the validity masks are taken as-is instead of being
     recomputed from the current state (needed by finite-difference checks,
@@ -511,8 +512,7 @@ def scale_objective(
     """
     h, w = level.gray.shape[-2:]
     depth = np.asarray(depths, dtype=float)
-    # [component, side]: a contiguous array passed as a.swapaxes(0, 1) is not copied
-    flow = np.ascontiguousarray(np.asarray(flows, dtype=float).swapaxes(0, 1))
+    flow = np.asarray(flows, dtype=float)
     blocks = _side_blocks(h, w)
     # per block: its rigid flows, cheirality and plans; block b's other
     # sides are those of block -1 - b
@@ -621,5 +621,4 @@ def scale_objective(
         gd, gr, gt = project_backward(depth[own], level.k, poses[own], *g_rigid[b])
         g_depth[own] += gd
         grad_pose += zip(gr, gt)
-    grads = (g_depth, tuple(grad_pose), g_flow.swapaxes(0, 1))
-    return ScaleResult(photometric, smooth, fb_total, cross, *grads, masks)
+    return ScaleResult(photometric, smooth, fb_total, cross, g_depth, tuple(grad_pose), g_flow, masks)

@@ -32,7 +32,7 @@ from .losses import (
     scale_objective,
 )
 from .masks import FBCheckParams
-from .sampling import _pool_planes, _pool_planes_adjoint, downsample_flow_adjoint, flow_pyramid, image_pyramid
+from .sampling import pyramid, pyramid_adjoint
 
 __all__ = [
     "SceneState",
@@ -196,42 +196,37 @@ def _check_masks(masks, sizes) -> None:
 class PairContext:
     """The image-only inputs of one frame pair: `levels[lvl]` holds those of
     pyramid level lvl of `cfg.scales`. `refine` builds one for all its
-    iterations. Raises ValueError naming an image that is not (H, W) or
-    (H, W, C), not finite, too small for the pyramid, or of another size
-    than img_t or than `shape`, the state's (H, W)."""
+    iterations. Each frame is pooled as its planar (C, H, W) view, (1, H, W)
+    for a gray (H, W) one. Raises ValueError naming an image that is not
+    (H, W) or (H, W, C), not finite, or not of `shape`, the state's (H, W),
+    and when `shape` is too small for the pyramid."""
 
-    def __init__(
-        self, img_t: np.ndarray, img_t1: np.ndarray, k: Intrinsics, cfg: OptimizerConfig, shape=None
-    ):
-        # the frames stack into one array: each must have the size of the
-        # state when its (H, W) `shape` is given, and img_t1 that of img_t
-        ref = None if shape is None else ("the state", tuple(shape))
-        for name, arr in (("img_t", img_t), ("img_t1", img_t1)):
-            if np.ndim(arr) not in (2, 3):
+    def __init__(self, img_t: np.ndarray, img_t1: np.ndarray, k: Intrinsics, cfg: OptimizerConfig, shape):
+        h, w = shape
+        if cfg.scales > 1 and min(h, w) <= 2 ** (cfg.scales - 1):
+            raise ValueError(
+                f"scales={cfg.scales} needs both image sides above {2 ** (cfg.scales - 1)}, "
+                f"got {h}x{w}: the coarsest level would have a side of 1"
+            )
+        frames = []
+        for name, img in (("img_t", img_t), ("img_t1", img_t1)):
+            if np.ndim(img) not in (2, 3):
                 raise ValueError(f"{name} must be (H, W) or (H, W, C)")
-            if not np.all(np.isfinite(arr)):
+            img = np.asarray(img, dtype=float)
+            if not np.all(np.isfinite(img)):
                 raise ValueError(f"{name} must be finite")
-            h, w = np.shape(arr)[:2]
-            if cfg.scales > 1 and min(h, w) <= 2 ** (cfg.scales - 1):
-                raise ValueError(
-                    f"scales={cfg.scales} needs both image sides above {2 ** (cfg.scales - 1)}, "
-                    f"got {h}x{w}: the coarsest level would have a side of 1"
-                )
-            if ref is None:
-                ref = (name, (h, w))
-            elif (h, w) != ref[1]:
-                raise ValueError(f"{name} is {h}x{w} but {ref[0]} is {'x'.join(map(str, ref[1]))}")
+            if img.shape[:2] != (h, w):
+                raise ValueError(f"{name} is {img.shape[0]}x{img.shape[1]} but the state is {h}x{w}")
+            # the planar view of the frame's channel-last memory: no copy
+            frames.append(pyramid(np.moveaxis(np.atleast_3d(img), -1, 0), cfg.scales))
         self.levels = []
-        for pair in zip(*(image_pyramid(img, cfg.scales) for img in (img_t, img_t1))):
-            h, w = pair[0].shape[:2]
+        for pair in zip(*frames):
+            h, w = pair[0].shape[-2:]
             # each frame's gray image and edge weights, written into its side
             gray, wx, wy = np.empty((2, h, w)), np.empty((2, h, w - 1)), np.empty((2, h - 1, w))
-            for img, g, ex, ey in zip(pair, gray, wx, wy):
-                if img.ndim == 3:
-                    np.mean(img, axis=2, out=g)
-                else:
-                    g[...] = img
-                ex[...], ey[...] = edge_weights(img)
+            for level, g, ex, ey in zip(pair, gray, wx, wy):
+                np.mean(level, axis=0, out=g)
+                ex[...], ey[...] = edge_weights(level)
             self.levels.append(LevelInputs(gray, (wx, wy), k))
             k = k.scaled_down()
 
@@ -271,20 +266,15 @@ def _objective(state: SceneState, ctx: PairContext, cfg: OptimizerConfig, masks,
     if masks is not None and len(masks) != scales:
         raise ValueError(f"masks has {len(masks)} levels but scales is {scales}")
     state.check()
-    h, w = state.depth_t.shape
-    for name, gray in zip(("img_t", "img_t1"), ctx.levels[0].gray):
-        if gray.shape != (h, w):
-            raise ValueError(f"{name} is {gray.shape[0]}x{gray.shape[1]} but the state is {h}x{w}")
     sw = list(cfg.scale_weights) if cfg.scale_weights else [1.0] * scales
     if masks is not None:
         _check_masks(masks, [level.gray[0].shape for level in ctx.levels])
     # per level, the stacked (side 0, side 1) depths (2, h, w) and planar
-    # flows (2, 2, h, w), [component, side]: one copy of the state's on entry
-    depths = [np.stack((state.depth_t, state.depth_t1))]
-    for _ in range(scales - 1):
-        depths.append(_pool_planes(depths[-1], 1.0))
+    # flows (2, 2, h, w), [component, side]: one row-major copy of the state's
+    # on entry (a plain `np.stack` keeps the flows' channel-last order)
+    depths = pyramid(np.stack((state.depth_t, state.depth_t1)), scales)
     planar = [np.moveaxis(f, -1, 0) for f in (state.flow_fwd, state.flow_bwd)]
-    flows = flow_pyramid(np.stack(planar, axis=1), scales)
+    flows = pyramid(np.stack(planar, axis=1, out=np.empty((2, 2) + state.depth_t.shape)), scales, 0.5)
     pose = pose_from_params(state.pose_params)
     poses = (pose, invert(pose))
     photometric = 0.0
@@ -297,7 +287,7 @@ def _objective(state: SceneState, ctx: PairContext, cfg: OptimizerConfig, masks,
             ctx.levels[lvl],
             depths[lvl],
             poses,
-            flows[lvl].swapaxes(0, 1),
+            flows[lvl],
             cfg.weights,
             cfg.census,
             cfg.fb_params,
@@ -331,20 +321,14 @@ def _objective(state: SceneState, ctx: PairContext, cfg: OptimizerConfig, masks,
     if not want_grads:
         return report, None, masks_used
 
-    def fold(per_level, adjoint):
-        acc = sw[-1] * per_level[-1]
-        for lvl in range(len(per_level) - 2, -1, -1):
-            acc = sw[lvl] * per_level[lvl] + adjoint(acc, per_level[lvl].shape[-2:])
-        return acc
-
-    depth = fold([r.grad_depth for r in results], lambda g, shape: _pool_planes_adjoint(g, shape, 1.0))
-    flow = fold([r.grad_flow.swapaxes(0, 1) for r in results], downsample_flow_adjoint)
+    depth = pyramid_adjoint([r.grad_depth for r in results], sw)
+    flow = pyramid_adjoint([r.grad_flow for r in results], sw, 0.5)
     # the (rotation, translation) gradient of the forward pose, then of its inverse
     pose_grads = [
         sum(w * r.grad_pose[side][i] for w, r in zip(sw, results)) for side in (0, 1) for i in (0, 1)
     ]
     # the flows fold planar; one copy of each turns it back to the state's (H, W, 2)
-    flow_fwd, flow_bwd = (np.ascontiguousarray(np.moveaxis(f, 0, -1)) for f in flow.swapaxes(0, 1))
+    flow_fwd, flow_bwd = (np.ascontiguousarray(np.moveaxis(flow[:, side], 0, -1)) for side in (0, 1))
     grad = StateGrad(
         depth_t=depth[0],
         depth_t1=depth[1],

@@ -32,11 +32,16 @@ reversed copy. A corner never leaves its side, since x0 <= W-2 and
 y0 <= H-2, and `scatter`'s bincount still sums each bin in point order.
 A plan along one side's (2, 1, H, W) field reads a (1, H, W) source, the
 other side's slice, which is how large levels run one side at a time.
-`WarpPlan.along` and the flow pyramid (`downsample_flow`, its adjoint,
-`flow_pyramid`) take planar fields with any leading axes. The public
+`WarpPlan.along` takes planar fields with any leading axes. The public
 boundary (`inverse_warp` here, `masks.fb_check`, the state and its
 gradient, `.flo` files) keeps channel-last (H, W, 2) fields and converts
 with `np.moveaxis`.
+
+Pyramids: `pyramid` pools any (..., H, W) array 2x2 over its last two axes,
+plane by plane, and `pyramid_adjoint` folds weighted per-level gradients
+back onto the finest level through the same kernel. The frames (as planar
+(C, H, W) views), the stacked depths and the stacked flows (with their
+displacements halved per level) all go through this one pair.
 """
 
 from __future__ import annotations
@@ -45,16 +50,7 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "WarpPlan",
-    "inverse_warp",
-    "downsample_image",
-    "downsample_flow",
-    "downsample_image_adjoint",
-    "downsample_flow_adjoint",
-    "image_pyramid",
-    "flow_pyramid",
-]
+__all__ = ["WarpPlan", "inverse_warp", "pyramid", "pyramid_adjoint"]
 
 
 class WarpPlan:
@@ -196,9 +192,10 @@ def inverse_warp(target: np.ndarray, flow: np.ndarray):
     return plan.sample(target), plan.inbounds
 
 
-def _pool2(a: np.ndarray, out=None) -> np.ndarray:
-    """2x2 average pooling with edge replication for odd sizes, into out if given."""
-    h, w = a.shape[:2]
+def _pool2(a: np.ndarray, out: np.ndarray) -> None:
+    """2x2 average pooling of an (H, W) plane into out, with edge
+    replication for odd sizes."""
+    h, w = a.shape
     if h < 2 or w < 2:
         raise ValueError("cannot downsample a dimension of size 1")
     if h % 2:
@@ -208,81 +205,58 @@ def _pool2(a: np.ndarray, out=None) -> np.ndarray:
     s = a[0::2, 0::2] + a[0::2, 1::2]
     s += a[1::2, 0::2]
     s += a[1::2, 1::2]
-    return np.multiply(s, 0.25, out=s if out is None else out)  # 0.25 * (sum of the four)
+    np.multiply(s, 0.25, out=out)  # 0.25 * (sum of the four)
 
 
-def _pool2_adjoint(grad: np.ndarray, fine_shape) -> np.ndarray:
-    h, w = fine_shape
-    hp, wp = h + (h % 2), w + (w % 2)
-    out = np.zeros((hp, wp) + grad.shape[2:])
+def _pool2_adjoint(grad: np.ndarray, out: np.ndarray) -> None:
+    """Adjoint of `_pool2`: an (h, w) gradient onto out, the fine (H, W) plane."""
+    h, w = out.shape
+    padded = np.zeros((h + h % 2, w + w % 2))
     q = 0.25 * grad
-    out[0::2, 0::2] += q
-    out[0::2, 1::2] += q
-    out[1::2, 0::2] += q
-    out[1::2, 1::2] += q
+    padded[0::2, 0::2] += q
+    padded[0::2, 1::2] += q
+    padded[1::2, 0::2] += q
+    padded[1::2, 1::2] += q
     if h % 2:
-        out[h - 1] += out[h]
+        padded[h - 1] += padded[h]
     if w % 2:
-        out[:, w - 1] += out[:, w]
-    return out[:h, :w]
+        padded[:, w - 1] += padded[:, w]
+    out[...] = padded[:h, :w]
 
 
-def downsample_image(img: np.ndarray) -> np.ndarray:
-    return _pool2(np.asarray(img, dtype=float))
-
-
-def _pool_planes(a: np.ndarray, scale: float) -> np.ndarray:
-    """`_pool2` of every (H, W) plane of a (..., H, W) array, times scale,
-    written into one output: stacking per-plane results cost about 230 more
-    page faults per 129x97 evaluate."""
-    h, w = a.shape[-2:]
-    out = np.empty(a.shape[:-2] + ((h + 1) // 2, (w + 1) // 2))
-    for plane, o in zip(a.reshape(-1, h, w), out.reshape((-1,) + out.shape[-2:])):
-        _pool2(plane, out=o)
+def _per_plane(kernel, a: np.ndarray, shape, scale: float) -> np.ndarray:
+    """kernel(plane, out) on every (H, W) plane of a (..., H, W) array, into
+    one (...,) + shape output, times scale: stacking per-plane results cost
+    about 230 more page faults per 129x97 evaluate. The output keeps a's
+    memory order: a channel-last frame's levels sum their channel means in
+    the frame's own order, and a row-major stack's levels stay row-major."""
+    out = np.empty_like(a, shape=a.shape[:-2] + tuple(shape))
+    for idx in np.ndindex(a.shape[:-2]):
+        kernel(a[idx], out[idx])
     if scale != 1.0:
         out *= scale
     return out
 
 
-def _pool_planes_adjoint(grad: np.ndarray, fine_shape, scale: float) -> np.ndarray:
-    """Adjoint of `_pool_planes`: a (..., h, w) gradient onto (...,) + fine_shape."""
-    out = np.empty(grad.shape[:-2] + tuple(fine_shape))
-    for plane, o in zip(grad.reshape((-1,) + grad.shape[-2:]), out.reshape((-1,) + tuple(fine_shape))):
-        o[...] = _pool2_adjoint(plane, fine_shape)
-    if scale != 1.0:
-        out *= scale
-    return out
-
-
-def downsample_flow(flow: np.ndarray) -> np.ndarray:
-    """Average-pool a planar (..., H, W) field plane by plane and halve the
-    displacements to stay in level units."""
-    return _pool_planes(np.asarray(flow, dtype=float), 0.5)
-
-
-def downsample_image_adjoint(grad: np.ndarray, fine_shape) -> np.ndarray:
-    """Adjoint of downsample_image (depth maps share its kernel)."""
-    return _pool2_adjoint(np.asarray(grad, dtype=float), fine_shape)
-
-
-def downsample_flow_adjoint(grad: np.ndarray, fine_shape) -> np.ndarray:
-    """Adjoint of downsample_flow: a planar (..., h, w) gradient onto (...,) + fine_shape."""
-    return _pool_planes_adjoint(np.asarray(grad, dtype=float), fine_shape, 0.5)
-
-
-def _pyramid(arr, levels, step):
+def pyramid(a, levels: int, scale: float = 1.0) -> list:
+    """The levels of a (..., H, W) array, finest first: each the 2x2 average
+    pool of the one before over the last two axes, times scale (0.5 keeps a
+    displacement field in its level's pixel units). Odd sizes replicate
+    their last row or column."""
     if levels < 1:
         raise ValueError("need at least one level")
-    out = [np.asarray(arr, dtype=float)]
+    out = [np.asarray(a, dtype=float)]
     for _ in range(levels - 1):
-        out.append(step(out[-1]))
+        h, w = out[-1].shape[-2:]
+        out.append(_per_plane(_pool2, out[-1], ((h + 1) // 2, (w + 1) // 2), scale))
     return out
 
 
-def image_pyramid(img, levels):
-    return _pyramid(img, levels, downsample_image)
-
-
-def flow_pyramid(flow, levels):
-    """Levels of a planar (..., H, W) field, finest first, in each level's units."""
-    return _pyramid(flow, levels, downsample_flow)
+def pyramid_adjoint(grads, weights, scale: float = 1.0) -> np.ndarray:
+    """Adjoint of `pyramid`: the per-level gradients, finest first, each
+    times its weight, folded onto the finest level, from the coarsest one
+    down: acc = weights[l] * grads[l] + adjoint(acc)."""
+    acc = weights[-1] * grads[-1]
+    for g, wgt in zip(grads[-2::-1], weights[-2::-1]):
+        acc = wgt * g + _per_plane(_pool2_adjoint, acc, g.shape[-2:], scale)
+    return acc

@@ -80,6 +80,26 @@ def bilinear_ref(img, x, y):
     return top + wy * (bot - top), inb
 
 
+def pool_ref(a, scale=1.0):
+    """2x2 average pooling of every (H, W) plane of a (..., H, W) array, by
+    scalar loops, the last row or column replicated at odd sizes, times scale.
+    The four are added in row-major order, as the package does."""
+    a = np.asarray(a, dtype=float)
+    h, w = a.shape[-2:]
+    out = np.empty(a.shape[:-2] + ((h + 1) // 2, (w + 1) // 2))
+    for idx in np.ndindex(a.shape[:-2]):
+        plane = a[idx]
+        for i in range(out.shape[-2]):
+            y0, y1 = 2 * i, min(2 * i + 1, h - 1)
+            for j in range(out.shape[-1]):
+                x0, x1 = 2 * j, min(2 * j + 1, w - 1)
+                s = float(plane[y0, x0]) + float(plane[y0, x1])
+                s += float(plane[y1, x0])
+                s += float(plane[y1, x1])
+                out[idx + (i, j)] = 0.25 * s * scale
+    return out
+
+
 # ---------------------------------------------------------------------------
 # losses
 
@@ -538,6 +558,8 @@ def scale_objective_cell(
     flow_fwd, flow_bwd = flows
     gray_t = img_t.mean(axis=2) if img_t.ndim == 3 else img_t
     gray_t1 = img_t1.mean(axis=2) if img_t1.ndim == 3 else img_t1
+    # the package's edge weights take a planar (C, H, W) guide
+    guide_t, guide_t1 = (np.moveaxis(np.atleast_3d(img), -1, 0) for img in imgs)
     h, w = gray_t.shape
     a1, a2 = fb_params.alpha1, fb_params.alpha2
     rigid_f, cheir_f = rigid_flow(depth_t, k, pose_fwd)
@@ -572,11 +594,11 @@ def scale_objective_cell(
         g_flow_b += g4
 
     if "smooth" in terms:
-        s1, gs1 = smoothness_loss(depth_t, edge_weights(img_t), mean_normalize=True)
-        s2, gs2 = smoothness_loss(depth_t1, edge_weights(img_t1), mean_normalize=True)
+        s1, gs1 = smoothness_loss(depth_t, edge_weights(guide_t), mean_normalize=True)
+        s2, gs2 = smoothness_loss(depth_t1, edge_weights(guide_t1), mean_normalize=True)
         # the package's smoothness and cross-task terms take planar (2, H, W) flows
-        s3, gs3 = smoothness_loss(np.moveaxis(flow_fwd, -1, 0), edge_weights(img_t))
-        s4, gs4 = smoothness_loss(np.moveaxis(flow_bwd, -1, 0), edge_weights(img_t1))
+        s3, gs3 = smoothness_loss(np.moveaxis(flow_fwd, -1, 0), edge_weights(guide_t))
+        s4, gs4 = smoothness_loss(np.moveaxis(flow_bwd, -1, 0), edge_weights(guide_t1))
         smooth = s1 + s2 + s3 + s4
         g_dt += weights.lambda_s * gs1
         g_dt1 += weights.lambda_s * gs2

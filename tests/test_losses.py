@@ -184,7 +184,7 @@ def test_photometric_gradient_matches_fd():
 def test_smoothness_zero_for_constant_field():
     rng = np.random.default_rng(8)
     guide = rng.uniform(size=(6, 6))
-    loss, grad = smoothness_loss(np.full((6, 6), 2.0), edge_weights(guide))
+    loss, grad = smoothness_loss(np.full((6, 6), 2.0), edge_weights(guide[None]))
     assert loss == 0.0
     assert not grad.any()
 
@@ -195,7 +195,7 @@ def test_smoothness_ramp_against_analytic_sum():
     # normalized by H*W
     h, w, s = 5, 8, 0.3
     field = s * pixel_grid(h, w)[0]
-    loss, _ = smoothness_loss(field, edge_weights(np.full((h, w), 0.5)))
+    loss, _ = smoothness_loss(field, edge_weights(np.full((h, w), 0.5)[None]))
     phi_s = math.sqrt(s * s + 1e-6) - 1e-3
     assert abs(loss - phi_s * h * (w - 1) / (h * w)) < 1e-12
     # the surrogate tracks the plain |slope| sum to within its epsilon
@@ -207,7 +207,7 @@ def test_smoothness_has_zero_gradient_at_near_constant_field():
     # constant field) must produce vanishing gradients, not sign gradients
     rng = np.random.default_rng(22)
     field = 8.0 + rng.uniform(-1e-15, 1e-15, (8, 8))
-    _, grad = smoothness_loss(field, edge_weights(rng.uniform(size=(8, 8))))
+    _, grad = smoothness_loss(field, edge_weights(rng.uniform(size=(8, 8))[None]))
     assert np.abs(grad).max() < 1e-10
 
 
@@ -217,8 +217,8 @@ def test_guide_edges_damp_the_penalty():
     flat_guide = np.full((h, w), 0.5)
     edge_guide = np.zeros((h, w))
     edge_guide[:, 3:] = 1.0  # strong edge aligned with the field gradient
-    flat_loss, _ = smoothness_loss(field, edge_weights(flat_guide))
-    edge_loss, _ = smoothness_loss(field, edge_weights(edge_guide))
+    flat_loss, _ = smoothness_loss(field, edge_weights(flat_guide[None]))
+    edge_loss, _ = smoothness_loss(field, edge_weights(edge_guide[None]))
     assert edge_loss < flat_loss
 
 
@@ -226,9 +226,9 @@ def test_smoothness_matches_scalar_oracle():
     rng = np.random.default_rng(9)
     field = rng.uniform(1.0, 3.0, (7, 7))
     guide = rng.uniform(size=(7, 7))
-    loss, _ = smoothness_loss(field, edge_weights(guide))
+    loss, _ = smoothness_loss(field, edge_weights(guide[None]))
     assert abs(loss - smoothness_ref(field, guide)) < 1e-12
-    loss_n, _ = smoothness_loss(field, edge_weights(guide), mean_normalize=True)
+    loss_n, _ = smoothness_loss(field, edge_weights(guide[None]), mean_normalize=True)
     assert abs(loss_n - smoothness_ref(field, guide, mean_normalize=True)) < 1e-12
 
 
@@ -236,7 +236,7 @@ def test_smoothness_flow_field_sums_channels():
     rng = np.random.default_rng(10)
     flow = rng.uniform(-2.0, 2.0, (6, 6, 2))
     guide = rng.uniform(size=(6, 6))
-    loss, grad = smoothness_loss(planar(flow), edge_weights(guide))
+    loss, grad = smoothness_loss(planar(flow), edge_weights(guide[None]))
     assert abs(loss - smoothness_ref(flow, guide)) < 1e-12
     assert channel_last(grad).shape == (6, 6, 2)
 
@@ -245,21 +245,21 @@ def test_mean_normalized_smoothness_is_scale_invariant():
     rng = np.random.default_rng(11)
     field = rng.uniform(2.0, 4.0, (6, 6))
     guide = rng.uniform(size=(6, 6))
-    a, _ = smoothness_loss(field, edge_weights(guide), mean_normalize=True)
-    b, _ = smoothness_loss(field * 7.5, edge_weights(guide), mean_normalize=True)
+    a, _ = smoothness_loss(field, edge_weights(guide[None]), mean_normalize=True)
+    b, _ = smoothness_loss(field * 7.5, edge_weights(guide[None]), mean_normalize=True)
     assert abs(a - b) < 1e-12
 
 
 def test_mean_normalize_rejects_zero_mean():
     field = np.array([[1.0, -1.0], [-1.0, 1.0]])
     with pytest.raises(ValueError):
-        smoothness_loss(field, edge_weights(np.zeros((2, 2))), mean_normalize=True)
+        smoothness_loss(field, edge_weights(np.zeros((2, 2))[None]), mean_normalize=True)
 
 
 def test_smoothness_gradient_matches_fd():
     rng = np.random.default_rng(12)
     field = rng.uniform(1.0, 3.0, (6, 6))
-    edges = edge_weights(rng.uniform(size=(6, 6)))
+    edges = edge_weights(rng.uniform(size=(6, 6))[None])
     for normalize in (False, True):
         _, grad = smoothness_loss(field, edges, mean_normalize=normalize)
         h = 1e-7
@@ -277,7 +277,7 @@ def test_smoothness_gradient_matches_fd():
 
 def test_smoothness_validates_shapes():
     with pytest.raises(ValueError):
-        smoothness_loss(np.zeros((4, 4)), edge_weights(np.zeros((5, 5))))
+        smoothness_loss(np.zeros((4, 4)), edge_weights(np.zeros((5, 5))[None]))
 
 
 # ---------------------------------------------------------------------------
@@ -657,13 +657,14 @@ def odd_level():
 
 def level_objective(imgs, depths, poses, flows, k, *settings, **case):
     """`scale_objective` on the level inputs of imgs and k, called as the oracle
-    is: the (H, W, 2) flows go in planar and their gradients come back (H, W, 2)."""
+    is: the (H, W, 2) flows go in planar, (2, 2, H, W) as [component, side],
+    and their gradients come back (H, W, 2) per side."""
     from rigidflow.losses import scale_objective
     from rigidflow.optimize import PairContext
 
-    (level,) = PairContext(*imgs, k, OptimizerConfig(scales=1)).levels
-    res = scale_objective(level, depths, poses, [np.ascontiguousarray(planar(f)) for f in flows], *settings, **case)
-    return replace(res, grad_flow=tuple(np.ascontiguousarray(channel_last(g)) for g in res.grad_flow))
+    (level,) = PairContext(*imgs, k, OptimizerConfig(scales=1), depths[0].shape).levels
+    res = scale_objective(level, depths, poses, np.stack([planar(f) for f in flows], axis=1), *settings, **case)
+    return replace(res, grad_flow=tuple(np.ascontiguousarray(channel_last(res.grad_flow[:, d])) for d in (0, 1)))
 
 
 def assert_same_level(got, want):

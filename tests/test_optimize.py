@@ -19,7 +19,8 @@ from rigidflow.optimize import (
 from rigidflow.sampling import WarpPlan
 from rigidflow.scenes import preset, render
 
-from conftest import state_from_gt
+from conftest import channel_last, planar, state_from_gt
+from oracles import pool_ref
 
 
 def small_cfg(**kwargs):
@@ -125,6 +126,21 @@ def test_evaluate_gradient_shapes(plane_gt):
     assert grad.pose_params.shape == (6,)
     assert grad.flow_fwd.shape == (64, 64, 2)
     assert len(masks) == 2
+
+
+def test_level_flows_reach_the_objective_row_major(plane_gt, monkeypatch):
+    # each level keeps the memory order of the one before, so a stack of the
+    # state's channel-last flows would give every level strided planes: the
+    # same numbers, computed more slowly
+    seen = []
+
+    def spy(level, depths, poses, flows, *args, real=optimize.scale_objective, **kwargs):
+        seen.append(flows.flags.c_contiguous)
+        return real(level, depths, poses, flows, *args, **kwargs)
+
+    monkeypatch.setattr(optimize, "scale_objective", spy)
+    evaluate(state_from_gt(plane_gt), plane_gt.image_t, plane_gt.image_t1, plane_gt.intrinsics, small_cfg(scales=3))
+    assert seen == [True] * 3
 
 
 def test_state_gradient_flows_stay_channel_last():
@@ -304,7 +320,7 @@ def test_refine_builds_edge_weights_once_per_frame_and_level(plane_gt, monkeypat
     sizes = []
 
     def counted(guide, real=optimize.edge_weights):
-        sizes.append(np.shape(guide)[:2])
+        sizes.append(np.shape(guide)[-2:])
         return real(guide)
 
     monkeypatch.setattr(optimize, "edge_weights", counted)
@@ -330,7 +346,7 @@ def test_one_context_serves_every_state_of_the_pair(scene, config):
     gives what a fresh `evaluate` gives, and is left as it was."""
     cases = [forward_case(scene, config, mode) for mode in MASK_MODES]
     img_t, img_t1, k, cfg = cases[0][1]
-    ctx = optimize.PairContext(img_t, img_t1, k, cfg)
+    ctx = optimize.PairContext(img_t, img_t1, k, cfg, cases[0][0].depth_t.shape)
     before = context_bytes(ctx)
     for state, args, masks, terms in cases:
         got_report, got_grad, got_masks = optimize._objective(state, ctx, cfg, masks, terms, True)
@@ -345,14 +361,40 @@ def test_one_context_serves_every_state_of_the_pair(scene, config):
     assert context_bytes(ctx) == before
 
 
+@pytest.mark.parametrize("channels", [3, 9])
+def test_context_pools_colour_frames_channel_by_channel(channels):
+    # on every level, each frame's gray image and edge weights are those of
+    # the loop reference's per-channel pyramid, averaged over the channels
+    # of its channel-last layout
+    gt = render(preset("mover", width=45, height=37))
+    rng = np.random.default_rng(channels)
+    gain, offset = rng.uniform(0.5, 1.5, channels), rng.uniform(-0.1, 0.1, channels)
+    frames = [img * gain + offset for img in (gt.image_t, gt.image_t1)]
+    ctx = optimize.PairContext(*frames, gt.intrinsics, OptimizerConfig(scales=3), (37, 45))
+    assert [level.gray.shape for level in ctx.levels] == [(2, 37, 45), (2, 19, 23), (2, 10, 12)]
+    for side, level in enumerate(frames):
+        for lvl, inputs in enumerate(ctx.levels):
+            if lvl:
+                level = np.ascontiguousarray(channel_last(pool_ref(planar(level))))
+            wx = np.exp(-np.mean(np.abs(level[:, 1:] - level[:, :-1]), axis=2))
+            wy = np.exp(-np.mean(np.abs(level[1:] - level[:-1]), axis=2))
+            assert inputs.gray[side].tobytes() == np.mean(level, axis=2).tobytes(), (side, lvl)
+            assert inputs.edges[0][side].tobytes() == wx.tobytes(), (side, lvl)
+            assert inputs.edges[1][side].tobytes() == wy.tobytes(), (side, lvl)
+
+
 def test_context_names_a_bad_image(plane_gt):
     k = plane_gt.intrinsics
     bad = plane_gt.image_t1.copy()
     bad[3, 4] = np.nan
     with pytest.raises(ValueError, match="^img_t1 must be finite$"):
-        optimize.PairContext(plane_gt.image_t, bad, k, small_cfg())
+        optimize.PairContext(plane_gt.image_t, bad, k, small_cfg(), (64, 64))
     with pytest.raises(ValueError, match=r"^img_t must be \(H, W\) or \(H, W, C\)$"):
-        optimize.PairContext(plane_gt.image_t.ravel(), plane_gt.image_t1, k, small_cfg())
+        optimize.PairContext(plane_gt.image_t.ravel(), plane_gt.image_t1, k, small_cfg(), (64, 64))
+    # the pyramid depth is checked once, against the state's size
+    thin = np.zeros((64, 8))
+    with pytest.raises(ValueError, match="^scales=4 needs both image sides above 8, got 64x8: "):
+        optimize.PairContext(thin, thin, k, small_cfg(scales=4), (64, 8))
     # refine checks the images once, before its first iteration
     state = state_from_gt(plane_gt)
     with pytest.raises(ValueError, match="^img_t1 must be finite$"):

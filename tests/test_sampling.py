@@ -3,19 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidflow.sampling import (
-    WarpPlan,
-    downsample_flow,
-    downsample_flow_adjoint,
-    downsample_image,
-    downsample_image_adjoint,
-    flow_pyramid,
-    image_pyramid,
-    inverse_warp,
-)
+from rigidflow.sampling import WarpPlan, inverse_warp, pyramid, pyramid_adjoint
 
 from conftest import channel_last, planar
-from oracles import bilinear_ref, cell_sample, cell_sample_grad, cell_scatter
+from oracles import bilinear_ref, cell_sample, cell_sample_grad, cell_scatter, pool_ref
 
 coord = st.floats(min_value=-20.0, max_value=40.0, allow_nan=False)
 
@@ -346,14 +337,24 @@ def test_warp_rejects_a_non_finite_target(bad, shape):
 # pooling and pyramids
 
 
+def pool(a, scale=1.0):
+    """One 2x2 pooling step of a (..., H, W) array."""
+    return pyramid(a, 2, scale)[1]
+
+
+def pool_adjoint(g, fine_shape, scale=1.0):
+    """The adjoint of `pool`: a two-level fold with nothing at the finest level."""
+    return pyramid_adjoint([np.zeros(g.shape[:-2] + fine_shape), g], [1.0, 1.0], scale)
+
+
 def test_constant_image_stays_constant():
-    out = downsample_image(np.full((8, 6), 0.7))
+    out = pool(np.full((8, 6), 0.7))
     assert out.shape == (4, 3)
     assert np.abs(out - 0.7).max() < 1e-15
 
 
 def test_2x2_block_averages():
-    out = downsample_image(np.array([[0.0, 0.0], [1.0, 1.0]]))
+    out = pool(np.array([[0.0, 0.0], [1.0, 1.0]]))
     assert out.shape == (1, 1)
     assert out[0, 0] == 0.5
 
@@ -362,14 +363,14 @@ def test_constant_flow_halves():
     flow = np.zeros((4, 4, 2))
     flow[..., 0] = 4.0
     flow[..., 1] = 2.0
-    out = channel_last(downsample_flow(planar(flow)))
+    out = channel_last(pool(planar(flow), 0.5))
     assert np.abs(out[..., 0] - 2.0).max() < 1e-15
     assert np.abs(out[..., 1] - 1.0).max() < 1e-15
 
 
 def test_odd_dimension_replicates_edge():
     img = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])  # 3x2
-    out = downsample_image(img)
+    out = pool(img)
     assert out.shape == (2, 1)
     assert out[0, 0] == 2.5
     assert out[1, 0] == 5.5  # bottom row replicated
@@ -377,44 +378,72 @@ def test_odd_dimension_replicates_edge():
 
 def test_size_one_dimension_rejected():
     with pytest.raises(ValueError, match="cannot downsample"):
-        downsample_image(np.zeros((1, 8)))
+        pool(np.zeros((1, 8)))
     with pytest.raises(ValueError, match="cannot downsample"):
-        downsample_image(np.zeros((8, 1)))
+        pool(np.zeros((8, 1)))
 
 
 def test_pool_adjoint_dot_product_identity():
     rng = np.random.default_rng(8)
     for shape in [(8, 8), (7, 9), (6, 5)]:
         fine = rng.normal(size=shape)
-        coarse_shape = downsample_image(fine).shape
+        coarse_shape = pool(fine).shape
         g = rng.normal(size=coarse_shape)
-        lhs = np.sum(g * downsample_image(fine))
-        rhs = np.sum(downsample_image_adjoint(g, shape) * fine)
+        lhs = np.sum(g * pool(fine))
+        rhs = np.sum(pool_adjoint(g, shape) * fine)
         assert abs(lhs - rhs) < 1e-12
 
 
 def test_flow_adjoint_dot_product_identity():
     rng = np.random.default_rng(9)
     fine = rng.normal(size=(7, 6, 2))
-    g = rng.normal(size=(4, 3, 2))  # the channel-last shape of downsample_flow(fine)
-    lhs = np.sum(g * channel_last(downsample_flow(planar(fine))))
-    rhs = np.sum(channel_last(downsample_flow_adjoint(planar(g), (7, 6))) * fine)
+    g = rng.normal(size=(4, 3, 2))  # the channel-last shape of a pooled flow
+    lhs = np.sum(g * channel_last(pool(planar(fine), 0.5)))
+    rhs = np.sum(channel_last(pool_adjoint(planar(g), (7, 6), 0.5)) * fine)
     assert abs(lhs - rhs) < 1e-12
 
 
 def test_image_pyramid_shapes():
-    levels = image_pyramid(np.zeros((64, 48)), 4)
+    levels = pyramid(np.zeros((64, 48)), 4)
     assert [lvl.shape for lvl in levels] == [(64, 48), (32, 24), (16, 12), (8, 6)]
 
 
 def test_flow_pyramid_scales_displacements():
     flow = np.zeros((16, 16, 2))
     flow[..., 0] = 8.0
-    levels = [channel_last(lvl) for lvl in flow_pyramid(planar(flow), 4)]
+    levels = [channel_last(lvl) for lvl in pyramid(planar(flow), 4, 0.5)]
     for i, lvl in enumerate(levels):
         assert np.abs(lvl[..., 0] - 8.0 / 2**i).max() < 1e-12
 
 
 def test_pyramid_needs_positive_levels():
     with pytest.raises(ValueError):
-        image_pyramid(np.zeros((8, 8)), 0)
+        pyramid(np.zeros((8, 8)), 0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+@pytest.mark.parametrize("shape", [(2, 2, 7, 9), (3, 5, 6)])
+def test_pyramid_matches_the_loop_reference_bit_for_bit(shape, scale):
+    a = np.random.default_rng(10).normal(size=shape)
+    want = [a]
+    for _ in range(2):
+        want.append(pool_ref(want[-1], scale))
+    got = pyramid(a, 3, scale)
+    assert [lvl.shape for lvl in got] == [lvl.shape for lvl in want]
+    for lvl, (g, w) in enumerate(zip(got, want)):
+        assert g.tobytes() == w.tobytes(), lvl
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+@pytest.mark.parametrize("shape", [(2, 7, 9), (2, 2, 13, 11)])
+def test_weighted_pyramid_adjoint_dot_product_identity(shape, scale):
+    # <fold(g, w), a> equals the weighted sum over levels of <g_l, level l of a>
+    rng = np.random.default_rng(11)
+    weights = [1.0, 0.5, 0.25]
+    a = rng.normal(size=shape)
+    levels = pyramid(a, 3, scale)
+    grads = [rng.normal(size=lvl.shape) for lvl in levels]
+    lhs = sum(w * np.sum(g * lvl) for w, g, lvl in zip(weights, grads, levels))
+    folded = pyramid_adjoint(grads, weights, scale)
+    assert folded.shape == shape
+    assert abs(lhs - np.sum(folded * a)) < 1e-12
