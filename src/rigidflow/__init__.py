@@ -13,7 +13,6 @@ from .camera import (
     invert,
     params_from_pose,
     pose_from_params,
-    project_pixel,
     rigid_flow,
 )
 from .losses import (
@@ -24,7 +23,7 @@ from .losses import (
     cross_task_loss,
     smoothness_loss,
 )
-from .masks import FBCheckParams, fb_check, intersect
+from .masks import FBCheckParams, fb_check
 from .metrics import DepthMetrics, FlowMetrics, depth_metrics, flow_metrics
 from .optimize import (
     AdamMoments,

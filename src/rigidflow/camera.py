@@ -18,8 +18,9 @@ Conventions used throughout the package:
   element sees the scalar expression of its own pose.
 
 All camera math is written as explicit left-associated scalar expressions
-(no matmul in the per-pixel path) so the scalar reference `project_pixel`
-and the vectorized `rigid_flow` agree bitwise.
+(no matmul in the per-pixel path) so the vectorized `rigid_flow` agrees
+bitwise with a scalar per-pixel projection of the same expressions (the
+tests keep one, `project_pixel` in `tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -38,12 +39,9 @@ __all__ = [
     "params_from_pose",
     "invert",
     "rotation_jacobians",
-    "project_pixel",
-    "project_coords",
     "rigid_flow",
     "project_backward",
     "pose_param_gradient",
-    "pixel_grid",
 ]
 
 _ORTHO_TOL = 1e-9
@@ -64,11 +62,6 @@ class Intrinsics:
             raise ValueError("intrinsics must be finite")
         if self.fx <= 0.0 or self.fy <= 0.0:
             raise ValueError("focal lengths must be positive")
-
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
 
     def scaled_down(self) -> "Intrinsics":
         """Intrinsics of the next (half-resolution) pyramid level.
@@ -102,16 +95,6 @@ class PoseSE3:
         t.flags.writeable = False
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
-
-    @classmethod
-    def identity(cls) -> "PoseSE3":
-        return cls(np.eye(3), np.zeros(3))
-
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
 
 
 def _skew(v) -> np.ndarray:
@@ -203,29 +186,6 @@ def rotation_jacobians(w) -> np.ndarray:
     return jac
 
 
-def project_pixel(x: float, y: float, depth: float, k: Intrinsics, pose: PoseSE3):
-    """Scalar reference projection of one pixel into the other frame.
-
-    Returns (u, v, z) where (u, v) is the projected pixel and z the
-    post-transform depth; z <= 0 means the point lands behind the camera.
-    """
-    if not depth > 0.0:
-        raise ValueError("depth must be positive")
-    r = pose.rotation
-    t = pose.translation
-    rx = (x - k.cx) / k.fx
-    ry = (y - k.cy) / k.fy
-    p0 = depth * rx
-    p1 = depth * ry
-    p2 = depth
-    q0 = r[0, 0] * p0 + r[0, 1] * p1 + r[0, 2] * p2 + t[0]
-    q1 = r[1, 0] * p0 + r[1, 1] * p1 + r[1, 2] * p2 + t[1]
-    q2 = r[2, 0] * p0 + r[2, 1] * p1 + r[2, 2] * p2 + t[2]
-    u = k.fx * (q0 / q2) + k.cx
-    v = k.fy * (q1 / q2) + k.cy
-    return u, v, q2
-
-
 def _entries(pose):
     """(rotation, translation) of a pose, indexed as r[i, j] and t[i]. For a
     sequence of poses, one per side of a stacked (n, H, W) depth, each entry
@@ -241,8 +201,9 @@ def _entries(pose):
 
 def _transform(xs, ys, depth, k: Intrinsics, r, t):
     """Rays (rx, ry), back-projected (depth * rx, depth * ry), and the
-    transformed point (q0, q1, q2) of each pixel, as in `project_pixel`, for
-    the rotation and translation entries r, t of `_entries`."""
+    transformed point (q0, q1, q2) of each pixel, for the rotation and
+    translation entries r, t of `_entries`; element for element the same
+    expressions as the scalar `project_pixel` of `tests/oracles.py`."""
     rx = (xs - k.cx) / k.fx
     ry = (ys - k.cy) / k.fy
     p0 = depth * rx
@@ -252,24 +213,6 @@ def _transform(xs, ys, depth, k: Intrinsics, r, t):
     q1 = r[1, 0] * p0 + r[1, 1] * p1 + r[1, 2] * p2 + t[1]
     q2 = r[2, 0] * p0 + r[2, 1] * p1 + r[2, 2] * p2 + t[2]
     return rx, ry, p0, p1, q0, q1, q2
-
-
-def project_coords(xs, ys, depth, k: Intrinsics, pose):
-    """Vectorized `project_pixel` over coordinate/depth arrays of any shape;
-    pose may be one per side of a stacked (n, H, W) depth (`_entries`)."""
-    *_, q0, q1, q2 = _transform(xs, ys, depth, k, *_entries(pose))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = k.fx * (q0 / q2) + k.cx
-        v = k.fy * (q1 / q2) + k.cy
-    return u, v, q2
-
-
-def pixel_grid(height: int, width: int):
-    """Integer pixel-center coordinate grids (xs, ys), each (H, W) float64."""
-    ys, xs = np.meshgrid(
-        np.arange(height, dtype=float), np.arange(width, dtype=float), indexing="ij"
-    )
-    return xs, ys
 
 
 def rigid_flow(depth: np.ndarray, k: Intrinsics, pose: PoseSE3):
@@ -301,7 +244,11 @@ def _rigid_flow(depth: np.ndarray, k: Intrinsics, pose):
         raise ValueError("depth must be positive")
     h, w = depth.shape[-2:]
     xs, ys = np.arange(w, dtype=float), np.arange(h, dtype=float)[:, None]  # broadcast grid
-    u, v, q2 = project_coords(xs, ys, depth, k, pose)
+    *_, q0, q1, q2 = _transform(xs, ys, depth, k, *_entries(pose))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = k.fx * (q0 / q2) + k.cx
+        v = k.fy * (q1 / q2) + k.cy
+    del _, q0, q1  # the projection's temporaries go before the flow is allocated
     valid = q2 > 0.0
     flow = np.empty((2,) + depth.shape)
     flow[0] = np.where(valid, u - xs, 0.0)

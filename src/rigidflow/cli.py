@@ -53,7 +53,7 @@ __all__ = ["main"]
 
 
 def _parse_floats(text: str, n: int, what: str):
-    parts = [p for p in text.split(",") if p != ""]
+    parts = text.split(",")
     if len(parts) != n:
         raise ValueError(f"{what} needs {n} comma-separated values")
     values = []

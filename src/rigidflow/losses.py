@@ -34,7 +34,7 @@ import numpy as np
 
 from ._checks import check_fields
 from .camera import Intrinsics, _rigid_flow, project_backward
-from .masks import FBCheckParams, _cycle_mask, intersect
+from .masks import FBCheckParams, _cycle_mask
 from .sampling import WarpPlan
 
 __all__ = [
@@ -603,7 +603,7 @@ def scale_objective(
 
     if "cross" in terms:
         for b, (own, _) in enumerate(blocks):
-            mask = intersect(depth_mask[own], flow_mask[own])
+            mask = depth_mask[own] & flow_mask[own]
             loss, grad_rigid, grad_flow = cross_task_loss(rigid[b], flow[:, own], mask, grads=grads)
             for side in loss:
                 cross += side

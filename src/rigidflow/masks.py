@@ -18,7 +18,7 @@ import numpy as np
 from ._checks import check_fields
 from .sampling import WarpPlan
 
-__all__ = ["FBCheckParams", "fb_check", "intersect"]
+__all__ = ["FBCheckParams", "fb_check"]
 
 
 @dataclass(frozen=True)
@@ -57,12 +57,3 @@ def _cycle_mask(fwd: np.ndarray, back: np.ndarray, inbounds: np.ndarray, params:
     mag = fwd[0] * fwd[0] + fwd[1] * fwd[1] + back[0] * back[0] + back[1] * back[1]
     return (lhs < params.alpha1 * mag + params.alpha2) & inbounds
 
-
-def intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError("mask sizes differ")
-    if a.dtype != np.bool_ or b.dtype != np.bool_:
-        raise ValueError("masks must be boolean")
-    return a & b

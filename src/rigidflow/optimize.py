@@ -77,20 +77,24 @@ class SceneState:
         self.check()
 
     def check(self) -> None:
-        """Raise ValueError naming the malformed field. `evaluate` calls this
-        again, since the arrays can be changed in place after construction."""
-        if self.depth_t.ndim != 2 or self.depth_t.shape != self.depth_t1.shape:
-            raise ValueError("depth maps must be matching (H, W) arrays")
+        """Raise ValueError naming the malformed field and, for a wrong size,
+        the shape found. `evaluate` calls this again, since the arrays can be
+        changed in place after construction."""
+        if self.depth_t.ndim != 2:
+            raise ValueError(f"depth_t must be (H, W), got shape {self.depth_t.shape}")
         h, w = self.depth_t.shape
-        if self.flow_fwd.shape != (h, w, 2) or self.flow_bwd.shape != (h, w, 2):
-            raise ValueError("flows must be (H, W, 2) matching the depths")
+        for name, shape in (("depth_t1", (h, w)), ("flow_fwd", (h, w, 2)), ("flow_bwd", (h, w, 2))):
+            got = getattr(self, name).shape
+            if got != shape:
+                raise ValueError(f"{name} has shape {got}, expected {shape} to match depth_t")
         if self.pose_params.shape != (6,):
-            raise ValueError("pose_params must be a 6-vector")
+            raise ValueError(f"pose_params must be a 6-vector, got shape {self.pose_params.shape}")
         for name in ("depth_t", "depth_t1", "pose_params", "flow_fwd", "flow_bwd"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
-        if not (np.all(self.depth_t > 0.0) and np.all(self.depth_t1 > 0.0)):
-            raise ValueError("depth must be positive")
+        for name in ("depth_t", "depth_t1"):
+            if not np.all(getattr(self, name) > 0.0):
+                raise ValueError(f"{name} must be positive")
 
     def copy(self) -> "SceneState":
         return SceneState(

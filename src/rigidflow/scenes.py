@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import FieldError, check_fields
-from .camera import Intrinsics, PoseSE3, invert, pixel_grid, pose_from_params, rigid_flow
+from .camera import Intrinsics, PoseSE3, invert, pose_from_params, rigid_flow
 
 __all__ = [
     "TextureParams",
@@ -227,10 +227,10 @@ def _plane_depths(spec: SceneSpec, rays: np.ndarray, pose: PoseSE3 | None):
     return np.stack(depths, axis=0)
 
 
-def _patch_boxes(spec: SceneSpec):
-    """Continuous-coordinate boxes of each patch in both frames, plus shifts."""
+def _patch_shifts(spec: SceneSpec):
+    """Image-space (dx, dy) shift of each patch from frame t to frame t+1."""
     pose = spec.pose()
-    boxes = []
+    shifts = []
     for patch in spec.patches:
         if patch.motion is None:
             r = pose.rotation
@@ -242,8 +242,8 @@ def _patch_boxes(spec: SceneSpec):
             shift = (spec.fx * t[0] / patch.depth, spec.fy * t[1] / patch.depth)
         else:
             shift = (float(patch.motion[0]), float(patch.motion[1]))
-        boxes.append(shift)
-    return boxes
+        shifts.append(shift)
+    return shifts
 
 
 def _in_box(xs, ys, x0, y0, w, h):
@@ -308,9 +308,9 @@ def render(spec: SceneSpec) -> GroundTruth:
     k = spec.intrinsics()
     pose = spec.pose()
     h, w = spec.height, spec.width
-    xs, ys = pixel_grid(h, w)
+    xs, ys = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))  # (H, W) each
     rays = np.stack([(xs - k.cx) / k.fx, (ys - k.cy) / k.fy, np.ones_like(xs)], axis=-1)
-    shifts = _patch_boxes(spec)
+    shifts = _patch_shifts(spec)
     surf_t, depth_t = _surface_and_depth(spec, xs, ys, rays, False, shifts)
     surf_t1, depth_t1 = _surface_and_depth(spec, xs, ys, rays, True, shifts)
     image_t = _shade(spec, xs, ys, rays, surf_t, depth_t, False, shifts)[..., None]

@@ -55,6 +55,26 @@ def project_pixel_ref(x, y, depth, fx, fy, cx, cy, r, t):
     return fx * q[0] / q[2] + cx, fy * q[1] / q[2] + cy, q[2]
 
 
+def project_pixel(x, y, depth, k, pose):
+    """One-pixel projection through Intrinsics k and PoseSE3 pose, in the
+    fused per-coordinate expressions of the package: the bit-for-bit
+    reference of `rigid_flow`. Returns (u, v, z); z <= 0 means the point
+    lands behind the camera."""
+    r = pose.rotation
+    t = pose.translation
+    rx = (x - k.cx) / k.fx
+    ry = (y - k.cy) / k.fy
+    p0 = depth * rx
+    p1 = depth * ry
+    p2 = depth
+    q0 = r[0, 0] * p0 + r[0, 1] * p1 + r[0, 2] * p2 + t[0]
+    q1 = r[1, 0] * p0 + r[1, 1] * p1 + r[1, 2] * p2 + t[1]
+    q2 = r[2, 0] * p0 + r[2, 1] * p1 + r[2, 2] * p2 + t[2]
+    u = k.fx * (q0 / q2) + k.cx
+    v = k.fy * (q1 / q2) + k.cy
+    return u, v, q2
+
+
 # ---------------------------------------------------------------------------
 # sampling
 

@@ -40,7 +40,7 @@ def test_01_identity_pose_rigid_flow_is_zero():
     depth = rng.uniform(2.0, 10.0, size=(256, 256))
     k = Intrinsics(200.0, 200.0, 127.5, 127.5)
     t0 = time.perf_counter()
-    flow, valid = rigid_flow(depth, k, PoseSE3.identity())
+    flow, valid = rigid_flow(depth, k, PoseSE3(np.eye(3), np.zeros(3)))
     dt = time.perf_counter() - t0
     worst = float(np.max(np.abs(flow)))
     ok = worst <= 1e-12 and bool(valid.all()) and dt < 1.0

@@ -9,22 +9,22 @@ from hypothesis import strategies as st
 from rigidflow.camera import (
     Intrinsics,
     PoseSE3,
+    _rigid_flow,
     invert,
     params_from_pose,
-    pixel_grid,
     pose_from_params,
     pose_param_gradient,
     project_backward,
-    project_pixel,
     rigid_flow,
     rodrigues,
     rotation_jacobians,
     so3_log,
 )
 
-from oracles import project_pixel_ref, rotation_series
+from oracles import project_pixel, project_pixel_ref, rotation_series
 
 K = Intrinsics(fx=100.0, fy=100.0, cx=31.5, cy=31.5)
+IDENTITY = PoseSE3(np.eye(3), np.zeros(3))
 
 finite_angle = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 finite_trans = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
@@ -104,13 +104,13 @@ def test_pose_validation_rejects_sheared_rotation():
 
 
 def test_pose_arrays_are_frozen():
-    pose = PoseSE3.identity()
+    pose = IDENTITY
     with pytest.raises(ValueError):
         pose.rotation[0, 0] = 2.0
 
 
 def test_invert_identity():
-    inv = invert(PoseSE3.identity())
+    inv = invert(IDENTITY)
     assert np.array_equal(inv.rotation, np.eye(3))
     assert np.array_equal(inv.translation, np.zeros(3))
 
@@ -124,7 +124,9 @@ def test_pose_times_its_inverse_is_identity():
     rng = np.random.default_rng(4)
     for _ in range(20):
         pose = random_pose(rng, angle_scale=2.0)
-        assert np.abs(pose.matrix() @ invert(pose).matrix() - np.eye(4)).max() < 1e-9
+        inv = invert(pose)
+        assert np.abs(pose.rotation @ inv.rotation - np.eye(3)).max() < 1e-9
+        assert np.abs(pose.rotation @ inv.translation + pose.translation).max() < 1e-9
 
 
 def test_params_round_trip():
@@ -146,7 +148,7 @@ def test_zero_params_give_identity():
 
 
 def test_identity_pose_projects_to_same_pixel():
-    u, v, z = project_pixel(10.0, 20.0, 3.0, K, PoseSE3.identity())
+    u, v, z = project_pixel(10.0, 20.0, 3.0, K, IDENTITY)
     assert abs(u - 10.0) < 1e-12 and abs(v - 20.0) < 1e-12
     assert z == 3.0
 
@@ -186,18 +188,13 @@ def test_project_pixel_matches_scalar_reference():
         assert np.abs(np.array(got) - np.array(want)).max() < 1e-9
 
 
-def test_project_pixel_requires_positive_depth():
-    with pytest.raises(ValueError):
-        project_pixel(0.0, 0.0, 0.0, K, PoseSE3.identity())
-
-
 # ---------------------------------------------------------------------------
 # rigid flow
 
 
 def test_identity_pose_zero_flow_full_mask():
     depth = np.full((32, 32), 3.7)
-    flow, valid = rigid_flow(depth, K, PoseSE3.identity())
+    flow, valid = rigid_flow(depth, K, IDENTITY)
     assert np.abs(flow).max() <= 1e-12
     assert valid.all()
 
@@ -205,7 +202,7 @@ def test_identity_pose_zero_flow_full_mask():
 def test_identity_flow_large_image_is_fast():
     depth = np.full((256, 256), 2.0)
     start = time.perf_counter()
-    flow, valid = rigid_flow(depth, K, PoseSE3.identity())
+    flow, valid = rigid_flow(depth, K, IDENTITY)
     elapsed = time.perf_counter() - start
     assert np.abs(flow).max() <= 1e-12
     assert valid.all()
@@ -232,7 +229,7 @@ def test_quarter_turn_about_optical_axis():
     pose = pose_from_params(np.array([0.0, 0.0, math.pi / 2.0, 0.0, 0.0, 0.0]))
     flow, valid = rigid_flow(np.full((32, 32), 5.0), k, pose)
     assert valid.all()
-    xs, ys = pixel_grid(32, 32)
+    xs, ys = np.meshgrid(np.arange(32.0), np.arange(32.0))
     dx = xs - k.cx
     dy = ys - k.cy
     assert np.abs(flow[..., 0] - (-dy - dx)).max() < 1e-9
@@ -252,6 +249,25 @@ def test_rigid_flow_matches_project_pixel_bitwise():
             assert flow[y, x, 1] == v - y
 
 
+@pytest.mark.parametrize("sides", [2, 1])
+def test_stacked_rigid_flow_matches_project_pixel_bitwise(sides):
+    # the objective's call: a stacked (n, H, W) depth with one pose per side,
+    # (pose, its inverse) for both sides or a one-pose tuple for one
+    rng = np.random.default_rng(11)
+    depth = rng.uniform(2.0, 8.0, (sides, 9, 11))
+    pose = random_pose(rng)
+    poses = (pose, invert(pose))[:sides]
+    flow, valid = _rigid_flow(depth, K, poses)
+    assert flow.shape == (2, sides, 9, 11) and valid.shape == (sides, 9, 11)
+    for s, side_pose in enumerate(poses):
+        for y in range(9):
+            for x in range(11):
+                u, v, z = project_pixel(float(x), float(y), float(depth[s, y, x]), K, side_pose)
+                assert valid[s, y, x] == (z > 0.0)
+                assert flow[0, s, y, x] == (u - x if z > 0.0 else 0.0)
+                assert flow[1, s, y, x] == (v - y if z > 0.0 else 0.0)
+
+
 def test_points_behind_camera_marked_invalid_with_zero_flow():
     depth = np.full((8, 8), 1.0)
     pose = PoseSE3(np.eye(3), np.array([0.0, 0.0, -2.0]))  # z' = 1 - 2 < 0
@@ -264,7 +280,7 @@ def test_rigid_flow_rejects_nonpositive_depth():
     depth = np.full((4, 4), 1.0)
     depth[2, 2] = 0.0
     with pytest.raises(ValueError):
-        rigid_flow(depth, K, PoseSE3.identity())
+        rigid_flow(depth, K, IDENTITY)
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +298,6 @@ def test_scaled_down_halves_focal_and_recenters():
     k = K.scaled_down()
     assert (k.fx, k.fy) == (50.0, 50.0)
     assert (k.cx, k.cy) == (15.5, 15.5)
-
-
-def test_intrinsics_matrix_layout():
-    m = K.matrix()
-    assert m[0, 0] == K.fx and m[1, 1] == K.fy
-    assert m[0, 2] == K.cx and m[1, 2] == K.cy
-    assert m[2, 2] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +375,3 @@ def test_pose_param_gradient_full_chain():
         e[i] = h
         fd = (objective(params + e) - objective(params - e)) / (2.0 * h)
         assert abs(grad[i] - fd) < 1e-7
-
-
-def test_pixel_grid_layout():
-    xs, ys = pixel_grid(3, 4)
-    assert xs.shape == (3, 4) and ys.shape == (3, 4)
-    assert xs[0, 2] == 2.0 and ys[2, 0] == 2.0

@@ -432,6 +432,24 @@ def test_loss_names_an_image_of_another_size(tmp_path, capsys):
     assert stdout == ""
 
 
+def test_loss_names_a_flow_of_another_size(tmp_path, capsys):
+    gt = render(preset("plane", width=4, height=4))
+    for name in ("image_t", "image_t1", "depth_t", "depth_t1"):
+        write_pfm(tmp_path / f"{name}.pfm", getattr(gt, name))
+    write_flo(tmp_path / "flow_fwd.flo", gt.flow_fwd)
+    write_flo(tmp_path / "flow_bwd.flo", np.zeros((5, 4, 2)))
+    argv = ["loss"]
+    for name in ("image-t", "image-t1", "depth-t", "depth-t1"):
+        argv += [f"--{name}", str(tmp_path / (name.replace("-", "_") + ".pfm"))]
+    for name in ("flow-fwd", "flow-bwd"):
+        argv += [f"--{name}", str(tmp_path / (name.replace("-", "_") + ".flo"))]
+    argv += ["--pose", "0,0,0,0.4,0,0", "--intrinsics", "100,100,1.5,1.5"]
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 1
+    assert stderr == "error: flow_bwd has shape (5, 4, 2), expected (4, 4, 2) to match depth_t\n"
+    assert stdout == ""
+
+
 def test_loss_warns_of_each_empty_mask(tmp_path, capsys):
     # a forward flow of +1000 px sends every pixel out of frame t+1, so both
     # flow masks are empty at every level while the depth masks are not
@@ -586,6 +604,10 @@ def test_bad_pose_arity_fails_cleanly(tmp_path, capsys):
             "error: --pose: cannot parse 'np.float64(0.0054)' as a float\n",
         ),
         ("0,0,0,0.4,0,0", "10,10,1.5,cy", "error: --intrinsics: cannot parse 'cy' as a float\n"),
+        # an empty field is a field: it is counted, not dropped
+        ("0,0,0,0.4,0,0", "10,,10,1.5,1.5", "error: --intrinsics needs 4 comma-separated values\n"),
+        ("0,0,0,0.4,0,0", "10,10,1.5,1.5,", "error: --intrinsics needs 4 comma-separated values\n"),
+        ("0,0,,0.4,0,0", "10,10,1.5,1.5", "error: --pose: cannot parse '' as a float\n"),
     ],
 )
 def test_an_unparsable_value_is_named_with_its_option(tmp_path, capsys, pose, intrinsics, message):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rigidflow.camera import Intrinsics, pixel_grid
+from rigidflow.camera import Intrinsics
 from rigidflow.losses import (
     ALL_TERMS,
     CensusParams,
@@ -194,7 +194,7 @@ def test_smoothness_ramp_against_analytic_sum():
     # H*(W-1) x-gradients of size |s| (charbonnier-smoothed), no y-gradients,
     # normalized by H*W
     h, w, s = 5, 8, 0.3
-    field = s * pixel_grid(h, w)[0]
+    field = s * np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))[0]
     loss, _ = smoothness_loss(field, edge_weights(np.full((h, w), 0.5)[None]))
     phi_s = math.sqrt(s * s + 1e-6) - 1e-3
     assert abs(loss - phi_s * h * (w - 1) / (h * w)) < 1e-12
@@ -213,7 +213,7 @@ def test_smoothness_has_zero_gradient_at_near_constant_field():
 
 def test_guide_edges_damp_the_penalty():
     h, w = 6, 6
-    field = pixel_grid(h, w)[0]
+    field = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))[0]
     flat_guide = np.full((h, w), 0.5)
     edge_guide = np.zeros((h, w))
     edge_guide[:, 3:] = 1.0  # strong edge aligned with the field gradient
@@ -688,9 +688,17 @@ LEVEL_CASES = [
 ]
 
 
+@pytest.fixture(params=[0, 10**9], ids=["one-side", "stacked"])
+def block_path(request, monkeypatch):
+    """Every level run a side at a time (0), or both sides stacked (10**9)."""
+    from rigidflow import losses
+
+    monkeypatch.setattr(losses, "STACKED_PIXELS", request.param)
+
+
 @pytest.mark.parametrize("case", LEVEL_CASES)
 @pytest.mark.parametrize("radius", [1, 2])
-def test_scale_objective_matches_term_by_term_sampling(odd_level, case, radius):
+def test_scale_objective_matches_term_by_term_sampling(odd_level, block_path, case, radius):
     from rigidflow.masks import FBCheckParams
     from oracles import scale_objective_cell
 
@@ -713,7 +721,7 @@ def test_scale_objective_matches_term_by_term_sampling(odd_level, case, radius):
         assert_same_level(got, want)
 
 
-def test_scale_objective_with_an_empty_mask_matches(odd_level):
+def test_scale_objective_with_an_empty_mask_matches(odd_level, block_path):
     from rigidflow.losses import LevelMasks
     from rigidflow.masks import FBCheckParams
     from oracles import scale_objective_cell

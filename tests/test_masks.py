@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rigidflow.masks import FBCheckParams, fb_check, intersect
+from rigidflow.masks import FBCheckParams, fb_check
 
 
 def constant_flow(h, w, u, v):
@@ -82,27 +82,3 @@ def test_fb_check_rejects_a_non_finite_flow(name, bad):
 def test_fb_params_validation():
     with pytest.raises(ValueError):
         FBCheckParams(alpha1=-0.1)
-
-
-def test_intersect_is_elementwise_and():
-    rng = np.random.default_rng(0)
-    a = rng.uniform(size=(9, 9)) > 0.5
-    b = rng.uniform(size=(9, 9)) > 0.5
-    out = intersect(a, b)
-    for y in range(9):
-        for x in range(9):
-            assert out[y, x] == (a[y, x] and b[y, x])
-
-
-def test_intersect_full_and_empty():
-    full = np.ones((4, 4), dtype=bool)
-    empty = np.zeros((4, 4), dtype=bool)
-    assert intersect(full, full).all()
-    assert not intersect(full, empty).any()
-
-
-def test_intersect_validates_inputs():
-    with pytest.raises(ValueError):
-        intersect(np.ones((4, 4), dtype=bool), np.ones((4, 5), dtype=bool))
-    with pytest.raises(ValueError):
-        intersect(np.ones((4, 4)), np.ones((4, 4), dtype=bool))

@@ -42,12 +42,18 @@ def test_scene_state_validation():
         flow_bwd=np.zeros((4, 4, 2)),
     )
     SceneState(**good)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="^depth_t must be positive$"):
         SceneState(**{**good, "depth_t": np.zeros((4, 4))})
-    with pytest.raises(ValueError, match="6-vector"):
+    with pytest.raises(ValueError, match=r"^pose_params must be a 6-vector, got shape \(5,\)$"):
         SceneState(**{**good, "pose_params": np.zeros(5)})
-    with pytest.raises(ValueError, match="matching"):
+    with pytest.raises(ValueError, match=r"^flow_fwd has shape \(5, 4, 2\), expected \(4, 4, 2\) to match depth_t$"):
         SceneState(**{**good, "flow_fwd": np.zeros((5, 4, 2))})
+    with pytest.raises(ValueError, match=r"^flow_bwd has shape \(4, 4\), expected \(4, 4, 2\) to match depth_t$"):
+        SceneState(**{**good, "flow_bwd": np.zeros((4, 4))})
+    with pytest.raises(ValueError, match=r"^depth_t1 has shape \(4, 5\), expected \(4, 4\) to match depth_t$"):
+        SceneState(**{**good, "depth_t1": np.ones((4, 5))})
+    with pytest.raises(ValueError, match=r"^depth_t must be \(H, W\), got shape \(4, 4, 1\)$"):
+        SceneState(**{**good, "depth_t": np.ones((4, 4, 1))})
     for name, value in good.items():
         for bad in (np.nan, np.inf):
             field = value.copy()
@@ -64,7 +70,7 @@ def test_evaluate_rechecks_a_state_changed_in_place(plane_gt):
         evaluate(state, *args)
     state = state_from_gt(plane_gt)
     state.depth_t1[3, 4] = 0.0
-    with pytest.raises(ValueError, match="^depth must be positive$"):
+    with pytest.raises(ValueError, match="^depth_t1 must be positive$"):
         evaluate(state, *args)
 
 
@@ -530,6 +536,36 @@ def test_refine_is_deterministic(plane_gt):
             b.cross,
             b.total,
         )
+
+
+def state_bytes(state):
+    """The bytes of every field of a SceneState or StateGrad."""
+    return [np.asarray(getattr(state, f.name)).tobytes() for f in fields(state)]
+
+
+def test_both_block_paths_give_the_same_bytes(monkeypatch):
+    # levels under losses.STACKED_PIXELS run both sides stacked and larger
+    # ones a side at a time, so at 96x80 the default mixes the two paths;
+    # 0 runs every level one side at a time, 10**9 every level stacked
+    gt = render(preset("mover", width=96, height=80))
+    init = make_initial_state(gt, np.random.default_rng(6), pose_noise=0.01, flow_noise=0.5)
+    args = (gt.image_t, gt.image_t1, gt.intrinsics)
+    runs = []
+    for stacked_pixels in (0, 10**9):
+        monkeypatch.setattr(losses, "STACKED_PIXELS", stacked_pixels)
+        report, grad, masks = evaluate(init, *args, small_cfg(scales=3))
+        final, trace = refine(*args, init, small_cfg(iterations=4, scales=3))
+        runs.append(
+            dict(
+                report=report_bytes(report),
+                grad=state_bytes(grad),
+                masks=[getattr(lv, f.name).tobytes() for lv in masks for f in fields(lv)],
+                trace=[report_bytes(r) for r in trace],
+                final=state_bytes(final),
+            )
+        )
+    for key in runs[0]:
+        assert runs[0][key] == runs[1][key], key
 
 
 def test_divergence_carries_partial_trace(plane_gt):
