@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sampling import Workspace, _where
+
 __all__ = [
     "Intrinsics",
     "PoseSE3",
@@ -199,20 +201,27 @@ def _entries(pose):
     return r, t
 
 
-def _transform(xs, ys, depth, k: Intrinsics, r, t):
+def _transform(xs, ys, depth, k: Intrinsics, r, t, ws: Workspace):
     """Rays (rx, ry), back-projected (depth * rx, depth * ry), and the
     transformed point (q0, q1, q2) of each pixel, for the rotation and
     translation entries r, t of `_entries`; element for element the same
-    expressions as the scalar `project_pixel` of `tests/oracles.py`."""
+    expressions as the scalar `project_pixel` of `tests/oracles.py`. The
+    per-pixel arrays, and one scratch array after them, are taken from ws's
+    stack."""
     rx = (xs - k.cx) / k.fx
     ry = (ys - k.cy) / k.fy
-    p0 = depth * rx
-    p1 = depth * ry
-    p2 = depth
-    q0 = r[0, 0] * p0 + r[0, 1] * p1 + r[0, 2] * p2 + t[0]
-    q1 = r[1, 0] * p0 + r[1, 1] * p1 + r[1, 2] * p2 + t[1]
-    q2 = r[2, 0] * p0 + r[2, 1] * p1 + r[2, 2] * p2 + t[2]
-    return rx, ry, p0, p1, q0, q1, q2
+    shape = depth.shape
+    p0 = np.multiply(depth, rx, out=ws.take(shape))
+    p1 = np.multiply(depth, ry, out=ws.take(shape))
+    q = [ws.take(shape) for _ in range(3)]
+    tmp = ws.take(shape)
+    for i, qi in enumerate(q):
+        # q_i = r[i, 0] * p0 + r[i, 1] * p1 + r[i, 2] * p2 + t[i], with p2 = depth
+        np.multiply(p0, r[i, 0], out=qi)
+        qi += np.multiply(p1, r[i, 1], out=tmp)
+        qi += np.multiply(depth, r[i, 2], out=tmp)
+        qi += t[i]
+    return (rx, ry, p0, p1, *q, tmp)
 
 
 def rigid_flow(depth: np.ndarray, k: Intrinsics, pose: PoseSE3):
@@ -236,60 +245,84 @@ def rigid_flow(depth: np.ndarray, k: Intrinsics, pose: PoseSE3):
     return np.moveaxis(flow, 0, -1), valid
 
 
-def _rigid_flow(depth: np.ndarray, k: Intrinsics, pose):
+def _rigid_flow(depth: np.ndarray, k: Intrinsics, pose, ws: Workspace | None = None, key="rigid"):
     """`rigid_flow` of an (H, W) or stacked (n, H, W) depth, for one pose or
     one per side (`_entries`): the planar (2, H, W) or (2, n, H, W) flow and
-    the cheirality mask."""
+    the cheirality mask, in ws's roles (key, "flow") and (key, "valid")."""
     if not np.all(depth > 0.0):
         raise ValueError("depth must be positive")
+    ws = Workspace() if ws is None else ws
     h, w = depth.shape[-2:]
     xs, ys = np.arange(w, dtype=float), np.arange(h, dtype=float)[:, None]  # broadcast grid
-    *_, q0, q1, q2 = _transform(xs, ys, depth, k, *_entries(pose))
+    mark = ws.mark()
+    *_, q0, q1, q2, _ = _transform(xs, ys, depth, k, *_entries(pose), ws)
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = k.fx * (q0 / q2) + k.cx
-        v = k.fy * (q1 / q2) + k.cy
-    del _, q0, q1  # the projection's temporaries go before the flow is allocated
-    valid = q2 > 0.0
-    flow = np.empty((2,) + depth.shape)
-    flow[0] = np.where(valid, u - xs, 0.0)
-    flow[1] = np.where(valid, v - ys, 0.0)
+        u = np.divide(q0, q2, out=q0)
+        u *= k.fx
+        u += k.cx  # k.fx * (q0 / q2) + k.cx
+        v = np.divide(q1, q2, out=q1)
+        v *= k.fy
+        v += k.cy
+    valid = np.greater(q2, 0.0, out=ws.get((key, "valid"), depth.shape, bool))
+    flow = ws.get((key, "flow"), (2,) + depth.shape)
+    for out, proj, grid in zip(flow, (u, v), (xs, ys)):
+        proj -= grid
+        _where(valid, proj, out)
+    ws.release(mark)
     return flow, valid
 
 
-def project_backward(depth, k: Intrinsics, pose, grad_u, grad_v):
+def project_backward(depth, k: Intrinsics, pose, grad_u, grad_v, ws: Workspace | None = None, out=None):
     """Adjoint of `rigid_flow` for per-pixel flow gradients.
 
     Given dL/d(flow_u), dL/d(flow_v) (zero expected wherever the forward
     pass was invalid), returns
-        grad_depth: (H, W) dL/d(depth),
+        grad_depth: (H, W) dL/d(depth), into `out` if given,
         grad_r: (3, 3) dL/d(rotation matrix),
         grad_t: (3,) dL/d(translation).
     For a stacked (n, H, W) depth with one pose per side, grad_depth is
     (n, H, W), grad_r (n, 3, 3) and grad_t (n, 3), each side's sums taken
-    over its own contiguous (H, W) slice.
+    over its own contiguous (H, W) slice. Its temporaries are taken from
+    ws's stack; grad_u and grad_v are only read.
     """
     depth = np.asarray(depth, dtype=float)
-    h, w = depth.shape[-2:]
+    ws = Workspace() if ws is None else ws
+    shape = depth.shape
+    h, w = shape[-2:]
     xs, ys = np.arange(w, dtype=float), np.arange(h, dtype=float)[:, None]
     r, t = _entries(pose)
-    rx, ry, drx, dry, q0, q1, q2 = _transform(xs, ys, depth, k, r, t)
-    valid = q2 > 0.0
+    mark = ws.mark()
+    rx, ry, drx, dry, q0, q1, q2, tmp = _transform(xs, ys, depth, k, r, t, ws)
+    valid = np.greater(q2, 0.0, out=ws.take(shape, bool))
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(valid, k.fx * grad_u / q2, 0.0)
-        b = np.where(valid, k.fy * grad_v / q2, 0.0)
-        c = np.where(valid, -(a * q0 + b * q1) / q2, 0.0)
-    # direction of the transformed point per unit depth: d(q)/d(depth) = R @ ray
-    w0 = r[0, 0] * rx + r[0, 1] * ry + r[0, 2]
-    w1 = r[1, 0] * rx + r[1, 1] * ry + r[1, 2]
-    w2 = r[2, 0] * rx + r[2, 1] * ry + r[2, 2]
-    grad_depth = a * w0 + b * w1 + c * w2
+        # a = np.where(valid, k.fx * grad_u / q2, 0.0), and b likewise
+        a = _where(valid, np.divide(np.multiply(grad_u, k.fx, out=tmp), q2, out=tmp), ws.take(shape))
+        b = _where(valid, np.divide(np.multiply(grad_v, k.fy, out=tmp), q2, out=tmp), ws.take(shape))
+        # c = np.where(valid, -(a * q0 + b * q1) / q2, 0.0)
+        np.multiply(a, q0, out=tmp)
+        tmp += np.multiply(b, q1, out=q1)
+        np.negative(tmp, out=tmp)
+        c = _where(valid, np.divide(tmp, q2, out=tmp), q0)
 
     def sums(x):  # np.sum of each side, one side for an unstacked depth
         return [np.add.reduce(side, None) for side in x.reshape(-1, h, w)]
 
-    grad_r = np.array([[sums(x * y) for y in (drx, dry, depth)] for x in (a, b, c)])
+    grad_r = np.array([[sums(np.multiply(x, y, out=tmp)) for y in (drx, dry, depth)] for x in (a, b, c)])
     grad_t = np.array([sums(x) for x in (a, b, c)])
     grad_r, grad_t = grad_r.transpose(2, 0, 1).copy(), grad_t.T.copy()
+    # direction of the transformed point per unit depth: d(q)/d(depth) = R @ ray,
+    # w_i = r[i, 0] * rx + r[i, 1] * ry + r[i, 2]; grad_depth = a * w0 + b * w1 + c * w2
+    ray, ray_tmp = (ws.take(np.broadcast_shapes(np.shape(r[0, 0]), rx.shape, ry.shape)) for _ in range(2))
+    grad_depth = np.empty(shape) if out is None else out
+    for i, x in enumerate((a, b, c)):
+        np.multiply(rx, r[i, 0], out=ray)
+        ray += np.multiply(ry, r[i, 1], out=ray_tmp)
+        ray += r[i, 2]
+        if i == 0:
+            np.multiply(x, ray, out=grad_depth)
+        else:
+            grad_depth += np.multiply(x, ray, out=tmp)
+    ws.release(mark)
     if depth.ndim == 2:
         return grad_depth, grad_r[0], grad_t[0]
     return grad_depth, grad_r, grad_t

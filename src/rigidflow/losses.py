@@ -35,7 +35,7 @@ import numpy as np
 from ._checks import check_fields
 from .camera import Intrinsics, _rigid_flow, project_backward
 from .masks import FBCheckParams, _cycle_mask
-from .sampling import WarpPlan
+from .sampling import WarpPlan, Workspace, _where, _zeros
 
 __all__ = [
     "CensusParams",
@@ -118,13 +118,14 @@ class LevelMasks:
     flow_bwd: np.ndarray
 
 
-def charbonnier(x, eps: float = DEFAULT_L1_EPS, grads: bool = True):
+def charbonnier(x, eps: float = DEFAULT_L1_EPS, grads: bool = True, out=None):
     """Smooth L1: sqrt(x^2 + eps^2) - eps, and its derivative (None
-    without `grads`)."""
-    root = np.asarray(x * x)
+    without `grads`), into the two arrays of `out` if given (neither may be x)."""
+    phi, root = (None, None) if out is None else out
+    root = np.asarray(np.multiply(x, x, out=root))
     root += eps * eps
     np.sqrt(root, out=root)  # in place: root = sqrt(x * x + eps * eps)
-    return root - eps, np.divide(x, root, out=root) if grads else None
+    return np.subtract(root, eps, out=phi), np.divide(x, root, out=root) if grads else None
 
 
 def _total(a: np.ndarray):
@@ -164,7 +165,7 @@ def _offsets(radius: int):
     ]
 
 
-def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams, grads: bool = True):
+def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams, grads: bool = True, ws=None):
     """Census distance of gray_ref against each (gray_warped, mask) branch,
     on the soft ternary descriptor d / sqrt(d^2 + eps^2) of the neighborhood
     differences d: differentiable, and invariant to additive brightness as
@@ -174,7 +175,8 @@ def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams, grads: b
     arrays are (h, w), or stacked (n, h, w) with the losses summed side by
     side. Returns one (loss, grad wrt gray_warped) per branch, the loss one
     per side (`_by_side`), or None for a branch whose mask is empty on every
-    side. An empty side adds zero loss and a zero gradient.
+    side. An empty side adds zero loss and a zero gradient. Its arrays are
+    taken from ws's stack, where the returned gradients stay.
 
     Only the first half of the offsets is computed. The second half is the
     first negated and reversed, and offset -o adds exactly what o adds,
@@ -186,6 +188,7 @@ def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams, grads: b
     never hold -0, and adding a zero of either sign leaves them unchanged.)
     """
     h, w = gray_ref.shape[-2:]
+    ws = Workspace() if ws is None else ws
     eps2 = params.epsilon * params.epsilon
     c = params.charbonnier_eps
     live = []  # (branch, gray_w, mask, 1 / valid count per side, the same broadcastable)
@@ -195,7 +198,8 @@ def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams, grads: b
         if any(inv):
             live.append((b, gray_w, mask, inv, scale))
     losses = {b: [0.0] * len(inv) for b, _, _, inv, _ in live}
-    gsum = {b: np.zeros(gray_ref.shape) for b, *_ in live} if grads else {}
+    gsum = {b: _zeros(ws.take(gray_ref.shape)) for b, *_ in live} if grads else {}
+    mark = ws.mark()
     kept = {b: [] for b, *_ in live}  # (losses, gated gradient) per offset of the half
     offsets = _offsets(params.radius)
     # each offset (dy, dx) of the half as (here, there): the pixels whose
@@ -205,25 +209,30 @@ def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams, grads: b
          (..., slice(max(0, dy), h - max(0, -dy)), slice(max(0, dx), w - max(0, -dx))))
         for dy, dx in offsets[: len(offsets) // 2] if abs(dy) < h and abs(dx) < w
     ]
+    # each offset's gated gradient of each branch, kept for the mirrored half
+    gated = [[ws.take(gray_ref[here].shape) for _ in live] if grads else None for here, _ in wins]
+    offset_mark = ws.mark()
     # the arithmetic runs in place, in the order of the plain expressions
     # noted beside it, so every value is the same to the bit
-    for here, there in wins:
-        tr = gray_ref[there] - gray_ref[here]  # dr
-        t = np.multiply(tr, tr)
+    for (here, there), outs in zip(wins, gated):
+        shape = gray_ref[here].shape
+        tr = np.subtract(gray_ref[there], gray_ref[here], out=ws.take(shape))  # dr
+        t = np.multiply(tr, tr, out=ws.take(shape))
         t += eps2
         np.sqrt(t, out=t)
         tr /= t  # tr = dr / sqrt(dr^2 + eps^2)
-        for b, gray_w, mask, _, inv in live:
-            dw = gray_w[there] - gray_w[here]
-            s = np.multiply(dw, dw)
+        dw, s, root, gate = ws.take(shape), ws.take(shape), ws.take(shape), ws.take(shape, bool)
+        for j, (b, gray_w, mask, _, inv) in enumerate(live):
+            np.subtract(gray_w[there], gray_w[here], out=dw)
+            np.multiply(dw, dw, out=s)
             s += eps2
-            delta = np.sqrt(s)
+            delta = np.sqrt(s, out=outs[j] if grads else ws.take(shape))
             np.divide(dw, delta, out=delta)
             np.subtract(tr, delta, out=delta)  # delta = tr - dw / sqrt(dw^2 + eps^2)
-            root = np.multiply(delta, delta)
+            np.multiply(delta, delta, out=root)
             root += c * c
             np.sqrt(root, out=root)
-            gate = mask[here] & mask[there]
+            np.logical_and(mask[here], mask[there], out=gate)
             parts = [float(_total(r[g] - c)) for r, g in zip(_sides(root), _sides(gate))]
             for side, part in enumerate(parts):
                 losses[b][side] += part
@@ -240,6 +249,7 @@ def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams, grads: b
             gsum[b][here] -= g
             gsum[b][there] += g
             kept[b].append((parts, g))
+        ws.release(offset_mark)
     # the mirrored half: -o's `-= g` is o's `+= g` and the other way round;
     # a translation keeps row-major order, so `part` is the same
     for here, there in reversed(wins):
@@ -250,6 +260,7 @@ def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams, grads: b
             if grads:
                 gsum[b][there] += g
                 gsum[b][here] -= g
+    ws.release(mark)
     out = [None] * len(branches)
     for b, _, mask, inv, _ in live:
         out[b] = (_by_side([loss * i for loss, i in zip(losses[b], inv)], mask), gsum.get(b))
@@ -278,17 +289,17 @@ class LevelInputs:
     k: Intrinsics
 
 
-def _channel_last_sum(phi: np.ndarray, wgt: np.ndarray) -> list:
+def _channel_last_sum(phi: np.ndarray, wgt: np.ndarray, prod: np.ndarray) -> list:
     """Per side, the sum of phi * wgt over a planar (C, n, h, w) phi, added
-    up as the channel-last (h, w, C) products: the summation order of the
-    loss, so its value does not depend on the layout."""
-    prod = np.empty(phi.shape[1:] + phi.shape[:1])
+    up as the channel-last (h, w, C) products, written into the (n, h, w, C)
+    prod: the summation order of the loss, so its value does not depend on
+    the layout."""
     for c, plane in enumerate(phi):
         np.multiply(plane, wgt, out=prod[..., c])
     return [_total(side) for side in prod]
 
 
-def smoothness_loss(field: np.ndarray, edges, mean_normalize: bool = False, grads: bool = True):
+def smoothness_loss(field: np.ndarray, edges, mean_normalize: bool = False, grads: bool = True, ws=None, out=None):
     """Edge-aware first-order smoothness of an (H, W) or planar (C, H, W)
     field, weighted by the edge weights (wx, wy) of its guide image
     (`edge_weights`). Edge weights with a leading side axis, (n, H, W-1)
@@ -302,9 +313,11 @@ def smoothness_loss(field: np.ndarray, edges, mean_normalize: bool = False, grad
     divided by its mean first (used for depth, where absolute scale is
     arbitrary).
 
-    Returns (loss, grad wrt field).
+    Returns (loss, grad wrt field), the gradient into `out` if given. Its
+    temporaries are taken from ws's stack.
     """
     f = np.asarray(field, dtype=float)
+    ws = Workspace() if ws is None else ws
     wx, wy = edges
     squeeze = f.ndim == np.ndim(wx)  # no channel axis
     fc = f[None] if squeeze else f
@@ -312,96 +325,122 @@ def smoothness_loss(field: np.ndarray, edges, mean_normalize: bool = False, grad
     if np.shape(wx) != fc.shape[1:-1] + (w - 1,) or np.shape(wy) != fc.shape[1:-2] + (h - 1, w):
         raise ValueError("field and edge weight sizes differ")
     fc = fc.reshape((len(fc), -1, h, w))  # (C, n, h, w), n = 1 unstacked
+    out = (np.empty(f.shape) if out is None else out) if grads else None
+    mark = ws.mark()
     if mean_normalize:
         mu = [side.mean() for side in fc.swapaxes(0, 1)]
         if min(abs(m) for m in mu) < 1e-12:
             raise ValueError("cannot mean-normalize a zero-mean field")
         mus = np.array(mu).reshape(-1, 1, 1)
-        n = fc / mus
+        n = np.divide(fc, mus, out=ws.take(fc.shape))
+        grad_n = _zeros(ws.take(fc.shape)) if grads else None
     else:
         n = fc
+        grad_n = _zeros(out.reshape(fc.shape)) if grads else None
     inv = 1.0 / (h * w)
-    grad_n = np.zeros_like(fc) if grads else None
     sums = []
+    axis_mark = ws.mark()
     # one axis at a time, x then y, each pair of neighbours (lo, hi)
     for lo, hi, wgt in ((np.s_[..., :-1], np.s_[..., 1:], wx), (np.s_[..., :-1, :], np.s_[..., 1:, :], wy)):
-        phi, dphi = charbonnier(n[hi] - n[lo], grads=grads)
-        sums.append(_channel_last_sum(phi, wgt))
+        shape = n[hi].shape
+        d = np.subtract(n[hi], n[lo], out=ws.take(shape))
+        phi, dphi = charbonnier(d, grads=grads, out=(ws.take(shape), ws.take(shape)))
+        sums.append(_channel_last_sum(phi, wgt, ws.take(shape[1:] + shape[:1])))
         if grads:
             dphi *= wgt
             dphi *= inv  # dphi * wgt * inv
             grad_n[hi] += dphi
             grad_n[lo] -= dphi
-        del phi, dphi
+        ws.release(axis_mark)
     loss = [float((along_x + along_y) * inv) for along_x, along_y in zip(*sums)]
     loss = tuple(loss) if np.ndim(wx) == 3 else loss[0]
-    if not grads:
-        return loss, None
-    if mean_normalize:
+    if grads and mean_normalize:
         # n = f / mean(f): the mean couples every element of its side
         size = fc.size // len(mu)
-        prod = (grad_n * fc).swapaxes(0, 1)
+        prod = np.multiply(grad_n, fc, out=ws.take(fc.shape)).swapaxes(0, 1)
         corr = np.array([_total(p) / (size * m * m) for p, m in zip(prod, mu)]).reshape(-1, 1, 1)
-        grad_f = grad_n / mus - corr
-    else:
-        grad_f = grad_n
-    return loss, grad_f.reshape(f.shape)
+        grad_f = np.divide(grad_n, mus, out=out.reshape(fc.shape))
+        grad_f -= corr  # grad_n / mus - corr
+    ws.release(mark)
+    return loss, out
 
 
-def _fb_flow_terms(fwd, plan: WarpPlan, cycle, mask, grads: bool = True):
+def _fb_flow_terms(fwd, plan: WarpPlan, cycle, mask, grads: bool = True, ws=None):
     """Charbonnier norm of f(p) + b(p + f(p)) over mask, from the cycle (b,
     db/dx, db/dy) sampled through the plan of f = fwd, each planar (2, H, W)
     or stacked (2, n, H, W); only b is read without `grads`. Returns (loss,
-    grad wrt fwd, grad wrt bwd), bwd being what the plan sampled."""
+    grad wrt fwd, grad wrt bwd), bwd being what the plan sampled, both
+    taken from ws's stack."""
     mask = np.asarray(mask, dtype=bool)
     inv, scale = _inverse_counts(mask)
     if not any(inv):
         return _by_side([0.0] * len(inv), mask), np.zeros_like(fwd), np.zeros_like(fwd)
-    phi, dphi = charbonnier(fwd + cycle[0], grads=grads)
-    loss = _side_means(phi[0] + phi[1], mask, inv)
+    ws = Workspace() if ws is None else ws
+    x, phi, dphi, grad_fwd, grad_bwd = (ws.take(np.shape(fwd)) for _ in range(5))
+    phi, dphi = charbonnier(np.add(fwd, cycle[0], out=x), grads=grads, out=(phi, dphi))
+    loss = _side_means(np.add(phi[0], phi[1], out=x[0]), mask, inv)
     if not grads:
         return loss, None, None
     _, bdx, bdy = cycle
-    g = np.where(mask, dphi * scale, 0.0)
-    del phi, dphi  # dead: freed before the scatter, where a level's memory peaks
-    gu, gv = g
-    # q depends on fwd, so the sampled b(q) feeds back into both components
-    grad_fwd = np.empty_like(fwd)
-    grad_fwd[0] = gu * (1.0 + bdx[0]) + gv * bdx[1]
-    grad_fwd[1] = gu * bdy[0] + gv * (1.0 + bdy[1])
-    return loss, grad_fwd, plan.scatter(g)
+    dphi *= scale
+    gu, gv = g = _where(mask, dphi, phi)  # np.where(mask, dphi * scale, 0.0)
+    tmp = x[0]
+    # q depends on fwd, so the sampled b(q) feeds back into both components:
+    # grad_fwd[0] = gu * (1.0 + bdx[0]) + gv * bdx[1]
+    np.add(bdx[0], 1.0, out=grad_fwd[0])
+    grad_fwd[0] *= gu
+    grad_fwd[0] += np.multiply(gv, bdx[1], out=tmp)
+    # grad_fwd[1] = gu * bdy[0] + gv * (1.0 + bdy[1])
+    np.multiply(gu, bdy[0], out=grad_fwd[1])
+    np.add(bdy[1], 1.0, out=tmp)
+    tmp *= gv
+    grad_fwd[1] += tmp
+    return loss, grad_fwd, plan.scatter(g, out=grad_bwd)
 
 
-def _fb_depth_terms(depth_t, depth_t1, plan: WarpPlan, mask, grads: bool = True):
+def _fb_depth_terms(depth_t, depth_t1, plan: WarpPlan, mask, grads: bool = True, ws=None):
     """Charbonnier gap over mask between depth_t and depth_t1 pulled back
     through the plan of the rigid flow, (H, W) or stacked (n, H, W) (a
     stacked plan pulls each side from the other side of depth_t1). Returns
-    (loss, grad wrt depth_t, grad wrt depth_t1, planar grad wrt the rigid flow)."""
+    (loss, grad wrt depth_t, grad wrt depth_t1, planar grad wrt the rigid
+    flow), all taken from ws's stack."""
     mask = np.asarray(mask, dtype=bool)
     inv, scale = _inverse_counts(mask)
+    shape = np.shape(depth_t)
     if not any(inv):
-        shape = np.shape(depth_t)
         return _by_side([0.0] * len(inv), mask), np.zeros(shape), np.zeros(shape), np.zeros((2,) + shape)
-    pulled, *deriv = plan.sample_grad(depth_t1) if grads else (plan.sample(depth_t1),)
-    phi, dphi = charbonnier(depth_t - pulled, grads=grads)
+    ws = Workspace() if ws is None else ws
+    pulled, ddx, ddy, x, phi, dphi, grad_t1 = (ws.take(shape) for _ in range(7))
+    grad_rigid = ws.take((2,) + shape)
+    if grads:
+        plan.sample_grad(depth_t1, out=(pulled, ddx, ddy))
+    else:
+        plan.sample(depth_t1, out=pulled)
+    phi, dphi = charbonnier(np.subtract(depth_t, pulled, out=x), grads=grads, out=(phi, dphi))
     loss = _side_means(phi, mask, inv)
     if not grads:
         return loss, None, None, None
-    g = np.where(mask, dphi * scale, 0.0)
-    neg = -g
-    grad_rigid = np.empty((2,) + neg.shape)
-    for dd, out in zip(deriv, grad_rigid):
+    dphi *= scale
+    g = _where(mask, dphi, phi)  # np.where(mask, dphi * scale, 0.0)
+    neg = np.negative(g, out=x)
+    for dd, out in zip((ddx, ddy), grad_rigid):
         np.multiply(neg, dd, out=out)
-    return loss, g, plan.scatter(neg), grad_rigid
+    return loss, g, plan.scatter(neg, out=grad_t1), grad_rigid
 
 
 def cross_task_loss(
-    rigid: np.ndarray, flow: np.ndarray, mask: np.ndarray, eps: float = DEFAULT_L1_EPS, grads: bool = True
+    rigid: np.ndarray,
+    flow: np.ndarray,
+    mask: np.ndarray,
+    eps: float = DEFAULT_L1_EPS,
+    grads: bool = True,
+    ws: Workspace | None = None,
 ):
     """Charbonnier gap between rigid flow and estimated flow, both planar
     (2, H, W), or stacked (2, n, H, W) with an (n, H, W) mask, over mask.
 
-    Returns (loss, grad wrt rigid, grad wrt flow).
+    Returns (loss, grad wrt rigid, grad wrt flow), the gradients taken from
+    ws's stack.
     """
     rigid = np.asarray(rigid, dtype=float)
     flow = np.asarray(flow, dtype=float)
@@ -411,12 +450,15 @@ def cross_task_loss(
     inv, scale = _inverse_counts(mask)
     if not any(inv):
         return _by_side([0.0] * len(inv), mask), np.zeros_like(rigid), np.zeros_like(flow)
-    phi, dphi = charbonnier(rigid - flow, eps, grads)
-    loss = _side_means(phi[0] + phi[1], mask, inv)
+    ws = Workspace() if ws is None else ws
+    x, phi, dphi = (ws.take(rigid.shape) for _ in range(3))
+    phi, dphi = charbonnier(np.subtract(rigid, flow, out=x), eps, grads, (phi, dphi))
+    loss = _side_means(np.add(phi[0], phi[1], out=x[0]), mask, inv)
     if not grads:
         return loss, None, None
-    grad_rigid = np.where(mask, dphi * scale, 0.0)
-    return loss, grad_rigid, -grad_rigid
+    dphi *= scale
+    grad_rigid = _where(mask, dphi, phi)  # np.where(mask, dphi * scale, 0.0)
+    return loss, grad_rigid, np.negative(grad_rigid, out=dphi)
 
 
 @dataclass
@@ -436,7 +478,7 @@ class ScaleResult:
     masks: LevelMasks
 
 
-def _photometric_terms(ref: np.ndarray, src: np.ndarray, branches, census: CensusParams, grads: bool):
+def _photometric_terms(ref: np.ndarray, src: np.ndarray, branches, census: CensusParams, grads: bool, ws):
     """The photometric branches of a block of sides, against the census
     reference `ref`, their gray images.
 
@@ -445,13 +487,17 @@ def _photometric_terms(ref: np.ndarray, src: np.ndarray, branches, census: Censu
     gradient wrt that field into acc. Returns the branch losses, side by
     side and branch by branch within a side.
     """
-    warps = [plan.sample_grad(src) if grads else (plan.sample(src),) for plan, _, _ in branches]
+    warps = []
+    for plan, _, _ in branches:
+        out = [ws.take(plan.i00.shape) for _ in range(3 if grads else 1)]
+        warps.append(plan.sample_grad(src, out=out) if grads else (plan.sample(src, out=out[0]),))
     pairs = [(warp[0], mask) for warp, (_, mask, _) in zip(warps, branches)]
-    found = _census_terms(ref, pairs, census, grads)
+    found = _census_terms(ref, pairs, census, grads, ws)
     for term, warp, (_, _, acc) in zip(found, warps, branches):
         if grads and term:  # None: the branch's mask is empty on every side
-            acc[0] += term[1] * warp[1]
-            acc[1] += term[1] * warp[2]
+            prod = warp[0]  # the warped image is dead once the census has run
+            acc[0] += np.multiply(term[1], warp[1], out=prod)
+            acc[1] += np.multiply(term[1], warp[2], out=prod)
     by_branch = [term[0] if term else (0.0,) * len(ref) for term in found]
     return [loss for side in zip(*by_branch) for loss in side]
 
@@ -460,10 +506,13 @@ def _add_own_then_other(acc_own, acc_other, weight, own, other):
     """acc_own += weight * own and acc_other += weight * other, the sides on
     axis -3, in the order the sides' terms reach each element: side 0's own
     term comes before the term side 1 sends it, side 1's after the term side
-    0 sends it. For a stacked block acc_own and acc_other are one array."""
-    acc_own[..., :1, :, :] += weight * own[..., :1, :, :]
-    acc_other += weight * other
-    acc_own[..., 1:, :, :] += weight * own[..., 1:, :, :]
+    0 sends it. For a stacked block acc_own and acc_other are one array.
+    own and other are scaled in place."""
+    own *= weight
+    other *= weight
+    acc_own[..., :1, :, :] += own[..., :1, :, :]
+    acc_other += other
+    acc_own[..., 1:, :, :] += own[..., 1:, :, :]
 
 
 # the two sides run as one stacked block on levels of fewer pixels than
@@ -471,7 +520,8 @@ def _add_own_then_other(acc_own, acc_other, weight, own, other):
 # stacked call measured 1.28x as fast as two per-side calls at 32x32, 1.07x
 # at 65x49 and no faster at 64x64; forward-only, 0.88x at 128x128. On large
 # levels the bigger arrays and each kernel's doubled transient heap (page
-# faults, peak memory) cost more than the numpy calls that stacking saves
+# faults, peak memory) cost more than the numpy calls that stacking saves.
+# These figures predate the workspace, whose arrays are not transient
 STACKED_PIXELS = 64 * 64
 
 
@@ -493,6 +543,8 @@ def scale_objective(
     terms: frozenset = ALL_TERMS,
     masks: LevelMasks | None = None,
     grads: bool = True,
+    ws: Workspace | None = None,
+    key="level",
 ) -> ScaleResult:
     """Objective of a single pyramid level, both sides, with gradients unless
     `grads` is False (then the gradient fields are None; the losses are the same).
@@ -509,40 +561,56 @@ def scale_objective(
     When `masks` is given the validity masks are taken as-is instead of being
     recomputed from the current state (needed by finite-difference checks,
     where the masks must stay frozen while the state moves).
+
+    Every array lives in ws: the gradients and the recomputed masks of the
+    result in roles (key, ...), which must differ between levels whose
+    results are alive at once, the rigid flows, plans, fb cycles and rigid
+    gradients in roles that the next level reuses, and each term's arrays on
+    the stack, released once they are added up.
     """
     h, w = level.gray.shape[-2:]
+    ws = Workspace() if ws is None else ws
     depth = np.asarray(depths, dtype=float)
     flow = np.asarray(flows, dtype=float)
     blocks = _side_blocks(h, w)
     # per block: its rigid flows, cheirality and plans; block b's other
     # sides are those of block -1 - b
-    rigid, cheir = zip(*(_rigid_flow(depth[own], level.k, poses[own]) for own, _ in blocks))
+    rigid, cheir = zip(
+        *(_rigid_flow(depth[own], level.k, poses[own], ws, ("rigid", b)) for b, (own, _) in enumerate(blocks))
+    )
     # one warp plan per correspondence field serves every term of the level
-    rigid_plans = [WarpPlan.along(r) for r in rigid]
-    flow_plans = [WarpPlan.along(flow[:, own]) for own, _ in blocks]
-    # the fb cycle b(p + f(p)) of the flows feeds both their masks and
-    # their loss; the loss frees it as soon as it is used
+    rigid_plans = [WarpPlan.along(r, ws, ("rigid", b)) for b, r in enumerate(rigid)]
+    flow_plans = [WarpPlan.along(flow[:, own], ws, ("flow", b)) for b, (own, _) in enumerate(blocks)]
+    # the fb cycle b(p + f(p)) of the flows feeds both their masks and their loss
     cycles = []
     if "fb_flow" in terms:
-        cycles = [
-            plan.sample_grad(flow[:, other]) if grads else (plan.sample(flow[:, other]),)
-            for plan, (_, other) in zip(flow_plans, blocks)
-        ]
+        for b, (plan, (_, other)) in enumerate(zip(flow_plans, blocks)):
+            out = [ws.get(("cycle", b, i), (2,) + plan.i00.shape) for i in range(3 if grads else 1)]
+            src = flow[:, other]
+            cycles.append(plan.sample_grad(src, out=out) if grads else (plan.sample(src, out=out[0]),))
+    depth_mask = ws.get((key, "depth_mask"), (2, h, w), bool)
+    flow_mask = ws.get((key, "flow_mask"), (2, h, w), bool)
+    mark = ws.mark()
     if masks is None:
-        depth_mask = np.empty((2, h, w), dtype=bool)
-        flow_mask = np.empty((2, h, w), dtype=bool)
         for b, (own, other) in enumerate(blocks):
-            back = cycles[b][0] if cycles else flow_plans[b].sample(flow[:, other])
-            flow_mask[own] = _cycle_mask(flow[:, own], back, flow_plans[b].inbounds, fb_params)
-            back = rigid_plans[b].sample(rigid[-1 - b])
-            depth_mask[own] = _cycle_mask(rigid[b], back, rigid_plans[b].inbounds, fb_params) & cheir[b]
-        del back
+            back = ws.take((2,) + flow_plans[b].i00.shape)
+            if cycles:
+                back = cycles[b][0]
+            else:
+                flow_plans[b].sample(flow[:, other], out=back)
+            _cycle_mask(flow[:, own], back, flow_plans[b].inbounds, fb_params, ws, flow_mask[own])
+            back = rigid_plans[b].sample(rigid[-1 - b], out=ws.take(back.shape))
+            _cycle_mask(rigid[b], back, rigid_plans[b].inbounds, fb_params, ws, depth_mask[own])
+            depth_mask[own] &= cheir[b]
+            ws.release(mark)
         masks = LevelMasks(*depth_mask, *flow_mask)
     else:
-        depth_mask = np.stack((masks.depth_fwd, masks.depth_bwd))
-        flow_mask = np.stack((masks.flow_fwd, masks.flow_bwd))
-    g_rigid = [np.zeros(r.shape) if grads else None for r in rigid]
-    g_flow, g_depth = (np.zeros(a.shape) if grads else None for a in (flow, depth))
+        np.stack((masks.depth_fwd, masks.depth_bwd), out=depth_mask)
+        np.stack((masks.flow_fwd, masks.flow_bwd), out=flow_mask)
+    g_rigid = [_zeros(ws.get(("g_rigid", b), r.shape)) if grads else None for b, r in enumerate(rigid)]
+    g_flow, g_depth = (
+        _zeros(ws.get((key, name), a.shape)) if grads else None for name, a in (("g_flow", flow), ("g_depth", depth))
+    )
     photometric = 0.0
     smooth = 0.0
     fb_total = 0.0
@@ -554,62 +622,58 @@ def scale_objective(
                 (rigid_plans[b], depth_mask[own], g_rigid[b]),
                 (flow_plans[b], flow_mask[own], None if g_flow is None else g_flow[:, own]),
             )
-            for loss in _photometric_terms(level.gray[own], level.gray[other], branches, census, grads):
+            for loss in _photometric_terms(level.gray[own], level.gray[other], branches, census, grads, ws):
                 photometric += loss
+            ws.release(mark)
 
     if "smooth" in terms:
-        # all terms run before any is added: freeing each gradient right
-        # after its add measured about 3% slower per refine iteration at 256²,
-        # from the extra page faults of the reallocations
-        parts = []
         for field, acc, mean_normalize in ((depth, g_depth, True), (flow, g_flow, False)):
             for own, _ in blocks:
+                part = field[..., own, :, :]
+                out = ws.take(part.shape) if grads else None
                 edges = tuple(e[own] for e in level.edges)
-                loss, grad = smoothness_loss(field[..., own, :, :], edges, mean_normalize, grads)
-                parts.append((None if acc is None else acc[..., own, :, :], loss, grad))
-        for acc, loss, grad in parts:
-            for side in loss:
-                smooth += side
-            if grads:
-                acc += weights.lambda_s * grad
-        del parts
+                loss, grad = smoothness_loss(part, edges, mean_normalize, grads, ws, out)
+                for side in loss:
+                    smooth += side
+                if grads:
+                    grad *= weights.lambda_s
+                    acc[..., own, :, :] += grad  # acc += weights.lambda_s * grad
+                ws.release(mark)
 
     if "fb_flow" in terms:
         for b, (own, other) in enumerate(blocks):
-            loss, grad, grad_other = _fb_flow_terms(
-                flow[:, own], flow_plans[b], cycles[b], flow_mask[own], grads
-            )
-            cycles[b] = None
+            loss, grad, grad_other = _fb_flow_terms(flow[:, own], flow_plans[b], cycles[b], flow_mask[own], grads, ws)
             for side in loss:
                 fb_total += side
             if grads:
                 _add_own_then_other(g_flow[:, own], g_flow[:, other], weights.lambda_f, grad, grad_other)
-    # the plans are dead once their last term has run: freeing them keeps
-    # the level's peak memory at the projection adjoint below that of the
-    # per-term sampling they replace
-    del flow_plans
+            ws.release(mark)
 
     if "fb_depth" in terms:
         for b, (own, other) in enumerate(blocks):
             loss, grad, grad_other, grad_rigid = _fb_depth_terms(
-                depth[own], depth[other], rigid_plans[b], depth_mask[own], grads
+                depth[own], depth[other], rigid_plans[b], depth_mask[own], grads, ws
             )
             for side in loss:
                 fb_total += side
             if grads:
                 _add_own_then_other(g_depth[own], g_depth[other], weights.lambda_f, grad, grad_other)
-                g_rigid[b] += weights.lambda_f * grad_rigid
-    del rigid_plans
+                grad_rigid *= weights.lambda_f
+                g_rigid[b] += grad_rigid  # g_rigid[b] += weights.lambda_f * grad_rigid
+            ws.release(mark)
 
     if "cross" in terms:
         for b, (own, _) in enumerate(blocks):
-            mask = depth_mask[own] & flow_mask[own]
-            loss, grad_rigid, grad_flow = cross_task_loss(rigid[b], flow[:, own], mask, grads=grads)
+            mask = np.logical_and(depth_mask[own], flow_mask[own], out=ws.take(depth[own].shape, bool))
+            loss, grad_rigid, grad_flow = cross_task_loss(rigid[b], flow[:, own], mask, grads=grads, ws=ws)
             for side in loss:
                 cross += side
             if grads:
-                g_rigid[b] += weights.lambda_c * grad_rigid
-                g_flow[:, own] += weights.lambda_c * grad_flow
+                grad_rigid *= weights.lambda_c
+                g_rigid[b] += grad_rigid  # g_rigid[b] += weights.lambda_c * grad_rigid
+                grad_flow *= weights.lambda_c
+                g_flow[:, own] += grad_flow
+            ws.release(mark)
 
     if not grads:
         return ScaleResult(photometric, smooth, fb_total, cross, None, None, None, masks)
@@ -618,7 +682,9 @@ def scale_objective(
     # the projection remains
     grad_pose = []
     for b, (own, _) in enumerate(blocks):
-        gd, gr, gt = project_backward(depth[own], level.k, poses[own], *g_rigid[b])
+        out = ws.take(depth[own].shape)
+        gd, gr, gt = project_backward(depth[own], level.k, poses[own], *g_rigid[b], ws=ws, out=out)
         g_depth[own] += gd
         grad_pose += zip(gr, gt)
+        ws.release(mark)
     return ScaleResult(photometric, smooth, fb_total, cross, g_depth, tuple(grad_pose), g_flow, masks)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import check_fields
-from .sampling import WarpPlan
+from .sampling import WarpPlan, Workspace
 
 __all__ = ["FBCheckParams", "fb_check"]
 
@@ -37,8 +37,11 @@ def fb_check(fwd: np.ndarray, bwd: np.ndarray, params: FBCheckParams = FBCheckPa
     """
     fwd = np.asarray(fwd, dtype=float)
     bwd = np.asarray(bwd, dtype=float)
-    if fwd.shape != bwd.shape or fwd.ndim != 3 or fwd.shape[2] != 2:
-        raise ValueError("flows must both be (H, W, 2)")
+    for name, flow in (("fwd", fwd), ("bwd", bwd)):
+        if flow.ndim != 3 or flow.shape[2] != 2:
+            raise ValueError(f"{name} must be (H, W, 2), got shape {flow.shape}")
+    if fwd.shape != bwd.shape:
+        raise ValueError(f"fwd is {fwd.shape[0]}x{fwd.shape[1]} but bwd is {bwd.shape[0]}x{bwd.shape[1]}")
     for name, flow in (("fwd", fwd), ("bwd", bwd)):
         if not np.all(np.isfinite(flow)):
             raise ValueError(f"{name} must be finite")
@@ -47,13 +50,26 @@ def fb_check(fwd: np.ndarray, bwd: np.ndarray, params: FBCheckParams = FBCheckPa
     return _cycle_mask(fwd, plan.sample(bwd), plan.inbounds, params)
 
 
-def _cycle_mask(fwd: np.ndarray, back: np.ndarray, inbounds: np.ndarray, params: FBCheckParams):
+def _cycle_mask(fwd, back, inbounds, params: FBCheckParams, ws: Workspace | None = None, out=None):
     """The fb check of the planar (2, H, W) fwd given its cycle back =
     b(p + f(p)), sampled through the plan of fwd whose in-bounds flags are
-    `inbounds`."""
-    ru = fwd[0] + back[0]
-    rv = fwd[1] + back[1]
-    lhs = ru * ru + rv * rv
-    mag = fwd[0] * fwd[0] + fwd[1] * fwd[1] + back[0] * back[0] + back[1] * back[1]
-    return (lhs < params.alpha1 * mag + params.alpha2) & inbounds
-
+    `inbounds`, into `out` if given. Its temporaries are taken from ws's stack."""
+    ws = Workspace() if ws is None else ws
+    shape = inbounds.shape
+    mark = ws.mark()
+    lhs, mag, tmp = (ws.take(shape) for _ in range(3))
+    # lhs = ru * ru + rv * rv, with ru = fwd[0] + back[0] and rv = fwd[1] + back[1]
+    for i, acc in enumerate((lhs, tmp)):
+        np.add(fwd[i], back[i], out=acc)
+        np.multiply(acc, acc, out=acc)
+    lhs += tmp
+    # mag = fwd[0] * fwd[0] + fwd[1] * fwd[1] + back[0] * back[0] + back[1] * back[1]
+    np.multiply(fwd[0], fwd[0], out=mag)
+    for x in (fwd[1], back[0], back[1]):
+        mag += np.multiply(x, x, out=tmp)
+    mag *= params.alpha1
+    mag += params.alpha2
+    out = np.empty(shape, dtype=bool) if out is None else out
+    np.less(lhs, mag, out=out)  # lhs < alpha1 * mag + alpha2
+    ws.release(mark)
+    return np.logical_and(out, inbounds, out=out)

@@ -94,8 +94,11 @@ def flow_metrics(est: np.ndarray, gt: np.ndarray, mask=None) -> FlowMetrics:
     """Mean endpoint error and outlier fraction over the masked pixels."""
     est = np.asarray(est, dtype=float)
     gt = np.asarray(gt, dtype=float)
-    if est.shape != gt.shape or est.ndim != 3 or est.shape[2] != 2:
-        raise ValueError("flows must both be (H, W, 2)")
+    for name, flow in (("est", est), ("gt", gt)):
+        if flow.ndim != 3 or flow.shape[2] != 2:
+            raise ValueError(f"{name} must be (H, W, 2), got shape {flow.shape}")
+    if est.shape != gt.shape:
+        raise ValueError(f"est is {est.shape[0]}x{est.shape[1]} but gt is {gt.shape[0]}x{gt.shape[1]}")
     if mask is None:
         m = np.ones(est.shape[:2], dtype=bool)
     else:

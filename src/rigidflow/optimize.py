@@ -5,6 +5,14 @@ gradient back onto the finest-level state (depth maps, 6 pose parameters,
 both flow fields). `step` applies one Adam update in the raw parameter
 space, where depth lives as log-depth so it stays positive. `refine` loops
 the two on one `PairContext` and recomputes the masks every iteration.
+
+Buffers: the context owns a `sampling.Workspace`, and the objective and the
+Adam step of `refine` write every array whose size follows the state into
+it, so iterations after the first allocate only the next state's arrays.
+What `refine` hands out is never one of those buffers: each state is new,
+and its moments stay inside. `evaluate` builds its context on every call, so
+its report, gradient and masks are the caller's alone, and `step` copies the
+moments it updates and leaves its inputs untouched.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from .losses import (
     scale_objective,
 )
 from .masks import FBCheckParams
-from .sampling import pyramid, pyramid_adjoint
+from .sampling import Workspace, pyramid, pyramid_adjoint
 
 __all__ = [
     "SceneState",
@@ -145,9 +153,6 @@ class OptimizerConfig:
             raise ValueError(f"scale_weights needs one weight per scale ({self.scales}), got {n}")
 
 
-_RAW_KEYS = ("log_depth_t", "log_depth_t1", "pose_params", "flow_fwd", "flow_bwd")
-
-
 @dataclass
 class AdamMoments:
     m: dict
@@ -168,17 +173,6 @@ class AdamMoments:
             v={k: np.zeros_like(v) for k, v in shapes.items()},
             count=0,
         )
-
-
-def _grad_to_raw(state: SceneState, grad: StateGrad) -> dict:
-    # d/d(log d) = d * d/dd
-    return {
-        "log_depth_t": grad.depth_t * state.depth_t,
-        "log_depth_t1": grad.depth_t1 * state.depth_t1,
-        "pose_params": grad.pose_params,
-        "flow_fwd": grad.flow_fwd,
-        "flow_bwd": grad.flow_bwd,
-    }
 
 
 def _check_masks(masks, sizes) -> None:
@@ -203,7 +197,11 @@ class PairContext:
     iterations. Each frame is pooled as its planar (C, H, W) view, (1, H, W)
     for a gray (H, W) one. Raises ValueError naming an image that is not
     (H, W) or (H, W, C), not finite, or not of `shape`, the state's (H, W),
-    and when `shape` is too small for the pyramid."""
+    and when `shape` is too small for the pyramid.
+
+    `ws` is the pair's workspace: `_objective` and `_adam` keep every array
+    whose size follows the state there, so a refine allocates them once.
+    """
 
     def __init__(self, img_t: np.ndarray, img_t1: np.ndarray, k: Intrinsics, cfg: OptimizerConfig, shape):
         h, w = shape
@@ -233,6 +231,7 @@ class PairContext:
                 ex[...], ey[...] = edge_weights(level)
             self.levels.append(LevelInputs(gray, (wx, wy), k))
             k = k.scaled_down()
+        self.ws = Workspace()
 
 
 def evaluate(
@@ -265,7 +264,12 @@ def evaluate(
 
 
 def _objective(state: SceneState, ctx: PairContext, cfg: OptimizerConfig, masks, terms, want_grads):
-    """`evaluate` on the image-only inputs of ctx, built with the same cfg."""
+    """`evaluate` on the image-only inputs of ctx, built with the same cfg.
+
+    The returned gradient and recomputed masks are arrays of ctx.ws, valid
+    until the next call on ctx; the gradient's flows are on its stack, taken
+    above the caller's mark, which the caller releases once it is done with
+    them. The state is only read."""
     scales = cfg.scales
     if masks is not None and len(masks) != scales:
         raise ValueError(f"masks has {len(masks)} levels but scales is {scales}")
@@ -273,12 +277,17 @@ def _objective(state: SceneState, ctx: PairContext, cfg: OptimizerConfig, masks,
     sw = list(cfg.scale_weights) if cfg.scale_weights else [1.0] * scales
     if masks is not None:
         _check_masks(masks, [level.gray[0].shape for level in ctx.levels])
+    ws = ctx.ws
+    depths, flows = (
+        [ws.get((name, lvl), lead + level.gray.shape[1:]) for lvl, level in enumerate(ctx.levels)]
+        for name, lead in (("depths", (2,)), ("flows", (2, 2)))
+    )
     # per level, the stacked (side 0, side 1) depths (2, h, w) and planar
     # flows (2, 2, h, w), [component, side]: one row-major copy of the state's
     # on entry (a plain `np.stack` keeps the flows' channel-last order)
-    depths = pyramid(np.stack((state.depth_t, state.depth_t1)), scales)
+    pyramid(np.stack((state.depth_t, state.depth_t1), out=depths[0]), scales, out=depths[1:])
     planar = [np.moveaxis(f, -1, 0) for f in (state.flow_fwd, state.flow_bwd)]
-    flows = pyramid(np.stack(planar, axis=1, out=np.empty((2, 2) + state.depth_t.shape)), scales, 0.5)
+    pyramid(np.stack(planar, axis=1, out=flows[0]), scales, 0.5, out=flows[1:])
     pose = pose_from_params(state.pose_params)
     poses = (pose, invert(pose))
     photometric = 0.0
@@ -298,6 +307,8 @@ def _objective(state: SceneState, ctx: PairContext, cfg: OptimizerConfig, masks,
             terms=terms if lvl < cfg.cross_scales else terms - {"cross"},
             masks=None if masks is None else masks[lvl],
             grads=want_grads,
+            ws=ws,
+            key=("level", lvl),
         )
         photometric += sw[lvl] * res.photometric
         smooth += sw[lvl] * res.smooth
@@ -325,14 +336,18 @@ def _objective(state: SceneState, ctx: PairContext, cfg: OptimizerConfig, masks,
     if not want_grads:
         return report, None, masks_used
 
-    depth = pyramid_adjoint([r.grad_depth for r in results], sw)
-    flow = pyramid_adjoint([r.grad_flow for r in results], sw, 0.5)
+    # the level gradients are the context's and dead after their fold, which
+    # overwrites them
+    depth = pyramid_adjoint([r.grad_depth for r in results], sw, ws=ws)
+    flow = pyramid_adjoint([r.grad_flow for r in results], sw, 0.5, ws=ws)
     # the (rotation, translation) gradient of the forward pose, then of its inverse
     pose_grads = [
         sum(w * r.grad_pose[side][i] for w, r in zip(sw, results)) for side in (0, 1) for i in (0, 1)
     ]
     # the flows fold planar; one copy of each turns it back to the state's (H, W, 2)
-    flow_fwd, flow_bwd = (np.ascontiguousarray(np.moveaxis(flow[:, side], 0, -1)) for side in (0, 1))
+    flow_fwd, flow_bwd = (ws.take(state.flow_fwd.shape) for _ in (0, 1))
+    for side, out in enumerate((flow_fwd, flow_bwd)):
+        np.copyto(out, np.moveaxis(flow[:, side], 0, -1))
     grad = StateGrad(
         depth_t=depth[0],
         depth_t1=depth[1],
@@ -343,6 +358,16 @@ def _objective(state: SceneState, ctx: PairContext, cfg: OptimizerConfig, masks,
     return report, grad, masks_used
 
 
+# each raw parameter: its state field, and whether it lives as log-depth
+_RAW_FIELDS = {
+    "log_depth_t": ("depth_t", True),
+    "log_depth_t1": ("depth_t1", True),
+    "pose_params": ("pose_params", False),
+    "flow_fwd": ("flow_fwd", False),
+    "flow_bwd": ("flow_bwd", False),
+}
+
+
 def step(
     state: SceneState,
     grad: StateGrad,
@@ -350,32 +375,50 @@ def step(
     cfg: OptimizerConfig = OptimizerConfig(),
 ):
     """One Adam update. Returns (new state, new moments); inputs untouched."""
-    graw = _grad_to_raw(state, grad)
+    m, v = ({key: a.copy() for key, a in d.items()} for d in (moments.m, moments.v))
+    moments = AdamMoments(m, v, moments.count)
+    return _adam(state, grad, moments, cfg, Workspace()), moments
+
+
+def _adam(state: SceneState, grad: StateGrad, moments: AdamMoments, cfg: OptimizerConfig, ws: Workspace) -> SceneState:
+    """`step` with the moments updated in place (its count too) and every
+    temporary in ws; returns the new state, whose arrays are new."""
     t = moments.count + 1
     lr = cfg.learning_rate
     b1, b2 = cfg.beta1, cfg.beta2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-    new_m = {}
-    new_v = {}
-    updates = {}
-    for key in _RAW_KEYS:
-        g = graw[key]
-        m = b1 * moments.m[key] + (1.0 - b1) * g
-        v = b2 * moments.v[key] + (1.0 - b2) * g * g
-        updates[key] = lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
-        new_m[key] = m
-        new_v[key] = v
-    # log-space depth updates applied multiplicatively: exp(log d - u) written
-    # as d * exp(-u) so a zero update leaves the state bit-identical
-    new_state = SceneState(
-        depth_t=state.depth_t * np.exp(-updates["log_depth_t"]),
-        depth_t1=state.depth_t1 * np.exp(-updates["log_depth_t1"]),
-        pose_params=state.pose_params - updates["pose_params"],
-        flow_fwd=state.flow_fwd - updates["flow_fwd"],
-        flow_bwd=state.flow_bwd - updates["flow_bwd"],
-    )
-    return new_state, AdamMoments(new_m, new_v, t)
+    new = {}
+    for key, (name, log) in _RAW_FIELDS.items():
+        x, g = getattr(state, name), getattr(grad, name)
+        mark = ws.mark()
+        raw, tmp, update = (ws.take(x.shape) for _ in range(3))
+        if log:  # d/d(log d) = d * d/dd
+            g = np.multiply(g, x, out=raw)
+        m, v = moments.m[key], moments.v[key]
+        # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g * g
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=tmp)
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=tmp)
+        tmp *= g
+        v += tmp
+        # update = lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(m, bc1, out=update)
+        update *= lr
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += cfg.adam_eps
+        update /= tmp
+        if log:
+            # log-space depth updates applied multiplicatively: exp(log d - u)
+            # written as d * exp(-u) so a zero update leaves the state bit-identical
+            new[name] = x * np.exp(np.negative(update, out=update), out=update)
+        else:
+            new[name] = x - update
+        ws.release(mark)
+    moments.count = t
+    return SceneState(**new)
 
 
 def refine(
@@ -398,9 +441,11 @@ def refine(
     """
     ctx = PairContext(img_t, img_t1, k, cfg, init_state.depth_t.shape[:2])
     state = init_state.copy()
-    moments = AdamMoments.zeros(state)
+    moments = AdamMoments.zeros(state)  # updated in place by every step
     trace = []
+    base = ctx.ws.mark()
     for it in range(cfg.iterations + 1):
+        ctx.ws.release(base)  # the previous iteration's gradient
         try:
             report, grad, _ = _objective(state, ctx, cfg, None, ALL_TERMS, it < cfg.iterations)
         except NonFiniteLossError as exc:
@@ -413,7 +458,7 @@ def refine(
         if report.total < cfg.converge_tol:
             continue
         try:
-            state, moments = step(state, grad, moments, cfg)
+            state = _adam(state, grad, moments, cfg, ctx.ws)
         except ValueError as exc:
             # the update left the feasible set (e.g. depth underflowed to 0,
             # or a field went non-finite)

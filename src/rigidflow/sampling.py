@@ -1,4 +1,5 @@
-"""Differentiable bilinear sampling, inverse warping, and pyramids.
+"""Differentiable bilinear sampling, inverse warping, pyramids, and the
+workspace their arrays live in.
 
 Sampling clamps to the image border; coordinates outside
 [0, W-1] x [0, H-1] still return the clamped-edge value but are flagged
@@ -38,10 +39,34 @@ gradient, `.flo` files) keeps channel-last (H, W, 2) fields and converts
 with `np.moveaxis`.
 
 Pyramids: `pyramid` pools any (..., H, W) array 2x2 over its last two axes,
-plane by plane, and `pyramid_adjoint` folds weighted per-level gradients
-back onto the finest level through the same kernel. The frames (as planar
-(C, H, W) views), the stacked depths and the stacked flows (with their
-displacements halved per level) all go through this one pair.
+all planes at once and from slices alone (an odd size pools its last row or
+column with itself, without a padded copy), and `pyramid_adjoint` folds
+weighted per-level gradients back onto the finest level through the same
+kernel. The frames (as planar (C, H, W) views), the stacked depths and the
+stacked flows (with their displacements halved per level) all go through
+this one pair.
+
+Buffers: a `Workspace` owns every array the objective writes into.
+`optimize.PairContext` holds one for all the iterations of a refine, and
+`evaluate` builds a new one per call, so a refine allocates its arrays in its
+first iteration only and the heap keeps its size from then on. A workspace
+has two kinds of buffer:
+- named roles, one buffer each, for what lives longer than a term: a plan's
+  indices, weights and flags (roles under the plan's `key`), a level's rigid
+  flows, fb cycles, rigid-flow gradients, masks and gradient accumulators,
+  and the pyramids. A coarser level reads a prefix of level 0's buffer.
+- one stack, for the temporaries of a phase: the sampled corners, the
+  scatter's index and weights, the term cores' arrays, the projection
+  adjoint's and the fold's scratch, the Adam step's. A kernel marks the
+  stack, takes above what its caller holds, and releases before returning.
+Every kernel writes each element it returns, in the order of the plain
+expression it replaces, so the bytes do not depend on what a buffer held.
+
+Aliasing: a plan's arrays stay valid until the next plan of the same `key`
+is built in its workspace; a plan built without one gets a private one.
+`sample`, `sample_grad` and `scatter` write into `out` when given it, and
+otherwise return new arrays; `pyramid` writes into `out` when given it.
+`pyramid_adjoint` folds in place, into the gradients it is given.
 """
 
 from __future__ import annotations
@@ -50,7 +75,72 @@ import math
 
 import numpy as np
 
-__all__ = ["WarpPlan", "inverse_warp", "pyramid", "pyramid_adjoint"]
+__all__ = ["Workspace", "WarpPlan", "inverse_warp", "pyramid", "pyramid_adjoint"]
+
+
+class Workspace:
+    """Reusable arrays by role (any hashable name), and a stack of them.
+
+    `get(role, shape, dtype)` returns a C-contiguous `shape` view of the
+    role's buffer: the first `prod(shape)` items of it, reallocated only when
+    a larger size is asked for. Its contents are whatever the role's last user
+    wrote. The bytes of a role are shared by
+    every dtype asked of it, so a role may hold floats on one level and
+    indices or flags on another.
+
+    The stack holds what lives for one phase of a computation: `take` returns
+    the next free bytes of one buffer, and `release(mark)` frees every array
+    taken since `mark()` returned mark, for the next phase to take again. A
+    kernel marks, takes its temporaries above whatever its caller holds, and
+    releases them before it returns; what it returns from the stack stays
+    valid until its caller releases. The same sequence of phases takes the
+    same bytes on every call, so the buffer only grows while it is deeper
+    than ever before, and then to twice its size: the arrays taken so far
+    keep the old one alive until they are released.
+    """
+
+    __slots__ = ("_buffers", "_views", "_stack", "_stack_views", "_top")
+
+    def __init__(self):
+        self._buffers = {}
+        self._views = {}
+        self._stack = np.empty(0, np.uint8)
+        self._stack_views = {}
+        self._top = 0
+
+    def get(self, role, shape, dtype=float) -> np.ndarray:
+        key = (role, shape, dtype)
+        view = self._views.get(key)
+        if view is None:
+            dt = np.dtype(dtype)
+            nbytes = math.prod(shape) * dt.itemsize
+            buf = self._buffers.get(role)
+            if buf is None or buf.size < nbytes:
+                # a larger request: every view of the old buffer goes with it
+                buf = self._buffers[role] = np.empty(nbytes, np.uint8)
+                self._views = {k: v for k, v in self._views.items() if k[0] != role}
+            view = self._views[key] = buf[:nbytes].view(dt).reshape(shape)
+        return view
+
+    def take(self, shape, dtype=float) -> np.ndarray:
+        start = self._top
+        key = (start, shape, dtype)
+        view = self._stack_views.get(key)
+        if view is None:
+            dt = np.dtype(dtype)
+            end = start + math.prod(shape) * dt.itemsize
+            if end > self._stack.size:
+                self._stack = np.empty(max(end, 2 * self._stack.size), np.uint8)
+                self._stack_views = {}
+            view = self._stack_views[key] = self._stack[start:end].view(dt).reshape(shape)
+        self._top = start + -(-view.nbytes // 64) * 64  # the next array 64-byte aligned
+        return view
+
+    def mark(self) -> int:
+        return self._top
+
+    def release(self, mark: int) -> None:
+        self._top = mark
 
 
 class WarpPlan:
@@ -65,45 +155,60 @@ class WarpPlan:
     over it. On a stacked grid S is (n, ...) and side d's points read side
     n-1-d of the source (the other frame of a pair), and `scatter` returns
     the adjoint on that side.
+
+    The plan's arrays live in `ws` under roles named after `key`, so they stay
+    valid until another plan of the same key is built there; xs and ys are
+    only read. Without `ws` the plan gets a workspace of its own.
     """
 
-    __slots__ = ("shape", "i00", "sx", "sy", "wx", "wy", "inbounds", "free_x", "free_y")
+    __slots__ = ("shape", "i00", "sx", "sy", "wx", "wy", "inbounds", "free_x", "free_y", "ws")
 
-    def __init__(self, shape, xs, ys):
+    def __init__(self, shape, xs, ys, ws: Workspace | None = None, key="plan"):
         *sides, h, w = shape
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
-        xc = np.clip(xs, 0.0, w - 1.0)
-        yc = np.clip(ys, 0.0, h - 1.0)
-        # floor in float: the corners are small integers, exact in float64
-        x0 = np.minimum(np.floor(xc), max(w - 2, 0))
-        y0 = np.minimum(np.floor(yc), max(h - 2, 0))
+        ws = Workspace() if ws is None else ws
+        pts = xs.shape
+        self.ws = ws
         self.shape = tuple(shape)
         self.sx = 1 if w > 1 else 0
         self.sy = w if h > 1 else 0
-        self.wx = xc - x0
-        self.wy = yc - y0
-        i00 = y0 * w + x0
+        mark = ws.mark()
+        flags = ws.take(pts, bool)
+        self.free_x = _in_range(xs, w - 1.0, ws.get((key, "free_x"), pts, bool), flags)
+        self.free_y = _in_range(ys, h - 1.0, ws.get((key, "free_y"), pts, bool), flags)
+        self.inbounds = np.logical_and(self.free_x, self.free_y, out=ws.get((key, "inbounds"), pts, bool))
+        # wx = clip(xs) - x0 with x0 = min(floor(clip(xs)), w - 2), and so for y;
+        # floor in float: the corners are small integers, exact in float64
+        x0, y0 = ws.take(pts), ws.take(pts)
+        self.wx = _weight(xs, w, x0, ws.get((key, "wx"), pts))
+        self.wy = _weight(ys, h, y0, ws.get((key, "wy"), pts))
+        y0 *= w
+        y0 += x0  # i00 = y0 * w + x0
         if sides and sides[0] > 1:  # the offset of the source side each side reads
-            i00 += np.arange(sides[0] - 1, -1, -1).reshape(-1, 1, 1) * (h * w)
-        self.i00 = i00.astype(np.intp)
-        self.free_x = (xs >= 0.0) & (xs <= w - 1.0)
-        self.free_y = (ys >= 0.0) & (ys <= h - 1.0)
-        self.inbounds = self.free_x & self.free_y
+            y0 += np.arange(sides[0] - 1, -1, -1).reshape(-1, 1, 1) * (h * w)
+        self.i00 = ws.get((key, "i00"), pts, np.intp)
+        np.copyto(self.i00, y0, casting="unsafe")
+        ws.release(mark)
 
     @classmethod
-    def along(cls, field: np.ndarray) -> "WarpPlan":
+    def along(cls, field: np.ndarray, ws: Workspace | None = None, key="plan") -> "WarpPlan":
         """Plan of the points p + field(p) for every pixel p of a planar
         (2, H, W) field, or of each side of a stacked (2, n, H, W) one."""
         field = np.asarray(field, dtype=float)
         h, w = field.shape[-2:]
+        ws = Workspace() if ws is None else ws
+        mark = ws.mark()
         # the pixel grid, broadcast: p = (x, y) with integer x, y
-        xs = np.arange(w, dtype=float) + field[0]
-        ys = np.arange(h, dtype=float)[:, None] + field[1]
-        return cls(field.shape[1:-2] + (h, w), xs, ys)
+        xs = np.add(np.arange(w, dtype=float), field[0], out=ws.take(field.shape[1:]))
+        ys = np.add(np.arange(h, dtype=float)[:, None], field[1], out=ws.take(field.shape[1:]))
+        plan = cls(field.shape[1:-2] + (h, w), xs, ys, ws, key)
+        ws.release(mark)
+        return plan
 
     def _corners(self, src: np.ndarray):
-        """Source values at the four corners, each of shape S or (C,) + S."""
+        """Source values at the four corners, each of shape S or (C,) + S,
+        taken from the workspace's stack."""
         src = np.asarray(src, dtype=float)
         grid = self.shape
         lead = src.shape[: src.ndim - len(grid)]
@@ -111,36 +216,56 @@ class WarpPlan:
             raise ValueError("source must be the plan's grid, with at most a leading channel axis")
         flat = src.reshape(lead + (-1,))
         i, sx, sy = self.i00, self.sx, self.sy
-        return (
-            flat.take(i, axis=-1),
-            flat[..., sx:].take(i, axis=-1),
-            flat[..., sy:].take(i, axis=-1),
-            flat[..., sy + sx :].take(i, axis=-1),
+        shape = lead + i.shape
+        # every index is in range, so "clip" takes what "raise" would, unbuffered
+        return tuple(
+            flat[..., off:].take(i, axis=-1, out=self.ws.take(shape), mode="clip") for off in (0, sx, sy, sy + sx)
         )
 
-    def sample(self, src: np.ndarray) -> np.ndarray:
+    def sample(self, src: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """src at the plan's points: shape S, or (C,) + S for (C,) + grid."""
+        mark = self.ws.mark()
         v00, v01, v10, v11 = self._corners(src)
         wx, wy = self.wx, self.wy
-        top = v00 + wx * (v01 - v00)
-        bot = v10 + wx * (v11 - v10)
-        return top + wy * (bot - top)
+        v01 -= v00
+        v01 *= wx
+        v01 += v00  # top = v00 + wx * (v01 - v00)
+        v11 -= v10
+        v11 *= wx
+        v11 += v10  # bot = v10 + wx * (v11 - v10)
+        v11 -= v01
+        v11 *= wy
+        out = np.add(v11, v01, out=out)  # top + wy * (bot - top)
+        self.ws.release(mark)
+        return out
 
-    def sample_grad(self, src: np.ndarray):
-        """(values, d/dx, d/dy) of src at the plan's points, per channel.
+    def sample_grad(self, src: np.ndarray, out=None):
+        """(values, d/dx, d/dy) of src at the plan's points, per channel,
+        into the three arrays of `out` if given.
 
         Derivatives are zero where the lookup is clamped on that axis."""
+        mark = self.ws.mark()
         v00, v01, v10, v11 = self._corners(src)
+        val, ddx, ddy = (np.empty_like(v00) for _ in range(3)) if out is None else out
         wx, wy = self.wx, self.wy
-        dx_top = v01 - v00
-        dx_bot = v11 - v10
-        top = v00 + wx * dx_top
-        bot = v10 + wx * dx_bot
-        dy = bot - top
-        ddx = np.where(self.free_x, dx_top + wy * (dx_bot - dx_top), 0.0)
-        return top + wy * dy, ddx, np.where(self.free_y, dy, 0.0)
+        v01 -= v00  # dx_top
+        v11 -= v10  # dx_bot
+        np.multiply(v01, wx, out=val)
+        v00 += val  # top = v00 + wx * dx_top
+        np.multiply(v11, wx, out=val)
+        v10 += val  # bot = v10 + wx * dx_bot
+        v10 -= v00  # dy = bot - top
+        v11 -= v01
+        v11 *= wy
+        v11 += v01  # dx_top + wy * (dx_bot - dx_top)
+        _where(self.free_x, v11, ddx)
+        _where(self.free_y, v10, ddy)
+        np.multiply(v10, wy, out=val)
+        val += v00  # top + wy * dy
+        self.ws.release(mark)
+        return val, ddx, ddy
 
-    def scatter(self, grad_out) -> np.ndarray:
+    def scatter(self, grad_out, out: np.ndarray | None = None) -> np.ndarray:
         """Adjoint of `sample` w.r.t. the source: accumulate grad_out (shape S,
         or (C,) + S) into an array of the grid's shape, or (C,) + grid, with
         the forward lookup's corner weights, clamping included."""
@@ -148,25 +273,58 @@ class WarpPlan:
         n = self.i00.size
         i = self.i00.reshape(n)
         sx, sy = self.sx, self.sy
+        ws = self.ws
+        mark = ws.mark()
         # one bincount over all four corners per channel: each bin sums its
         # terms corner by corner, in point order, whatever the channel count
-        idx = np.concatenate([i, i + sx, i + sy, i + (sy + sx)])
+        idx = ws.take((4, n), np.intp)
+        for part, off in zip(idx, (0, sx, sy, sy + sx)):
+            np.add(i, off, out=part)
+        idx = idx.reshape(4 * n)
         wx = self.wx.reshape(n)
         wy = self.wy.reshape(n)
-        ux = 1.0 - wx
-        uy = 1.0 - wy
-        wgt = np.empty((4, n))
+        ux = np.subtract(1.0, wx, out=ws.take((n,)))
+        uy = np.subtract(1.0, wy, out=ws.take((n,)))
+        wgt = ws.take((4, n))
         size = math.prod(self.shape)
+        lead = g.shape[: g.ndim - self.i00.ndim]
+        out = np.empty(lead + self.shape) if out is None else out
+        for gc, oc in zip(g.reshape((-1, n)), out.reshape((-1, size))):
+            for part, a, b in zip(wgt, (ux, wx, ux, wx), (uy, uy, wy, wy)):
+                np.multiply(gc, a, out=part)
+                part *= b
+            oc[...] = np.bincount(idx, weights=wgt.reshape(4 * n), minlength=size)
+        ws.release(mark)
+        return out
 
-        def one(gc):
-            for out, a, b in zip(wgt, (ux, wx, ux, wx), (uy, uy, wy, wy)):
-                np.multiply(gc, a, out=out)
-                out *= b
-            return np.bincount(idx, weights=wgt.reshape(4 * n), minlength=size).reshape(self.shape)
 
-        if g.ndim == self.i00.ndim:
-            return one(g.reshape(n))
-        return np.stack([one(gc.reshape(n)) for gc in g])
+def _zeros(a: np.ndarray) -> np.ndarray:
+    """a, filled with zeros."""
+    a.fill(0.0)
+    return a
+
+
+def _where(cond: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.where(cond, x, 0.0) into out: +0 where cond is False, whatever x
+    holds (`x *= cond` would leave -0 where x < 0)."""
+    out.fill(0.0)
+    np.copyto(out, x, where=cond)
+    return out
+
+
+def _in_range(v: np.ndarray, hi: float, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """(v >= 0.0) & (v <= hi), into out."""
+    np.greater_equal(v, 0.0, out=out)
+    return np.logical_and(out, np.less_equal(v, hi, out=tmp), out=out)
+
+
+def _weight(v: np.ndarray, size: int, corner: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The interpolation weight clip(v) - v0 of sample coordinates v along an
+    axis of `size`, into out, and their lower corner v0 into corner."""
+    np.clip(v, 0.0, size - 1.0, out=out)
+    np.floor(out, out=corner)
+    np.minimum(corner, max(size - 2, 0), out=corner)
+    return np.subtract(out, corner, out=out)
 
 
 def inverse_warp(target: np.ndarray, flow: np.ndarray):
@@ -180,9 +338,11 @@ def inverse_warp(target: np.ndarray, flow: np.ndarray):
     flow = np.asarray(flow, dtype=float)
     target = np.asarray(target, dtype=float)
     if flow.ndim != 3 or flow.shape[2] != 2:
-        raise ValueError("flow must be (H, W, 2)")
+        raise ValueError(f"flow must be (H, W, 2), got shape {flow.shape}")
+    if target.ndim not in (2, 3):
+        raise ValueError(f"target must be (H, W) or (H, W, C), got shape {target.shape}")
     if target.shape[:2] != flow.shape[:2]:
-        raise ValueError("target and flow sizes differ")
+        raise ValueError(f"target is {_size(target)} but flow is {_size(flow)}")
     for name, arr in (("flow", flow), ("target", target)):
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} must be finite")
@@ -192,71 +352,99 @@ def inverse_warp(target: np.ndarray, flow: np.ndarray):
     return plan.sample(target), plan.inbounds
 
 
+def _size(a: np.ndarray) -> str:
+    """The H x W of an (H, W, ...) array, as an error message names it."""
+    return f"{a.shape[0]}x{a.shape[1]}"
+
+
 def _pool2(a: np.ndarray, out: np.ndarray) -> None:
-    """2x2 average pooling of an (H, W) plane into out, with edge
-    replication for odd sizes."""
-    h, w = a.shape
+    """2x2 average pooling over the last two axes of a (..., H, W) array into
+    out, with edge replication for odd sizes: the last row or column pools
+    with itself, each sum taken in the order of the four corners of a
+    replicated plane."""
+    h, w = a.shape[-2:]
     if h < 2 or w < 2:
         raise ValueError("cannot downsample a dimension of size 1")
-    if h % 2:
-        a = np.concatenate([a, a[-1:]], axis=0)
-    if w % 2:
-        a = np.concatenate([a, a[:, -1:]], axis=1)
-    s = a[0::2, 0::2] + a[0::2, 1::2]
-    s += a[1::2, 0::2]
-    s += a[1::2, 1::2]
-    np.multiply(s, 0.25, out=out)  # 0.25 * (sum of the four)
+    hh, ww = h - h % 2, w - w % 2
+    even, odd = a[..., 0:hh:2, :], a[..., 1:hh:2, :]
+    _add4(even[..., 0:ww:2], even[..., 1:ww:2], odd[..., 0:ww:2], odd[..., 1:ww:2], out[..., : hh // 2, : ww // 2])
+    if w % 2:  # the last column and its replica
+        _add4(even[..., -1], even[..., -1], odd[..., -1], odd[..., -1], out[..., : hh // 2, -1])
+    if h % 2:  # the last row and its replica, then the corner four times over
+        last = a[..., -1, :]
+        _add4(last[..., 0:ww:2], last[..., 1:ww:2], last[..., 0:ww:2], last[..., 1:ww:2], out[..., -1, : ww // 2])
+        if w % 2:
+            corner = a[..., -1:, -1:]
+            _add4(corner, corner, corner, corner, out[..., -1:, -1:])
+    out *= 0.25  # 0.25 * (sum of the four)
+
+
+def _add4(a, b, c, d, out) -> None:
+    np.add(a, b, out=out)
+    out += c
+    out += d
 
 
 def _pool2_adjoint(grad: np.ndarray, out: np.ndarray) -> None:
-    """Adjoint of `_pool2`: an (h, w) gradient onto out, the fine (H, W) plane."""
-    h, w = out.shape
-    padded = np.zeros((h + h % 2, w + w % 2))
-    q = 0.25 * grad
-    padded[0::2, 0::2] += q
-    padded[0::2, 1::2] += q
-    padded[1::2, 0::2] += q
-    padded[1::2, 1::2] += q
+    """Adjoint of `_pool2`: a (..., h, w) gradient onto out, the fine
+    (..., H, W) planes, as the zero-padded planes would fold it: each fine
+    pixel gets 0.0 + 0.25 * grad of its coarse pixel, and a replicated last
+    row or column then adds its replica's share to itself."""
+    h, w = out.shape[-2:]
+    q = np.multiply(grad, 0.25, out=out[..., 0::2, 0::2])
+    q += 0.0  # the zero of the padded plane: -0 becomes +0, as there
+    out[..., 0::2, 1::2] = q[..., : w // 2]
+    out[..., 1::2, 0::2] = q[..., : h // 2, :]
+    out[..., 1::2, 1::2] = q[..., : h // 2, : w // 2]
     if h % 2:
-        padded[h - 1] += padded[h]
+        out[..., -1, :] += out[..., -1, :]
     if w % 2:
-        padded[:, w - 1] += padded[:, w]
-    out[...] = padded[:h, :w]
+        out[..., -1] += out[..., -1]
 
 
-def _per_plane(kernel, a: np.ndarray, shape, scale: float) -> np.ndarray:
-    """kernel(plane, out) on every (H, W) plane of a (..., H, W) array, into
-    one (...,) + shape output, times scale: stacking per-plane results cost
-    about 230 more page faults per 129x97 evaluate. The output keeps a's
-    memory order: a channel-last frame's levels sum their channel means in
-    the frame's own order, and a row-major stack's levels stay row-major."""
-    out = np.empty_like(a, shape=a.shape[:-2] + tuple(shape))
-    for idx in np.ndindex(a.shape[:-2]):
-        kernel(a[idx], out[idx])
-    if scale != 1.0:
-        out *= scale
-    return out
-
-
-def pyramid(a, levels: int, scale: float = 1.0) -> list:
+def pyramid(a, levels: int, scale: float = 1.0, out=None) -> list:
     """The levels of a (..., H, W) array, finest first: each the 2x2 average
     pool of the one before over the last two axes, times scale (0.5 keeps a
     displacement field in its level's pixel units). Odd sizes replicate
-    their last row or column."""
+    their last row or column.
+
+    Levels 1 and up are written into `out`, one array per level, if given;
+    otherwise each is new and keeps a's memory order: a channel-last frame's
+    levels sum their channel means in the frame's own order, and a
+    row-major stack's levels stay row-major."""
     if levels < 1:
         raise ValueError("need at least one level")
-    out = [np.asarray(a, dtype=float)]
-    for _ in range(levels - 1):
-        h, w = out[-1].shape[-2:]
-        out.append(_per_plane(_pool2, out[-1], ((h + 1) // 2, (w + 1) // 2), scale))
-    return out
+    pyr = [np.asarray(a, dtype=float)]
+    for lvl in range(1, levels):
+        h, w = pyr[-1].shape[-2:]
+        shape = pyr[-1].shape[:-2] + ((h + 1) // 2, (w + 1) // 2)
+        dst = np.empty_like(pyr[-1], shape=shape) if out is None else out[lvl - 1]
+        _pool2(pyr[-1], dst)
+        if scale != 1.0:
+            dst *= scale
+        pyr.append(dst)
+    return pyr
 
 
-def pyramid_adjoint(grads, weights, scale: float = 1.0) -> np.ndarray:
+def pyramid_adjoint(grads, weights, scale: float = 1.0, ws: Workspace | None = None) -> np.ndarray:
     """Adjoint of `pyramid`: the per-level gradients, finest first, each
     times its weight, folded onto the finest level, from the coarsest one
-    down: acc = weights[l] * grads[l] + adjoint(acc)."""
-    acc = weights[-1] * grads[-1]
+    down: acc = weights[l] * grads[l] + adjoint(acc).
+
+    The fold runs in place: on return grads[l] holds the fold of level l and
+    every coarser one, and the result is grads[0]. Its scratch is taken
+    from ws's stack."""
+    ws = Workspace() if ws is None else ws
+    mark = ws.mark()
+    acc = grads[-1]
+    acc *= weights[-1]
     for g, wgt in zip(grads[-2::-1], weights[-2::-1]):
-        acc = wgt * g + _per_plane(_pool2_adjoint, acc, g.shape[-2:], scale)
+        fine = ws.take(g.shape)
+        _pool2_adjoint(acc, fine)
+        if scale != 1.0:
+            fine *= scale
+        g *= wgt
+        g += fine  # wgt * g + adjoint(acc)
+        acc = g
+        ws.release(mark)
     return acc

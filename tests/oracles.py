@@ -120,6 +120,29 @@ def pool_ref(a, scale=1.0):
     return out
 
 
+def pool_adjoint_ref(g, fine_shape, scale=1.0):
+    """The adjoint of `pool_ref` onto planes of fine_shape, by scalar loops
+    over a zero-padded plane: each padded pixel gets 0.0 + 0.25 * g of its
+    coarse pixel, a replicated last row and then last column are added onto
+    the row or column they copy, and the result is cropped, times scale."""
+    g = np.asarray(g, dtype=float)
+    h, w = fine_shape
+    hp, wp = h + h % 2, w + w % 2
+    out = np.empty(g.shape[:-2] + (h, w))
+    for idx in np.ndindex(g.shape[:-2]):
+        pad = [[0.0 + 0.25 * float(g[idx + (i // 2, j // 2)]) for j in range(wp)] for i in range(hp)]
+        if h % 2:
+            for j in range(wp):
+                pad[h - 1][j] += pad[h][j]
+        if w % 2:
+            for i in range(hp):
+                pad[i][w - 1] += pad[i][w]
+        for i in range(h):
+            for j in range(w):
+                out[idx + (i, j)] = pad[i][j] * scale
+    return out
+
+
 # ---------------------------------------------------------------------------
 # losses
 

@@ -309,6 +309,34 @@ def test_mask_counts_consistent_flows(tmp_path, capsys):
     assert "24/36 valid" in stdout
 
 
+def test_mask_names_both_sizes_of_mismatched_flows(tmp_path, capsys):
+    write_flo(tmp_path / "f.flo", np.zeros((4, 4, 2)))
+    write_flo(tmp_path / "b.flo", np.zeros((5, 4, 2)))
+    code, _, stderr = run_cli(
+        capsys,
+        "mask",
+        "--forward", str(tmp_path / "f.flo"),
+        "--backward", str(tmp_path / "b.flo"),
+        "--output", str(tmp_path / "m.pgm"),
+    )
+    assert code == 1
+    assert stderr == "error: fwd is 4x4 but bwd is 5x4\n"
+
+
+def test_warp_names_both_sizes_of_mismatched_inputs(tmp_path, capsys):
+    write_pfm(tmp_path / "img.pfm", np.zeros((5, 5)))
+    write_flo(tmp_path / "zero.flo", np.zeros((4, 4, 2)))
+    code, _, stderr = run_cli(
+        capsys,
+        "warp",
+        "--image", str(tmp_path / "img.pfm"),
+        "--flow", str(tmp_path / "zero.flo"),
+        "--output", str(tmp_path / "warped.pfm"),
+    )
+    assert code == 1
+    assert stderr == "error: target is 5x5 but flow is 4x4\n"
+
+
 def write_flo_with(path, h, w, value):
     """An (h, w) .flo file of zero flow but for one component set to value;
     `write_flo` itself refuses a non-finite flow."""
@@ -647,6 +675,16 @@ def test_eval_flow_perfect_estimate(tmp_path, capsys):
     values = kv_lines(stdout)
     assert float(values["epe"]) == 0.0
     assert float(values["f1"]) == 0.0
+
+
+def test_eval_flow_names_both_sizes_of_mismatched_flows(tmp_path, capsys):
+    write_flo(tmp_path / "est.flo", np.zeros((4, 4, 2)))
+    write_flo(tmp_path / "gt.flo", np.zeros((5, 4, 2)))
+    code, _, stderr = run_cli(
+        capsys, "eval-flow", "--est", str(tmp_path / "est.flo"), "--gt", str(tmp_path / "gt.flo")
+    )
+    assert code == 1
+    assert stderr == "error: est is 4x4 but gt is 5x4\n"
 
 
 def test_eval_depth_csv_of_perfect_estimate(tmp_path, capsys):

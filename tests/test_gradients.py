@@ -20,20 +20,25 @@ SEEDS = (11, 12, 13)
 
 @pytest.fixture(
     scope="module",
-    params=[(seed, odd) for odd in (False, True) for seed in SEEDS],
-    ids=lambda p: f"odd-{p[0]}" if p[1] else str(p[0]),
+    params=[(seed, kind) for kind in ("small", "odd") for seed in SEEDS] + [(SEEDS[1], "large")],
+    ids=lambda p: str(p[0]) if p[1] == "small" else f"{p[1]}-{p[0]}",
 )
 def case(request):
     """(scene, config, finite-difference step) of one gradient check.
 
     The odd case runs 45x37 through three edge-replicating levels with a
     radius-2 census; at that size a pose step of 1e-4 carries samples
-    across bilinear lattice kinks, so its stencil is 1e-5.
+    across bilinear lattice kinks, so its stencil is 1e-5. The large case
+    runs a 64x66 level, above `losses.STACKED_PIXELS`, so its terms take
+    the one-side path that every level of the other cases skips; its pose
+    and census residuals need the same smaller stencil.
     """
-    seed, odd = request.param
-    if odd:
+    seed, kind = request.param
+    if kind == "odd":
         cfg = replace(suite_cfg(), scales=3, census=replace(SUITE_CENSUS, radius=2))
         return random_scene(seed, h=37, w=45), cfg, 1e-5
+    if kind == "large":
+        return random_scene(seed, h=64, w=66), suite_cfg(), 1e-5
     return random_scene(seed), suite_cfg(), 1e-4
 
 

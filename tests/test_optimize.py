@@ -3,6 +3,8 @@ from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from rigidflow import camera, losses, optimize
 from rigidflow.losses import ALL_TERMS, CensusParams, LevelMasks, LossWeights
@@ -566,6 +568,125 @@ def test_both_block_paths_give_the_same_bytes(monkeypatch):
         )
     for key in runs[0]:
         assert runs[0][key] == runs[1][key], key
+
+
+def mask_arrays(masks):
+    """Every array of a list of LevelMasks, level by level."""
+    return [getattr(level, f.name) for level in masks for f in fields(level)]
+
+
+def result_arrays(report, grad, masks):
+    """Every array of an evaluate result, the report as one."""
+    return [np.asarray(astuple(report)), *astuple(grad), *mask_arrays(masks)]
+
+
+def moment_arrays(moments):
+    return [*moments.m.values(), *moments.v.values()]
+
+
+# odd or non-square sizes, so that pooling replicates edges and a level can
+# fall on either side of losses.STACKED_PIXELS at every scale count
+BLOCK_SIZES = st.tuples(st.integers(5, 80), st.integers(5, 80)).filter(lambda s: s[0] % 2 or s[0] != s[1])
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@seed(20180905)
+@given(size=BLOCK_SIZES, channels=st.sampled_from([1, 3]), scene_seed=st.integers(0, 2**16))
+def test_both_block_paths_agree_on_any_size(size, channels, scene_seed):
+    # every scale count the size allows, under both block paths: the same
+    # bytes, and every result finite
+    from gradcheck import random_scene
+
+    h, w = size
+    scene = random_scene(scene_seed, h=h, w=w)
+    imgs = [scene.img_t, scene.img_t1]
+    if channels == 3:
+        imgs = [np.stack((i, i * i, 0.5 - 0.25 * i), axis=-1) for i in imgs]
+    most = 1
+    while min(h, w) > 2**most:
+        most += 1
+    saved = losses.STACKED_PIXELS
+    try:
+        for scales in range(1, most + 1):
+            runs = []
+            for stacked_pixels in (0, 10**9):
+                losses.STACKED_PIXELS = stacked_pixels
+                arrays = result_arrays(*evaluate(scene.state, *imgs, scene.k, OptimizerConfig(scales=scales)))
+                assert all(np.all(np.isfinite(a)) for a in arrays), (size, scales)
+                runs.append([a.tobytes() for a in arrays])
+            assert runs[0] == runs[1], (size, channels, scales)
+    finally:
+        losses.STACKED_PIXELS = saved
+
+
+def test_refine_iterations_allocate_only_the_next_state():
+    # the objective's arrays live in the pair's workspace, so an iteration
+    # after the first allocates little beyond the six level-0 planes of the
+    # next state (two depths, two two-channel flows). tracemalloc counts
+    # bytes, not time, so the bound holds on any machine. mover 96x80 takes
+    # the one-side path at level 0 and the stacked one below it
+    import tracemalloc
+
+    gt = render(preset("mover", width=96, height=80))
+    init = make_initial_state(gt, np.random.default_rng(6), pose_noise=0.01, flow_noise=0.5)
+    plane = 96 * 80 * 8
+    peaks = []
+
+    def tick(it, state, report):
+        peaks.append(tracemalloc.get_traced_memory()[1] - start[0])
+        tracemalloc.reset_peak()
+        start[0] = tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        start = [tracemalloc.get_traced_memory()[0]]
+        refine(gt.image_t, gt.image_t1, gt.intrinsics, init, OptimizerConfig(iterations=5), callback=tick)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks[1:]) <= 8 * plane, [round(p / plane, 2) for p in peaks]
+
+
+def test_refine_leaves_each_callback_state_and_the_trace_as_they_were(plane_gt):
+    # refine reuses its buffers across iterations; what it hands out must
+    # not be among them
+    init = make_initial_state(plane_gt, np.random.default_rng(8), pose_noise=0.01, flow_noise=0.3)
+    seen = []
+
+    def tick(it, state, report):
+        seen.append((state, state_bytes(state), report, report_bytes(report)))
+
+    args = (plane_gt.image_t, plane_gt.image_t1, plane_gt.intrinsics)
+    final, trace = refine(*args, init, small_cfg(iterations=4), callback=tick)
+    assert len(seen) == len(trace) == 5
+    for (state, state_then, report, report_then), entry in zip(seen, trace):
+        assert state_bytes(state) == state_then
+        assert report is entry and report_bytes(entry) == report_then
+    assert state_bytes(final) == seen[-1][1]
+
+
+def test_step_leaves_its_inputs_untouched(plane_gt):
+    state = make_initial_state(plane_gt, np.random.default_rng(9), pose_noise=0.01)
+    _, grad, _ = evaluate(state, plane_gt.image_t, plane_gt.image_t1, plane_gt.intrinsics, small_cfg())
+    _, moments = step(state, grad, AdamMoments.zeros(state), small_cfg())
+
+    def snapshot():
+        return state_bytes(state), state_bytes(grad), [a.tobytes() for a in moment_arrays(moments)]
+
+    before = snapshot()
+    new_state, new_moments = step(state, grad, moments, small_cfg())
+    assert snapshot() == before
+    assert (moments.count, new_moments.count) == (1, 2)
+    new = [*astuple(new_state), *moment_arrays(new_moments)]
+    assert not any(np.shares_memory(a, b) for a in [*astuple(state), *moment_arrays(moments)] for b in new)
+
+
+def test_two_evaluate_results_do_not_alias(plane_gt):
+    args = (plane_gt.image_t, plane_gt.image_t1, plane_gt.intrinsics, small_cfg())
+    first = result_arrays(*evaluate(make_initial_state(plane_gt, np.random.default_rng(10)), *args))
+    first_then = [a.tobytes() for a in first]
+    second = result_arrays(*evaluate(make_initial_state(plane_gt, np.random.default_rng(11)), *args))
+    assert [a.tobytes() for a in first] == first_then
+    assert not any(np.shares_memory(a, b) for a in first for b in second)
 
 
 def test_divergence_carries_partial_trace(plane_gt):

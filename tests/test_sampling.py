@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from rigidflow.sampling import WarpPlan, inverse_warp, pyramid, pyramid_adjoint
 
 from conftest import channel_last, planar
-from oracles import bilinear_ref, cell_sample, cell_sample_grad, cell_scatter, pool_ref
+from oracles import bilinear_ref, cell_sample, cell_sample_grad, cell_scatter, pool_adjoint_ref, pool_ref
 
 coord = st.floats(min_value=-20.0, max_value=40.0, allow_nan=False)
 
@@ -432,6 +432,23 @@ def test_pyramid_matches_the_loop_reference_bit_for_bit(shape, scale):
     assert [lvl.shape for lvl in got] == [lvl.shape for lvl in want]
     for lvl, (g, w) in enumerate(zip(got, want)):
         assert g.tobytes() == w.tobytes(), lvl
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+@pytest.mark.parametrize("shape", [(2, 7, 9), (2, 2, 13, 11), (3, 6, 5), (2, 8, 8)])
+def test_pyramid_adjoint_matches_the_loop_reference_bit_for_bit(shape, scale):
+    # the fold writes its planes in place; it must add every zero of the
+    # padded plane it replaces, so a -0 gradient folds to what it did there
+    rng = np.random.default_rng(12)
+    grads = [rng.normal(size=lvl.shape) for lvl in pyramid(np.zeros(shape), 3)]
+    for g in grads:
+        g[..., :2, :] = -0.0
+    weights = [1.0, 0.5, 0.25]
+    want = weights[-1] * grads[-1]
+    for g, wgt in zip(grads[-2::-1], weights[-2::-1]):
+        want = wgt * g + pool_adjoint_ref(want, g.shape[-2:], scale)
+    got = pyramid_adjoint([g.copy() for g in grads], weights, scale)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.5])
