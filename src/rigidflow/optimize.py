@@ -10,9 +10,13 @@ Buffers: the context owns a `sampling.Workspace`, and the objective and the
 Adam step of `refine` write every array whose size follows the state into
 it, so iterations after the first allocate only the next state's arrays.
 What `refine` hands out is never one of those buffers: each state is new,
-and its moments stay inside. `evaluate` builds its context on every call, so
-its report, gradient and masks are the caller's alone, and `step` copies the
-moments it updates and leaves its inputs untouched.
+and its moments stay inside. `evaluate` keeps the context of its last call
+in a one-entry slot and runs the next call on it when that call's frames
+(bit for bit), intrinsics, pyramid depth and state size are the same; a call
+takes the context out of the slot while it runs, so no two calls share a
+workspace. It copies its gradient and the masks it recomputed out of the
+workspace, so its report, gradient and masks are the caller's alone, and
+`step` copies the moments it updates and leaves its inputs untouched.
 """
 
 from __future__ import annotations
@@ -194,7 +198,8 @@ def _check_masks(masks, sizes) -> None:
 class PairContext:
     """The image-only inputs of one frame pair: `levels[lvl]` holds those of
     pyramid level lvl of `cfg.scales`. `refine` builds one for all its
-    iterations. Each frame is pooled as its planar (C, H, W) view, (1, H, W)
+    iterations, and `evaluate` keeps its last one for the next call on the
+    same frames. Each frame is pooled as its planar (C, H, W) view, (1, H, W)
     for a gray (H, W) one. Raises ValueError naming an image that is not
     (H, W) or (H, W, C), not finite, or not of `shape`, the state's (H, W),
     and when `shape` is too small for the pyramid.
@@ -258,9 +263,56 @@ def evaluate(
     is smooth in the state; by default they are recomputed. Raises ValueError
     naming a malformed state field, image or frozen mask, and
     NonFiniteLossError naming the term that went bad.
+
+    The `PairContext` of the last call (its levels, its workspace and the
+    bytes of its frames) stays in a module-level slot until the next call,
+    which runs on it if its frames have the same bytes and its intrinsics,
+    `cfg.scales` and state size are the same, so a run of calls on one
+    frame pair builds the image-only inputs and sizes the workspace once.
+    Nothing returned is an array of the workspace: the gradient and the
+    masks recomputed here are copies, and the frozen masks given are
+    returned as they are.
     """
-    ctx = PairContext(img_t, img_t1, k, cfg, state.depth_t.shape[:2])
-    return _objective(state, ctx, cfg, masks, terms, want_grads)
+    shape = state.depth_t.shape[:2]
+    key = _pair_key(img_t, img_t1, k, cfg.scales, shape)
+    try:
+        spare_key, ctx = _spare.pop()
+    except IndexError:
+        spare_key = None
+    if key is None or key != spare_key:
+        ctx = PairContext(img_t, img_t1, k, cfg, shape)
+    mark = ctx.ws.mark()
+    try:
+        report, grad, used = _objective(state, ctx, cfg, masks, terms, want_grads)
+        given = [None] * cfg.scales if masks is None else masks
+        used = [_copied(m) if g is None else m for m, g in zip(used, given)]
+        return report, None if grad is None else _copied(grad), used
+    finally:
+        ctx.ws.release(mark)
+        _spare[:] = [(key, ctx)]
+
+
+# the (key, context) of the last `evaluate`; a call pops it while it runs
+# (atomic under the GIL), so two threads, or an `evaluate` inside a `refine`
+# callback, never share a workspace
+_spare = []
+
+
+def _copied(arrays):
+    """A dataclass of arrays (a StateGrad or LevelMasks) with each array copied."""
+    return type(arrays)(*(getattr(arrays, f.name).copy() for f in fields(arrays)))
+
+
+def _pair_key(img_t, img_t1, k: Intrinsics, scales: int, shape):
+    """What a `PairContext` is built from: each frame's dtype, shape and
+    bytes (its bits, so -0 is not +0), the intrinsics' bits, the pyramid
+    depth and the state's (H, W). None, which matches nothing, for a frame
+    of Python objects, whose bytes are pointers."""
+    frames = [np.asarray(img) for img in (img_t, img_t1)]
+    if any(f.dtype.hasobject for f in frames):
+        return None
+    bits = np.array([k.fx, k.fy, k.cx, k.cy], dtype=float).tobytes()
+    return (*((f.dtype.str, f.shape, f.tobytes()) for f in frames), bits, scales, shape)
 
 
 def _objective(state: SceneState, ctx: PairContext, cfg: OptimizerConfig, masks, terms, want_grads):

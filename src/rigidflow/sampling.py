@@ -48,9 +48,10 @@ this one pair.
 
 Buffers: a `Workspace` owns every array the objective writes into.
 `optimize.PairContext` holds one for all the iterations of a refine, and
-`evaluate` builds a new one per call, so a refine allocates its arrays in its
-first iteration only and the heap keeps its size from then on. A workspace
-has two kinds of buffer:
+`evaluate` keeps the last call's context for the next call on the same
+frames, so a refine, or a run of `evaluate` calls on one frame pair,
+allocates its arrays on its first pass only and the heap keeps its size
+from then on. A workspace has two kinds of buffer:
 - named roles, one buffer each, for what lives longer than a term: a plan's
   indices, weights and flags (roles under the plan's `key`), a level's rigid
   flows, fb cycles, rigid-flow gradients, masks and gradient accumulators,
@@ -116,9 +117,10 @@ class Workspace:
             nbytes = math.prod(shape) * dt.itemsize
             buf = self._buffers.get(role)
             if buf is None or buf.size < nbytes:
-                # a larger request: every view of the old buffer goes with it
+                if buf is not None:
+                    # a larger request: every view of the old buffer goes with it
+                    self._views = {k: v for k, v in self._views.items() if k[0] != role}
                 buf = self._buffers[role] = np.empty(nbytes, np.uint8)
-                self._views = {k: v for k, v in self._views.items() if k[0] != role}
             view = self._views[key] = buf[:nbytes].view(dt).reshape(shape)
         return view
 

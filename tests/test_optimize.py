@@ -338,9 +338,13 @@ def test_refine_builds_edge_weights_once_per_frame_and_level(plane_gt, monkeypat
     final, trace = refine(plane_gt.image_t, plane_gt.image_t1, plane_gt.intrinsics, state, cfg)
     assert len(trace) == 6 and not np.array_equal(final.depth_t, state.depth_t)
     assert sizes == [(64, 64)] * 2 + [(32, 32)] * 2 + [(16, 16)] * 2
+    # evaluate builds a context on its first call on the pair and keeps it
+    # for the next
+    monkeypatch.setattr(optimize, "_spare", [])
     sizes.clear()
-    evaluate(state, plane_gt.image_t, plane_gt.image_t1, plane_gt.intrinsics, cfg)
-    assert len(sizes) == 6
+    for _ in range(2):
+        evaluate(state, plane_gt.image_t, plane_gt.image_t1, plane_gt.intrinsics, cfg)
+        assert len(sizes) == 6
 
 
 def context_bytes(ctx):
@@ -407,6 +411,158 @@ def test_context_names_a_bad_image(plane_gt):
     state = state_from_gt(plane_gt)
     with pytest.raises(ValueError, match="^img_t1 must be finite$"):
         refine(plane_gt.image_t, bad, k, state, small_cfg())
+
+
+def fresh_bytes(state, img_t, img_t1, k, cfg, want_grads=True):
+    """The bytes of what `evaluate` returns, from `_objective` on a context
+    built for this call alone."""
+    ctx = optimize.PairContext(img_t, img_t1, k, cfg, state.depth_t.shape)
+    return result_bytes(*optimize._objective(state, ctx, cfg, None, ALL_TERMS, want_grads))
+
+
+def result_bytes(report, grad, masks):
+    """The bytes of an evaluate result: report, masks, then gradient if any."""
+    arrays = [np.asarray(astuple(report)), *mask_arrays(masks)]
+    if grad is not None:
+        arrays += [getattr(grad, f.name) for f in fields(grad)]
+    return [a.tobytes() for a in arrays]
+
+
+def test_evaluate_reuses_its_context_only_on_the_same_frames(monkeypatch):
+    # each call gives the bytes of a fresh context, and builds one only when
+    # the frames' bits, the intrinsics, the scales or the size differ from
+    # the last call's
+    builds = []
+
+    class Counted(optimize.PairContext):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    gt = render(preset("mover", width=45, height=37))
+    other = render(preset("mover", width=47, height=37))
+    img_t, img_t1 = gt.image_t.copy(), gt.image_t1.copy()
+    img_t1[3, 4] = 0.0
+    k = gt.intrinsics
+    # (the call, the frame pixel written before it, whether it builds a
+    # context); repeats run forward only, the others with gradients
+    calls = [
+        ("first", None, 1),
+        ("repeat", None, 0),
+        ("repeat", None, 0),
+        ("img_t changed in place", (img_t, (5, 6), img_t[5, 6] + 0.25), 1),
+        ("repeat", None, 0),
+        ("-0 over +0", (img_t1, (3, 4), -0.0), 1),
+        ("+0 back", (img_t1, (3, 4), 0.0), 1),
+    ]
+    cfg = small_cfg(scales=3)
+    monkeypatch.setattr(optimize, "PairContext", Counted)
+    monkeypatch.setattr(optimize, "_spare", [])
+    rng = np.random.default_rng(21)
+    for name, write, built in calls:
+        if write is not None:
+            frame, pixel, value = write
+            frame[pixel] = value
+        state = make_initial_state(gt, rng, pose_noise=0.01, flow_noise=0.4)
+        want_grads = name != "repeat"
+        before = len(builds)
+        got = result_bytes(*evaluate(state, img_t, img_t1, k, cfg, want_grads=want_grads))
+        assert len(builds) - before == built, name
+        assert got == fresh_bytes(state, img_t, img_t1, k, cfg, want_grads=want_grads), name
+    moved = camera.Intrinsics(k.fx, k.fy, k.cx + 0.5, k.cy)
+    for name, args, scales in (
+        ("intrinsics", (img_t, img_t1, moved), 3),
+        ("scales", (img_t, img_t1, moved), 2),
+        ("size", (other.image_t, other.image_t1, other.intrinsics), 2),
+        ("back to the first pair", (img_t, img_t1, k), 2),
+    ):
+        state = make_initial_state(other if name == "size" else gt, rng, flow_noise=0.4)
+        for built in (1, 0):
+            before = len(builds)
+            got = result_bytes(*evaluate(state, *args, small_cfg(scales=scales)))
+            assert len(builds) - before == built, name
+            assert got == fresh_bytes(state, *args, small_cfg(scales=scales)), name
+
+
+def test_evaluate_checks_the_frames_whatever_its_slot_holds(plane_gt):
+    k = plane_gt.intrinsics
+    state = state_from_gt(plane_gt)
+    img_t, img_t1 = plane_gt.image_t.copy(), plane_gt.image_t1.copy()
+    nan = img_t1.copy()
+    nan[3, 4] = np.nan
+    for bad, match in (
+        (nan, "^img_t1 must be finite$"),
+        (img_t1[:5, :4], "^img_t1 is 5x4 but the state is 64x64$"),
+        (img_t1.ravel(), r"^img_t1 must be \(H, W\) or \(H, W, C\)$"),
+    ):
+        evaluate(state, img_t, img_t1, k, small_cfg())
+        with pytest.raises(ValueError, match=match):
+            evaluate(state, img_t, bad, k, small_cfg())
+    # a frame the slot's context was built from, made bad in place
+    evaluate(state, img_t, img_t1, k, small_cfg())
+    img_t1[7, 9] = np.inf
+    with pytest.raises(ValueError, match="^img_t1 must be finite$"):
+        evaluate(state, img_t, img_t1, k, small_cfg())
+    img_t1[7, 9] = 0.5
+    evaluate(state, img_t, img_t1, k, small_cfg())
+    with pytest.raises(ValueError, match="^scales=7 needs both image sides above 64, got 64x64: "):
+        evaluate(state, img_t, img_t1, k, small_cfg(scales=7))
+
+
+def test_repeat_evaluates_allocate_only_their_results():
+    # on the pair of the last call, evaluate runs on that call's context, so
+    # it allocates the copies of its gradient (six level-0 planes) and masks
+    # and the bytes of the two frames it compares, where a first call sizes
+    # about a hundred planes of workspace (tracemalloc counts bytes, so the
+    # bound holds on any machine)
+    import tracemalloc
+
+    gt = render(preset("mover", width=96, height=80))
+    init = make_initial_state(gt, np.random.default_rng(6), pose_noise=0.01, flow_noise=0.5)
+    plane = 96 * 80 * 8
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(4):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            evaluate(init, gt.image_t, gt.image_t1, gt.intrinsics, OptimizerConfig())
+            peaks.append((tracemalloc.get_traced_memory()[1] - start) / plane)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks[1:]) <= 10, [round(p, 2) for p in peaks]
+
+
+def test_threads_on_one_pair_give_the_sequential_results():
+    # more threads than cores, switching often: a call takes the slot's
+    # context out while it runs, so no two calls write into one workspace
+    import sys
+    import threading
+
+    gt = render(preset("mover", width=45, height=37))
+    args = (gt.image_t, gt.image_t1, gt.intrinsics, small_cfg(scales=3))
+    states = [make_initial_state(gt, np.random.default_rng(s), pose_noise=0.01, flow_noise=0.4) for s in range(4)]
+    want = [result_bytes(*evaluate(state, *args)) for state in states]
+    start = threading.Barrier(len(states))
+    got = [[] for _ in states]
+
+    def run(i):
+        start.wait()
+        for _ in range(6):
+            got[i].append(result_bytes(*evaluate(states[i], *args)))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(states))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 6 for w in want]
 
 
 # ---------------------------------------------------------------------------
@@ -681,12 +837,22 @@ def test_step_leaves_its_inputs_untouched(plane_gt):
 
 
 def test_two_evaluate_results_do_not_alias(plane_gt):
+    # recomputed masks, then a partly frozen list whose None level is
+    # recomputed: no result shares memory with a later one or changes, and a
+    # frozen level comes back as the caller's own
     args = (plane_gt.image_t, plane_gt.image_t1, plane_gt.intrinsics, small_cfg())
-    first = result_arrays(*evaluate(make_initial_state(plane_gt, np.random.default_rng(10)), *args))
-    first_then = [a.tobytes() for a in first]
-    second = result_arrays(*evaluate(make_initial_state(plane_gt, np.random.default_rng(11)), *args))
-    assert [a.tobytes() for a in first] == first_then
-    assert not any(np.shares_memory(a, b) for a in first for b in second)
+    first = evaluate(make_initial_state(plane_gt, np.random.default_rng(10)), *args)
+    second = evaluate(make_initial_state(plane_gt, np.random.default_rng(11)), *args)
+    partly = [first[2][0], None]
+    third = evaluate(make_initial_state(plane_gt, np.random.default_rng(12)), *args, masks=partly)
+    assert third[2][0] is first[2][0]
+    results = [result_arrays(*first), result_arrays(*second), result_arrays(*third[:2], third[2][1:])]
+    then = [[a.tobytes() for a in arrays] for arrays in results]
+    fourth = result_arrays(*evaluate(make_initial_state(plane_gt, np.random.default_rng(13)), *args))
+    assert [[a.tobytes() for a in arrays] for arrays in results] == then
+    for i, arrays in enumerate(results):
+        for later in [*results[i + 1 :], fourth]:
+            assert not any(np.shares_memory(a, b) for a in arrays for b in later)
 
 
 def test_divergence_carries_partial_trace(plane_gt):
