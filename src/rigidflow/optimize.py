@@ -12,10 +12,8 @@ it, so iterations after the first allocate only the next state's arrays.
 What `refine` hands out is never one of those buffers: each state is new,
 and its moments stay inside. `evaluate` keeps the context of its last call
 in a one-entry slot and runs the next call on it when that call's frames
-(bit for bit), intrinsics, pyramid depth and state size are the same; a call
-takes the context out of the slot while it runs, so no two calls share a
-workspace. It copies its gradient and the masks it recomputed out of the
-workspace, so its report, gradient and masks are the caller's alone, and
+(bit for bit), intrinsics, pyramid depth and state size are the same (see
+`evaluate`); its report, gradient and masks are the caller's alone, and
 `step` copies the moments it updates and leaves its inputs untouched.
 """
 
@@ -268,27 +266,40 @@ def evaluate(
     bytes of its frames) stays in a module-level slot until the next call,
     which runs on it if its frames have the same bytes and its intrinsics,
     `cfg.scales` and state size are the same, so a run of calls on one
-    frame pair builds the image-only inputs and sizes the workspace once.
-    Nothing returned is an array of the workspace: the gradient and the
-    masks recomputed here are copies, and the frozen masks given are
-    returned as they are.
+    frame pair builds the image-only inputs once and sizes the workspace on
+    its second call. A call on other frames builds a context, returns the
+    arrays of its workspace and leaves the context in the slot with an empty
+    workspace: about 1 MiB of gray images, edge weights and frame bytes at
+    129x97. A call on the slot's frames returns copies of the gradient and
+    of the masks it recomputed and keeps the workspace, 5.5 MiB in all at
+    129x97 forward. Either way the frozen masks given are returned as they
+    are, and no two results share memory.
     """
     shape = state.depth_t.shape[:2]
     key = _pair_key(img_t, img_t1, k, cfg.scales, shape)
     try:
         spare_key, ctx = _spare.pop()
     except IndexError:
-        spare_key = None
-    if key is None or key != spare_key:
+        spare_key = ctx = None
+    hit = key is not None and key == spare_key
+    del spare_key
+    if not hit:
+        ctx = None  # the spare's memory goes before the new context is built
         ctx = PairContext(img_t, img_t1, k, cfg, shape)
     mark = ctx.ws.mark()
     try:
         report, grad, used = _objective(state, ctx, cfg, masks, terms, want_grads)
-        given = [None] * cfg.scales if masks is None else masks
-        used = [_copied(m) if g is None else m for m, g in zip(used, given)]
-        return report, None if grad is None else _copied(grad), used
+        if hit:
+            given = [None] * cfg.scales if masks is None else masks
+            used = [_copied(m) if g is None else m for m, g in zip(used, given)]
+            grad = None if grad is None else _copied(grad)
+        return report, grad, used
     finally:
-        ctx.ws.release(mark)
+        if hit:
+            ctx.ws.release(mark)
+        else:
+            # what is returned keeps the workspace it was written into
+            ctx.ws = Workspace()
         _spare[:] = [(key, ctx)]
 
 

@@ -47,11 +47,10 @@ stacked flows (with their displacements halved per level) all go through
 this one pair.
 
 Buffers: a `Workspace` owns every array the objective writes into.
-`optimize.PairContext` holds one for all the iterations of a refine, and
-`evaluate` keeps the last call's context for the next call on the same
-frames, so a refine, or a run of `evaluate` calls on one frame pair,
-allocates its arrays on its first pass only and the heap keeps its size
-from then on. A workspace has two kinds of buffer:
+A workspace belongs to one `optimize.PairContext`, which a refine keeps for
+all its iterations, so a refine allocates its arrays in its first iteration
+only and the heap keeps its size from then on. A workspace has two kinds of
+buffer:
 - named roles, one buffer each, for what lives longer than a term: a plan's
   indices, weights and flags (roles under the plan's `key`), a level's rigid
   flows, fb cycles, rigid-flow gradients, masks and gradient accumulators,

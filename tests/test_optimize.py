@@ -509,28 +509,40 @@ def test_evaluate_checks_the_frames_whatever_its_slot_holds(plane_gt):
         evaluate(state, img_t, img_t1, k, small_cfg(scales=7))
 
 
-def test_repeat_evaluates_allocate_only_their_results():
-    # on the pair of the last call, evaluate runs on that call's context, so
-    # it allocates the copies of its gradient (six level-0 planes) and masks
-    # and the bytes of the two frames it compares, where a first call sizes
-    # about a hundred planes of workspace (tracemalloc counts bytes, so the
-    # bound holds on any machine)
+def test_evaluate_keeps_a_workspace_for_repeat_calls_only(monkeypatch):
+    # a call on new frames sizes about a hundred planes of workspace, returns
+    # its results in them and leaves the slot about ten planes (gray images,
+    # edge weights, the frames' bytes); the next call on those frames sizes a
+    # workspace and keeps it, and the calls after it allocate only the copies
+    # of their gradient (six level-0 planes) and masks and the bytes of the
+    # frames they compare (tracemalloc counts bytes, so the bounds hold on
+    # any machine)
+    import gc
     import tracemalloc
 
     gt = render(preset("mover", width=96, height=80))
+    other = render(preset("mover", width=96, height=80, seed=3))
     init = make_initial_state(gt, np.random.default_rng(6), pose_noise=0.01, flow_noise=0.5)
     plane = 96 * 80 * 8
-    peaks = []
+    monkeypatch.setattr(optimize, "_spare", [])
+    peaks, kept = [], []
+    gc.collect()
     tracemalloc.start()
     try:
-        for _ in range(4):
+        base = tracemalloc.get_traced_memory()[0]
+        for pair in (gt, gt, gt, gt, other):
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            evaluate(init, gt.image_t, gt.image_t1, gt.intrinsics, OptimizerConfig())
+            got = evaluate(init, pair.image_t, pair.image_t1, pair.intrinsics, OptimizerConfig())
             peaks.append((tracemalloc.get_traced_memory()[1] - start) / plane)
+            del got
+            gc.collect()
+            kept.append((tracemalloc.get_traced_memory()[0] - base) / plane)
     finally:
         tracemalloc.stop()
-    assert max(peaks[1:]) <= 10, [round(p, 2) for p in peaks]
+    figures = [(round(p, 2), round(k, 2)) for p, k in zip(peaks, kept)]
+    assert max(peaks[2:4]) <= 10 and min(peaks[:2]) >= 50, figures
+    assert max(kept[0], kept[4]) <= 12 and min(kept[1:4]) >= 50, figures
 
 
 def test_threads_on_one_pair_give_the_sequential_results():
@@ -732,8 +744,9 @@ def mask_arrays(masks):
 
 
 def result_arrays(report, grad, masks):
-    """Every array of an evaluate result, the report as one."""
-    return [np.asarray(astuple(report)), *astuple(grad), *mask_arrays(masks)]
+    """Every array of an evaluate result, the report as one (`astuple` would
+    return copies of the gradient's arrays, not the arrays)."""
+    return [np.asarray(astuple(report)), *(getattr(grad, f.name) for f in fields(grad)), *mask_arrays(masks)]
 
 
 def moment_arrays(moments):
@@ -836,10 +849,12 @@ def test_step_leaves_its_inputs_untouched(plane_gt):
     assert not any(np.shares_memory(a, b) for a in [*astuple(state), *moment_arrays(moments)] for b in new)
 
 
-def test_two_evaluate_results_do_not_alias(plane_gt):
+def test_two_evaluate_results_do_not_alias(plane_gt, monkeypatch):
     # recomputed masks, then a partly frozen list whose None level is
-    # recomputed: no result shares memory with a later one or changes, and a
-    # frozen level comes back as the caller's own
+    # recomputed, from a first call on the pair and from repeat calls: no
+    # result shares memory with a later one or changes, and a frozen level
+    # comes back as the caller's own
+    monkeypatch.setattr(optimize, "_spare", [])
     args = (plane_gt.image_t, plane_gt.image_t1, plane_gt.intrinsics, small_cfg())
     first = evaluate(make_initial_state(plane_gt, np.random.default_rng(10)), *args)
     second = evaluate(make_initial_state(plane_gt, np.random.default_rng(11)), *args)
