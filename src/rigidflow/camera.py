@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import Workspace, _where
+from .sampling import Workspace, _grid, _where
 
 __all__ = [
     "Intrinsics",
@@ -201,15 +201,22 @@ def _entries(pose):
     return r, t
 
 
-def _transform(xs, ys, depth, k: Intrinsics, r, t, ws: Workspace):
-    """Rays (rx, ry), back-projected (depth * rx, depth * ry), and the
-    transformed point (q0, q1, q2) of each pixel, for the rotation and
-    translation entries r, t of `_entries`; element for element the same
+def _pixels(h: int, w: int, k: Intrinsics):
+    """(xs, ys, rx, ry): the pixel grid of an (h, w) image, broadcast as xs
+    (w,) and ys (h, 1) (`sampling._grid`), and its rays rx = (xs - cx) / fx
+    and ry = (ys - cy) / fy."""
+    xs, ys = _grid(h, w)
+    return xs, ys, (xs - k.cx) / k.fx, (ys - k.cy) / k.fy
+
+
+def _transform(pixels, depth, r, t, ws: Workspace):
+    """Back-projected (depth * rx, depth * ry) and the transformed point
+    (q0, q1, q2) of each pixel, for the rays of `_pixels` and the rotation
+    and translation entries r, t of `_entries`; element for element the same
     expressions as the scalar `project_pixel` of `tests/oracles.py`. The
     per-pixel arrays, and one scratch array after them, are taken from ws's
     stack."""
-    rx = (xs - k.cx) / k.fx
-    ry = (ys - k.cy) / k.fy
+    rx, ry = pixels[2:]
     shape = depth.shape
     p0 = np.multiply(depth, rx, out=ws.take(shape))
     p1 = np.multiply(depth, ry, out=ws.take(shape))
@@ -221,7 +228,7 @@ def _transform(xs, ys, depth, k: Intrinsics, r, t, ws: Workspace):
         qi += np.multiply(p1, r[i, 1], out=tmp)
         qi += np.multiply(depth, r[i, 2], out=tmp)
         qi += t[i]
-    return (rx, ry, p0, p1, *q, tmp)
+    return (p0, p1, *q, tmp)
 
 
 def rigid_flow(depth: np.ndarray, k: Intrinsics, pose: PoseSE3):
@@ -241,21 +248,19 @@ def rigid_flow(depth: np.ndarray, k: Intrinsics, pose: PoseSE3):
     depth = np.asarray(depth, dtype=float)
     if depth.ndim != 2:
         raise ValueError("depth must be (H, W)")
-    flow, valid = _rigid_flow(depth, k, pose)
+    flow, valid = _rigid_flow(depth, k, _pixels(*depth.shape, k), _entries(pose), Workspace())
     return np.moveaxis(flow, 0, -1), valid
 
 
-def _rigid_flow(depth: np.ndarray, k: Intrinsics, pose, ws: Workspace | None = None, key="rigid"):
-    """`rigid_flow` of an (H, W) or stacked (n, H, W) depth, for one pose or
-    one per side (`_entries`): the planar (2, H, W) or (2, n, H, W) flow and
-    the cheirality mask, in ws's roles (key, "flow") and (key, "valid")."""
+def _rigid_flow(depth: np.ndarray, k: Intrinsics, pixels, entries, ws: Workspace, key="rigid"):
+    """`rigid_flow` of an (H, W) or stacked (n, H, W) depth, on the grid and
+    rays `pixels` of its level (`_pixels`), for the `_entries` of one pose or
+    of one per side: the planar (2, H, W) or (2, n, H, W) flow and the
+    cheirality mask, in ws's roles (key, "flow") and (key, "valid")."""
     if not np.all(depth > 0.0):
         raise ValueError("depth must be positive")
-    ws = Workspace() if ws is None else ws
-    h, w = depth.shape[-2:]
-    xs, ys = np.arange(w, dtype=float), np.arange(h, dtype=float)[:, None]  # broadcast grid
     mark = ws.mark()
-    *_, q0, q1, q2, _ = _transform(xs, ys, depth, k, *_entries(pose), ws)
+    _, _, q0, q1, q2, _ = _transform(pixels, depth, *entries, ws)
     with np.errstate(divide="ignore", invalid="ignore"):
         u = np.divide(q0, q2, out=q0)
         u *= k.fx
@@ -265,14 +270,16 @@ def _rigid_flow(depth: np.ndarray, k: Intrinsics, pose, ws: Workspace | None = N
         v += k.cy
     valid = np.greater(q2, 0.0, out=ws.get((key, "valid"), depth.shape, bool))
     flow = ws.get((key, "flow"), (2,) + depth.shape)
-    for out, proj, grid in zip(flow, (u, v), (xs, ys)):
+    for out, proj, grid in zip(flow, (u, v), pixels[:2]):
         proj -= grid
         _where(valid, proj, out)
     ws.release(mark)
     return flow, valid
 
 
-def project_backward(depth, k: Intrinsics, pose, grad_u, grad_v, ws: Workspace | None = None, out=None):
+def project_backward(
+    depth, k: Intrinsics, pose, grad_u, grad_v, ws: Workspace | None = None, out=None, pixels=None, entries=None
+):
     """Adjoint of `rigid_flow` for per-pixel flow gradients.
 
     Given dL/d(flow_u), dL/d(flow_v) (zero expected wherever the forward
@@ -282,17 +289,20 @@ def project_backward(depth, k: Intrinsics, pose, grad_u, grad_v, ws: Workspace |
         grad_t: (3,) dL/d(translation).
     For a stacked (n, H, W) depth with one pose per side, grad_depth is
     (n, H, W), grad_r (n, 3, 3) and grad_t (n, 3), each side's sums taken
-    over its own contiguous (H, W) slice. Its temporaries are taken from
-    ws's stack; grad_u and grad_v are only read.
+    over its own contiguous (H, W) slice. `pixels` and `entries` are the
+    level's grid and rays (`_pixels`) and the pose's `_entries`, which the
+    objective builds once, computed here when not given. Its temporaries are
+    taken from ws's stack; grad_u and grad_v are only read.
     """
     depth = np.asarray(depth, dtype=float)
     ws = Workspace() if ws is None else ws
     shape = depth.shape
     h, w = shape[-2:]
-    xs, ys = np.arange(w, dtype=float), np.arange(h, dtype=float)[:, None]
-    r, t = _entries(pose)
+    pixels = _pixels(h, w, k) if pixels is None else pixels
+    r, t = _entries(pose) if entries is None else entries
+    rx, ry = pixels[2:]
     mark = ws.mark()
-    rx, ry, drx, dry, q0, q1, q2, tmp = _transform(xs, ys, depth, k, r, t, ws)
+    drx, dry, q0, q1, q2, tmp = _transform(pixels, depth, r, t, ws)
     valid = np.greater(q2, 0.0, out=ws.take(shape, bool))
     with np.errstate(divide="ignore", invalid="ignore"):
         # a = np.where(valid, k.fx * grad_u / q2, 0.0), and b likewise

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import check_fields
-from .camera import Intrinsics, _rigid_flow, project_backward
+from .camera import Intrinsics, _entries, _rigid_flow, project_backward
 from .masks import FBCheckParams, _cycle_mask
 from .sampling import WarpPlan, Workspace, _where, _zeros
 
@@ -55,6 +55,9 @@ __all__ = [
 ALL_TERMS = frozenset({"photometric", "smooth", "fb_flow", "fb_depth", "cross"})
 
 DEFAULT_L1_EPS = 1e-3
+
+# the smallest field mean that `smoothness_loss` divides by
+MEAN_FLOOR = 1e-12
 
 
 class NonFiniteLossError(RuntimeError):
@@ -145,15 +148,31 @@ def _by_side(values, mask: np.ndarray):
 
 
 def _inverse_counts(mask: np.ndarray):
-    """1 / the valid count of each side of mask, 0.0 for an empty side: as a
-    list, and shaped to broadcast over mask."""
-    inv = [1.0 / n if n else 0.0 for n in (int(np.count_nonzero(m)) for m in _sides(mask))]
-    return inv, np.array(inv).reshape(mask.shape[:-2] + (1, 1))
+    """The valid count of each side of mask, and 1 / each count, 0.0 for an
+    empty side: as a list, and shaped to broadcast over mask. (One
+    count_nonzero per side: with an axis it counts by a slower sum.)"""
+    counts = [int(np.count_nonzero(m)) for m in _sides(mask)]
+    inv = [1.0 / n if n else 0.0 for n in counts]
+    return counts, inv, np.array(inv).reshape(mask.shape[:-2] + (1, 1))
 
 
-def _side_means(vals: np.ndarray, mask: np.ndarray, inv: list):
-    """Sum of vals over mask times inv, side by side (`_by_side`)."""
-    return _by_side([float(_total(v[m])) * i for v, m, i in zip(_sides(vals), _sides(mask), inv)], mask)
+def _side_parts(kept: np.ndarray, counts) -> list:
+    """kept = vals[mask], one compaction of a stacked (n, h, w) mask, cut into
+    each side's contiguous part, given the valid count of each side but the
+    last: each part holds what the side's own compaction would, in its order."""
+    parts = []
+    for n in counts:
+        parts.append(kept[:n])
+        kept = kept[n:]
+    return parts + [kept]
+
+
+def _side_means(vals: np.ndarray, mask: np.ndarray, counts):
+    """Sum of vals over mask times 1 / its count, side by side (`_by_side`),
+    for counts = `_inverse_counts(mask)`."""
+    n, inv, _ = counts
+    parts = _side_parts(vals[mask], n[:-1])
+    return _by_side([float(_total(part)) * i for part, i in zip(parts, inv)], mask)
 
 
 def _offsets(radius: int):
@@ -165,18 +184,45 @@ def _offsets(radius: int):
     ]
 
 
-def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams, grads: bool = True, ws=None):
-    """Census distance of gray_ref against each (gray_warped, mask) branch,
-    on the soft ternary descriptor d / sqrt(d^2 + eps^2) of the neighborhood
-    differences d: differentiable, and invariant to additive brightness as
-    the census is. A neighbor outside the image or the mask carries zero
-    weight, so each offset runs on its in-bounds overlap only. The reference's
-    descriptor is computed once per offset and shared by every branch. All
-    arrays are (h, w), or stacked (n, h, w) with the losses summed side by
-    side. Returns one (loss, grad wrt gray_warped) per branch, the loss one
-    per side (`_by_side`), or None for a branch whose mask is empty on every
-    side. An empty side adds zero loss and a zero gradient. Its arrays are
-    taken from ws's stack, where the returned gradients stay.
+def _census_reference(gray: np.ndarray, params: CensusParams) -> tuple:
+    """The reference descriptors of the census of gray, (h, w) or stacked
+    (n, h, w): for each offset (dy, dx) of the first half of the offsets of
+    `params.radius` whose in-bounds overlap is not empty (a longer one has
+    none), (here, there, descriptor). here and there are the windows of the
+    pixels whose neighbour at that offset is in bounds and of those
+    neighbours; the descriptor, on that overlap alone, is the soft ternary
+    dr / sqrt(dr^2 + eps^2) of the differences dr = gray[there] - gray[here]."""
+    h, w = gray.shape[-2:]
+    eps2 = params.epsilon * params.epsilon
+    offsets = _offsets(params.radius)
+    out = []
+    for dy, dx in offsets[: len(offsets) // 2]:
+        if abs(dy) >= h or abs(dx) >= w:
+            continue
+        here = (..., slice(max(0, -dy), h - max(0, dy)), slice(max(0, -dx), w - max(0, dx)))
+        there = (..., slice(max(0, dy), h - max(0, -dy)), slice(max(0, dx), w - max(0, -dx)))
+        tr = np.subtract(gray[there], gray[here])  # dr
+        t = np.multiply(tr, tr)
+        t += eps2
+        np.sqrt(t, out=t)
+        tr /= t  # tr = dr / sqrt(dr^2 + eps^2)
+        out.append((here, there, tr))
+    return tuple(out)
+
+
+def _census_terms(ref, branches, params: CensusParams, grads: bool = True, ws=None):
+    """Census distance of a reference, given by its descriptors `ref`
+    (`_census_reference` with the same params), against each (gray_warped,
+    mask, counts) branch, counts being `_inverse_counts(mask)`. The soft
+    ternary descriptor d / sqrt(d^2 + eps^2) of the neighborhood differences
+    d is differentiable, and invariant to additive brightness as the census
+    is. A neighbor outside the image or the mask carries zero weight, so each
+    offset runs on its in-bounds overlap only. All arrays are (h, w), or
+    stacked (n, h, w) with the losses summed side by side. Returns one (loss,
+    grad wrt gray_warped) per branch, the loss one per side (`_by_side`), or
+    None for a branch whose mask is empty on every side. An empty side adds
+    zero loss and a zero gradient. Its arrays are taken from ws's stack,
+    where the returned gradients stay.
 
     Only the first half of the offsets is computed. The second half is the
     first negated and reversed, and offset -o adds exactly what o adds,
@@ -187,40 +233,22 @@ def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams, grads: b
     zero may flip sign under negation; the accumulators start at +0 and so
     never hold -0, and adding a zero of either sign leaves them unchanged.)
     """
-    h, w = gray_ref.shape[-2:]
     ws = Workspace() if ws is None else ws
     eps2 = params.epsilon * params.epsilon
     c = params.charbonnier_eps
-    live = []  # (branch, gray_w, mask, 1 / valid count per side, the same broadcastable)
-    for b, (gray_w, mask) in enumerate(branches):
-        mask = np.asarray(mask, dtype=bool)
-        inv, scale = _inverse_counts(mask)
-        if any(inv):
-            live.append((b, gray_w, mask, inv, scale))
+    # (branch, gray_w, mask, 1 / valid count per side, the same broadcastable)
+    live = [(b, gray_w, mask, inv, scale) for b, (gray_w, mask, (_, inv, scale)) in enumerate(branches) if any(inv)]
     losses = {b: [0.0] * len(inv) for b, _, _, inv, _ in live}
-    gsum = {b: _zeros(ws.take(gray_ref.shape)) for b, *_ in live} if grads else {}
+    gsum = {b: _zeros(ws.take(gray_w.shape)) for b, gray_w, *_ in live} if grads else {}
     mark = ws.mark()
     kept = {b: [] for b, *_ in live}  # (losses, gated gradient) per offset of the half
-    offsets = _offsets(params.radius)
-    # each offset (dy, dx) of the half as (here, there): the pixels whose
-    # neighbour is in bounds, and those neighbours; a longer offset has none
-    wins = [
-        ((..., slice(max(0, -dy), h - max(0, dy)), slice(max(0, -dx), w - max(0, dx))),
-         (..., slice(max(0, dy), h - max(0, -dy)), slice(max(0, dx), w - max(0, -dx))))
-        for dy, dx in offsets[: len(offsets) // 2] if abs(dy) < h and abs(dx) < w
-    ]
     # each offset's gated gradient of each branch, kept for the mirrored half
-    gated = [[ws.take(gray_ref[here].shape) for _ in live] if grads else None for here, _ in wins]
+    gated = [[ws.take(tr.shape) for _ in live] if grads else None for _, _, tr in ref]
     offset_mark = ws.mark()
     # the arithmetic runs in place, in the order of the plain expressions
     # noted beside it, so every value is the same to the bit
-    for (here, there), outs in zip(wins, gated):
-        shape = gray_ref[here].shape
-        tr = np.subtract(gray_ref[there], gray_ref[here], out=ws.take(shape))  # dr
-        t = np.multiply(tr, tr, out=ws.take(shape))
-        t += eps2
-        np.sqrt(t, out=t)
-        tr /= t  # tr = dr / sqrt(dr^2 + eps^2)
+    for (here, there, tr), outs in zip(ref, gated):
+        shape = tr.shape
         dw, s, root, gate = ws.take(shape), ws.take(shape), ws.take(shape), ws.take(shape, bool)
         for j, (b, gray_w, mask, _, inv) in enumerate(live):
             np.subtract(gray_w[there], gray_w[here], out=dw)
@@ -233,7 +261,10 @@ def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams, grads: b
             root += c * c
             np.sqrt(root, out=root)
             np.logical_and(mask[here], mask[there], out=gate)
-            parts = [float(_total(r[g] - c)) for r, g in zip(_sides(root), _sides(gate))]
+            terms = root[gate]
+            terms -= c  # root[gate] - c, each side's part summed on its own
+            counts = [np.count_nonzero(g) for g in _sides(gate)[:-1]]
+            parts = [float(_total(p)) for p in _side_parts(terms, counts)]
             for side, part in enumerate(parts):
                 losses[b][side] += part
             if not grads:
@@ -252,7 +283,7 @@ def _census_terms(gray_ref: np.ndarray, branches, params: CensusParams, grads: b
         ws.release(offset_mark)
     # the mirrored half: -o's `-= g` is o's `+= g` and the other way round;
     # a translation keeps row-major order, so `part` is the same
-    for here, there in reversed(wins):
+    for here, there, _ in reversed(ref):
         for b, *_ in live:
             parts, g = kept[b].pop()
             for side, part in enumerate(parts):
@@ -280,13 +311,21 @@ def edge_weights(guide: np.ndarray):
 
 @dataclass(frozen=True)
 class LevelInputs:
-    """Image-only inputs of one pyramid level: the gray images (2, h, w) of
-    both frames, their edge weights (wx (2, h, w-1), wy (2, h-1, w)), and
-    the intrinsics."""
+    """What one pyramid level's objective reads that the state does not
+    change, built once per frame pair (`optimize.PairContext`): the gray
+    images (2, h, w) of both frames, their edge weights (wx (2, h, w-1), wy
+    (2, h-1, w)), the intrinsics, the census settings and each frame's
+    census reference descriptors for them (`_census_reference` of the
+    stacked gray images: one (2, ...) array per half-offset, on its overlap),
+    and the level's pixel grid and rays (xs, ys, rx, ry) (`camera._pixels`).
+    A block of sides reads its slice of the descriptors."""
 
     gray: np.ndarray
     edges: tuple
     k: Intrinsics
+    census: CensusParams
+    descriptors: tuple
+    pixels: tuple
 
 
 def _channel_last_sum(phi: np.ndarray, wgt: np.ndarray, prod: np.ndarray) -> list:
@@ -296,7 +335,7 @@ def _channel_last_sum(phi: np.ndarray, wgt: np.ndarray, prod: np.ndarray) -> lis
     the layout."""
     for c, plane in enumerate(phi):
         np.multiply(plane, wgt, out=prod[..., c])
-    return [_total(side) for side in prod]
+    return np.add.reduce(prod.reshape(len(prod), -1), axis=1)  # each side's row, pairwise
 
 
 def smoothness_loss(field: np.ndarray, edges, mean_normalize: bool = False, grads: bool = True, ws=None, out=None):
@@ -329,7 +368,7 @@ def smoothness_loss(field: np.ndarray, edges, mean_normalize: bool = False, grad
     mark = ws.mark()
     if mean_normalize:
         mu = [side.mean() for side in fc.swapaxes(0, 1)]
-        if min(abs(m) for m in mu) < 1e-12:
+        if min(abs(m) for m in mu) < MEAN_FLOOR:
             raise ValueError("cannot mean-normalize a zero-mean field")
         mus = np.array(mu).reshape(-1, 1, 1)
         n = np.divide(fc, mus, out=ws.take(fc.shape))
@@ -365,20 +404,19 @@ def smoothness_loss(field: np.ndarray, edges, mean_normalize: bool = False, grad
     return loss, out
 
 
-def _fb_flow_terms(fwd, plan: WarpPlan, cycle, mask, grads: bool = True, ws=None):
-    """Charbonnier norm of f(p) + b(p + f(p)) over mask, from the cycle (b,
-    db/dx, db/dy) sampled through the plan of f = fwd, each planar (2, H, W)
-    or stacked (2, n, H, W); only b is read without `grads`. Returns (loss,
-    grad wrt fwd, grad wrt bwd), bwd being what the plan sampled, both
-    taken from ws's stack."""
-    mask = np.asarray(mask, dtype=bool)
-    inv, scale = _inverse_counts(mask)
+def _fb_flow_terms(fwd, plan: WarpPlan, cycle, mask, counts, grads: bool = True, ws=None):
+    """Charbonnier norm of f(p) + b(p + f(p)) over the bool mask, whose
+    `_inverse_counts` are counts, from the cycle (b, db/dx, db/dy) sampled
+    through the plan of f = fwd, each planar (2, H, W) or stacked (2, n, H,
+    W); only b is read without `grads`. Returns (loss, grad wrt fwd, grad wrt
+    bwd), bwd being what the plan sampled, both taken from ws's stack."""
+    _, inv, scale = counts
     if not any(inv):
         return _by_side([0.0] * len(inv), mask), np.zeros_like(fwd), np.zeros_like(fwd)
     ws = Workspace() if ws is None else ws
     x, phi, dphi, grad_fwd, grad_bwd = (ws.take(np.shape(fwd)) for _ in range(5))
     phi, dphi = charbonnier(np.add(fwd, cycle[0], out=x), grads=grads, out=(phi, dphi))
-    loss = _side_means(np.add(phi[0], phi[1], out=x[0]), mask, inv)
+    loss = _side_means(np.add(phi[0], phi[1], out=x[0]), mask, counts)
     if not grads:
         return loss, None, None
     _, bdx, bdy = cycle
@@ -398,14 +436,13 @@ def _fb_flow_terms(fwd, plan: WarpPlan, cycle, mask, grads: bool = True, ws=None
     return loss, grad_fwd, plan.scatter(g, out=grad_bwd)
 
 
-def _fb_depth_terms(depth_t, depth_t1, plan: WarpPlan, mask, grads: bool = True, ws=None):
-    """Charbonnier gap over mask between depth_t and depth_t1 pulled back
-    through the plan of the rigid flow, (H, W) or stacked (n, H, W) (a
-    stacked plan pulls each side from the other side of depth_t1). Returns
-    (loss, grad wrt depth_t, grad wrt depth_t1, planar grad wrt the rigid
-    flow), all taken from ws's stack."""
-    mask = np.asarray(mask, dtype=bool)
-    inv, scale = _inverse_counts(mask)
+def _fb_depth_terms(depth_t, depth_t1, plan: WarpPlan, mask, counts, grads: bool = True, ws=None):
+    """Charbonnier gap over the bool mask, whose `_inverse_counts` are
+    counts, between depth_t and depth_t1 pulled back through the plan of the
+    rigid flow, (H, W) or stacked (n, H, W) (a stacked plan pulls each side
+    from the other side of depth_t1). Returns (loss, grad wrt depth_t, grad
+    wrt depth_t1, planar grad wrt the rigid flow), all taken from ws's stack."""
+    _, inv, scale = counts
     shape = np.shape(depth_t)
     if not any(inv):
         return _by_side([0.0] * len(inv), mask), np.zeros(shape), np.zeros(shape), np.zeros((2,) + shape)
@@ -417,7 +454,7 @@ def _fb_depth_terms(depth_t, depth_t1, plan: WarpPlan, mask, grads: bool = True,
     else:
         plan.sample(depth_t1, out=pulled)
     phi, dphi = charbonnier(np.subtract(depth_t, pulled, out=x), grads=grads, out=(phi, dphi))
-    loss = _side_means(phi, mask, inv)
+    loss = _side_means(phi, mask, counts)
     if not grads:
         return loss, None, None, None
     dphi *= scale
@@ -447,13 +484,14 @@ def cross_task_loss(
     if rigid.shape != flow.shape:
         raise ValueError("field sizes differ")
     mask = np.asarray(mask, dtype=bool)
-    inv, scale = _inverse_counts(mask)
+    counts = _inverse_counts(mask)
+    _, inv, scale = counts
     if not any(inv):
         return _by_side([0.0] * len(inv), mask), np.zeros_like(rigid), np.zeros_like(flow)
     ws = Workspace() if ws is None else ws
     x, phi, dphi = (ws.take(rigid.shape) for _ in range(3))
     phi, dphi = charbonnier(np.subtract(rigid, flow, out=x), eps, grads, (phi, dphi))
-    loss = _side_means(np.add(phi[0], phi[1], out=x[0]), mask, inv)
+    loss = _side_means(np.add(phi[0], phi[1], out=x[0]), mask, counts)
     if not grads:
         return loss, None, None
     dphi *= scale
@@ -478,27 +516,30 @@ class ScaleResult:
     masks: LevelMasks
 
 
-def _photometric_terms(ref: np.ndarray, src: np.ndarray, branches, census: CensusParams, grads: bool, ws):
-    """The photometric branches of a block of sides, against the census
-    reference `ref`, their gray images.
+def _photometric_terms(level: LevelInputs, own: slice, other: slice, branches, grads: bool, ws):
+    """The photometric branches of the block of sides `own` of a level,
+    against the census reference descriptors of its frames.
 
-    Each branch (plan, mask, acc) warps `src`, the other frames, through
-    the plan of its correspondence field and, when `grads`, adds the
-    gradient wrt that field into acc. Returns the branch losses, side by
-    side and branch by branch within a side.
+    Each branch (plan, mask, counts, acc) warps the frames `other`
+    through the plan of its correspondence field, gates by the mask, whose
+    `_inverse_counts` are counts, and, when `grads`, adds the gradient wrt
+    that field into acc. Returns the branch losses, side by side and branch
+    by branch within a side.
     """
+    src = level.gray[other]
+    ref = [(here, there, tr[own]) for here, there, tr in level.descriptors]
     warps = []
-    for plan, _, _ in branches:
+    for plan, *_ in branches:
         out = [ws.take(plan.i00.shape) for _ in range(3 if grads else 1)]
         warps.append(plan.sample_grad(src, out=out) if grads else (plan.sample(src, out=out[0]),))
-    pairs = [(warp[0], mask) for warp, (_, mask, _) in zip(warps, branches)]
-    found = _census_terms(ref, pairs, census, grads, ws)
-    for term, warp, (_, _, acc) in zip(found, warps, branches):
+    pairs = [(warp[0], mask, counts) for warp, (_, mask, counts, _) in zip(warps, branches)]
+    found = _census_terms(ref, pairs, level.census, grads, ws)
+    for term, warp, (*_, acc) in zip(found, warps, branches):
         if grads and term:  # None: the branch's mask is empty on every side
             prod = warp[0]  # the warped image is dead once the census has run
             acc[0] += np.multiply(term[1], warp[1], out=prod)
             acc[1] += np.multiply(term[1], warp[2], out=prod)
-    by_branch = [term[0] if term else (0.0,) * len(ref) for term in found]
+    by_branch = [term[0] if term else (0.0,) * len(src) for term in found]
     return [loss for side in zip(*by_branch) for loss in side]
 
 
@@ -552,8 +593,9 @@ def scale_objective(
     """Objective of a single pyramid level, both sides, with gradients unless
     `grads` is False (then the gradient fields are None; the losses are the same).
 
-    level holds the level's image-only inputs. depths are (frame t, frame
-    t+1), (2, h, w), poses (t -> t+1, t+1 -> t) and flows (forward,
+    level holds the level's image-only inputs, its census descriptors built
+    for `census` (ValueError otherwise). depths are (frame t, frame t+1),
+    (2, h, w), poses (t -> t+1, t+1 -> t) and flows (forward,
     backward), planar (2, 2, h, w) as [component, side]: entry d of each
     belongs to side d, whose other frame is the other entry. Every term runs
     once per block of sides (`_side_blocks`): both sides at once on small
@@ -571,19 +613,26 @@ def scale_objective(
     gradients in roles that the next level reuses, and each term's arrays on
     the stack, released once they are added up.
     """
+    if census != level.census:
+        raise ValueError(f"the level's census descriptors are for {level.census}, not {census}")
     h, w = level.gray.shape[-2:]
     ws = Workspace() if ws is None else ws
     depth = np.asarray(depths, dtype=float)
     flow = np.asarray(flows, dtype=float)
     blocks = _side_blocks(h, w)
+    entries = [_entries(poses[own]) for own, _ in blocks]
     # per block: its rigid flows, cheirality and plans; block b's other
     # sides are those of block -1 - b
     rigid, cheir = zip(
-        *(_rigid_flow(depth[own], level.k, poses[own], ws, ("rigid", b)) for b, (own, _) in enumerate(blocks))
+        *(
+            _rigid_flow(depth[own], level.k, level.pixels, entries[b], ws, ("rigid", b))
+            for b, (own, _) in enumerate(blocks)
+        )
     )
     # one warp plan per correspondence field serves every term of the level
-    rigid_plans = [WarpPlan.along(r, ws, ("rigid", b)) for b, r in enumerate(rigid)]
-    flow_plans = [WarpPlan.along(flow[:, own], ws, ("flow", b)) for b, (own, _) in enumerate(blocks)]
+    grid = level.pixels[:2]
+    rigid_plans = [WarpPlan.along(r, ws, ("rigid", b), grid) for b, r in enumerate(rigid)]
+    flow_plans = [WarpPlan.along(flow[:, own], ws, ("flow", b), grid) for b, (own, _) in enumerate(blocks)]
     # the fb cycle b(p + f(p)) of the flows feeds both their masks and their loss
     cycles = []
     if "fb_flow" in terms:
@@ -610,6 +659,8 @@ def scale_objective(
     else:
         np.stack((masks.depth_fwd, masks.depth_bwd), out=depth_mask)
         np.stack((masks.flow_fwd, masks.flow_bwd), out=flow_mask)
+    # each block's valid counts of the two masks, for every term that reads them
+    depth_counts, flow_counts = ([_inverse_counts(m[own]) for own, _ in blocks] for m in (depth_mask, flow_mask))
     g_rigid = [_zeros(ws.get(("g_rigid", b), r.shape)) if grads else None for b, r in enumerate(rigid)]
     g_flow, g_depth = (
         _zeros(ws.get((key, name), a.shape)) if grads else None for name, a in (("g_flow", flow), ("g_depth", depth))
@@ -622,10 +673,10 @@ def scale_objective(
     if "photometric" in terms:
         for b, (own, other) in enumerate(blocks):
             branches = (
-                (rigid_plans[b], depth_mask[own], g_rigid[b]),
-                (flow_plans[b], flow_mask[own], None if g_flow is None else g_flow[:, own]),
+                (rigid_plans[b], depth_mask[own], depth_counts[b], g_rigid[b]),
+                (flow_plans[b], flow_mask[own], flow_counts[b], None if g_flow is None else g_flow[:, own]),
             )
-            for loss in _photometric_terms(level.gray[own], level.gray[other], branches, census, grads, ws):
+            for loss in _photometric_terms(level, own, other, branches, grads, ws):
                 photometric += loss
             ws.release(mark)
 
@@ -645,7 +696,9 @@ def scale_objective(
 
     if "fb_flow" in terms:
         for b, (own, other) in enumerate(blocks):
-            loss, grad, grad_other = _fb_flow_terms(flow[:, own], flow_plans[b], cycles[b], flow_mask[own], grads, ws)
+            loss, grad, grad_other = _fb_flow_terms(
+                flow[:, own], flow_plans[b], cycles[b], flow_mask[own], flow_counts[b], grads, ws
+            )
             for side in loss:
                 fb_total += side
             if grads:
@@ -655,7 +708,7 @@ def scale_objective(
     if "fb_depth" in terms:
         for b, (own, other) in enumerate(blocks):
             loss, grad, grad_other, grad_rigid = _fb_depth_terms(
-                depth[own], depth[other], rigid_plans[b], depth_mask[own], grads, ws
+                depth[own], depth[other], rigid_plans[b], depth_mask[own], depth_counts[b], grads, ws
             )
             for side in loss:
                 fb_total += side
@@ -686,7 +739,9 @@ def scale_objective(
     grad_pose = []
     for b, (own, _) in enumerate(blocks):
         out = ws.take(depth[own].shape)
-        gd, gr, gt = project_backward(depth[own], level.k, poses[own], *g_rigid[b], ws=ws, out=out)
+        gd, gr, gt = project_backward(
+            depth[own], level.k, poses[own], *g_rigid[b], ws=ws, out=out, pixels=level.pixels, entries=entries[b]
+        )
         g_depth[own] += gd
         grad_pose += zip(gr, gt)
         ws.release(mark)

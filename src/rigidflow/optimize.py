@@ -26,6 +26,7 @@ import numpy as np
 from ._checks import check_fields
 from .camera import (
     Intrinsics,
+    _pixels,
     invert,
     pose_from_params,
     pose_param_gradient,
@@ -33,11 +34,13 @@ from .camera import (
 )
 from .losses import (
     ALL_TERMS,
+    MEAN_FLOOR,
     CensusParams,
     LevelInputs,
     LossReport,
     LossWeights,
     NonFiniteLossError,
+    _census_reference,
     edge_weights,
     scale_objective,
 )
@@ -88,8 +91,9 @@ class SceneState:
 
     def check(self) -> None:
         """Raise ValueError naming the malformed field and, for a wrong size,
-        the shape found. `evaluate` calls this again, since the arrays can be
-        changed in place after construction."""
+        the shape found, for a depth mean too small to normalize by, the
+        mean. `evaluate` calls this again, since the arrays can be changed in
+        place after construction."""
         if self.depth_t.ndim != 2:
             raise ValueError(f"depth_t must be (H, W), got shape {self.depth_t.shape}")
         h, w = self.depth_t.shape
@@ -103,8 +107,13 @@ class SceneState:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
         for name in ("depth_t", "depth_t1"):
-            if not np.all(getattr(self, name) > 0.0):
+            depth = getattr(self, name)
+            if not np.all(depth > 0.0):
                 raise ValueError(f"{name} must be positive")
+            # the depth smoothness divides each level by its mean
+            mean = np.add.reduce(depth, None) / depth.size
+            if mean < MEAN_FLOOR:
+                raise ValueError(f"{name} has mean {mean:.6g}, below the {MEAN_FLOOR:g} the depth smoothness needs")
 
     def copy(self) -> "SceneState":
         return SceneState(
@@ -194,13 +203,16 @@ def _check_masks(masks, sizes) -> None:
 
 
 class PairContext:
-    """The image-only inputs of one frame pair: `levels[lvl]` holds those of
-    pyramid level lvl of `cfg.scales`. `refine` builds one for all its
-    iterations, and `evaluate` keeps its last one for the next call on the
-    same frames. Each frame is pooled as its planar (C, H, W) view, (1, H, W)
+    """What the objective reads of one frame pair that the state does not
+    change: `levels[lvl]` holds the `LevelInputs` of pyramid level lvl of
+    `cfg.scales` (gray images, edge weights, intrinsics, the census
+    reference descriptors of both frames for `cfg.census`, and the pixel
+    grid and its rays). `refine` builds one for all its iterations, and
+    `evaluate` keeps its last one for the next call on the same frames and
+    settings. Each frame is pooled as its planar (C, H, W) view, (1, H, W)
     for a gray (H, W) one. Raises ValueError naming an image that is not
-    (H, W) or (H, W, C), not finite, or not of `shape`, the state's (H, W),
-    and when `shape` is too small for the pyramid.
+    (H, W) or (H, W, C), not real, not finite, or not of `shape`, the
+    state's (H, W), and when `shape` is too small for the pyramid.
 
     `ws` is the pair's workspace: `_objective` and `_adam` keep every array
     whose size follows the state there, so a refine allocates them once.
@@ -217,6 +229,8 @@ class PairContext:
         for name, img in (("img_t", img_t), ("img_t1", img_t1)):
             if np.ndim(img) not in (2, 3):
                 raise ValueError(f"{name} must be (H, W) or (H, W, C)")
+            if np.iscomplexobj(img):
+                raise ValueError(f"{name} must be real, got {np.asarray(img).dtype}")
             img = np.asarray(img, dtype=float)
             if not np.all(np.isfinite(img)):
                 raise ValueError(f"{name} must be finite")
@@ -232,7 +246,8 @@ class PairContext:
             for level, g, ex, ey in zip(pair, gray, wx, wy):
                 np.mean(level, axis=0, out=g)
                 ex[...], ey[...] = edge_weights(level)
-            self.levels.append(LevelInputs(gray, (wx, wy), k))
+            descriptors = _census_reference(gray, cfg.census)
+            self.levels.append(LevelInputs(gray, (wx, wy), k, cfg.census, descriptors, _pixels(h, w, k)))
             k = k.scaled_down()
         self.ws = Workspace()
 
@@ -265,18 +280,20 @@ def evaluate(
     The `PairContext` of the last call (its levels, its workspace and the
     bytes of its frames) stays in a module-level slot until the next call,
     which runs on it if its frames have the same bytes and its intrinsics,
-    `cfg.scales` and state size are the same, so a run of calls on one
-    frame pair builds the image-only inputs once and sizes the workspace on
-    its second call. A call on other frames builds a context, returns the
-    arrays of its workspace and leaves the context in the slot with an empty
-    workspace: about 1 MiB of gray images, edge weights and frame bytes at
-    129x97. A call on the slot's frames returns copies of the gradient and
-    of the masks it recomputed and keeps the workspace, 5.5 MiB in all at
-    129x97 forward. Either way the frozen masks given are returned as they
-    are, and no two results share memory.
+    `cfg.scales`, `cfg.census` and state size are the same, so a run of
+    calls on one frame pair builds the image-only inputs once and sizes the
+    workspace on its second call. A call on other frames or settings builds
+    a context, returns the arrays of its workspace and leaves the context in
+    the slot with an empty workspace: about 1 MiB of gray images, edge
+    weights and frame bytes at 129x97, and the census reference descriptors,
+    about 1.1 MiB more at 129x97 and 5.6 MiB at 256x256 (radius 1). A call
+    on the slot's frames returns copies of the gradient and of the masks it
+    recomputed and keeps the workspace, 5.5 MiB more at 129x97 forward.
+    Either way the frozen masks given are returned as they are, and no two
+    results share memory.
     """
     shape = state.depth_t.shape[:2]
-    key = _pair_key(img_t, img_t1, k, cfg.scales, shape)
+    key = _pair_key(img_t, img_t1, k, cfg, shape)
     try:
         spare_key, ctx = _spare.pop()
     except IndexError:
@@ -314,16 +331,16 @@ def _copied(arrays):
     return type(arrays)(*(getattr(arrays, f.name).copy() for f in fields(arrays)))
 
 
-def _pair_key(img_t, img_t1, k: Intrinsics, scales: int, shape):
+def _pair_key(img_t, img_t1, k: Intrinsics, cfg: OptimizerConfig, shape):
     """What a `PairContext` is built from: each frame's dtype, shape and
     bytes (its bits, so -0 is not +0), the intrinsics' bits, the pyramid
-    depth and the state's (H, W). None, which matches nothing, for a frame
-    of Python objects, whose bytes are pointers."""
+    depth, the census settings and the state's (H, W). None, which matches
+    nothing, for a frame of Python objects, whose bytes are pointers."""
     frames = [np.asarray(img) for img in (img_t, img_t1)]
     if any(f.dtype.hasobject for f in frames):
         return None
     bits = np.array([k.fx, k.fy, k.cx, k.cy], dtype=float).tobytes()
-    return (*((f.dtype.str, f.shape, f.tobytes()) for f in frames), bits, scales, shape)
+    return (*((f.dtype.str, f.shape, f.tobytes()) for f in frames), bits, cfg.scales, cfg.census, shape)
 
 
 def _objective(state: SceneState, ctx: PairContext, cfg: OptimizerConfig, masks, terms, want_grads):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rigidflow.camera import params_from_pose
+from rigidflow.losses import _census_reference, _census_terms, _fb_depth_terms, _fb_flow_terms, _inverse_counts
 from rigidflow.optimize import SceneState
 from rigidflow.scenes import preset, render
 
@@ -45,6 +46,23 @@ def state_from_gt(gt) -> SceneState:
         flow_fwd=gt.flow_fwd.copy(),
         flow_bwd=gt.flow_bwd.copy(),
     )
+
+
+def census_terms(ref, branches, params, grads=True):
+    """The census core on ref's reference descriptors, against (warped,
+    mask) branches, each mask with its counts, as the level objective calls it."""
+    branches = [(warped, mask, _inverse_counts(mask)) for warped, mask in branches]
+    return _census_terms(_census_reference(ref, params), branches, params, grads)
+
+
+def fb_flow_terms(fwd, plan, cycle, mask):
+    """The fb flow core over mask, with its counts."""
+    return _fb_flow_terms(fwd, plan, cycle, mask, _inverse_counts(mask))
+
+
+def fb_depth_terms(depth_t, depth_t1, plan, mask):
+    """The fb depth core over mask, with its counts."""
+    return _fb_depth_terms(depth_t, depth_t1, plan, mask, _inverse_counts(mask))
 
 
 @pytest.fixture

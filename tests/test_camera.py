@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from rigidflow.camera import (
     Intrinsics,
     PoseSE3,
+    _entries,
+    _pixels,
     _rigid_flow,
     invert,
     params_from_pose,
@@ -20,6 +22,8 @@ from rigidflow.camera import (
     rotation_jacobians,
     so3_log,
 )
+
+from rigidflow.sampling import Workspace
 
 from oracles import project_pixel, project_pixel_ref, rotation_series
 
@@ -257,7 +261,7 @@ def test_stacked_rigid_flow_matches_project_pixel_bitwise(sides):
     depth = rng.uniform(2.0, 8.0, (sides, 9, 11))
     pose = random_pose(rng)
     poses = (pose, invert(pose))[:sides]
-    flow, valid = _rigid_flow(depth, K, poses)
+    flow, valid = _rigid_flow(depth, K, _pixels(9, 11, K), _entries(poses), Workspace())
     assert flow.shape == (2, sides, 9, 11) and valid.shape == (sides, 9, 11)
     for s, side_pose in enumerate(poses):
         for y in range(9):

@@ -10,9 +10,6 @@ from rigidflow.losses import (
     CensusParams,
     LossWeights,
     NonFiniteLossError,
-    _census_terms,
-    _fb_depth_terms,
-    _fb_flow_terms,
     charbonnier,
     cross_task_loss,
     edge_weights,
@@ -22,7 +19,7 @@ from rigidflow.optimize import OptimizerConfig, SceneState, evaluate
 from rigidflow.sampling import WarpPlan
 from rigidflow.scenes import preset, render
 
-from conftest import channel_last, planar, state_from_gt
+from conftest import census_terms, channel_last, fb_depth_terms, fb_flow_terms, planar, state_from_gt
 from oracles import (
     census_loss_ref,
     cross_ref,
@@ -81,13 +78,14 @@ def test_census_params_validation():
 
 
 # ---------------------------------------------------------------------------
-# photometric loss: the census core, `_census_terms(ref, [(warped, mask), ...])`
+# photometric loss: the census core, `census_terms(ref, [(warped, mask), ...])` on
+# the descriptors of ref
 
 
 def test_photometric_zero_on_identical_images():
     rng = np.random.default_rng(1)
     img = rng.uniform(size=(10, 10))
-    (term,) = _census_terms(img, [(img.copy(), np.ones((10, 10), bool))], CensusParams())
+    (term,) = census_terms(img, [(img.copy(), np.ones((10, 10), bool))], CensusParams())
     loss, grad = term
     assert loss == 0.0
     assert np.abs(grad).max() == 0.0
@@ -98,7 +96,7 @@ def test_photometric_invariant_to_uniform_shift_of_warped():
     ref = rng.uniform(0.2, 0.8, (12, 12))
     warped = ref + rng.uniform(-0.05, 0.05, (12, 12))
     mask = np.ones((12, 12), bool)
-    (base, _), (shifted, _) = _census_terms(ref, [(warped, mask), (warped + 0.1, mask)], CensusParams())
+    (base, _), (shifted, _) = census_terms(ref, [(warped, mask), (warped + 0.1, mask)], CensusParams())
     assert abs(base - shifted) < 1e-9
 
 
@@ -107,9 +105,9 @@ def test_photometric_invariant_to_shift_of_both_images():
     ref = rng.uniform(0.2, 0.8, (12, 12))
     warped = ref + rng.uniform(-0.05, 0.05, (12, 12))
     mask = np.ones((12, 12), bool)
-    ((base, _),) = _census_terms(ref, [(warped, mask)], CensusParams())
+    ((base, _),) = census_terms(ref, [(warped, mask)], CensusParams())
     for shift in (0.1, -0.1):
-        ((moved, _),) = _census_terms(ref + shift, [(warped + shift, mask)], CensusParams())
+        ((moved, _),) = census_terms(ref + shift, [(warped + shift, mask)], CensusParams())
         assert abs(base - moved) < 1e-9
 
 
@@ -119,7 +117,7 @@ def test_photometric_matches_scalar_oracle():
         ref = rng.uniform(size=(9, 9))
         warped = rng.uniform(size=(9, 9))
         mask = rng.uniform(size=(9, 9)) > 0.3
-        ((loss, _),) = _census_terms(ref, [(warped, mask)], CensusParams())
+        ((loss, _),) = census_terms(ref, [(warped, mask)], CensusParams())
         want = census_loss_ref(ref, warped, mask, radius=1, epsilon=0.02, charbonnier_eps=1e-3)
         assert abs(loss - want) < 1e-10
 
@@ -149,7 +147,7 @@ def test_excluded_pixels_contribute_exactly_zero():
     mask[2:7, 3:8] = True
     trashed = warped.copy()
     trashed[~mask] = rng.uniform(-100.0, 100.0, int((~mask).sum()))
-    (base, _), (after, _) = _census_terms(ref, [(warped, mask), (trashed, mask)], CensusParams())
+    (base, _), (after, _) = census_terms(ref, [(warped, mask), (trashed, mask)], CensusParams())
     assert base == after
 
 
@@ -157,7 +155,7 @@ def test_photometric_empty_mask_degenerate():
     # an empty branch gives None, which the objective reads as a zero loss
     # and adds no gradient for
     img = np.zeros((5, 5))
-    assert _census_terms(img, [(img, np.zeros((5, 5), bool))], CensusParams()) == [None]
+    assert census_terms(img, [(img, np.zeros((5, 5), bool))], CensusParams()) == [None]
 
 
 def test_photometric_gradient_matches_fd():
@@ -165,14 +163,14 @@ def test_photometric_gradient_matches_fd():
     ref = rng.uniform(size=(8, 8))
     warped = rng.uniform(size=(8, 8))
     mask = np.ones((8, 8), bool)
-    ((_, grad),) = _census_terms(ref, [(warped, mask)], CensusParams())
+    ((_, grad),) = census_terms(ref, [(warped, mask)], CensusParams())
     h = 1e-6
     for y, x in [(0, 0), (3, 4), (7, 7), (5, 1), (2, 6)]:
         wp = warped.copy()
         wp[y, x] += h
         wm = warped.copy()
         wm[y, x] -= h
-        (lp, _), (lm, _) = _census_terms(ref, [(wp, mask), (wm, mask)], CensusParams())
+        (lp, _), (lm, _) = census_terms(ref, [(wp, mask), (wm, mask)], CensusParams())
         fd = (lp - lm) / (2 * h)
         assert abs(grad[y, x] - fd) < 2e-6
 
@@ -297,7 +295,7 @@ def test_fb_flow_zero_for_perfect_cycle():
     mask = np.zeros((8, 8), bool)
     mask[:, :6] = True  # interior: landing points stay in bounds
     plan = WarpPlan.along(planar(fwd))
-    loss, gf, gb = _fb_flow_terms(planar(fwd), plan, plan.sample_grad(planar(-fwd)), mask)
+    loss, gf, gb = fb_flow_terms(planar(fwd), plan, plan.sample_grad(planar(-fwd)), mask)
     assert loss == 0.0
     assert np.abs(gf).max() == 0.0
     assert np.abs(gb).max() == 0.0
@@ -307,7 +305,7 @@ def test_fb_flow_unit_residual_value():
     fwd = constant_flow(6, 6, 1.0, 0.0)
     bwd = constant_flow(6, 6, 0.0, 0.0)
     plan = WarpPlan.along(planar(fwd))
-    loss, _, _ = _fb_flow_terms(planar(fwd), plan, plan.sample_grad(planar(bwd)), np.ones((6, 6), bool))
+    loss, _, _ = fb_flow_terms(planar(fwd), plan, plan.sample_grad(planar(bwd)), np.ones((6, 6), bool))
     assert abs(loss - PHI_1) < 1e-15
 
 
@@ -317,14 +315,14 @@ def test_fb_flow_matches_scalar_oracle():
     bwd = rng.uniform(-2.0, 2.0, (7, 7, 2))
     mask = rng.uniform(size=(7, 7)) > 0.3
     plan = WarpPlan.along(planar(fwd))
-    loss, _, _ = _fb_flow_terms(planar(fwd), plan, plan.sample_grad(planar(bwd)), mask)
+    loss, _, _ = fb_flow_terms(planar(fwd), plan, plan.sample_grad(planar(bwd)), mask)
     assert abs(loss - fb_flow_ref(fwd, bwd, mask)) < 1e-10
 
 
 def test_fb_flow_empty_mask_degenerate():
     fwd = np.ones((4, 4, 2))
     plan = WarpPlan.along(planar(fwd))
-    loss, gf, gb = _fb_flow_terms(planar(fwd), plan, plan.sample_grad(planar(np.ones((4, 4, 2)))), np.zeros((4, 4), bool))
+    loss, gf, gb = fb_flow_terms(planar(fwd), plan, plan.sample_grad(planar(np.ones((4, 4, 2)))), np.zeros((4, 4), bool))
     assert loss == 0.0
     assert not gf.any() and not gb.any()
 
@@ -335,7 +333,7 @@ def test_fb_flow_gradients_match_fd():
     bwd = rng.uniform(-1.5, 1.5, (6, 6, 2))
     mask = np.ones((6, 6), bool)
     plan = WarpPlan.along(planar(fwd))
-    gf, gb = map(channel_last, _fb_flow_terms(planar(fwd), plan, plan.sample_grad(planar(bwd)), mask)[1:])
+    gf, gb = map(channel_last, fb_flow_terms(planar(fwd), plan, plan.sample_grad(planar(bwd)), mask)[1:])
     h = 1e-6
     for y, x, c in [(0, 0, 0), (2, 3, 1), (5, 5, 0), (3, 1, 1)]:
         fp = fwd.copy()
@@ -343,16 +341,16 @@ def test_fb_flow_gradients_match_fd():
         fm = fwd.copy()
         fm[y, x, c] -= h
         plan_p, plan_m = WarpPlan.along(planar(fp)), WarpPlan.along(planar(fm))
-        lp = _fb_flow_terms(planar(fp), plan_p, plan_p.sample_grad(planar(bwd)), mask)[0]
-        lm = _fb_flow_terms(planar(fm), plan_m, plan_m.sample_grad(planar(bwd)), mask)[0]
+        lp = fb_flow_terms(planar(fp), plan_p, plan_p.sample_grad(planar(bwd)), mask)[0]
+        lm = fb_flow_terms(planar(fm), plan_m, plan_m.sample_grad(planar(bwd)), mask)[0]
         assert abs(gf[y, x, c] - (lp - lm) / (2 * h)) < 1e-5
         bp = bwd.copy()
         bp[y, x, c] += h
         bm = bwd.copy()
         bm[y, x, c] -= h
         # the sample points depend on fwd alone, so its plan serves both
-        lp = _fb_flow_terms(planar(fwd), plan, plan.sample_grad(planar(bp)), mask)[0]
-        lm = _fb_flow_terms(planar(fwd), plan, plan.sample_grad(planar(bm)), mask)[0]
+        lp = fb_flow_terms(planar(fwd), plan, plan.sample_grad(planar(bp)), mask)[0]
+        lm = fb_flow_terms(planar(fwd), plan, plan.sample_grad(planar(bm)), mask)[0]
         assert abs(gb[y, x, c] - (lp - lm) / (2 * h)) < 1e-5
 
 
@@ -363,14 +361,14 @@ def test_fb_flow_gradients_match_fd():
 
 def test_fb_depth_zero_for_static_plane():
     depth = np.full((8, 8), 3.0)
-    loss, *_ = _fb_depth_terms(depth, depth, WarpPlan.along(planar(np.zeros((8, 8, 2)))), np.ones((8, 8), bool))
+    loss, *_ = fb_depth_terms(depth, depth, WarpPlan.along(planar(np.zeros((8, 8, 2)))), np.ones((8, 8), bool))
     assert loss == 0.0
 
 
 def test_fb_depth_unit_gap_value():
     d_t = np.full((5, 5), 2.0)
     d_t1 = np.full((5, 5), 3.0)
-    loss, *_ = _fb_depth_terms(d_t, d_t1, WarpPlan.along(planar(np.zeros((5, 5, 2)))), np.ones((5, 5), bool))
+    loss, *_ = fb_depth_terms(d_t, d_t1, WarpPlan.along(planar(np.zeros((5, 5, 2)))), np.ones((5, 5), bool))
     assert abs(loss - PHI_1) < 1e-15
 
 
@@ -378,7 +376,7 @@ def test_fb_depth_consistent_on_rendered_scene(plane_gt):
     from rigidflow.camera import rigid_flow
 
     rigid, _ = rigid_flow(plane_gt.depth_t, plane_gt.intrinsics, plane_gt.pose)
-    loss, *_ = _fb_depth_terms(plane_gt.depth_t, plane_gt.depth_t1, WarpPlan.along(planar(rigid)), ~plane_gt.occlusion)
+    loss, *_ = fb_depth_terms(plane_gt.depth_t, plane_gt.depth_t1, WarpPlan.along(planar(rigid)), ~plane_gt.occlusion)
     assert loss < 1e-6
 
 
@@ -388,7 +386,7 @@ def test_fb_depth_matches_scalar_oracle():
     d_t1 = rng.uniform(2.0, 4.0, (7, 7))
     rigid = rng.uniform(-1.5, 1.5, (7, 7, 2))
     mask = rng.uniform(size=(7, 7)) > 0.3
-    loss, *_ = _fb_depth_terms(d_t, d_t1, WarpPlan.along(planar(rigid)), mask)
+    loss, *_ = fb_depth_terms(d_t, d_t1, WarpPlan.along(planar(rigid)), mask)
     assert abs(loss - fb_depth_ref(d_t, d_t1, rigid, mask)) < 1e-10
 
 
@@ -399,7 +397,7 @@ def test_fb_depth_gradients_match_fd():
     rigid = rng.uniform(-1.2, 1.2, (6, 6, 2))
     mask = np.ones((6, 6), bool)
     plan = WarpPlan.along(planar(rigid))
-    _, g_dt, g_dt1, g_rig = _fb_depth_terms(d_t, d_t1, plan, mask)
+    _, g_dt, g_dt1, g_rig = fb_depth_terms(d_t, d_t1, plan, mask)
     g_rig = channel_last(g_rig)
     h = 1e-6
     for y, x in [(0, 0), (3, 2), (5, 5)]:
@@ -407,21 +405,21 @@ def test_fb_depth_gradients_match_fd():
         dp[y, x] += h
         dm = d_t.copy()
         dm[y, x] -= h
-        fd = (_fb_depth_terms(dp, d_t1, plan, mask)[0] - _fb_depth_terms(dm, d_t1, plan, mask)[0]) / (2 * h)
+        fd = (fb_depth_terms(dp, d_t1, plan, mask)[0] - fb_depth_terms(dm, d_t1, plan, mask)[0]) / (2 * h)
         assert abs(g_dt[y, x] - fd) < 1e-5
         dp = d_t1.copy()
         dp[y, x] += h
         dm = d_t1.copy()
         dm[y, x] -= h
-        fd = (_fb_depth_terms(d_t, dp, plan, mask)[0] - _fb_depth_terms(d_t, dm, plan, mask)[0]) / (2 * h)
+        fd = (fb_depth_terms(d_t, dp, plan, mask)[0] - fb_depth_terms(d_t, dm, plan, mask)[0]) / (2 * h)
         assert abs(g_dt1[y, x] - fd) < 1e-5
         for c in (0, 1):
             rp = rigid.copy()
             rp[y, x, c] += h
             rm = rigid.copy()
             rm[y, x, c] -= h
-            lp = _fb_depth_terms(d_t, d_t1, WarpPlan.along(planar(rp)), mask)[0]
-            lm = _fb_depth_terms(d_t, d_t1, WarpPlan.along(planar(rm)), mask)[0]
+            lp = fb_depth_terms(d_t, d_t1, WarpPlan.along(planar(rp)), mask)[0]
+            lm = fb_depth_terms(d_t, d_t1, WarpPlan.along(planar(rm)), mask)[0]
             assert abs(g_rig[y, x, c] - (lp - lm) / (2 * h)) < 1e-5
 
 
@@ -662,7 +660,9 @@ def level_objective(imgs, depths, poses, flows, k, *settings, **case):
     from rigidflow.losses import scale_objective
     from rigidflow.optimize import PairContext
 
-    (level,) = PairContext(*imgs, k, OptimizerConfig(scales=1), depths[0].shape).levels
+    # the context's census descriptors are built for the case's census settings
+    cfg = OptimizerConfig(scales=1, census=settings[1])
+    (level,) = PairContext(*imgs, k, cfg, depths[0].shape).levels
     res = scale_objective(level, depths, poses, np.stack([planar(f) for f in flows], axis=1), *settings, **case)
     return replace(res, grad_flow=tuple(np.ascontiguousarray(channel_last(res.grad_flow[:, d])) for d in (0, 1)))
 
@@ -745,13 +745,13 @@ def test_public_terms_match_term_by_term_sampling(odd_level):
     assert same_bits(fb_check(flow_fwd, flow_bwd, FBCheckParams()), mask)
     gray_t, gray_t1 = img_t[..., 0], img_t1[..., 0]
     plan = WarpPlan.along(planar(flow_fwd))
-    fb_flow = _fb_flow_terms(planar(flow_fwd), plan, plan.sample_grad(planar(flow_bwd)), mask)
-    fb_depth = _fb_depth_terms(depth_t, depth_t1, plan, mask)
+    fb_flow = fb_flow_terms(planar(flow_fwd), plan, plan.sample_grad(planar(flow_bwd)), mask)
+    fb_depth = fb_depth_terms(depth_t, depth_t1, plan, mask)
     for got, want in (
         ((fb_flow[0], *map(channel_last, fb_flow[1:])), fb_flow_cell(flow_fwd, flow_bwd, mask)),
         ((*fb_depth[:3], channel_last(fb_depth[3])), fb_depth_cell(depth_t, depth_t1, flow_fwd, mask)),
         (
-            _census_terms(gray_t, [(gray_t1, mask)], CensusParams(radius=2))[0],
+            census_terms(gray_t, [(gray_t1, mask)], CensusParams(radius=2))[0],
             photometric_cell(gray_t, gray_t1, mask, 2, 0.02, 1e-3),
         ),
     ):
@@ -781,14 +781,13 @@ def _census_inputs(h, w, seed):
     [(1, 23, 1), (1, 23, 2), (23, 1, 1), (23, 1, 2), (2, 5, 2), (5, 2, 2), (1, 1, 1), (13, 11, 3), (4, 9, 3)],
 )
 def test_census_matches_the_full_offset_oracle_on_edge_geometries(h, w, radius):
-    from rigidflow.losses import _census_terms
     from oracles import photometric_cell
 
     ref, warped, holes = _census_inputs(h, w, 100 * h + 10 * w + radius)
     for mask in (np.ones((h, w), dtype=bool), holes):
         if not mask.any():
             continue
-        (got,) = _census_terms(ref, [(warped, mask)], CensusParams(radius=radius))
+        (got,) = census_terms(ref, [(warped, mask)], CensusParams(radius=radius))
         loss, grad, degenerate = photometric_cell(ref, warped, mask, radius, 0.02, 1e-3)
         assert not degenerate
         assert same_bits(got[0], loss)
@@ -796,7 +795,6 @@ def test_census_matches_the_full_offset_oracle_on_edge_geometries(h, w, radius):
 
 
 def test_census_with_an_empty_and_a_live_branch_matches_the_oracle():
-    from rigidflow.losses import _census_terms
     from oracles import photometric_cell
 
     ref, warped, holes = _census_inputs(17, 12, 7)
@@ -804,7 +802,7 @@ def test_census_with_an_empty_and_a_live_branch_matches_the_oracle():
     other = warped[::-1].copy()
     params = CensusParams(radius=2)
     for branches, live in (([(other, empty), (warped, holes)], 1), ([(warped, holes), (other, empty)], 0)):
-        out = _census_terms(ref, branches, params)
+        out = census_terms(ref, branches, params)
         assert out[1 - live] is None
         loss, grad, _ = photometric_cell(ref, warped, holes, 2, 0.02, 1e-3)
         assert same_bits(out[live][0], loss)
@@ -816,7 +814,6 @@ def test_census_on_a_side_shorter_than_the_radius_equals_a_masked_canvas(h, w):
     """Offsets longer than a side have no overlap. The result must be that of
     the same image on a larger canvas whose extra pixels are masked out, since
     a neighbour outside the mask carries no weight."""
-    from rigidflow.losses import _census_terms
     from oracles import photometric_cell
 
     r = 4
@@ -830,7 +827,7 @@ def test_census_on_a_side_shorter_than_the_radius_equals_a_masked_canvas(h, w):
             continue
         canvas_mask = np.zeros((h + r, w + r), dtype=bool)
         canvas_mask[:h, :w] = mask
-        (got,) = _census_terms(ref, [(warped, mask)], CensusParams(radius=r))
+        (got,) = census_terms(ref, [(warped, mask)], CensusParams(radius=r))
         loss, grad, _ = photometric_cell(canvas_ref, canvas_warped, canvas_mask, r, 0.02, 1e-3)
         assert same_bits(got[0], loss)
         assert same_bits(got[1], grad[:h, :w])

@@ -76,6 +76,27 @@ def test_evaluate_rechecks_a_state_changed_in_place(plane_gt):
         evaluate(state, *args)
 
 
+def test_a_depth_too_small_to_normalize_is_named(plane_gt):
+    # the depth smoothness divides each level by its mean, which must reach
+    # 1e-12: rejected at the state, naming the field and the mean, before
+    # any kernel warns
+    import warnings
+
+    args = (plane_gt.image_t, plane_gt.image_t1, plane_gt.intrinsics)
+    state = state_from_gt(plane_gt)
+    tiny = state.depth_t * 1e-300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            SceneState(tiny, state.depth_t1, state.pose_params, state.flow_fwd, state.flow_bwd)
+        assert str(err.value) == f"depth_t has mean {np.mean(tiny):.6g}, below the 1e-12 the depth smoothness needs"
+        state.depth_t1 *= 1e-13
+        with pytest.raises(ValueError, match=r"^depth_t1 has mean \S+, below the 1e-12 the depth smoothness needs$"):
+            evaluate(state, *args)
+    # a mean at the floor is accepted
+    SceneState(np.full((4, 4), 1e-12), np.ones((4, 4)), np.zeros(6), np.zeros((4, 4, 2)), np.zeros((4, 4, 2)))
+
+
 def test_evaluate_rejects_images_of_another_size(plane_gt):
     small = render(preset("plane", width=32, height=32))
     state = state_from_gt(small)
@@ -347,6 +368,37 @@ def test_refine_builds_edge_weights_once_per_frame_and_level(plane_gt, monkeypat
         assert len(sizes) == 6
 
 
+def test_census_descriptors_are_built_once_per_context_and_level(plane_gt, monkeypatch):
+    # one build per level, of both frames' stacked gray images, for a whole
+    # refine; evaluate builds them with its context and reuses them with it
+    sizes = []
+
+    def counted(gray, params, real=optimize._census_reference):
+        sizes.append(np.shape(gray))
+        return real(gray, params)
+
+    monkeypatch.setattr(optimize, "_census_reference", counted)
+    monkeypatch.setattr(losses, "_census_reference", counted)
+    state = make_initial_state(plane_gt, np.random.default_rng(4), depth_noise=0.1, flow_noise=0.3)
+    cfg = small_cfg(iterations=5, scales=3, cross_scales=3)
+    refine(plane_gt.image_t, plane_gt.image_t1, plane_gt.intrinsics, state, cfg)
+    assert sizes == [(2, 64, 64), (2, 32, 32), (2, 16, 16)]
+    monkeypatch.setattr(optimize, "_spare", [])
+    sizes.clear()
+    for _ in range(3):
+        evaluate(state, plane_gt.image_t, plane_gt.image_t1, plane_gt.intrinsics, cfg)
+        assert len(sizes) == 3
+
+
+def test_a_level_is_never_evaluated_with_other_census_settings(plane_gt):
+    ctx = optimize.PairContext(plane_gt.image_t, plane_gt.image_t1, plane_gt.intrinsics, small_cfg(), (64, 64))
+    assert all(level.census == CensusParams() for level in ctx.levels)
+    state = state_from_gt(plane_gt)
+    for census in (CensusParams(radius=2), CensusParams(epsilon=0.05), CensusParams(charbonnier_eps=1e-2)):
+        with pytest.raises(ValueError, match="^the level's census descriptors are for CensusParams"):
+            optimize._objective(state, ctx, small_cfg(census=census), None, ALL_TERMS, False)
+
+
 def context_bytes(ctx):
     return [a.tobytes() for level in ctx.levels for pair in (level.gray, *level.edges) for a in pair]
 
@@ -411,6 +463,23 @@ def test_context_names_a_bad_image(plane_gt):
     state = state_from_gt(plane_gt)
     with pytest.raises(ValueError, match="^img_t1 must be finite$"):
         refine(plane_gt.image_t, bad, k, state, small_cfg())
+
+
+def test_context_rejects_a_complex_frame(plane_gt):
+    # named before the cast to float, which would drop the imaginary part
+    # with a ComplexWarning
+    import warnings
+
+    k = plane_gt.intrinsics
+    state = state_from_gt(plane_gt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^img_t must be real, got complex128$"):
+            optimize.PairContext(plane_gt.image_t + 0j, plane_gt.image_t1, k, small_cfg(), (64, 64))
+        with pytest.raises(ValueError, match="^img_t1 must be real, got complex64$"):
+            evaluate(state, plane_gt.image_t, plane_gt.image_t1.astype(np.complex64), k, small_cfg())
+        with pytest.raises(ValueError, match="^img_t must be real, got complex128$"):
+            refine(plane_gt.image_t * 1j, plane_gt.image_t1, k, state, small_cfg())
 
 
 def fresh_bytes(state, img_t, img_t1, k, cfg, want_grads=True):
@@ -484,6 +553,37 @@ def test_evaluate_reuses_its_context_only_on_the_same_frames(monkeypatch):
             assert got == fresh_bytes(state, *args, small_cfg(scales=scales)), name
 
 
+def test_evaluate_builds_a_context_for_other_census_settings(monkeypatch):
+    # the context holds census descriptors, so the slot's frames with another
+    # census radius or epsilon build a context, whose results are the bytes
+    # of a fresh one
+    builds = []
+
+    class Counted(optimize.PairContext):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    gt = render(preset("mover", width=45, height=37))
+    args = (gt.image_t, gt.image_t1, gt.intrinsics)
+    monkeypatch.setattr(optimize, "PairContext", Counted)
+    monkeypatch.setattr(optimize, "_spare", [])
+    rng = np.random.default_rng(22)
+    for name, census in (
+        ("first", CensusParams()),
+        ("census_radius", CensusParams(radius=2)),
+        ("census_epsilon", CensusParams(radius=2, epsilon=0.05)),
+        ("back to the defaults", CensusParams()),
+    ):
+        cfg = small_cfg(scales=3, census=census)
+        for built in (1, 0):
+            state = make_initial_state(gt, rng, pose_noise=0.01, flow_noise=0.4)
+            before = len(builds)
+            got = result_bytes(*evaluate(state, *args, cfg))
+            assert len(builds) - before == built, name
+            assert got == fresh_bytes(state, *args, cfg), name
+
+
 def test_evaluate_checks_the_frames_whatever_its_slot_holds(plane_gt):
     k = plane_gt.intrinsics
     state = state_from_gt(plane_gt)
@@ -511,8 +611,9 @@ def test_evaluate_checks_the_frames_whatever_its_slot_holds(plane_gt):
 
 def test_evaluate_keeps_a_workspace_for_repeat_calls_only(monkeypatch):
     # a call on new frames sizes about a hundred planes of workspace, returns
-    # its results in them and leaves the slot about ten planes (gray images,
-    # edge weights, the frames' bytes); the next call on those frames sizes a
+    # its results in them and leaves the slot about twenty planes (gray
+    # images, edge weights and the frames' bytes, about ten, and the census
+    # reference descriptors, 10.4); the next call on those frames sizes a
     # workspace and keeps it, and the calls after it allocate only the copies
     # of their gradient (six level-0 planes) and masks and the bytes of the
     # frames they compare (tracemalloc counts bytes, so the bounds hold on
@@ -542,7 +643,7 @@ def test_evaluate_keeps_a_workspace_for_repeat_calls_only(monkeypatch):
         tracemalloc.stop()
     figures = [(round(p, 2), round(k, 2)) for p, k in zip(peaks, kept)]
     assert max(peaks[2:4]) <= 10 and min(peaks[:2]) >= 50, figures
-    assert max(kept[0], kept[4]) <= 12 and min(kept[1:4]) >= 50, figures
+    assert max(kept[0], kept[4]) <= 23 and min(kept[1:4]) >= 50, figures
 
 
 def test_threads_on_one_pair_give_the_sequential_results():

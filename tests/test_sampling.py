@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidflow.sampling import WarpPlan, inverse_warp, pyramid, pyramid_adjoint
+from rigidflow.sampling import WarpPlan, Workspace, inverse_warp, pyramid, pyramid_adjoint
 
 from conftest import channel_last, planar
 from oracles import bilinear_ref, cell_sample, cell_sample_grad, cell_scatter, pool_adjoint_ref, pool_ref
@@ -464,3 +464,13 @@ def test_weighted_pyramid_adjoint_dot_product_identity(shape, scale):
     folded = pyramid_adjoint(grads, weights, scale)
     assert folded.shape == shape
     assert abs(lhs - np.sum(folded * a)) < 1e-12
+
+
+def test_workspace_arrays_start_on_a_cache_line():
+    # named buffers and stack arrays, of any dtype and size, and after the
+    # stack grows
+    ws = Workspace()
+    views = [ws.get(("role", i), (3, 5 + i)) for i in range(4)]
+    views += [ws.take((7, i + 1)) for i in range(6)] + [ws.take((1001,), bool), ws.take((5,), np.intp)]
+    views += [ws.take((300, 300))]
+    assert [v.ctypes.data % 64 for v in views] == [0] * len(views)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidflow.camera import rigid_flow
-from rigidflow.losses import CensusParams, _census_terms
+from rigidflow.losses import CensusParams
 from rigidflow.masks import fb_check
 from rigidflow.sampling import inverse_warp
 from rigidflow.scenes import (
@@ -22,6 +22,8 @@ from rigidflow.scenes import (
     render,
     value_noise,
 )
+
+from conftest import census_terms
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +94,7 @@ def test_plane_images_match_under_exact_shift(plane_gt):
 def test_plane_gt_photometric_near_zero(plane_gt):
     warped, _ = inverse_warp(plane_gt.image_t1, plane_gt.flow_fwd)
     # the census core on the one channel of the rendered images
-    ((loss, _),) = _census_terms(plane_gt.image_t[..., 0], [(warped[..., 0], ~plane_gt.occlusion)], CensusParams())
+    ((loss, _),) = census_terms(plane_gt.image_t[..., 0], [(warped[..., 0], ~plane_gt.occlusion)], CensusParams())
     assert loss < 1e-6
 
 
@@ -140,7 +142,7 @@ def test_depth_edge_occlusion_count(depth_edge_gt):
 def test_depth_edge_gt_photometric_near_zero(depth_edge_gt):
     warped, _ = inverse_warp(depth_edge_gt.image_t1, depth_edge_gt.flow_fwd)
     # the census core on the one channel of the rendered images
-    ((loss, _),) = _census_terms(depth_edge_gt.image_t[..., 0], [(warped[..., 0], ~depth_edge_gt.occlusion)], CensusParams())
+    ((loss, _),) = census_terms(depth_edge_gt.image_t[..., 0], [(warped[..., 0], ~depth_edge_gt.occlusion)], CensusParams())
     assert loss < 1e-6
 
 
@@ -181,7 +183,7 @@ def test_mover_background_occluded_where_patch_lands(mover_gt):
 def test_mover_gt_photometric_near_zero(mover_gt):
     warped, _ = inverse_warp(mover_gt.image_t1, mover_gt.flow_fwd)
     # the census core on the one channel of the rendered images
-    ((loss, _),) = _census_terms(mover_gt.image_t[..., 0], [(warped[..., 0], ~mover_gt.occlusion)], CensusParams())
+    ((loss, _),) = census_terms(mover_gt.image_t[..., 0], [(warped[..., 0], ~mover_gt.occlusion)], CensusParams())
     assert loss < 1e-6
 
 
