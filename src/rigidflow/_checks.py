@@ -1,5 +1,8 @@
 """Range checks of dataclass fields, with errors that name the field."""
 
+# the largest image side a scene or a .flo / .pfm file may have
+MAX_SIDE = 100_000
+
 
 class FieldError(ValueError):
     """A field out of range; the message starts with its name, for a caller to prefix."""

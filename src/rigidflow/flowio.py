@@ -13,6 +13,8 @@ import struct
 
 import numpy as np
 
+from ._checks import MAX_SIDE
+
 __all__ = [
     "FLO_MAGIC",
     "write_flo",
@@ -25,7 +27,6 @@ __all__ = [
 ]
 
 FLO_MAGIC = 202021.25  # exactly representable in float32
-_MAX_DIM = 100000
 
 
 def write_flo(path, flow: np.ndarray) -> None:
@@ -48,7 +49,7 @@ def read_flo(path) -> np.ndarray:
         magic, w, h = struct.unpack("<fii", header)
         if magic != FLO_MAGIC:
             raise ValueError(f"{path}: not a flow file (bad magic {magic!r})")
-        if not (0 < w <= _MAX_DIM and 0 < h <= _MAX_DIM):
+        if not (0 < w <= MAX_SIDE and 0 < h <= MAX_SIDE):
             raise ValueError(f"{path}: implausible flow dimensions {w}x{h}")
         payload = fh.read()
     expected = w * h * 2 * 4
@@ -103,7 +104,7 @@ def read_pfm(path) -> np.ndarray:
             scale = float(_pfm_token(fh))
         except ValueError as exc:
             raise ValueError(f"{path}: malformed PFM header") from exc
-        if not (0 < w <= _MAX_DIM and 0 < h <= _MAX_DIM) or scale == 0.0:
+        if not (0 < w <= MAX_SIDE and 0 < h <= MAX_SIDE) or scale == 0.0:
             raise ValueError(f"{path}: malformed PFM header")
         payload = fh.read()
     expected = w * h * channels * 4

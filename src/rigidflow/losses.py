@@ -557,16 +557,27 @@ def _add_own_then_other(acc_own, acc_other, weight, own, other):
 
 
 # the two sides run as one stacked block on levels of fewer pixels than
-# this, and one at a time on larger ones. Per level with gradients, one
-# stacked call measured 1.28x as fast as two per-side calls at 32x32, 1.07x
-# at 65x49 and no faster at 64x64; forward-only, 0.88x at 128x128. On large
-# levels the bigger arrays and each kernel's doubled transient heap (page
-# faults, peak memory) cost more than the numpy calls that stacking saves.
-# Those figures predate the workspace. With it, stacking every level raised
-# the max RSS of a mover 256x256 refine loop from 104 to 129 MB, and
-# stacking the 64x64 level too ran a plane 64x64 iteration about 5% faster
-# for 1.5 MB more, with the same trace
-STACKED_PIXELS = 64 * 64
+# this, and one at a time on larger ones; both give the same bytes. From
+# scripts/block_crossover.py (plane, scales=1, 60 pairs of 3 calls, 2-core
+# Xeon), one-side time over stacked time as median [quartiles], with
+# gradients / forward only:
+#   64x64    1.152 [1.108, 1.188] / 1.132 [1.098, 1.180]
+#   80x80    1.103 [1.070, 1.150] / 1.068 [1.041, 1.131]
+#   96x96    1.057 [1.020, 1.094] / 1.020 [0.975, 1.078]
+#   100x100  1.029 [0.985, 1.100] / 1.000 [0.937, 1.059]
+#   112x112  1.038 [0.982, 1.148] / 1.007 [0.970, 1.047]
+#   129x97   1.034 [1.010, 1.088] / 1.010 [0.939, 1.082]
+#   128x128  1.005 [0.957, 1.066] / 0.989 [0.927, 1.055]
+#   160x160  0.977 [0.929, 1.032] / 0.967 [0.930, 1.004]
+#   192x192  0.952 [0.914, 0.979] / 0.964 [0.928, 0.980]
+#   256x256  0.920 [0.887, 0.943] / 0.924 [0.891, 0.961]
+# and mover read the same within noise. Stacking halves the calls per
+# level, which pays on small levels; on large ones the doubled arrays cost
+# more, and stacking every level also raised the max RSS of a mover
+# 256x256 refine loop from 104 to 129 MB. From 96x96 to 129x97 the
+# quartiles straddle 1, so the split sits where no smaller size reads
+# stacked slower in either mode
+STACKED_PIXELS = 100 * 100
 
 
 def _side_blocks(h: int, w: int):

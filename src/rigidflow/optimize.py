@@ -19,6 +19,7 @@ in a one-entry slot and runs the next call on it when that call's frames
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -92,8 +93,9 @@ class SceneState:
     def check(self) -> None:
         """Raise ValueError naming the malformed field and, for a wrong size,
         the shape found, for a depth mean too small to normalize by, the
-        mean. `evaluate` calls this again, since the arrays can be changed in
-        place after construction."""
+        mean, and for a depth too large to square, its largest value.
+        `evaluate` calls this again, since the arrays can be changed in place
+        after construction."""
         if self.depth_t.ndim != 2:
             raise ValueError(f"depth_t must be (H, W), got shape {self.depth_t.shape}")
         h, w = self.depth_t.shape
@@ -114,6 +116,15 @@ class SceneState:
             mean = np.add.reduce(depth, None) / depth.size
             if mean < MEAN_FLOOR:
                 raise ValueError(f"{name} has mean {mean:.6g}, below the {MEAN_FLOOR:g} the depth smoothness needs")
+            # and its gradient divides by size * mean**2, which a mean above
+            # sqrt(max float / size) overflows; the largest value bounds the mean
+            top = depth.max()
+            ceiling = math.sqrt(np.finfo(float).max / depth.size)
+            if top > ceiling:
+                raise ValueError(
+                    f"{name} has a largest value of {top:.6g}, "
+                    f"above the {ceiling:.6g} the depth smoothness can square at {h}x{w}"
+                )
 
     def copy(self) -> "SceneState":
         return SceneState(

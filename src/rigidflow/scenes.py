@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import FieldError, check_fields
+from ._checks import MAX_SIDE, FieldError, check_fields
 from .camera import Intrinsics, PoseSE3, invert, pose_from_params, rigid_flow
 
 __all__ = [
@@ -105,6 +105,7 @@ class SceneSpec:
 
     def __post_init__(self):
         check_fields(self, ("width", "height"), lambda v: v >= 2, "at least 2 (a scene is at least 2x2)")
+        check_fields(self, ("width", "height"), lambda v: v <= MAX_SIDE, f"at most {MAX_SIDE}")
         check_fields(self, ("fx", "fy"), lambda v: v > 0.0, "positive")
         if len(self.planes) == 0:
             raise ValueError("scene needs at least one plane")

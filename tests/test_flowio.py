@@ -57,6 +57,13 @@ def test_read_flo_rejects_garbage(tmp_path):
     path.write_bytes(struct.pack("<fii", FLO_MAGIC, -3, 1))
     with pytest.raises(ValueError, match="implausible"):
         read_flo(path)
+    # each side is capped at 100000, as a scene's is
+    path.write_bytes(struct.pack("<fii", FLO_MAGIC, 100_001, 1) + b"\0" * 8)
+    with pytest.raises(ValueError, match="implausible"):
+        read_flo(path)
+    path.write_bytes(struct.pack("<fii", FLO_MAGIC, 100_000, 1) + b"\0" * 8)
+    with pytest.raises(ValueError, match="corrupt"):
+        read_flo(path)
     path.write_bytes(struct.pack("<fii", FLO_MAGIC, 2, 2) + b"\0" * 8)
     with pytest.raises(ValueError, match="corrupt"):
         read_flo(path)

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rigidflow import losses
 from rigidflow.optimize import evaluate
 
 from gradcheck import SUITE_CENSUS, TERMS, WRTS, check_block, random_scene, suite_cfg
@@ -24,22 +25,23 @@ SEEDS = (11, 12, 13)
     ids=lambda p: str(p[0]) if p[1] == "small" else f"{p[1]}-{p[0]}",
 )
 def case(request):
-    """(scene, config, finite-difference step) of one gradient check.
+    """(scene, config, finite-difference step, whether to run one side at a
+    time) of one gradient check.
 
     The odd case runs 45x37 through three edge-replicating levels with a
     radius-2 census; at that size a pose step of 1e-4 carries samples
     across bilinear lattice kinks, so its stencil is 1e-5. The large case
-    runs a 64x66 level, above `losses.STACKED_PIXELS`, so its terms take
+    runs a 64x66 level with `losses.STACKED_PIXELS` at 0, so its terms take
     the one-side path that every level of the other cases skips; its pose
     and census residuals need the same smaller stencil.
     """
     seed, kind = request.param
     if kind == "odd":
         cfg = replace(suite_cfg(), scales=3, census=replace(SUITE_CENSUS, radius=2))
-        return random_scene(seed, h=37, w=45), cfg, 1e-5
+        return random_scene(seed, h=37, w=45), cfg, 1e-5, False
     if kind == "large":
-        return random_scene(seed, h=64, w=66), suite_cfg(), 1e-5
-    return random_scene(seed), suite_cfg(), 1e-4
+        return random_scene(seed, h=64, w=66), suite_cfg(), 1e-5, True
+    return random_scene(seed), suite_cfg(), 1e-4, False
 
 
 # blocks whose loss term never reads the perturbed variable; their gradients
@@ -49,8 +51,10 @@ STRUCTURAL_ZEROS = {("smooth", "pose"), ("fb_flow", "depth"), ("fb_flow", "pose"
 
 @pytest.mark.parametrize("wrt", WRTS)
 @pytest.mark.parametrize("term", TERMS)
-def test_block_matches_central_differences(case, term, wrt):
-    scene, cfg, step = case
+def test_block_matches_central_differences(case, term, wrt, monkeypatch):
+    scene, cfg, step, one_side = case
+    if one_side:
+        monkeypatch.setattr(losses, "STACKED_PIXELS", 0)
     rng = np.random.default_rng(len(WRTS) * TERMS.index(term) + WRTS.index(wrt))
     worst, largest = check_block(scene, cfg, term, wrt, n_coords=12, rng=rng, h=step)
     assert worst < 1e-3, (term, wrt, worst)

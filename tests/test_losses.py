@@ -688,6 +688,23 @@ LEVEL_CASES = [
 ]
 
 
+def test_side_blocks_split_at_stacked_pixels():
+    # both sides in one block below losses.STACKED_PIXELS, one side per
+    # block from it on; the benchmark's 64x64 levels stack, slanted 129x97
+    # runs a side at a time
+    from rigidflow.losses import STACKED_PIXELS, _side_blocks
+
+    stacked = [(slice(0, 2), slice(0, 2))]
+    one_side = [(slice(0, 1), slice(1, 2)), (slice(1, 2), slice(0, 1))]
+    assert _side_blocks(1, STACKED_PIXELS - 1) == stacked
+    assert _side_blocks(STACKED_PIXELS, 1) == one_side
+    assert STACKED_PIXELS == 100 * 100
+    for h, w in ((64, 64), (96, 96), (99, 101)):
+        assert _side_blocks(h, w) == stacked, (h, w)
+    for h, w in ((100, 100), (97, 129), (128, 128), (256, 256)):
+        assert _side_blocks(h, w) == one_side, (h, w)
+
+
 @pytest.fixture(params=[0, 10**9], ids=["one-side", "stacked"])
 def block_path(request, monkeypatch):
     """Every level run a side at a time (0), or both sides stacked (10**9)."""

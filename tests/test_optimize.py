@@ -97,6 +97,37 @@ def test_a_depth_too_small_to_normalize_is_named(plane_gt):
     SceneState(np.full((4, 4), 1e-12), np.ones((4, 4)), np.zeros(6), np.zeros((4, 4, 2)), np.zeros((4, 4, 2)))
 
 
+def test_a_depth_too_large_to_square_is_named(plane_gt):
+    # the depth smoothness's gradient divides by size * mean**2: a depth
+    # above sqrt(max float / size) is rejected at the state, naming the
+    # field and its largest value, before any kernel overflows; up to that
+    # ceiling evaluate runs without a warning
+    import warnings
+
+    args = (plane_gt.image_t, plane_gt.image_t1, plane_gt.intrinsics)
+    state = state_from_gt(plane_gt)
+    ceiling = np.sqrt(np.finfo(float).max / (64 * 64))
+    huge = state.depth_t * 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError) as err:
+            SceneState(huge, state.depth_t1 * 1e300, state.pose_params, state.flow_fwd, state.flow_bwd)
+        assert str(err.value) == (
+            f"depth_t has a largest value of {huge.max():.6g}, "
+            f"above the {ceiling:.6g} the depth smoothness can square at 64x64"
+        )
+        scale = ceiling / max(state.depth_t.max(), state.depth_t1.max())
+        top = SceneState(
+            state.depth_t * scale, state.depth_t1 * scale, state.pose_params, state.flow_fwd, state.flow_bwd
+        )
+        report, grad, _ = evaluate(top, *args)
+        assert np.isfinite(report.total)
+        assert all(np.all(np.isfinite(getattr(grad, f.name))) for f in fields(grad))
+        top.depth_t1[7, 9] = 2 * ceiling
+        with pytest.raises(ValueError, match=r"^depth_t1 has a largest value of \S+, above the \S+ .* at 64x64$"):
+            evaluate(top, *args)
+
+
 def test_evaluate_rejects_images_of_another_size(plane_gt):
     small = render(preset("plane", width=32, height=32))
     state = state_from_gt(small)
@@ -816,9 +847,11 @@ def state_bytes(state):
 
 def test_both_block_paths_give_the_same_bytes(monkeypatch):
     # levels under losses.STACKED_PIXELS run both sides stacked and larger
-    # ones a side at a time, so at 96x80 the default mixes the two paths;
-    # 0 runs every level one side at a time, 10**9 every level stacked
-    gt = render(preset("mover", width=96, height=80))
+    # ones a side at a time, so at 128x96 (then 64x48 and 32x24) the default
+    # mixes the two paths; 0 runs every level one side at a time, 10**9
+    # every level stacked
+    assert 64 * 48 < losses.STACKED_PIXELS <= 128 * 96
+    gt = render(preset("mover", width=128, height=96))
     init = make_initial_state(gt, np.random.default_rng(6), pose_noise=0.01, flow_noise=0.5)
     args = (gt.image_t, gt.image_t1, gt.intrinsics)
     runs = []
@@ -854,8 +887,9 @@ def moment_arrays(moments):
     return [*moments.m.values(), *moments.v.values()]
 
 
-# odd or non-square sizes, so that pooling replicates edges and a level can
-# fall on either side of losses.STACKED_PIXELS at every scale count
+# odd or non-square sizes, so that pooling replicates edges; each draw runs
+# under both block paths forced (STACKED_PIXELS 0 and 10**9), so the sizes
+# need not straddle the default split
 BLOCK_SIZES = st.tuples(st.integers(5, 80), st.integers(5, 80)).filter(lambda s: s[0] % 2 or s[0] != s[1])
 
 
@@ -893,13 +927,13 @@ def test_refine_iterations_allocate_only_the_next_state():
     # the objective's arrays live in the pair's workspace, so an iteration
     # after the first allocates little beyond the six level-0 planes of the
     # next state (two depths, two two-channel flows). tracemalloc counts
-    # bytes, not time, so the bound holds on any machine. mover 96x80 takes
+    # bytes, not time, so the bound holds on any machine. mover 128x96 takes
     # the one-side path at level 0 and the stacked one below it
     import tracemalloc
 
-    gt = render(preset("mover", width=96, height=80))
+    gt = render(preset("mover", width=128, height=96))
     init = make_initial_state(gt, np.random.default_rng(6), pose_noise=0.01, flow_noise=0.5)
-    plane = 96 * 80 * 8
+    plane = 128 * 96 * 8
     peaks = []
 
     def tick(it, state, report):

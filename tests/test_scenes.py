@@ -392,6 +392,7 @@ def write_scene(path, key, value):
         ("width", "abc", "width must be an integer, got 'abc'"),
         ("fx", "inf", "fx must be a finite number, got 'inf'"),
         ("width", "1", "width must be at least 2 (a scene is at least 2x2), got 1"),
+        ("width", "100001", "width must be at most 100000, got 100001"),
         ("texture_octaves", "0", "texture_octaves must be >= 1, got 0"),
         ("static_patch", "10, 8, 12, 12, -3.0, 12", "static_patch depth must be positive, got -3.0"),
         ("fx", "0", "fx must be positive, got 0.0"),
