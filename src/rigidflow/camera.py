@@ -88,7 +88,7 @@ class PoseSE3:
         t = np.array(self.translation, dtype=float)
         if r.shape != (3, 3) or t.shape != (3,):
             raise ValueError("pose needs a 3x3 rotation and a 3-vector translation")
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
+        if not (np.isfinite(r).all() and np.isfinite(t).all()):
             raise ValueError("pose must be finite")
         err = np.abs(r.T @ r - np.eye(3)).max()
         if err > _ORTHO_TOL or abs(np.linalg.det(r) - 1.0) > _ORTHO_TOL:
@@ -181,10 +181,11 @@ def rotation_jacobians(w) -> np.ndarray:
         return jac
     r = rodrigues(w)
     k = _skew(w)
-    i_minus_r = np.eye(3) - r
+    m = np.eye(3) - r
+    # column i is np.cross(w, (I - R) e_i), the same products and differences
+    v = np.array([w[1] * m[2] - w[2] * m[1], w[2] * m[0] - w[0] * m[2], w[0] * m[1] - w[1] * m[0]])
     for i in range(3):
-        v = np.cross(w, i_minus_r[:, i])
-        jac[i] = ((w[i] * k + _skew(v)) / theta2) @ r
+        jac[i] = ((w[i] * k + _skew(v[:, i])) / theta2) @ r
     return jac
 
 
@@ -257,7 +258,7 @@ def _rigid_flow(depth: np.ndarray, k: Intrinsics, pixels, entries, ws: Workspace
     rays `pixels` of its level (`_pixels`), for the `_entries` of one pose or
     of one per side: the planar (2, H, W) or (2, n, H, W) flow and the
     cheirality mask, in ws's roles (key, "flow") and (key, "valid")."""
-    if not np.all(depth > 0.0):
+    if not (depth > 0.0).all():
         raise ValueError("depth must be positive")
     mark = ws.mark()
     _, _, q0, q1, q2, _ = _transform(pixels, depth, *entries, ws)
@@ -314,15 +315,18 @@ def project_backward(
         np.negative(tmp, out=tmp)
         c = _where(valid, np.divide(tmp, q2, out=tmp), q0)
 
-    def sums(x):  # np.sum of each side, one side for an unstacked depth
-        return [np.add.reduce(side, None) for side in x.reshape(-1, h, w)]
-
-    grad_r = np.array([[sums(np.multiply(x, y, out=tmp)) for y in (drx, dry, depth)] for x in (a, b, c)])
-    grad_t = np.array([sums(x) for x in (a, b, c)])
-    grad_r, grad_t = grad_r.transpose(2, 0, 1).copy(), grad_t.T.copy()
+    # the np.sum of each side: one row per side's contiguous (h, w) slice,
+    # each row reduced pairwise, one side for an unstacked depth
+    sides = depth.size // (h * w)
+    grad_r, grad_t = np.empty((sides, 3, 3)), np.empty((sides, 3))
+    for i, x in enumerate((a, b, c)):
+        for j, y in enumerate((drx, dry, depth)):
+            np.add.reduce(np.multiply(x, y, out=tmp).reshape(sides, -1), axis=1, out=grad_r[:, i, j])
+        np.add.reduce(x.reshape(sides, -1), axis=1, out=grad_t[:, i])
     # direction of the transformed point per unit depth: d(q)/d(depth) = R @ ray,
     # w_i = r[i, 0] * rx + r[i, 1] * ry + r[i, 2]; grad_depth = a * w0 + b * w1 + c * w2
-    ray, ray_tmp = (ws.take(np.broadcast_shapes(np.shape(r[0, 0]), rx.shape, ry.shape)) for _ in range(2))
+    ray_shape = np.shape(r[0, 0])[:-2] + (h, w)
+    ray, ray_tmp = ws.take(ray_shape), ws.take(ray_shape)
     grad_depth = np.empty(shape) if out is None else out
     for i, x in enumerate((a, b, c)):
         np.multiply(rx, r[i, 0], out=ray)
@@ -346,17 +350,15 @@ def pose_param_gradient(params, grad_r_fwd, grad_t_fwd, grad_r_inv, grad_t_inv):
     shares the same parameters.
     """
     params = np.asarray(params, dtype=float)
-    w = params[:3]
-    t = params[3:]
+    w, t = params[:3], params[3:]
     gr = np.array(grad_r_fwd, dtype=float, copy=True)
     gt = np.array(grad_t_fwd, dtype=float, copy=True)
-    grad_r_inv = np.asarray(grad_r_inv, dtype=float)
-    grad_t_inv = np.asarray(grad_t_inv, dtype=float)
+    grad_r_inv, grad_t_inv = np.asarray(grad_r_inv, dtype=float), np.asarray(grad_t_inv, dtype=float)
     r = rodrigues(w)
     # R_inv = R^T contributes transposed; t_inv = -R^T t touches both R and t
     gr += grad_r_inv.T
-    gr -= np.outer(t, grad_t_inv)
+    gr -= t[:, None] * grad_t_inv  # np.outer(t, grad_t_inv)
     gt -= r @ grad_t_inv
-    jac = rotation_jacobians(w)
-    gw = np.array([np.sum(gr * jac[i]) for i in range(3)])
+    # the np.sum of gr * dR/dw_i, one row each
+    gw = np.add.reduce((gr * rotation_jacobians(w)).reshape(3, 9), axis=1)
     return np.concatenate([gw, gt])

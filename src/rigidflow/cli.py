@@ -162,10 +162,15 @@ def _cmd_loss(args) -> int:
         state = SceneState(depth_t, depth_t1, pose_params, flow_fwd, flow_bwd)
     report, _, masks = evaluate(state, img_t, img_t1, k, cfg, want_grads=False)
     print(_report_lines(report))
+    _warn_empty_masks(masks)
+    return 0
+
+
+def _warn_empty_masks(masks) -> None:
+    """One line on stderr for each empty mask of each level."""
     for lvl, level in enumerate(masks):
         for name in [name for name, mask in vars(level).items() if not mask.any()]:
             print(f"warning: level {lvl} mask {name} is empty", file=sys.stderr)
-    return 0
 
 
 def _cmd_refine(args) -> int:
@@ -192,6 +197,8 @@ def _cmd_refine(args) -> int:
         with open(os.path.join(args.output_dir, "pose.txt"), "w") as fh:
             fh.write(",".join(repr(float(v)) for v in final.pose_params) + "\n")
     print(_report_lines(trace[-1]))
+    # the final state's masks, from the forward evaluation its trace entry had
+    _warn_empty_masks(evaluate(final, gt.image_t, gt.image_t1, gt.intrinsics, cfg, want_grads=False)[2])
     dm = depth_metrics(final.depth_t, gt.depth_t)
     fm = flow_metrics(final.flow_fwd, gt.flow_fwd, mask=~gt.occlusion)
     print(report_text(dm))

@@ -28,7 +28,7 @@ exactly zero for a zero residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -131,17 +131,6 @@ def charbonnier(x, eps: float = DEFAULT_L1_EPS, grads: bool = True, out=None):
     return np.subtract(root, eps, out=phi), np.divide(x, root, out=root) if grads else None
 
 
-def _total(a: np.ndarray):
-    """np.sum(a): the same pairwise reduction over all axes, minus np.sum's
-    Python layers, which cost more than the sum on a small level."""
-    return np.add.reduce(a, None)
-
-
-def _sides(a: np.ndarray) -> np.ndarray:
-    """(n, h, w) view of a contiguous (h, w) or (n, h, w) array, one entry per side."""
-    return a.reshape((-1,) + a.shape[-2:])
-
-
 def _by_side(values, mask: np.ndarray):
     """One value per side: a tuple for a stacked (n, h, w) mask, the value for an (h, w) one."""
     return tuple(values) if mask.ndim == 3 else values[0]
@@ -151,28 +140,22 @@ def _inverse_counts(mask: np.ndarray):
     """The valid count of each side of mask, and 1 / each count, 0.0 for an
     empty side: as a list, and shaped to broadcast over mask. (One
     count_nonzero per side: with an axis it counts by a slower sum.)"""
-    counts = [int(np.count_nonzero(m)) for m in _sides(mask)]
+    counts = [int(np.count_nonzero(m)) for m in mask.reshape((-1,) + mask.shape[-2:])]
     inv = [1.0 / n if n else 0.0 for n in counts]
     return counts, inv, np.array(inv).reshape(mask.shape[:-2] + (1, 1))
 
 
-def _side_parts(kept: np.ndarray, counts) -> list:
-    """kept = vals[mask], one compaction of a stacked (n, h, w) mask, cut into
-    each side's contiguous part, given the valid count of each side but the
-    last: each part holds what the side's own compaction would, in its order."""
-    parts = []
-    for n in counts:
-        parts.append(kept[:n])
-        kept = kept[n:]
-    return parts + [kept]
-
-
 def _side_means(vals: np.ndarray, mask: np.ndarray, counts):
     """Sum of vals over mask times 1 / its count, side by side (`_by_side`),
-    for counts = `_inverse_counts(mask)`."""
-    n, inv, _ = counts
-    parts = _side_parts(vals[mask], n[:-1])
-    return _by_side([float(_total(part)) * i for part, i in zip(parts, inv)], mask)
+    for counts = `_inverse_counts(mask)`. One compaction of the mask is cut
+    into each side's contiguous part, which holds what the side's own
+    compaction would, in its order."""
+    kept = vals[mask]
+    means, start = [], 0
+    for n, i in zip(*counts[:2]):
+        means.append(float(np.add.reduce(kept[start : start + n], None)) * i)
+        start += n
+    return _by_side(means, mask)
 
 
 def _offsets(radius: int):
@@ -210,7 +193,7 @@ def _census_reference(gray: np.ndarray, params: CensusParams) -> tuple:
     return tuple(out)
 
 
-def _census_terms(ref, branches, params: CensusParams, grads: bool = True, ws=None):
+def _census_terms(ref, branches, params: CensusParams, grads: bool, ws: Workspace):
     """Census distance of a reference, given by its descriptors `ref`
     (`_census_reference` with the same params), against each (gray_warped,
     mask, counts) branch, counts being `_inverse_counts(mask)`. The soft
@@ -218,11 +201,11 @@ def _census_terms(ref, branches, params: CensusParams, grads: bool = True, ws=No
     d is differentiable, and invariant to additive brightness as the census
     is. A neighbor outside the image or the mask carries zero weight, so each
     offset runs on its in-bounds overlap only. All arrays are (h, w), or
-    stacked (n, h, w) with the losses summed side by side. Returns one (loss,
-    grad wrt gray_warped) per branch, the loss one per side (`_by_side`), or
-    None for a branch whose mask is empty on every side. An empty side adds
-    zero loss and a zero gradient. Its arrays are taken from ws's stack,
-    where the returned gradients stay.
+    stacked (n, h, w) with n at most 2 and the losses summed side by side.
+    Returns one (loss, grad wrt gray_warped) per branch, the loss one per side
+    (`_by_side`), or None for a branch whose mask is empty on every side. An
+    empty side adds zero loss and a zero gradient. Its arrays are taken from
+    ws's stack, where the returned gradients stay.
 
     Only the first half of the offsets is computed. The second half is the
     first negated and reversed, and offset -o adds exactly what o adds,
@@ -233,68 +216,72 @@ def _census_terms(ref, branches, params: CensusParams, grads: bool = True, ws=No
     zero may flip sign under negation; the accumulators start at +0 and so
     never hold -0, and adding a zero of either sign leaves them unchanged.)
     """
-    ws = Workspace() if ws is None else ws
+    take = ws.take
+    subtract, multiply, divide, sqrt, add_reduce = np.subtract, np.multiply, np.divide, np.sqrt, np.add.reduce
     eps2 = params.epsilon * params.epsilon
     c = params.charbonnier_eps
-    # (branch, gray_w, mask, 1 / valid count per side, the same broadcastable)
-    live = [(b, gray_w, mask, inv, scale) for b, (gray_w, mask, (_, inv, scale)) in enumerate(branches) if any(inv)]
-    losses = {b: [0.0] * len(inv) for b, _, _, inv, _ in live}
-    gsum = {b: _zeros(ws.take(gray_w.shape)) for b, gray_w, *_ in live} if grads else {}
+    # per live branch: its index, gray_w, mask, 1 / valid count per side, the
+    # same broadcastable, its gradient sum, and its sides' sums per offset
+    live = [
+        (b, gray_w, mask, inv, scale, _zeros(take(gray_w.shape)) if grads else None, [])
+        for b, (gray_w, mask, (_, inv, scale)) in enumerate(branches)
+        if any(inv)
+    ]
     mark = ws.mark()
-    kept = {b: [] for b, *_ in live}  # (losses, gated gradient) per offset of the half
     # each offset's gated gradient of each branch, kept for the mirrored half
-    gated = [[ws.take(tr.shape) for _ in live] if grads else None for _, _, tr in ref]
+    gated = [[take(tr.shape) for _ in live] for _, _, tr in ref] if grads else None
     offset_mark = ws.mark()
     # the arithmetic runs in place, in the order of the plain expressions
     # noted beside it, so every value is the same to the bit
-    for (here, there, tr), outs in zip(ref, gated):
+    for o, (here, there, tr) in enumerate(ref):
         shape = tr.shape
-        dw, s, root, gate = ws.take(shape), ws.take(shape), ws.take(shape), ws.take(shape, bool)
-        for j, (b, gray_w, mask, _, inv) in enumerate(live):
-            np.subtract(gray_w[there], gray_w[here], out=dw)
-            np.multiply(dw, dw, out=s)
+        dw, s, root, gate = take(shape), take(shape), take(shape), take(shape, bool)
+        for j, (_, gray_w, mask, inv, scale, gsum, found) in enumerate(live):
+            subtract(gray_w[there], gray_w[here], out=dw)
+            multiply(dw, dw, out=s)
             s += eps2
-            delta = np.sqrt(s, out=outs[j] if grads else ws.take(shape))
-            np.divide(dw, delta, out=delta)
-            np.subtract(tr, delta, out=delta)  # delta = tr - dw / sqrt(dw^2 + eps^2)
-            np.multiply(delta, delta, out=root)
+            delta = sqrt(s, out=gated[o][j] if grads else take(shape))
+            divide(dw, delta, out=delta)
+            subtract(tr, delta, out=delta)  # delta = tr - dw / sqrt(dw^2 + eps^2)
+            multiply(delta, delta, out=root)
             root += c * c
-            np.sqrt(root, out=root)
+            sqrt(root, out=root)
             np.logical_and(mask[here], mask[there], out=gate)
             terms = root[gate]
             terms -= c  # root[gate] - c, each side's part summed on its own
-            counts = [np.count_nonzero(g) for g in _sides(gate)[:-1]]
-            parts = [float(_total(p)) for p in _side_parts(terms, counts)]
-            for side, part in enumerate(parts):
-                losses[b][side] += part
+            if len(inv) == 1:
+                found.append((float(add_reduce(terms, None)),))
+            else:  # side 0's part of the compaction, then side 1's
+                n0 = np.count_nonzero(gate[0])
+                found.append((float(add_reduce(terms[:n0], None)), float(add_reduce(terms[n0:], None))))
             if not grads:
-                kept[b].append((parts, None))
                 continue
             # d phi / d dw = phi'(delta) * (-1) * t'(dw),  t'(d) = eps^2 / (d^2+eps^2)^1.5
             np.power(s, 1.5, out=s)
-            np.divide(-eps2, s, out=s)
+            divide(-eps2, s, out=s)
             delta /= root
             delta *= s
-            delta *= inv  # (delta / root) * (-eps^2 / (dw^2 + eps^2)^1.5) * inv
-            g = np.multiply(delta, gate, out=delta)
-            gsum[b][here] -= g
-            gsum[b][there] += g
-            kept[b].append((parts, g))
+            delta *= scale  # (delta / root) * (-eps^2 / (dw^2 + eps^2)^1.5) * inv
+            g = multiply(delta, gate, out=delta)
+            gsum[here] -= g
+            gsum[there] += g
         ws.release(offset_mark)
-    # the mirrored half: -o's `-= g` is o's `+= g` and the other way round;
-    # a translation keeps row-major order, so `part` is the same
-    for here, there, _ in reversed(ref):
-        for b, *_ in live:
-            parts, g = kept[b].pop()
-            for side, part in enumerate(parts):
-                losses[b][side] += part
-            if grads:
-                gsum[b][there] += g
-                gsum[b][here] -= g
+    if grads:
+        # the mirrored half: -o's `-= g` is o's `+= g` and the other way round
+        for (here, there, _), gs in zip(reversed(ref), reversed(gated)):
+            for (*_, gsum, _), g in zip(live, gs):
+                gsum[there] += g
+                gsum[here] -= g
     ws.release(mark)
     out = [None] * len(branches)
-    for b, _, mask, inv, _ in live:
-        out[b] = (_by_side([loss * i for loss, i in zip(losses[b], inv)], mask), gsum.get(b))
+    for b, _, mask, inv, _, gsum, found in live:
+        # a translation keeps row-major order, so -o's sums are o's, each
+        # side's added in the order of the full offset list
+        losses = [0.0] * len(inv)
+        for parts in found + found[::-1]:
+            for side, part in enumerate(parts):
+                losses[side] += part
+        out[b] = (_by_side([loss * i for loss, i in zip(losses, inv)], mask), gsum)
     return out
 
 
@@ -318,7 +305,7 @@ class LevelInputs:
     census reference descriptors for them (`_census_reference` of the
     stacked gray images: one (2, ...) array per half-offset, on its overlap),
     and the level's pixel grid and rays (xs, ys, rx, ry) (`camera._pixels`).
-    A block of sides reads its slice of the descriptors."""
+    A block of sides reads its slice of them (`block`)."""
 
     gray: np.ndarray
     edges: tuple
@@ -326,6 +313,17 @@ class LevelInputs:
     census: CensusParams
     descriptors: tuple
     pixels: tuple
+    views: dict = field(default_factory=dict, compare=False, repr=False)  # of `block`, by its sides
+
+    def block(self, own: slice, other: slice):
+        """What the block of sides own, whose other frames are the sides other,
+        reads: (gray[other], descriptors cut to own, edges cut to own), built once."""
+        key = own.start, own.stop, other.start, other.stop
+        views = self.views.get(key)
+        if views is None:
+            ref = tuple((here, there, tr[own]) for here, there, tr in self.descriptors)
+            views = self.views[key] = self.gray[other], ref, tuple(e[own] for e in self.edges)
+        return views
 
 
 def _channel_last_sum(phi: np.ndarray, wgt: np.ndarray, prod: np.ndarray) -> list:
@@ -336,6 +334,11 @@ def _channel_last_sum(phi: np.ndarray, wgt: np.ndarray, prod: np.ndarray) -> lis
     for c, plane in enumerate(phi):
         np.multiply(plane, wgt, out=prod[..., c])
     return np.add.reduce(prod.reshape(len(prod), -1), axis=1)  # each side's row, pairwise
+
+
+_LO, _HI = slice(None, -1), slice(1, None)
+# the (lo, hi) windows of each pair of neighbours: along x, then along y
+_NEIGHBOURS = (((..., _LO), (..., _HI)), ((..., _LO, slice(None)), (..., _HI, slice(None))))
 
 
 def smoothness_loss(field: np.ndarray, edges, mean_normalize: bool = False, grads: bool = True, ws=None, out=None):
@@ -358,19 +361,24 @@ def smoothness_loss(field: np.ndarray, edges, mean_normalize: bool = False, grad
     f = np.asarray(field, dtype=float)
     ws = Workspace() if ws is None else ws
     wx, wy = edges
-    squeeze = f.ndim == np.ndim(wx)  # no channel axis
+    wx, wy = np.asarray(wx), np.asarray(wy)
+    squeeze = f.ndim == wx.ndim  # no channel axis
     fc = f[None] if squeeze else f
     h, w = fc.shape[-2:]
-    if np.shape(wx) != fc.shape[1:-1] + (w - 1,) or np.shape(wy) != fc.shape[1:-2] + (h - 1, w):
+    if wx.shape != fc.shape[1:-1] + (w - 1,) or wy.shape != fc.shape[1:-2] + (h - 1, w):
         raise ValueError("field and edge weight sizes differ")
     fc = fc.reshape((len(fc), -1, h, w))  # (C, n, h, w), n = 1 unstacked
     out = (np.empty(f.shape) if out is None else out) if grads else None
     mark = ws.mark()
     if mean_normalize:
-        mu = [side.mean() for side in fc.swapaxes(0, 1)]
+        # each side's mean, as side.mean() takes it: the pairwise sum of its
+        # row, its (C, h, w) values, over their count
+        rows = fc.swapaxes(0, 1).reshape(fc.shape[1], -1)
+        size = rows.shape[1]
+        mu = np.add.reduce(rows, axis=1) / size
         if min(abs(m) for m in mu) < MEAN_FLOOR:
             raise ValueError("cannot mean-normalize a zero-mean field")
-        mus = np.array(mu).reshape(-1, 1, 1)
+        mus = mu.reshape(-1, 1, 1)
         n = np.divide(fc, mus, out=ws.take(fc.shape))
         grad_n = _zeros(ws.take(fc.shape)) if grads else None
     else:
@@ -379,8 +387,7 @@ def smoothness_loss(field: np.ndarray, edges, mean_normalize: bool = False, grad
     inv = 1.0 / (h * w)
     sums = []
     axis_mark = ws.mark()
-    # one axis at a time, x then y, each pair of neighbours (lo, hi)
-    for lo, hi, wgt in ((np.s_[..., :-1], np.s_[..., 1:], wx), (np.s_[..., :-1, :], np.s_[..., 1:, :], wy)):
+    for (lo, hi), wgt in zip(_NEIGHBOURS, (wx, wy)):
         shape = n[hi].shape
         d = np.subtract(n[hi], n[lo], out=ws.take(shape))
         phi, dphi = charbonnier(d, grads=grads, out=(ws.take(shape), ws.take(shape)))
@@ -391,20 +398,19 @@ def smoothness_loss(field: np.ndarray, edges, mean_normalize: bool = False, grad
             grad_n[hi] += dphi
             grad_n[lo] -= dphi
         ws.release(axis_mark)
-    loss = [float((along_x + along_y) * inv) for along_x, along_y in zip(*sums)]
-    loss = tuple(loss) if np.ndim(wx) == 3 else loss[0]
+    loss = ((sums[0] + sums[1]) * inv).tolist()  # (along x + along y) * inv, per side
+    loss = tuple(loss) if wx.ndim == 3 else loss[0]
     if grads and mean_normalize:
         # n = f / mean(f): the mean couples every element of its side
-        size = fc.size // len(mu)
         prod = np.multiply(grad_n, fc, out=ws.take(fc.shape)).swapaxes(0, 1)
-        corr = np.array([_total(p) / (size * m * m) for p, m in zip(prod, mu)]).reshape(-1, 1, 1)
+        corr = np.add.reduce(prod.reshape(len(mu), -1), axis=1) / (size * mu * mu)
         grad_f = np.divide(grad_n, mus, out=out.reshape(fc.shape))
-        grad_f -= corr  # grad_n / mus - corr
+        grad_f -= corr.reshape(-1, 1, 1)  # grad_n / mus - corr
     ws.release(mark)
     return loss, out
 
 
-def _fb_flow_terms(fwd, plan: WarpPlan, cycle, mask, counts, grads: bool = True, ws=None):
+def _fb_flow_terms(fwd, plan: WarpPlan, cycle, mask, counts, grads: bool, ws: Workspace):
     """Charbonnier norm of f(p) + b(p + f(p)) over the bool mask, whose
     `_inverse_counts` are counts, from the cycle (b, db/dx, db/dy) sampled
     through the plan of f = fwd, each planar (2, H, W) or stacked (2, n, H,
@@ -413,8 +419,8 @@ def _fb_flow_terms(fwd, plan: WarpPlan, cycle, mask, counts, grads: bool = True,
     _, inv, scale = counts
     if not any(inv):
         return _by_side([0.0] * len(inv), mask), np.zeros_like(fwd), np.zeros_like(fwd)
-    ws = Workspace() if ws is None else ws
-    x, phi, dphi, grad_fwd, grad_bwd = (ws.take(np.shape(fwd)) for _ in range(5))
+    shape = np.shape(fwd)
+    x, phi, dphi, grad_fwd, grad_bwd = [ws.take(shape) for _ in range(5)]
     phi, dphi = charbonnier(np.add(fwd, cycle[0], out=x), grads=grads, out=(phi, dphi))
     loss = _side_means(np.add(phi[0], phi[1], out=x[0]), mask, counts)
     if not grads:
@@ -436,7 +442,7 @@ def _fb_flow_terms(fwd, plan: WarpPlan, cycle, mask, counts, grads: bool = True,
     return loss, grad_fwd, plan.scatter(g, out=grad_bwd)
 
 
-def _fb_depth_terms(depth_t, depth_t1, plan: WarpPlan, mask, counts, grads: bool = True, ws=None):
+def _fb_depth_terms(depth_t, depth_t1, plan: WarpPlan, mask, counts, grads: bool, ws: Workspace):
     """Charbonnier gap over the bool mask, whose `_inverse_counts` are
     counts, between depth_t and depth_t1 pulled back through the plan of the
     rigid flow, (H, W) or stacked (n, H, W) (a stacked plan pulls each side
@@ -446,8 +452,7 @@ def _fb_depth_terms(depth_t, depth_t1, plan: WarpPlan, mask, counts, grads: bool
     shape = np.shape(depth_t)
     if not any(inv):
         return _by_side([0.0] * len(inv), mask), np.zeros(shape), np.zeros(shape), np.zeros((2,) + shape)
-    ws = Workspace() if ws is None else ws
-    pulled, ddx, ddy, x, phi, dphi, grad_t1 = (ws.take(shape) for _ in range(7))
+    pulled, ddx, ddy, x, phi, dphi, grad_t1 = [ws.take(shape) for _ in range(7)]
     grad_rigid = ws.take((2,) + shape)
     if grads:
         plan.sample_grad(depth_t1, out=(pulled, ddx, ddy))
@@ -489,7 +494,7 @@ def cross_task_loss(
     if not any(inv):
         return _by_side([0.0] * len(inv), mask), np.zeros_like(rigid), np.zeros_like(flow)
     ws = Workspace() if ws is None else ws
-    x, phi, dphi = (ws.take(rigid.shape) for _ in range(3))
+    x, phi, dphi = [ws.take(rigid.shape) for _ in range(3)]
     phi, dphi = charbonnier(np.subtract(rigid, flow, out=x), eps, grads, (phi, dphi))
     loss = _side_means(np.add(phi[0], phi[1], out=x[0]), mask, counts)
     if not grads:
@@ -516,24 +521,22 @@ class ScaleResult:
     masks: LevelMasks
 
 
-def _photometric_terms(level: LevelInputs, own: slice, other: slice, branches, grads: bool, ws):
-    """The photometric branches of the block of sides `own` of a level,
-    against the census reference descriptors of its frames.
+def _photometric_terms(src, ref, census: CensusParams, branches, grads: bool, ws):
+    """The photometric branches of a block of sides against its census
+    reference descriptors ref, both views of `LevelInputs.block`.
 
-    Each branch (plan, mask, counts, acc) warps the frames `other`
-    through the plan of its correspondence field, gates by the mask, whose
+    Each branch (plan, mask, counts, acc) warps the frames src through the
+    plan of its correspondence field, gates by the mask, whose
     `_inverse_counts` are counts, and, when `grads`, adds the gradient wrt
     that field into acc. Returns the branch losses, side by side and branch
     by branch within a side.
     """
-    src = level.gray[other]
-    ref = [(here, there, tr[own]) for here, there, tr in level.descriptors]
     warps = []
     for plan, *_ in branches:
         out = [ws.take(plan.i00.shape) for _ in range(3 if grads else 1)]
         warps.append(plan.sample_grad(src, out=out) if grads else (plan.sample(src, out=out[0]),))
     pairs = [(warp[0], mask, counts) for warp, (_, mask, counts, _) in zip(warps, branches)]
-    found = _census_terms(ref, pairs, level.census, grads, ws)
+    found = _census_terms(ref, pairs, census, grads, ws)
     for term, warp, (*_, acc) in zip(found, warps, branches):
         if grads and term:  # None: the branch's mask is empty on every side
             prod = warp[0]  # the warped image is dead once the census has run
@@ -557,26 +560,11 @@ def _add_own_then_other(acc_own, acc_other, weight, own, other):
 
 
 # the two sides run as one stacked block on levels of fewer pixels than
-# this, and one at a time on larger ones; both give the same bytes. From
-# scripts/block_crossover.py (plane, scales=1, 60 pairs of 3 calls, 2-core
-# Xeon), one-side time over stacked time as median [quartiles], with
-# gradients / forward only:
-#   64x64    1.152 [1.108, 1.188] / 1.132 [1.098, 1.180]
-#   80x80    1.103 [1.070, 1.150] / 1.068 [1.041, 1.131]
-#   96x96    1.057 [1.020, 1.094] / 1.020 [0.975, 1.078]
-#   100x100  1.029 [0.985, 1.100] / 1.000 [0.937, 1.059]
-#   112x112  1.038 [0.982, 1.148] / 1.007 [0.970, 1.047]
-#   129x97   1.034 [1.010, 1.088] / 1.010 [0.939, 1.082]
-#   128x128  1.005 [0.957, 1.066] / 0.989 [0.927, 1.055]
-#   160x160  0.977 [0.929, 1.032] / 0.967 [0.930, 1.004]
-#   192x192  0.952 [0.914, 0.979] / 0.964 [0.928, 0.980]
-#   256x256  0.920 [0.887, 0.943] / 0.924 [0.891, 0.961]
-# and mover read the same within noise. Stacking halves the calls per
-# level, which pays on small levels; on large ones the doubled arrays cost
-# more, and stacking every level also raised the max RSS of a mover
-# 256x256 refine loop from 104 to 129 MB. From 96x96 to 129x97 the
-# quartiles straddle 1, so the split sits where no smaller size reads
-# stacked slower in either mode
+# this, and one at a time on larger ones; both give the same bytes. Stacking
+# halves the calls per level, which pays on small levels; on large ones the
+# doubled arrays cost more, and stacking every level raised the max RSS of a
+# mover 256x256 refine loop from 104 to 129 MB. The split sits at the
+# crossover scripts/block_crossover.py measures (ROADMAP.md has the sweep)
 STACKED_PIXELS = 100 * 100
 
 
@@ -631,6 +619,7 @@ def scale_objective(
     depth = np.asarray(depths, dtype=float)
     flow = np.asarray(flows, dtype=float)
     blocks = _side_blocks(h, w)
+    views = [level.block(own, other) for own, other in blocks]
     entries = [_entries(poses[own]) for own, _ in blocks]
     # per block: its rigid flows, cheirality and plans; block b's other
     # sides are those of block -1 - b
@@ -676,10 +665,7 @@ def scale_objective(
     g_flow, g_depth = (
         _zeros(ws.get((key, name), a.shape)) if grads else None for name, a in (("g_flow", flow), ("g_depth", depth))
     )
-    photometric = 0.0
-    smooth = 0.0
-    fb_total = 0.0
-    cross = 0.0
+    photometric = smooth = fb_total = cross = 0.0
 
     if "photometric" in terms:
         for b, (own, other) in enumerate(blocks):
@@ -687,16 +673,16 @@ def scale_objective(
                 (rigid_plans[b], depth_mask[own], depth_counts[b], g_rigid[b]),
                 (flow_plans[b], flow_mask[own], flow_counts[b], None if g_flow is None else g_flow[:, own]),
             )
-            for loss in _photometric_terms(level, own, other, branches, grads, ws):
+            src, ref, _ = views[b]
+            for loss in _photometric_terms(src, ref, level.census, branches, grads, ws):
                 photometric += loss
             ws.release(mark)
 
     if "smooth" in terms:
-        for field, acc, mean_normalize in ((depth, g_depth, True), (flow, g_flow, False)):
-            for own, _ in blocks:
-                part = field[..., own, :, :]
+        for values, acc, mean_normalize in ((depth, g_depth, True), (flow, g_flow, False)):
+            for (own, _), (*_, edges) in zip(blocks, views):
+                part = values[..., own, :, :]
                 out = ws.take(part.shape) if grads else None
-                edges = tuple(e[own] for e in level.edges)
                 loss, grad = smoothness_loss(part, edges, mean_normalize, grads, ws, out)
                 for side in loss:
                     smooth += side

@@ -47,17 +47,16 @@ def fb_check(fwd: np.ndarray, bwd: np.ndarray, params: FBCheckParams = FBCheckPa
             raise ValueError(f"{name} must be finite")
     fwd, bwd = np.moveaxis(fwd, -1, 0), np.moveaxis(bwd, -1, 0)  # planar views
     plan = WarpPlan.along(fwd)
-    return _cycle_mask(fwd, plan.sample(bwd), plan.inbounds, params)
+    return _cycle_mask(fwd, plan.sample(bwd), plan.inbounds, params, Workspace())
 
 
-def _cycle_mask(fwd, back, inbounds, params: FBCheckParams, ws: Workspace | None = None, out=None):
+def _cycle_mask(fwd, back, inbounds, params: FBCheckParams, ws: Workspace, out=None):
     """The fb check of the planar (2, H, W) fwd given its cycle back =
     b(p + f(p)), sampled through the plan of fwd whose in-bounds flags are
     `inbounds`, into `out` if given. Its temporaries are taken from ws's stack."""
-    ws = Workspace() if ws is None else ws
     shape = inbounds.shape
     mark = ws.mark()
-    lhs, mag, tmp = (ws.take(shape) for _ in range(3))
+    lhs, mag, tmp = [ws.take(shape) for _ in range(3)]
     # lhs = ru * ru + rv * rv, with ru = fwd[0] + back[0] and rv = fwd[1] + back[1]
     for i, acc in enumerate((lhs, tmp)):
         np.add(fwd[i], back[i], out=acc)

@@ -93,9 +93,10 @@ class SceneState:
     def check(self) -> None:
         """Raise ValueError naming the malformed field and, for a wrong size,
         the shape found, for a depth mean too small to normalize by, the
-        mean, and for a depth too large to square, its largest value.
+        mean, and for a depth or flow too large to square, its largest value
+        or magnitude.
         `evaluate` calls this again, since the arrays can be changed in place
-        after construction."""
+        after construction; `refine` calls it once per state it evaluates."""
         if self.depth_t.ndim != 2:
             raise ValueError(f"depth_t must be (H, W), got shape {self.depth_t.shape}")
         h, w = self.depth_t.shape
@@ -125,15 +126,19 @@ class SceneState:
                     f"{name} has a largest value of {top:.6g}, "
                     f"above the {ceiling:.6g} the depth smoothness can square at {h}x{w}"
                 )
+        # the fb check's ru * ru + rv * rv, ru and rv each a sum of two flows,
+        # stays finite while no flow has a magnitude above sqrt(max float / 8)
+        ceiling = math.sqrt(np.finfo(float).max / 8)
+        for name in ("flow_fwd", "flow_bwd"):
+            flow = getattr(self, name)
+            top = max(flow.max(), -flow.min())  # np.abs(flow).max(), without a copy
+            if top > ceiling:
+                raise ValueError(
+                    f"{name} has a largest magnitude of {top:.6g}, above the {ceiling:.6g} the fb check can square"
+                )
 
     def copy(self) -> "SceneState":
-        return SceneState(
-            self.depth_t.copy(),
-            self.depth_t1.copy(),
-            self.pose_params.copy(),
-            self.flow_fwd.copy(),
-            self.flow_bwd.copy(),
-        )
+        return _copied(self)
 
 
 @dataclass
@@ -316,6 +321,9 @@ def evaluate(
         ctx = PairContext(img_t, img_t1, k, cfg, shape)
     mark = ctx.ws.mark()
     try:
+        if masks is not None and len(masks) != cfg.scales:
+            raise ValueError(f"masks has {len(masks)} levels but scales is {cfg.scales}")
+        state.check()
         report, grad, used = _objective(state, ctx, cfg, masks, terms, want_grads)
         if hit:
             given = [None] * cfg.scales if masks is None else masks
@@ -338,7 +346,7 @@ _spare = []
 
 
 def _copied(arrays):
-    """A dataclass of arrays (a StateGrad or LevelMasks) with each array copied."""
+    """A dataclass of arrays (a SceneState, StateGrad or LevelMasks) with each array copied."""
     return type(arrays)(*(getattr(arrays, f.name).copy() for f in fields(arrays)))
 
 
@@ -360,11 +368,9 @@ def _objective(state: SceneState, ctx: PairContext, cfg: OptimizerConfig, masks,
     The returned gradient and recomputed masks are arrays of ctx.ws, valid
     until the next call on ctx; the gradient's flows are on its stack, taken
     above the caller's mark, which the caller releases once it is done with
-    them. The state is only read."""
+    them. The state is only read, and not checked: `evaluate` checks it, and
+    `refine` evaluates only states it has checked (see there)."""
     scales = cfg.scales
-    if masks is not None and len(masks) != scales:
-        raise ValueError(f"masks has {len(masks)} levels but scales is {scales}")
-    state.check()
     sw = list(cfg.scale_weights) if cfg.scale_weights else [1.0] * scales
     if masks is not None:
         _check_masks(masks, [level.gray[0].shape for level in ctx.levels])
@@ -381,10 +387,7 @@ def _objective(state: SceneState, ctx: PairContext, cfg: OptimizerConfig, masks,
     pyramid(np.stack(planar, axis=1, out=flows[0]), scales, 0.5, out=flows[1:])
     pose = pose_from_params(state.pose_params)
     poses = (pose, invert(pose))
-    photometric = 0.0
-    smooth = 0.0
-    fb_total = 0.0
-    cross = 0.0
+    photometric = smooth = fb_total = cross = 0.0
     results = []
     for lvl in range(scales):
         res = scale_objective(
@@ -407,22 +410,11 @@ def _objective(state: SceneState, ctx: PairContext, cfg: OptimizerConfig, masks,
         cross += sw[lvl] * res.cross
         results.append(res)
     weights = cfg.weights
-    total = (
-        photometric
-        + weights.lambda_s * smooth
-        + weights.lambda_f * fb_total
-        + weights.lambda_c * cross
-    )
-    for name, value in (
-        ("photometric", photometric),
-        ("smooth", smooth),
-        ("forward_backward", fb_total),
-        ("cross", cross),
-        ("total", total),
-    ):
+    total = photometric + weights.lambda_s * smooth + weights.lambda_f * fb_total + weights.lambda_c * cross
+    report = LossReport(photometric, smooth, fb_total, cross, total)
+    for name, value in vars(report).items():  # photometric, ..., total
         if not np.isfinite(value):
             raise NonFiniteLossError(name, value)
-    report = LossReport(photometric, smooth, fb_total, cross, total)
     masks_used = [r.masks for r in results]
     if not want_grads:
         return report, None, masks_used
@@ -436,7 +428,7 @@ def _objective(state: SceneState, ctx: PairContext, cfg: OptimizerConfig, masks,
         sum(w * r.grad_pose[side][i] for w, r in zip(sw, results)) for side in (0, 1) for i in (0, 1)
     ]
     # the flows fold planar; one copy of each turns it back to the state's (H, W, 2)
-    flow_fwd, flow_bwd = (ws.take(state.flow_fwd.shape) for _ in (0, 1))
+    flow_fwd, flow_bwd = [ws.take(state.flow_fwd.shape) for _ in (0, 1)]
     for side, out in enumerate((flow_fwd, flow_bwd)):
         np.copyto(out, np.moveaxis(flow[:, side], 0, -1))
     grad = StateGrad(
@@ -483,7 +475,7 @@ def _adam(state: SceneState, grad: StateGrad, moments: AdamMoments, cfg: Optimiz
     for key, (name, log) in _RAW_FIELDS.items():
         x, g = getattr(state, name), getattr(grad, name)
         mark = ws.mark()
-        raw, tmp, update = (ws.take(x.shape) for _ in range(3))
+        raw, tmp, update = [ws.take(x.shape) for _ in range(3)]
         if log:  # d/d(log d) = d * d/dd
             g = np.multiply(g, x, out=raw)
         m, v = moments.m[key], moments.v[key]
@@ -529,6 +521,9 @@ def refine(
     cfg.converge_tol leave the state untouched. Raises DivergenceError,
     with the partial trace attached, if the loss goes non-finite or an
     update leaves the feasible set.
+
+    Each state is checked once: the copy of init_state and each step's new
+    state when built, a state a skipped step keeps after the callback saw it.
     """
     ctx = PairContext(img_t, img_t1, k, cfg, init_state.depth_t.shape[:2])
     state = init_state.copy()
@@ -547,6 +542,9 @@ def refine(
         if it == cfg.iterations:
             break
         if report.total < cfg.converge_tol:
+            # the next iteration evaluates this state again, which the
+            # callback may have changed in place
+            state.check()
             continue
         try:
             state = _adam(state, grad, moments, cfg, ctx.ws)

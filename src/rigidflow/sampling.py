@@ -125,17 +125,17 @@ class Workspace:
         return view
 
     def take(self, shape, dtype=float) -> np.ndarray:
-        start = self._top
-        key = (start, shape, dtype)
-        view = self._stack_views.get(key)
-        if view is None:
-            dt = np.dtype(dtype)
+        key = (self._top, shape, dtype)
+        hit = self._stack_views.get(key)  # (view, the top after it)
+        if hit is None:
+            start, dt = self._top, np.dtype(dtype)
             end = start + math.prod(shape) * dt.itemsize
             if end > self._stack.size:
                 self._stack = _aligned(max(end, 2 * self._stack.size))
                 self._stack_views = {}
-            view = self._stack_views[key] = self._stack[start:end].view(dt).reshape(shape)
-        self._top = start + -(-view.nbytes // 64) * 64  # the next array 64-byte aligned
+            view = self._stack[start:end].view(dt).reshape(shape)
+            hit = self._stack_views[key] = view, start + -(-view.nbytes // 64) * 64  # the next array 64-byte aligned
+        view, self._top = hit
         return view
 
     def mark(self) -> int:
@@ -221,19 +221,17 @@ class WarpPlan:
 
     def _corners(self, src: np.ndarray):
         """Source values at the four corners, each of shape S or (C,) + S,
-        taken from the workspace's stack."""
+        taken from the workspace's stack, as a list."""
         src = np.asarray(src, dtype=float)
         grid = self.shape
         lead = src.shape[: src.ndim - len(grid)]
         if src.shape[len(lead) :] != grid or len(lead) > 1:
             raise ValueError("source must be the plan's grid, with at most a leading channel axis")
         flat = src.reshape(lead + (-1,))
-        i, sx, sy = self.i00, self.sx, self.sy
+        i, sx, sy, take = self.i00, self.sx, self.sy, self.ws.take
         shape = lead + i.shape
         # every index is in range, so "clip" takes what "raise" would, unbuffered
-        return tuple(
-            flat[..., off:].take(i, axis=-1, out=self.ws.take(shape), mode="clip") for off in (0, sx, sy, sy + sx)
-        )
+        return [flat[..., off:].take(i, axis=-1, out=take(shape), mode="clip") for off in (0, sx, sy, sy + sx)]
 
     def sample(self, src: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """src at the plan's points: shape S, or (C,) + S for (C,) + grid."""
@@ -340,7 +338,7 @@ def _in_range(v: np.ndarray, hi: float, out: np.ndarray, tmp: np.ndarray) -> np.
 def _weight(v: np.ndarray, size: int, corner: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The interpolation weight clip(v) - v0 of sample coordinates v along an
     axis of `size`, into out, and their lower corner v0 into corner."""
-    np.clip(v, 0.0, size - 1.0, out=out)
+    v.clip(0.0, size - 1.0, out=out)
     np.floor(out, out=corner)
     np.minimum(corner, max(size - 2, 0), out=corner)
     return np.subtract(out, corner, out=out)

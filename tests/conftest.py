@@ -4,6 +4,7 @@ import pytest
 from rigidflow.camera import params_from_pose
 from rigidflow.losses import _census_reference, _census_terms, _fb_depth_terms, _fb_flow_terms, _inverse_counts
 from rigidflow.optimize import SceneState
+from rigidflow.sampling import Workspace
 from rigidflow.scenes import preset, render
 
 
@@ -52,17 +53,17 @@ def census_terms(ref, branches, params, grads=True):
     """The census core on ref's reference descriptors, against (warped,
     mask) branches, each mask with its counts, as the level objective calls it."""
     branches = [(warped, mask, _inverse_counts(mask)) for warped, mask in branches]
-    return _census_terms(_census_reference(ref, params), branches, params, grads)
+    return _census_terms(_census_reference(ref, params), branches, params, grads, Workspace())
 
 
 def fb_flow_terms(fwd, plan, cycle, mask):
     """The fb flow core over mask, with its counts."""
-    return _fb_flow_terms(fwd, plan, cycle, mask, _inverse_counts(mask))
+    return _fb_flow_terms(fwd, plan, cycle, mask, _inverse_counts(mask), True, Workspace())
 
 
 def fb_depth_terms(depth_t, depth_t1, plan, mask):
     """The fb depth core over mask, with its counts."""
-    return _fb_depth_terms(depth_t, depth_t1, plan, mask, _inverse_counts(mask))
+    return _fb_depth_terms(depth_t, depth_t1, plan, mask, _inverse_counts(mask), True, Workspace())
 
 
 @pytest.fixture

@@ -503,6 +503,17 @@ def test_loss_warns_of_each_empty_mask(tmp_path, capsys):
     assert stdout.splitlines() == [f"{name}={value!r}" for name, value in vars(report).items()]
 
 
+@pytest.mark.parametrize("noise, empty", [("0", []), ("1000", ["flow_fwd", "flow_bwd"])])
+def test_refine_warns_of_each_empty_mask_of_its_final_state(capsys, noise, empty):
+    # flows pushed up to 1000 px out of frame leave both flow masks of the
+    # final state empty at every level; stdout is the report and metrics alone
+    argv = ["refine", "--preset", "plane", "--set", "iterations=2", "--flow-noise", noise]
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 0
+    assert stderr == "".join(f"warning: level {lvl} mask {name} is empty\n" for lvl in range(4) for name in empty)
+    assert "total" in kv_lines(stdout) and "epe" in kv_lines(stdout)
+
+
 def test_refine_writes_trace_and_outputs(tmp_path, capsys):
     trace_path = tmp_path / "trace.csv"
     out_dir = tmp_path / "refined"

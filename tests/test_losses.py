@@ -571,13 +571,16 @@ def test_cross_scales_limits_cross_term(plane_gt):
 
 
 def test_non_finite_loss_names_the_term(plane_gt):
-    # a finite flow so large that its smoothness penalty overflows
+    # a state in range, a rough flow, whose smoothness sum, weighted past the
+    # largest float, overflows (a flow large enough to overflow is refused at
+    # the state)
     state = state_from_gt(plane_gt)
-    flow = state.flow_fwd.copy()
-    flow[3, 3, 0] = 1e200
-    state = replace(state, flow_fwd=flow)
-    with pytest.raises(NonFiniteLossError) as err, np.errstate(over="ignore", invalid="ignore"):
-        loss_report(plane_gt, state, scales=1)
+    rng = np.random.default_rng(3)
+    state = replace(state, flow_fwd=state.flow_fwd + rng.uniform(-5.0, 5.0, state.flow_fwd.shape))
+    cfg = OptimizerConfig(scales=1, scale_weights=(1e308,))
+    args = (plane_gt.image_t, plane_gt.image_t1, plane_gt.intrinsics, cfg)
+    with pytest.raises(NonFiniteLossError) as err:
+        evaluate(state, *args, terms=frozenset({"smooth"}), want_grads=False)
     assert err.value.term == "smooth"
 
 

@@ -97,6 +97,34 @@ def test_a_depth_too_small_to_normalize_is_named(plane_gt):
     SceneState(np.full((4, 4), 1e-12), np.ones((4, 4)), np.zeros(6), np.zeros((4, 4, 2)), np.zeros((4, 4, 2)))
 
 
+@pytest.mark.parametrize("name, kwargs", [("plane", {}), ("mover", dict(width=32, height=24)), ("slanted", {})])
+def test_a_flow_too_large_to_square_is_named(name, kwargs):
+    # the fb check squares the sum of two flows: a flow whose largest
+    # magnitude is above sqrt(max float / 8) is rejected at the state, naming
+    # the field and the magnitude; at that ceiling, both flows at it with
+    # either sign, evaluate runs without a warning
+    import warnings
+
+    gt = render(preset(name, **kwargs))
+    args = (gt.image_t, gt.image_t1, gt.intrinsics)
+    state = make_initial_state(gt, np.random.default_rng(0))
+    ceiling = np.sqrt(np.finfo(float).max / 8)
+    huge = state.flow_fwd / np.abs(state.flow_fwd).max() * 1e154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError) as err:
+            SceneState(state.depth_t, state.depth_t1, state.pose_params, huge, state.flow_bwd)
+        top = np.abs(huge).max()
+        assert str(err.value) == (
+            f"flow_fwd has a largest magnitude of {top:.6g}, above the {ceiling:.6g} the fb check can square"
+        )
+        for sign in (1.0, -1.0):
+            flows = [sign**i * f / np.abs(f).max() * ceiling for i, f in enumerate((state.flow_fwd, state.flow_bwd))]
+            report, grad, _ = evaluate(SceneState(state.depth_t, state.depth_t1, state.pose_params, *flows), *args)
+            assert np.isfinite(report.total)
+            assert all(np.all(np.isfinite(getattr(grad, f.name))) for f in fields(grad))
+
+
 def test_a_depth_too_large_to_square_is_named(plane_gt):
     # the depth smoothness's gradient divides by size * mean**2: a depth
     # above sqrt(max float / size) is rejected at the state, naming the
@@ -1037,6 +1065,30 @@ def test_step_to_a_non_finite_state_is_divergence(plane_gt, monkeypatch):
     with pytest.raises(DivergenceError, match="iteration 0: flow_fwd must be finite") as err:
         refine(plane_gt.image_t, plane_gt.image_t1, plane_gt.intrinsics, state, small_cfg())
     assert len(err.value.trace) == 1
+
+
+def test_a_callback_that_writes_a_nan_into_the_state_is_divergence(plane_gt):
+    # refine checks each state once, when it is built; a NaN written into
+    # the state in place reaches the next step's new state, which is refused
+    def poison(it, state, report):
+        state.flow_fwd[5, 5, 0] = np.nan
+
+    state = make_initial_state(plane_gt, np.random.default_rng(0))
+    with pytest.raises(DivergenceError, match="iteration 0: flow_fwd must be finite") as err:
+        refine(plane_gt.image_t, plane_gt.image_t1, plane_gt.intrinsics, state, small_cfg(), callback=poison)
+    assert len(err.value.trace) == 1
+
+
+def test_a_callback_that_breaks_a_state_whose_step_is_skipped_is_refused(plane_gt):
+    # with every total below converge_tol every step is skipped and the same
+    # state is evaluated again, so it is checked again after the callback
+    def flip(it, state, report):
+        state.depth_t[2, 3] = -1.0
+
+    state = make_initial_state(plane_gt, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^depth_t must be positive$"):
+        args = (plane_gt.image_t, plane_gt.image_t1, plane_gt.intrinsics)
+        refine(*args, state, small_cfg(converge_tol=1e9), callback=flip)
 
 
 def test_refine_recovers_depth_quickly(plane_gt):
