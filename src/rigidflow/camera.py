@@ -17,6 +17,13 @@ Conventions used throughout the package:
   entry is then an (n, 1, 1) array that broadcasts over its side, so every
   element sees the scalar expression of its own pose.
 
+Where the adjoint's projection comes from: inside the objective,
+`_rigid_flow` projects each block of sides once and keeps its transformed
+points (q0, q1, q2) and cheirality mask in the workspace, and the adjoint
+core `_project_backward` reads them, recomputing only the back-projected
+depth * rx and depth * ry. The public `project_backward` projects the depth
+itself and then runs the same core.
+
 All camera math is written as explicit left-associated scalar expressions
 (no matmul in the per-pixel path) so the vectorized `rigid_flow` agrees
 bitwise with a scalar per-pixel projection of the same expressions (the
@@ -189,16 +196,15 @@ def rotation_jacobians(w) -> np.ndarray:
     return jac
 
 
-def _entries(pose):
-    """(rotation, translation) of a pose, indexed as r[i, j] and t[i]. For a
-    sequence of poses, one per side of a stacked (n, H, W) depth, each entry
-    is an (n, 1, 1) array."""
-    if not isinstance(pose, PoseSE3) and len(pose) == 1:
-        pose = pose[0]  # its scalar entries broadcast over the one side
-    if isinstance(pose, PoseSE3):
-        return pose.rotation, pose.translation
-    r = np.array([p.rotation for p in pose]).transpose(1, 2, 0)[..., None, None]
-    t = np.array([p.translation for p in pose]).T[..., None, None]
+def _entries(sides):
+    """The rotation and translation entries, indexed as r[i, j] and t[i], of
+    a block of sides given as one (rotation, translation) per side: the
+    side's own arrays for one side, and for more, (n, 1, 1) arrays that
+    broadcast over a stacked (n, H, W) depth."""
+    if len(sides) == 1:
+        return sides[0]  # its scalar entries broadcast over the one side
+    r = np.array([r for r, _ in sides]).transpose(1, 2, 0)[..., None, None]
+    t = np.array([t for _, t in sides]).T[..., None, None]
     return r, t
 
 
@@ -210,18 +216,17 @@ def _pixels(h: int, w: int, k: Intrinsics):
     return xs, ys, (xs - k.cx) / k.fx, (ys - k.cy) / k.fy
 
 
-def _transform(pixels, depth, r, t, ws: Workspace):
-    """Back-projected (depth * rx, depth * ry) and the transformed point
-    (q0, q1, q2) of each pixel, for the rays of `_pixels` and the rotation
-    and translation entries r, t of `_entries`; element for element the same
-    expressions as the scalar `project_pixel` of `tests/oracles.py`. The
-    per-pixel arrays, and one scratch array after them, are taken from ws's
-    stack."""
+def _transform(pixels, depth, r, t, q, ws: Workspace):
+    """The transformed point (q0, q1, q2) of each back-projected pixel
+    (depth * rx, depth * ry, depth), into the three arrays q, for the rays of
+    `_pixels` and the rotation and translation entries r, t of `_entries`;
+    element for element the same expressions as the scalar `project_pixel`
+    of `tests/oracles.py`. Its temporaries are taken from ws's stack."""
     rx, ry = pixels[2:]
     shape = depth.shape
+    mark = ws.mark()
     p0 = np.multiply(depth, rx, out=ws.take(shape))
     p1 = np.multiply(depth, ry, out=ws.take(shape))
-    q = [ws.take(shape) for _ in range(3)]
     tmp = ws.take(shape)
     for i, qi in enumerate(q):
         # q_i = r[i, 0] * p0 + r[i, 1] * p1 + r[i, 2] * p2 + t[i], with p2 = depth
@@ -229,7 +234,8 @@ def _transform(pixels, depth, r, t, ws: Workspace):
         qi += np.multiply(p1, r[i, 1], out=tmp)
         qi += np.multiply(depth, r[i, 2], out=tmp)
         qi += t[i]
-    return (p0, p1, *q, tmp)
+    ws.release(mark)
+    return q
 
 
 def rigid_flow(depth: np.ndarray, k: Intrinsics, pose: PoseSE3):
@@ -249,24 +255,27 @@ def rigid_flow(depth: np.ndarray, k: Intrinsics, pose: PoseSE3):
     depth = np.asarray(depth, dtype=float)
     if depth.ndim != 2:
         raise ValueError("depth must be (H, W)")
-    flow, valid = _rigid_flow(depth, k, _pixels(*depth.shape, k), _entries(pose), Workspace())
+    entries = pose.rotation, pose.translation
+    flow, valid, _ = _rigid_flow(depth, k, _pixels(*depth.shape, k), entries, Workspace())
     return np.moveaxis(flow, 0, -1), valid
 
 
 def _rigid_flow(depth: np.ndarray, k: Intrinsics, pixels, entries, ws: Workspace, key="rigid"):
     """`rigid_flow` of an (H, W) or stacked (n, H, W) depth, on the grid and
     rays `pixels` of its level (`_pixels`), for the `_entries` of one pose or
-    of one per side: the planar (2, H, W) or (2, n, H, W) flow and the
-    cheirality mask, in ws's roles (key, "flow") and (key, "valid")."""
+    of one per side: the planar (2, H, W) or (2, n, H, W) flow, the
+    cheirality mask and the transformed points (q0, q1, q2) of `_transform`,
+    each in a role of ws under key (`sampling` lists them), where
+    `_project_backward` reads the last two."""
     if not (depth > 0.0).all():
         raise ValueError("depth must be positive")
+    q0, q1, q2 = q = _transform(pixels, depth, *entries, [ws.get((key, "q", i), depth.shape) for i in range(3)], ws)
     mark = ws.mark()
-    _, _, q0, q1, q2, _ = _transform(pixels, depth, *entries, ws)
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.divide(q0, q2, out=q0)
+        u = np.divide(q0, q2, out=ws.take(depth.shape))
         u *= k.fx
         u += k.cx  # k.fx * (q0 / q2) + k.cx
-        v = np.divide(q1, q2, out=q1)
+        v = np.divide(q1, q2, out=ws.take(depth.shape))
         v *= k.fy
         v += k.cy
     valid = np.greater(q2, 0.0, out=ws.get((key, "valid"), depth.shape, bool))
@@ -275,12 +284,10 @@ def _rigid_flow(depth: np.ndarray, k: Intrinsics, pixels, entries, ws: Workspace
         proj -= grid
         _where(valid, proj, out)
     ws.release(mark)
-    return flow, valid
+    return flow, valid, q
 
 
-def project_backward(
-    depth, k: Intrinsics, pose, grad_u, grad_v, ws: Workspace | None = None, out=None, pixels=None, entries=None
-):
+def project_backward(depth, k: Intrinsics, pose, grad_u, grad_v, ws: Workspace | None = None, out=None):
     """Adjoint of `rigid_flow` for per-pixel flow gradients.
 
     Given dL/d(flow_u), dL/d(flow_v) (zero expected wherever the forward
@@ -288,32 +295,49 @@ def project_backward(
         grad_depth: (H, W) dL/d(depth), into `out` if given,
         grad_r: (3, 3) dL/d(rotation matrix),
         grad_t: (3,) dL/d(translation).
-    For a stacked (n, H, W) depth with one pose per side, grad_depth is
-    (n, H, W), grad_r (n, 3, 3) and grad_t (n, 3), each side's sums taken
-    over its own contiguous (H, W) slice. `pixels` and `entries` are the
-    level's grid and rays (`_pixels`) and the pose's `_entries`, which the
-    objective builds once, computed here when not given. Its temporaries are
+    For a stacked (n, H, W) depth with a sequence of n poses, one per side,
+    grad_depth is (n, H, W), grad_r (n, 3, 3) and grad_t (n, 3), each side's
+    sums taken over its own contiguous (H, W) slice. Its temporaries are
     taken from ws's stack; grad_u and grad_v are only read.
     """
     depth = np.asarray(depth, dtype=float)
     ws = Workspace() if ws is None else ws
     shape = depth.shape
-    h, w = shape[-2:]
-    pixels = _pixels(h, w, k) if pixels is None else pixels
-    r, t = _entries(pose) if entries is None else entries
-    rx, ry = pixels[2:]
+    pixels = _pixels(*shape[-2:], k)
+    poses = [pose] if isinstance(pose, PoseSE3) else pose
+    r, t = _entries([(p.rotation, p.translation) for p in poses])
     mark = ws.mark()
-    drx, dry, q0, q1, q2, tmp = _transform(pixels, depth, r, t, ws)
-    valid = np.greater(q2, 0.0, out=ws.take(shape, bool))
+    q = _transform(pixels, depth, r, t, [ws.take(shape) for _ in range(3)], ws)
+    valid = np.greater(q[2], 0.0, out=ws.take(shape, bool))
+    grads = _project_backward(depth, k, pixels, r, q, valid, grad_u, grad_v, ws, out)
+    ws.release(mark)
+    return grads
+
+
+def _project_backward(depth, k: Intrinsics, pixels, r, q, valid, grad_u, grad_v, ws: Workspace, out=None):
+    """`project_backward` of a depth whose transformed points q = (q0, q1, q2)
+    and cheirality mask valid (q2 > 0) are given, as `_rigid_flow` keeps them
+    for the rotation entries r of `_entries` and the rays of `pixels`: only
+    the back-projected depth * rx and depth * ry are recomputed. q and valid
+    are only read."""
+    shape = depth.shape
+    h, w = shape[-2:]
+    rx, ry = pixels[2:]
+    q0, q1, q2 = q
+    mark = ws.mark()
+    drx = np.multiply(depth, rx, out=ws.take(shape))
+    dry = np.multiply(depth, ry, out=ws.take(shape))
+    tmp = ws.take(shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         # a = np.where(valid, k.fx * grad_u / q2, 0.0), and b likewise
         a = _where(valid, np.divide(np.multiply(grad_u, k.fx, out=tmp), q2, out=tmp), ws.take(shape))
         b = _where(valid, np.divide(np.multiply(grad_v, k.fy, out=tmp), q2, out=tmp), ws.take(shape))
         # c = np.where(valid, -(a * q0 + b * q1) / q2, 0.0)
+        c = ws.take(shape)
         np.multiply(a, q0, out=tmp)
-        tmp += np.multiply(b, q1, out=q1)
+        tmp += np.multiply(b, q1, out=c)
         np.negative(tmp, out=tmp)
-        c = _where(valid, np.divide(tmp, q2, out=tmp), q0)
+        c = _where(valid, np.divide(tmp, q2, out=tmp), c)
 
     # the np.sum of each side: one row per side's contiguous (h, w) slice,
     # each row reduced pairwise, one side for an unstacked depth

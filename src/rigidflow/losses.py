@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._checks import check_fields
-from .camera import Intrinsics, _entries, _rigid_flow, project_backward
+from .camera import Intrinsics, _entries, _project_backward, _rigid_flow
 from .masks import FBCheckParams, _cycle_mask
 from .sampling import WarpPlan, Workspace, _where, _zeros
 
@@ -68,13 +68,25 @@ class NonFiniteLossError(RuntimeError):
         self.term = term
 
 
+# the census gradient divides by (d^2 + epsilon^2)^1.5, epsilon^3 at d = 0,
+# and its penalty squares charbonnier_eps: each power must be a normal float,
+# neither 0 nor inf. Hence epsilon from the cube root of the smallest normal
+# float up to, not including, the cube root of the largest (np.cbrt rounds it
+# up, and its cube overflows), and charbonnier_eps between the square roots
+_FLOATS = np.finfo(float)
+EPSILON_RANGE = float(np.cbrt(_FLOATS.tiny)), float(np.cbrt(_FLOATS.max))
+CHARBONNIER_EPS_RANGE = float(np.sqrt(_FLOATS.tiny)), float(np.sqrt(_FLOATS.max))
+
+
 @dataclass(frozen=True)
 class CensusParams:
     """Census transform settings.
 
     radius: neighborhood radius (radius 1 -> 8 comparisons per pixel).
-    epsilon: soft-sign scale of the ternary descriptor.
-    charbonnier_eps: stabilizer of the per-neighbor distance penalty.
+    epsilon: soft-sign scale of the ternary descriptor, in `EPSILON_RANGE`
+        (the upper end excluded).
+    charbonnier_eps: stabilizer of the per-neighbor distance penalty, in
+        `CHARBONNIER_EPS_RANGE`.
     """
 
     radius: int = 1
@@ -84,6 +96,10 @@ class CensusParams:
     def __post_init__(self):
         check_fields(self, ("radius",), lambda v: v >= 1, ">= 1")
         check_fields(self, ("epsilon", "charbonnier_eps"), lambda v: v > 0.0, "positive")
+        lo, hi = EPSILON_RANGE
+        check_fields(self, ("epsilon",), lambda v: lo <= v < hi, f"in [{lo!r}, {hi!r})")
+        lo, hi = CHARBONNIER_EPS_RANGE
+        check_fields(self, ("charbonnier_eps",), lambda v: lo <= v <= hi, f"in [{lo!r}, {hi!r}]")
 
 
 @dataclass(frozen=True)
@@ -575,10 +591,23 @@ def _side_blocks(h: int, w: int):
     return [(slice(0, 1), slice(1, 2)), (slice(1, 2), slice(0, 1))]
 
 
+def _block_entries(sides, shapes) -> dict:
+    """The `camera._entries` of each block of sides that levels of the (h, w)
+    shapes run (`_side_blocks`), each built once from `sides`, one
+    (rotation, translation) per side, and keyed by the block's own sides as
+    (start, stop): the `entries` of `scale_objective`."""
+    out = {}
+    for shape in shapes:
+        for own, _ in _side_blocks(*shape):
+            if (own.start, own.stop) not in out:
+                out[own.start, own.stop] = _entries(sides[own])
+    return out
+
+
 def scale_objective(
     level: LevelInputs,
     depths,
-    poses,
+    entries,
     flows,
     weights: LossWeights,
     census: CensusParams,
@@ -594,9 +623,10 @@ def scale_objective(
 
     level holds the level's image-only inputs, its census descriptors built
     for `census` (ValueError otherwise). depths are (frame t, frame t+1),
-    (2, h, w), poses (t -> t+1, t+1 -> t) and flows (forward,
-    backward), planar (2, 2, h, w) as [component, side]: entry d of each
-    belongs to side d, whose other frame is the other entry. Every term runs
+    (2, h, w), and flows (forward, backward), planar (2, 2, h, w) as
+    [component, side]: entry d of each belongs to side d, whose other frame
+    is the other entry. entries holds the pose entries of each block, built
+    by `_block_entries` from (t -> t+1, t+1 -> t). Every term runs
     once per block of sides (`_side_blocks`): both sides at once on small
     levels, where plans along a stacked field read each side's other frame,
     and one side at a time on large ones, reading the other side's slice.
@@ -620,10 +650,10 @@ def scale_objective(
     flow = np.asarray(flows, dtype=float)
     blocks = _side_blocks(h, w)
     views = [level.block(own, other) for own, other in blocks]
-    entries = [_entries(poses[own]) for own, _ in blocks]
-    # per block: its rigid flows, cheirality and plans; block b's other
-    # sides are those of block -1 - b
-    rigid, cheir = zip(
+    entries = [entries[own.start, own.stop] for own, _ in blocks]
+    # per block: its rigid flows, cheirality, projected points and plans;
+    # block b's other sides are those of block -1 - b
+    rigid, cheir, points = zip(
         *(
             _rigid_flow(depth[own], level.k, level.pixels, entries[b], ws, ("rigid", b))
             for b, (own, _) in enumerate(blocks)
@@ -732,12 +762,12 @@ def scale_objective(
         return ScaleResult(photometric, smooth, fb_total, cross, None, None, None, masks)
     # photometric branch gradients on rigid flow arrive unweighted; rescale
     # happens at accumulation sites above, so here only the chain through
-    # the projection remains
+    # the projection remains, on the points the rigid flow projected
     grad_pose = []
     for b, (own, _) in enumerate(blocks):
         out = ws.take(depth[own].shape)
-        gd, gr, gt = project_backward(
-            depth[own], level.k, poses[own], *g_rigid[b], ws=ws, out=out, pixels=level.pixels, entries=entries[b]
+        gd, gr, gt = _project_backward(
+            depth[own], level.k, level.pixels, entries[b][0], points[b], cheir[b], *g_rigid[b], ws, out
         )
         g_depth[own] += gd
         grad_pose += zip(gr, gt)

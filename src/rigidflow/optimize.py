@@ -32,6 +32,7 @@ from .camera import (
     pose_from_params,
     pose_param_gradient,
     rigid_flow,
+    rodrigues,
 )
 from .losses import (
     ALL_TERMS,
@@ -41,6 +42,7 @@ from .losses import (
     LossReport,
     LossWeights,
     NonFiniteLossError,
+    _block_entries,
     _census_reference,
     edge_weights,
     scale_objective,
@@ -106,12 +108,18 @@ class SceneState:
                 raise ValueError(f"{name} has shape {got}, expected {shape} to match depth_t")
         if self.pose_params.shape != (6,):
             raise ValueError(f"pose_params must be a 6-vector, got shape {self.pose_params.shape}")
+        # each field's smallest and largest value, read once: NaN and +-inf
+        # reach one of them, and they bound every check below
+        bounds = {}
         for name in ("depth_t", "depth_t1", "pose_params", "flow_fwd", "flow_bwd"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            a = getattr(self, name)
+            lo, hi = bounds[name] = a.min(), a.max()
+            if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError(f"{name} must be finite")
         for name in ("depth_t", "depth_t1"):
             depth = getattr(self, name)
-            if not np.all(depth > 0.0):
+            lo, top = bounds[name]
+            if not lo > 0.0:
                 raise ValueError(f"{name} must be positive")
             # the depth smoothness divides each level by its mean
             mean = np.add.reduce(depth, None) / depth.size
@@ -119,7 +127,6 @@ class SceneState:
                 raise ValueError(f"{name} has mean {mean:.6g}, below the {MEAN_FLOOR:g} the depth smoothness needs")
             # and its gradient divides by size * mean**2, which a mean above
             # sqrt(max float / size) overflows; the largest value bounds the mean
-            top = depth.max()
             ceiling = math.sqrt(np.finfo(float).max / depth.size)
             if top > ceiling:
                 raise ValueError(
@@ -130,8 +137,8 @@ class SceneState:
         # stays finite while no flow has a magnitude above sqrt(max float / 8)
         ceiling = math.sqrt(np.finfo(float).max / 8)
         for name in ("flow_fwd", "flow_bwd"):
-            flow = getattr(self, name)
-            top = max(flow.max(), -flow.min())  # np.abs(flow).max(), without a copy
+            lo, hi = bounds[name]
+            top = max(hi, -lo)  # np.abs(flow).max()
             if top > ceiling:
                 raise ValueError(
                     f"{name} has a largest magnitude of {top:.6g}, above the {ceiling:.6g} the fb check can square"
@@ -385,15 +392,20 @@ def _objective(state: SceneState, ctx: PairContext, cfg: OptimizerConfig, masks,
     pyramid(np.stack((state.depth_t, state.depth_t1), out=depths[0]), scales, out=depths[1:])
     planar = [np.moveaxis(f, -1, 0) for f in (state.flow_fwd, state.flow_bwd)]
     pyramid(np.stack(planar, axis=1, out=flows[0]), scales, 0.5, out=flows[1:])
-    pose = pose_from_params(state.pose_params)
-    poses = (pose, invert(pose))
+    # the pose and its inverse as `pose_from_params` and `invert` build them,
+    # without a `PoseSE3` to build and validate, and their entries per block
+    p = state.pose_params
+    r, t = rodrigues(p[:3]), p[3:].copy()
+    rt = r.T
+    sides = (r, t), (rt.copy(), -(rt @ t))
+    entries = _block_entries(sides, [level.gray.shape[1:] for level in ctx.levels])
     photometric = smooth = fb_total = cross = 0.0
     results = []
     for lvl in range(scales):
         res = scale_objective(
             ctx.levels[lvl],
             depths[lvl],
-            poses,
+            entries,
             flows[lvl],
             cfg.weights,
             cfg.census,

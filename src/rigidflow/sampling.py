@@ -54,7 +54,11 @@ buffer:
 - named roles, one buffer each, for what lives longer than a term: a plan's
   indices, weights and flags (roles under the plan's `key`), a level's rigid
   flows, fb cycles, rigid-flow gradients, masks and gradient accumulators,
-  and the pyramids. A coarser level reads a prefix of level 0's buffer.
+  and the pyramids. Each block's rigid flow (`camera._rigid_flow`) keeps,
+  under its key, the flow (key, "flow"), the cheirality mask (key, "valid")
+  and the transformed points (key, "q", 0..2), which the projection adjoint
+  reads; the names differ from those of the block's plan, which shares the
+  key. A coarser level reads a prefix of level 0's buffer.
 - one stack, for the temporaries of a phase: the sampled corners, the
   scatter's index and weights, the term cores' arrays, the projection
   adjoint's and the fold's scratch, the Adam step's. A kernel marks the

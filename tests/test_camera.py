@@ -261,7 +261,8 @@ def test_stacked_rigid_flow_matches_project_pixel_bitwise(sides):
     depth = rng.uniform(2.0, 8.0, (sides, 9, 11))
     pose = random_pose(rng)
     poses = (pose, invert(pose))[:sides]
-    flow, valid = _rigid_flow(depth, K, _pixels(9, 11, K), _entries(poses), Workspace())
+    entries = _entries([(p.rotation, p.translation) for p in poses])
+    flow, valid, _ = _rigid_flow(depth, K, _pixels(9, 11, K), entries, Workspace())
     assert flow.shape == (2, sides, 9, 11) and valid.shape == (sides, 9, 11)
     for s, side_pose in enumerate(poses):
         for y in range(9):

@@ -172,6 +172,16 @@ def test_optimizer_config_rejects_scale_settings_that_cannot_run():
         # range errors of the nested settings carry the key's prefix
         ("census_radius", "0", "census_radius must be >= 1, got 0"),
         ("census_charbonnier_eps", "0", "census_charbonnier_eps must be positive, got 0.0"),
+        (
+            "census_epsilon",
+            "1e-300",
+            "census_epsilon must be in [2.812644285236262e-103, 5.643803094122362e+102), got 1e-300",
+        ),
+        (
+            "census_charbonnier_eps",
+            "1e155",
+            "census_charbonnier_eps must be in [1.4916681462400413e-154, 1.3407807929942596e+154], got 1e+155",
+        ),
         ("beta1", "2", "beta1 must be in [0, 1), got 2.0"),
         ("lambda_s", "-1", "lambda_s must be non-negative, got -1.0"),
         ("fb_alpha1", "-1", "fb_alpha1 must be non-negative, got -1.0"),

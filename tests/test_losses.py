@@ -15,7 +15,7 @@ from rigidflow.losses import (
     edge_weights,
     smoothness_loss,
 )
-from rigidflow.optimize import OptimizerConfig, SceneState, evaluate
+from rigidflow.optimize import OptimizerConfig, SceneState, evaluate, make_initial_state
 from rigidflow.sampling import WarpPlan
 from rigidflow.scenes import preset, render
 
@@ -75,6 +75,51 @@ def test_census_params_validation():
         CensusParams(radius=0)
     with pytest.raises(ValueError):
         CensusParams(epsilon=0.0)
+
+
+def test_census_params_reject_what_the_census_cannot_compute():
+    # the census gradient divides by epsilon**3 (as (d^2 + epsilon^2)^1.5)
+    # and its penalty squares charbonnier_eps: outside their ranges a power
+    # underflows to 0 or overflows, inside them evaluate runs without a warning
+    import warnings
+
+    from rigidflow.losses import CHARBONNIER_EPS_RANGE, EPSILON_RANGE
+
+    tiny, top = np.finfo(float).tiny, np.finfo(float).max
+    lo, hi = EPSILON_RANGE
+    below = np.nextafter(hi, 0.0)
+    assert lo**3 >= tiny > np.nextafter(lo, 0.0) ** 3
+    with np.errstate(over="ignore"):
+        assert np.power(below * below, 1.5) <= top < np.power(hi * hi, 1.5)
+    lo_c, hi_c = CHARBONNIER_EPS_RANGE
+    assert lo_c * lo_c >= tiny > np.nextafter(lo_c, 0.0) ** 2
+    assert hi_c * hi_c <= top
+    for kwargs, field in (
+        (dict(epsilon=np.nextafter(lo, 0.0)), "epsilon"),
+        (dict(epsilon=hi), "epsilon"),
+        (dict(epsilon=1e-108), "epsilon"),
+        (dict(epsilon=1e103), "epsilon"),
+        (dict(charbonnier_eps=np.nextafter(lo_c, 0.0)), "charbonnier_eps"),
+        (dict(charbonnier_eps=np.nextafter(hi_c, np.inf)), "charbonnier_eps"),
+        (dict(charbonnier_eps=1e-162), "charbonnier_eps"),
+        (dict(charbonnier_eps=1e155), "charbonnier_eps"),
+    ):
+        with pytest.raises(ValueError, match=rf"^{field} must be in \["):
+            CensusParams(**kwargs)
+    gt = render(preset("mover", width=32, height=24))
+    state = make_initial_state(gt, np.random.default_rng(0))
+    for kwargs in (
+        dict(epsilon=lo, charbonnier_eps=lo_c),
+        dict(epsilon=below, charbonnier_eps=hi_c),
+        dict(epsilon=lo, charbonnier_eps=hi_c),
+        dict(epsilon=below, charbonnier_eps=lo_c),
+    ):
+        cfg = OptimizerConfig(scales=2, census=CensusParams(**kwargs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report, grad, _ = evaluate(state, gt.image_t, gt.image_t1, gt.intrinsics, cfg)
+        assert np.isfinite(report.total), kwargs
+        assert all(np.isfinite(a).all() for a in vars(grad).values()), kwargs
 
 
 # ---------------------------------------------------------------------------
@@ -660,13 +705,14 @@ def level_objective(imgs, depths, poses, flows, k, *settings, **case):
     """`scale_objective` on the level inputs of imgs and k, called as the oracle
     is: the (H, W, 2) flows go in planar, (2, 2, H, W) as [component, side],
     and their gradients come back (H, W, 2) per side."""
-    from rigidflow.losses import scale_objective
+    from rigidflow.losses import _block_entries, scale_objective
     from rigidflow.optimize import PairContext
 
     # the context's census descriptors are built for the case's census settings
     cfg = OptimizerConfig(scales=1, census=settings[1])
     (level,) = PairContext(*imgs, k, cfg, depths[0].shape).levels
-    res = scale_objective(level, depths, poses, np.stack([planar(f) for f in flows], axis=1), *settings, **case)
+    entries = _block_entries([(p.rotation, p.translation) for p in poses], [depths[0].shape])
+    res = scale_objective(level, depths, entries, np.stack([planar(f) for f in flows], axis=1), *settings, **case)
     return replace(res, grad_flow=tuple(np.ascontiguousarray(channel_last(res.grad_flow[:, d])) for d in (0, 1)))
 
 

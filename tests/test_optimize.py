@@ -57,11 +57,22 @@ def test_scene_state_validation():
     with pytest.raises(ValueError, match=r"^depth_t must be \(H, W\), got shape \(4, 4, 1\)$"):
         SceneState(**{**good, "depth_t": np.ones((4, 4, 1))})
     for name, value in good.items():
-        for bad in (np.nan, np.inf):
+        for bad in (np.nan, np.inf, -np.inf):
             field = value.copy()
             field.flat[1] = bad
             with pytest.raises(ValueError, match=f"^{name} must be finite$"):
                 SceneState(**{**good, name: field})
+    for name in ("depth_t", "depth_t1"):
+        for bad in (0.0, -0.0, -2.0):
+            field = good[name].copy()
+            field.flat[5] = bad
+            with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+                SceneState(**{**good, name: field})
+    # every field is checked for finiteness before any depth for positivity
+    flow_bwd, depth_t = good["flow_bwd"].copy(), good["depth_t"].copy()
+    flow_bwd[2, 3, 1], depth_t[0, 0] = np.nan, 0.0
+    with pytest.raises(ValueError, match="^flow_bwd must be finite$"):
+        SceneState(**{**good, "flow_bwd": flow_bwd, "depth_t": depth_t})
 
 
 def test_evaluate_rechecks_a_state_changed_in_place(plane_gt):
@@ -222,9 +233,9 @@ def test_level_flows_reach_the_objective_row_major(plane_gt, monkeypatch):
     # same numbers, computed more slowly
     seen = []
 
-    def spy(level, depths, poses, flows, *args, real=optimize.scale_objective, **kwargs):
+    def spy(level, depths, entries, flows, *args, real=optimize.scale_objective, **kwargs):
         seen.append(flows.flags.c_contiguous)
-        return real(level, depths, poses, flows, *args, **kwargs)
+        return real(level, depths, entries, flows, *args, **kwargs)
 
     monkeypatch.setattr(optimize, "scale_objective", spy)
     evaluate(state_from_gt(plane_gt), plane_gt.image_t, plane_gt.image_t1, plane_gt.intrinsics, small_cfg(scales=3))
@@ -389,7 +400,7 @@ def test_forward_only_evaluate_runs_no_gradient_work(monkeypatch):
     monkeypatch.setattr(WarpPlan, "scatter", forbidden)
     monkeypatch.setattr(camera, "project_backward", forbidden)
     # the names the objective calls them by
-    monkeypatch.setattr(losses, "project_backward", forbidden)
+    monkeypatch.setattr(losses, "_project_backward", forbidden)
     monkeypatch.setattr(optimize, "pose_param_gradient", forbidden)
     for (state, args, masks, _), want in zip(cases, expected):
         report, grad, _ = evaluate(state, *args, masks=masks, want_grads=False)
@@ -398,6 +409,81 @@ def test_forward_only_evaluate_runs_no_gradient_work(monkeypatch):
     state, args, masks, _ = cases[0]
     with pytest.raises(AssertionError, match="gradient work"):
         evaluate(state, *args, masks=masks)
+
+
+# ---------------------------------------------------------------------------
+# the projection: once per block, its pose entries once per evaluate
+
+
+def test_objective_projects_each_block_once_and_its_adjoint_matches(monkeypatch):
+    # mover 128x96 at 3 scales: by default level 0 (12,288 pixels) runs a side
+    # at a time and levels 1 and 2 both sides stacked; the adjoint reads the
+    # transformed points of the block's rigid flow instead of projecting again
+    from rigidflow.camera import invert, pose_from_params, project_backward
+    from rigidflow.losses import _side_blocks
+
+    gt = render(preset("mover", width=128, height=96))
+    state = make_initial_state(gt, np.random.default_rng(0), depth_noise=0.1, pose_noise=0.02, flow_noise=0.3)
+    args = (gt.image_t, gt.image_t1, gt.intrinsics, OptimizerConfig(scales=3))
+    pose = pose_from_params(state.pose_params)
+    poses = (pose, invert(pose))
+    projected, adjoints = [], []
+
+    def counted(pixels, depth, *rest, real=camera._transform):
+        projected.append(depth.shape)
+        return real(pixels, depth, *rest)
+
+    def spy(depth, k, pixels, r, q, valid, grad_u, grad_v, ws, out=None, real=camera._project_backward):
+        got = real(depth, k, pixels, r, q, valid, grad_u, grad_v, ws, out)
+        adjoints.append((depth.copy(), k, grad_u.copy(), grad_v.copy(), [a.copy() for a in got]))
+        return got
+
+    monkeypatch.setattr(camera, "_transform", counted)
+    monkeypatch.setattr(losses, "_project_backward", spy)
+    for split in (losses.STACKED_PIXELS, 0, 10**9):
+        monkeypatch.setattr(losses, "STACKED_PIXELS", split)
+        projected.clear()
+        adjoints.clear()
+        evaluate(state, *args)
+        sizes = ((96, 128), (48, 64), (24, 32))
+        blocks = [(own, (own.stop - own.start, h, w)) for h, w in sizes for own, _ in _side_blocks(h, w)]
+        assert projected == [shape for _, shape in blocks], split
+        if split == 100 * 100:
+            assert projected == [(1, 96, 128), (1, 96, 128), (2, 48, 64), (2, 24, 32)]
+        assert [a[0].shape for a in adjoints] == projected
+        for (own, _), (depth, k, gu, gv, got) in zip(blocks, adjoints):
+            want = project_backward(depth, k, poses[own], gu, gv)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (split, own)
+
+
+def test_refine_builds_no_pose_and_the_entries_once_per_layout(monkeypatch):
+    # the objective builds the pose entries from the pose parameters, once
+    # per block layout (one side 0, one side 1, both stacked) of an evaluate
+    gt = render(preset("mover", width=128, height=96))
+    state = make_initial_state(gt, np.random.default_rng(0), depth_noise=0.1, flow_noise=0.3)
+    built, entries, per_evaluate = [], [], []
+
+    def post_init(self, real=camera.PoseSE3.__post_init__):
+        built.append(self)
+        real(self)
+
+    def counted(sides, real=camera._entries):
+        entries.append(tuple(map(id, sides)))  # each side's pose
+        return real(sides)
+
+    def callback(it, state, report):
+        per_evaluate.append(entries[:])
+        entries.clear()
+
+    monkeypatch.setattr(camera.PoseSE3, "__post_init__", post_init)
+    monkeypatch.setattr(losses, "_entries", counted)
+    _, trace = refine(gt.image_t, gt.image_t1, gt.intrinsics, state, small_cfg(iterations=3, scales=3), callback)
+    assert len(trace) == len(per_evaluate) == 4
+    assert built == []
+    for calls in per_evaluate:
+        # side 0 and side 1 of level 0, then both sides of levels 1 and 2
+        assert len(calls) == len(set(calls)) == 3, calls
 
 
 # ---------------------------------------------------------------------------
