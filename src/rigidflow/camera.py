@@ -8,21 +8,17 @@ Conventions used throughout the package:
 * a pose (R, t) maps frame-t points into frame t+1 as X' = R X + t;
 * flow fields are (H, W, 2) arrays with [..., 0] = horizontal displacement
   at every public boundary (state, gradient, files, `rigid_flow`'s return);
-  inside the objective they are planar, [0] horizontal, and stacked over the
-  two sides of the pair: (2, 2, H, W), component first, made by one copy of
-  the state flows on entry and turned back by one copy of each flow
-  gradient on exit (see `sampling`);
-* `project_backward` and `_rigid_flow`, the planar core of `rigid_flow`,
-  also take a stacked (n, H, W) depth with one pose per side; each pose
-  entry is then an (n, 1, 1) array that broadcasts over its side, so every
-  element sees the scalar expression of its own pose.
+  inside the objective they are planar and stacked over the two sides of
+  the pair (the layout is told in `sampling`);
+* `_rigid_flow`, the planar core of `rigid_flow`, also takes a stacked
+  (n, H, W) depth with one pose per side; each pose entry is then an
+  (n, 1, 1) array that broadcasts over its side, so every element sees the
+  scalar expression of its own pose.
 
-Where the adjoint's projection comes from: inside the objective,
-`_rigid_flow` projects each block of sides once and keeps its transformed
-points (q0, q1, q2) and cheirality mask in the workspace, and the adjoint
-core `_project_backward` reads them, recomputing only the back-projected
-depth * rx and depth * ry. The public `project_backward` projects the depth
-itself and then runs the same core.
+Inside the objective, `_rigid_flow` projects each block of sides once and
+keeps its transformed points (q0, q1, q2) and cheirality mask in the
+workspace, and the adjoint `_project_backward` reads them, recomputing only
+the back-projected depth * rx and depth * ry.
 
 All camera math is written as explicit left-associated scalar expressions
 (no matmul in the per-pixel path) so the vectorized `rigid_flow` agrees
@@ -49,7 +45,6 @@ __all__ = [
     "invert",
     "rotation_jacobians",
     "rigid_flow",
-    "project_backward",
     "pose_param_gradient",
 ]
 
@@ -287,39 +282,17 @@ def _rigid_flow(depth: np.ndarray, k: Intrinsics, pixels, entries, ws: Workspace
     return flow, valid, q
 
 
-def project_backward(depth, k: Intrinsics, pose, grad_u, grad_v, ws: Workspace | None = None, out=None):
-    """Adjoint of `rigid_flow` for per-pixel flow gradients.
-
-    Given dL/d(flow_u), dL/d(flow_v) (zero expected wherever the forward
-    pass was invalid), returns
-        grad_depth: (H, W) dL/d(depth), into `out` if given,
-        grad_r: (3, 3) dL/d(rotation matrix),
-        grad_t: (3,) dL/d(translation).
-    For a stacked (n, H, W) depth with a sequence of n poses, one per side,
-    grad_depth is (n, H, W), grad_r (n, 3, 3) and grad_t (n, 3), each side's
-    sums taken over its own contiguous (H, W) slice. Its temporaries are
-    taken from ws's stack; grad_u and grad_v are only read.
-    """
-    depth = np.asarray(depth, dtype=float)
-    ws = Workspace() if ws is None else ws
-    shape = depth.shape
-    pixels = _pixels(*shape[-2:], k)
-    poses = [pose] if isinstance(pose, PoseSE3) else pose
-    r, t = _entries([(p.rotation, p.translation) for p in poses])
-    mark = ws.mark()
-    q = _transform(pixels, depth, r, t, [ws.take(shape) for _ in range(3)], ws)
-    valid = np.greater(q[2], 0.0, out=ws.take(shape, bool))
-    grads = _project_backward(depth, k, pixels, r, q, valid, grad_u, grad_v, ws, out)
-    ws.release(mark)
-    return grads
-
-
 def _project_backward(depth, k: Intrinsics, pixels, r, q, valid, grad_u, grad_v, ws: Workspace, out=None):
-    """`project_backward` of a depth whose transformed points q = (q0, q1, q2)
-    and cheirality mask valid (q2 > 0) are given, as `_rigid_flow` keeps them
-    for the rotation entries r of `_entries` and the rays of `pixels`: only
-    the back-projected depth * rx and depth * ry are recomputed. q and valid
-    are only read."""
+    """Adjoint of `_rigid_flow` for per-pixel flow gradients dL/d(flow_u)
+    and dL/d(flow_v), zero expected wherever the forward pass was invalid:
+    (grad_depth, into `out` if given, grad_r (3, 3) wrt the rotation matrix,
+    grad_t (3,) wrt the translation), and for a stacked (n, H, W) depth one
+    of each per side, (n, 3, 3) and (n, 3), each side's sums over its own
+    contiguous (H, W) slice. It reads the transformed points q = (q0, q1, q2)
+    and cheirality mask valid (q2 > 0) that `_rigid_flow` kept, for the
+    rotation entries r of `_entries` and the rays of `pixels`, and
+    recomputes only depth * rx and depth * ry. Its temporaries are taken
+    from ws's stack; q, valid, grad_u and grad_v are only read."""
     shape = depth.shape
     h, w = shape[-2:]
     rx, ry = pixels[2:]

@@ -5,18 +5,17 @@ Every term comes with a hand-derived analytic gradient. Losses are means
 over their own valid-pixel count (smoothness over the full pixel count) so
 the weights below do not depend on image size. A term whose mask is empty
 gives a zero loss and zero gradients rather than NaN, with no flag: the masks
-that `optimize.evaluate` returns say which mask was empty. Every term core
-takes a `grads` flag: when it is False the core returns once its loss is
-known and none of the gradient arithmetic runs; its gradients are then
-None, or zeros where the mask is empty.
+that `optimize.evaluate` returns say which mask was empty. The fb and
+cross-task terms are one robust penalty over a validity mask
+(`_masked_penalty`), each with its own chain rule. Every term core takes a
+`grads` flag: when it is False the core returns once its loss is known and
+none of the gradient arithmetic runs; its gradients are then None.
 
-Every per-pixel array may carry a leading side axis: the objective stacks
-the two sides of the pair (side 0 is frame t against t+1, side 1 the
-reverse) into one (2, ...) array, and on small levels each kernel runs once
-for both (`scale_objective`). Every reduction runs per side on a contiguous
+Every per-pixel array may carry the leading side axis of the stacked layout
+(told in `sampling`), and on small levels each kernel runs once for both
+sides (`scale_objective`). Every reduction runs per side on a contiguous
 (h, w) slice, in the order of the unstacked sum, and a loss comes back as
-one float per side (a tuple); without a side axis it is one float. Warp
-plans along a stacked field read each side's other frame (`sampling`).
+one float per side (a tuple); without a side axis it is one float.
 
 The charbonnier penalty used throughout is
 
@@ -100,6 +99,17 @@ class CensusParams:
         check_fields(self, ("epsilon",), lambda v: lo <= v < hi, f"in [{lo!r}, {hi!r})")
         lo, hi = CHARBONNIER_EPS_RANGE
         check_fields(self, ("charbonnier_eps",), lambda v: lo <= v <= hi, f"in [{lo!r}, {hi!r}]")
+
+
+def _census_squares(spread: float, params: CensusParams) -> bool:
+    """Whether the census gradient's (d^2 + epsilon^2) ** 1.5 stays finite for
+    every neighbour difference d of a frame whose values span `spread`. A gray
+    value is a mean of the frame's channels and a bilinear sample a convex
+    combination of gray values, so |d| <= spread; the square carries a 2^-18
+    margin for their rounding."""
+    s = spread * spread * (1.0 + 2.0**-18) + params.epsilon * params.epsilon  # Python floats: inf, no warning
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(np.power(s, 1.5)))
 
 
 @dataclass(frozen=True)
@@ -426,25 +436,35 @@ def smoothness_loss(field: np.ndarray, edges, mean_normalize: bool = False, grad
     return loss, out
 
 
+def _masked_penalty(x, mask, counts, grads: bool, ws: Workspace):
+    """The robust penalty of a residual x over the bool mask, whose
+    `_inverse_counts` are counts: the charbonnier of x, its two components
+    added up per pixel for a planar (2, n, h, w) x, averaged over each side
+    of the (n, h, w) mask (`_side_means`). Returns (loss, g), g the gradient
+    wrt x, zero off the mask, or None without `grads`. x is written into;
+    the other arrays are taken from ws's stack."""
+    phi, dphi = charbonnier(x, grads=grads, out=(ws.take(x.shape), ws.take(x.shape)))
+    loss = _side_means(np.add(phi[0], phi[1], out=x[0]) if x.ndim > mask.ndim else phi, mask, counts)
+    if not grads:
+        return loss, None
+    dphi *= counts[2]  # 1 / each side's count
+    return loss, _where(mask, dphi, phi)  # np.where(mask, dphi, 0.0)
+
+
 def _fb_flow_terms(fwd, plan: WarpPlan, cycle, mask, counts, grads: bool, ws: Workspace):
     """Charbonnier norm of f(p) + b(p + f(p)) over the bool mask, whose
     `_inverse_counts` are counts, from the cycle (b, db/dx, db/dy) sampled
     through the plan of f = fwd, each planar (2, H, W) or stacked (2, n, H,
     W); only b is read without `grads`. Returns (loss, grad wrt fwd, grad wrt
     bwd), bwd being what the plan sampled, both taken from ws's stack."""
-    _, inv, scale = counts
-    if not any(inv):
-        return _by_side([0.0] * len(inv), mask), np.zeros_like(fwd), np.zeros_like(fwd)
     shape = np.shape(fwd)
-    x, phi, dphi, grad_fwd, grad_bwd = [ws.take(shape) for _ in range(5)]
-    phi, dphi = charbonnier(np.add(fwd, cycle[0], out=x), grads=grads, out=(phi, dphi))
-    loss = _side_means(np.add(phi[0], phi[1], out=x[0]), mask, counts)
+    x = np.add(fwd, cycle[0], out=ws.take(shape))
+    loss, g = _masked_penalty(x, mask, counts, grads, ws)
     if not grads:
         return loss, None, None
     _, bdx, bdy = cycle
-    dphi *= scale
-    gu, gv = g = _where(mask, dphi, phi)  # np.where(mask, dphi * scale, 0.0)
-    tmp = x[0]
+    gu, gv = g
+    grad_fwd, tmp = ws.take(shape), x[0]
     # q depends on fwd, so the sampled b(q) feeds back into both components:
     # grad_fwd[0] = gu * (1.0 + bdx[0]) + gv * bdx[1]
     np.add(bdx[0], 1.0, out=grad_fwd[0])
@@ -455,7 +475,7 @@ def _fb_flow_terms(fwd, plan: WarpPlan, cycle, mask, counts, grads: bool, ws: Wo
     np.add(bdy[1], 1.0, out=tmp)
     tmp *= gv
     grad_fwd[1] += tmp
-    return loss, grad_fwd, plan.scatter(g, out=grad_bwd)
+    return loss, grad_fwd, plan.scatter(g, out=ws.take(shape))
 
 
 def _fb_depth_terms(depth_t, depth_t1, plan: WarpPlan, mask, counts, grads: bool, ws: Workspace):
@@ -464,36 +484,25 @@ def _fb_depth_terms(depth_t, depth_t1, plan: WarpPlan, mask, counts, grads: bool
     rigid flow, (H, W) or stacked (n, H, W) (a stacked plan pulls each side
     from the other side of depth_t1). Returns (loss, grad wrt depth_t, grad
     wrt depth_t1, planar grad wrt the rigid flow), all taken from ws's stack."""
-    _, inv, scale = counts
     shape = np.shape(depth_t)
-    if not any(inv):
-        return _by_side([0.0] * len(inv), mask), np.zeros(shape), np.zeros(shape), np.zeros((2,) + shape)
-    pulled, ddx, ddy, x, phi, dphi, grad_t1 = [ws.take(shape) for _ in range(7)]
-    grad_rigid = ws.take((2,) + shape)
+    pulled = ws.take(shape)
     if grads:
+        ddx, ddy = ws.take(shape), ws.take(shape)
         plan.sample_grad(depth_t1, out=(pulled, ddx, ddy))
     else:
         plan.sample(depth_t1, out=pulled)
-    phi, dphi = charbonnier(np.subtract(depth_t, pulled, out=x), grads=grads, out=(phi, dphi))
-    loss = _side_means(phi, mask, counts)
+    x = np.subtract(depth_t, pulled, out=pulled)
+    loss, g = _masked_penalty(x, mask, counts, grads, ws)
     if not grads:
         return loss, None, None, None
-    dphi *= scale
-    g = _where(mask, dphi, phi)  # np.where(mask, dphi * scale, 0.0)
     neg = np.negative(g, out=x)
+    grad_rigid = ws.take((2,) + shape)
     for dd, out in zip((ddx, ddy), grad_rigid):
         np.multiply(neg, dd, out=out)
-    return loss, g, plan.scatter(neg, out=grad_t1), grad_rigid
+    return loss, g, plan.scatter(neg, out=ws.take(shape)), grad_rigid
 
 
-def cross_task_loss(
-    rigid: np.ndarray,
-    flow: np.ndarray,
-    mask: np.ndarray,
-    eps: float = DEFAULT_L1_EPS,
-    grads: bool = True,
-    ws: Workspace | None = None,
-):
+def cross_task_loss(rigid, flow, mask, grads: bool = True, ws: Workspace | None = None):
     """Charbonnier gap between rigid flow and estimated flow, both planar
     (2, H, W), or stacked (2, n, H, W) with an (n, H, W) mask, over mask.
 
@@ -505,19 +514,12 @@ def cross_task_loss(
     if rigid.shape != flow.shape:
         raise ValueError("field sizes differ")
     mask = np.asarray(mask, dtype=bool)
-    counts = _inverse_counts(mask)
-    _, inv, scale = counts
-    if not any(inv):
-        return _by_side([0.0] * len(inv), mask), np.zeros_like(rigid), np.zeros_like(flow)
     ws = Workspace() if ws is None else ws
-    x, phi, dphi = [ws.take(rigid.shape) for _ in range(3)]
-    phi, dphi = charbonnier(np.subtract(rigid, flow, out=x), eps, grads, (phi, dphi))
-    loss = _side_means(np.add(phi[0], phi[1], out=x[0]), mask, counts)
+    x = np.subtract(rigid, flow, out=ws.take(rigid.shape))
+    loss, grad_rigid = _masked_penalty(x, mask, _inverse_counts(mask), grads, ws)
     if not grads:
         return loss, None, None
-    dphi *= scale
-    grad_rigid = _where(mask, dphi, phi)  # np.where(mask, dphi * scale, 0.0)
-    return loss, grad_rigid, np.negative(grad_rigid, out=dphi)
+    return loss, grad_rigid, np.negative(grad_rigid, out=x)
 
 
 @dataclass

@@ -11,10 +11,8 @@ Adam step of `refine` write every array whose size follows the state into
 it, so iterations after the first allocate only the next state's arrays.
 What `refine` hands out is never one of those buffers: each state is new,
 and its moments stay inside. `evaluate` keeps the context of its last call
-in a one-entry slot and runs the next call on it when that call's frames
-(bit for bit), intrinsics, pyramid depth and state size are the same (see
-`evaluate`); its report, gradient and masks are the caller's alone, and
-`step` copies the moments it updates and leaves its inputs untouched.
+for the next one (its docstring has the slot policy), and `step` copies the
+moments it updates and leaves its inputs untouched.
 """
 
 from __future__ import annotations
@@ -44,6 +42,7 @@ from .losses import (
     NonFiniteLossError,
     _block_entries,
     _census_reference,
+    _census_squares,
     edge_weights,
     scale_objective,
 )
@@ -231,11 +230,12 @@ class PairContext:
     `cfg.scales` (gray images, edge weights, intrinsics, the census
     reference descriptors of both frames for `cfg.census`, and the pixel
     grid and its rays). `refine` builds one for all its iterations, and
-    `evaluate` keeps its last one for the next call on the same frames and
-    settings. Each frame is pooled as its planar (C, H, W) view, (1, H, W)
+    `evaluate` keeps its last one (the slot policy is in its docstring).
+    Each frame is pooled as its planar (C, H, W) view, (1, H, W)
     for a gray (H, W) one. Raises ValueError naming an image that is not
-    (H, W) or (H, W, C), not real, not finite, or not of `shape`, the
-    state's (H, W), and when `shape` is too small for the pyramid.
+    (H, W) or (H, W, C), not real, not of `shape`, the state's (H, W), not
+    finite, or whose values span a range the census cannot square (the
+    range found), and when `shape` is too small for the pyramid.
 
     `ws` is the pair's workspace: `_objective` and `_adam` keep every array
     whose size follows the state there, so a refine allocates them once.
@@ -255,10 +255,13 @@ class PairContext:
             if np.iscomplexobj(img):
                 raise ValueError(f"{name} must be real, got {np.asarray(img).dtype}")
             img = np.asarray(img, dtype=float)
-            if not np.all(np.isfinite(img)):
-                raise ValueError(f"{name} must be finite")
             if img.shape[:2] != (h, w):
                 raise ValueError(f"{name} is {img.shape[0]}x{img.shape[1]} but the state is {h}x{w}")
+            lo, hi = float(img.min()), float(img.max())  # NaN and +-inf reach one of them
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{name} must be finite")
+            if not _census_squares(hi - lo, cfg.census):
+                raise ValueError(f"{name} has a value range of {hi - lo:.6g}, too wide for the census to square")
             # the planar view of the frame's channel-last memory: no copy
             frames.append(pyramid(np.moveaxis(np.atleast_3d(img), -1, 0), cfg.scales))
         self.levels = []

@@ -576,6 +576,23 @@ def _photometric_branch_cell(gray_ref, gray_src, flow_field, mask, census):
     return loss, np.stack([grad_warped * ddx, grad_warped * ddy], axis=-1)
 
 
+def project_backward(depth, k, pose, grad_u, grad_v):
+    """The package's projection adjoint called bare: `camera._rigid_flow`
+    projects the (H, W) depth, or a stacked (n, H, W) one with a sequence of
+    one pose per side, and `camera._project_backward` reads the points it
+    kept. Returns (grad_depth, grad_r, grad_t)."""
+    from rigidflow.camera import PoseSE3, _entries, _pixels, _project_backward, _rigid_flow
+    from rigidflow.sampling import Workspace
+
+    depth = np.asarray(depth, dtype=float)
+    poses = [pose] if isinstance(pose, PoseSE3) else pose
+    entries = _entries([(p.rotation, p.translation) for p in poses])
+    pixels = _pixels(*depth.shape[-2:], k)
+    ws = Workspace()
+    _, valid, q = _rigid_flow(depth, k, pixels, entries, ws)
+    return _project_backward(depth, k, pixels, entries[0], q, valid, grad_u, grad_v, ws)
+
+
 def scale_objective_cell(
     imgs,
     depths,
@@ -592,7 +609,7 @@ def scale_objective_cell(
 
     Returns the package's ScaleResult. Smoothness, the cross-task term and
     the projection are the package's own: they never sampled."""
-    from rigidflow.camera import project_backward, rigid_flow
+    from rigidflow.camera import rigid_flow
     from rigidflow.losses import LevelMasks, ScaleResult, cross_task_loss, edge_weights, smoothness_loss
 
     img_t, img_t1 = imgs

@@ -16,7 +16,6 @@ from rigidflow.camera import (
     params_from_pose,
     pose_from_params,
     pose_param_gradient,
-    project_backward,
     rigid_flow,
     rodrigues,
     rotation_jacobians,
@@ -25,7 +24,7 @@ from rigidflow.camera import (
 
 from rigidflow.sampling import Workspace
 
-from oracles import project_pixel, project_pixel_ref, rotation_series
+from oracles import project_backward, project_pixel, project_pixel_ref, rotation_series
 
 K = Intrinsics(fx=100.0, fy=100.0, cx=31.5, cy=31.5)
 IDENTITY = PoseSE3(np.eye(3), np.zeros(3))

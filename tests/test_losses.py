@@ -372,6 +372,14 @@ def test_fb_flow_empty_mask_degenerate():
     assert not gf.any() and not gb.any()
 
 
+def test_fb_depth_empty_mask_degenerate():
+    depth = np.full((4, 4), 2.0)
+    plan = WarpPlan.along(planar(np.ones((4, 4, 2))))
+    loss, g_t, g_t1, g_rigid = fb_depth_terms(depth, 1.5 * depth, plan, np.zeros((4, 4), bool))
+    assert loss == 0.0
+    assert not g_t.any() and not g_t1.any() and not g_rigid.any()
+
+
 def test_fb_flow_gradients_match_fd():
     rng = np.random.default_rng(14)
     fwd = rng.uniform(-1.5, 1.5, (6, 6, 2))
@@ -795,11 +803,16 @@ def test_scale_objective_with_an_empty_mask_matches(odd_level, block_path):
     settings = (LossWeights(), CensusParams(), FBCheckParams())
     full = scale_objective_cell(*odd_level, *settings).masks
     empty = np.zeros_like(full.flow_fwd)
-    masks = LevelMasks(full.depth_fwd, empty, empty, full.flow_bwd)
-    assert_same_level(
-        level_objective(*odd_level, *settings, masks=masks),
-        scale_objective_cell(*odd_level, *settings, masks=masks),
-    )
+    # one mask of each side, all four, and both depth masks
+    for masks in (
+        LevelMasks(full.depth_fwd, empty, empty, full.flow_bwd),
+        LevelMasks(empty, empty, empty, empty),
+        LevelMasks(empty, empty, full.flow_fwd, full.flow_bwd),
+    ):
+        assert_same_level(
+            level_objective(*odd_level, *settings, masks=masks),
+            scale_objective_cell(*odd_level, *settings, masks=masks),
+        )
 
 
 def test_public_terms_match_term_by_term_sampling(odd_level):

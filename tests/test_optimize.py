@@ -1,4 +1,5 @@
 import functools
+import re
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -22,7 +23,7 @@ from rigidflow.sampling import WarpPlan
 from rigidflow.scenes import preset, render
 
 from conftest import channel_last, planar, state_from_gt
-from oracles import pool_ref
+from oracles import pool_ref, project_backward
 
 
 def small_cfg(**kwargs):
@@ -398,7 +399,6 @@ def test_forward_only_evaluate_runs_no_gradient_work(monkeypatch):
 
     monkeypatch.setattr(WarpPlan, "sample_grad", forbidden)
     monkeypatch.setattr(WarpPlan, "scatter", forbidden)
-    monkeypatch.setattr(camera, "project_backward", forbidden)
     # the names the objective calls them by
     monkeypatch.setattr(losses, "_project_backward", forbidden)
     monkeypatch.setattr(optimize, "pose_param_gradient", forbidden)
@@ -411,6 +411,32 @@ def test_forward_only_evaluate_runs_no_gradient_work(monkeypatch):
         evaluate(state, *args, masks=masks)
 
 
+def test_an_evaluate_on_empty_masks_allocates_no_zeros_in_the_losses(monkeypatch):
+    # an empty mask runs the general path of every term, whose arrays are
+    # the workspace's: no term makes zeros of its own
+    import sys
+
+    gt = render(preset("mover"))
+    state = make_initial_state(gt, np.random.default_rng(0))
+    args = (state, gt.image_t, gt.image_t1, gt.intrinsics, OptimizerConfig(scales=3))
+    empty = [LevelMasks(*(np.zeros_like(getattr(m, f.name)) for f in fields(m))) for m in evaluate(*args)[2]]
+    calls = []
+    for name in ("zeros", "zeros_like"):
+
+        def spy(*a, real=getattr(np, name), name=name, **kw):
+            if sys._getframe(1).f_globals.get("__name__") == "rigidflow.losses":
+                calls.append(name)
+            return real(*a, **kw)
+
+        monkeypatch.setattr(np, name, spy)
+    for split in (0, 10**9):
+        monkeypatch.setattr(losses, "STACKED_PIXELS", split)
+        report, grad, _ = evaluate(*args, masks=empty)
+        assert calls == [], split
+        assert report.photometric == report.forward_backward == report.cross == 0.0
+        assert all(np.all(np.isfinite(getattr(grad, f.name))) for f in fields(grad))
+
+
 # ---------------------------------------------------------------------------
 # the projection: once per block, its pose entries once per evaluate
 
@@ -419,7 +445,7 @@ def test_objective_projects_each_block_once_and_its_adjoint_matches(monkeypatch)
     # mover 128x96 at 3 scales: by default level 0 (12,288 pixels) runs a side
     # at a time and levels 1 and 2 both sides stacked; the adjoint reads the
     # transformed points of the block's rigid flow instead of projecting again
-    from rigidflow.camera import invert, pose_from_params, project_backward
+    from rigidflow.camera import invert, pose_from_params
     from rigidflow.losses import _side_blocks
 
     gt = render(preset("mover", width=128, height=96))
@@ -625,6 +651,93 @@ def test_context_rejects_a_complex_frame(plane_gt):
             evaluate(state, plane_gt.image_t, plane_gt.image_t1.astype(np.complex64), k, small_cfg())
         with pytest.raises(ValueError, match="^img_t must be real, got complex128$"):
             refine(plane_gt.image_t * 1j, plane_gt.image_t1, k, state, small_cfg())
+
+
+WIDE_FRAME = r"^(img_t1?) has a value range of (\S+), too wide for the census to square$"
+
+
+def _float_bits(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+def _bits_float(bits: int) -> float:
+    return float(np.int64(bits).view(np.float64))
+
+
+@pytest.mark.parametrize("epsilon", [0.02, float(np.nextafter(losses.EPSILON_RANGE[1], 0.0))], ids=["default", "top"])
+@pytest.mark.parametrize("name", ["plane", "mover", "slanted"])
+def test_frames_too_wide_for_the_census_are_named(name, epsilon):
+    # a census difference of a frame is at most its value range, and the
+    # census gradient takes (d^2 + epsilon^2) ** 1.5: the context rejects a
+    # frame whose range would overflow it, naming the frame and the range.
+    # At the largest scale of the frames the context takes, evaluate runs
+    # without a warning; one float above it, it names a frame
+    import warnings
+
+    gt = render(preset(name))
+    state = make_initial_state(gt, np.random.default_rng(0))
+    cfg = OptimizerConfig(scales=2, census=CensusParams(epsilon=epsilon))
+    args = (gt.intrinsics, cfg)
+
+    def frames(c):
+        return gt.image_t * c, gt.image_t1 * c
+
+    def taken(c):
+        try:
+            optimize.PairContext(*frames(c), *args, state.depth_t.shape)
+        except ValueError as err:
+            assert re.match(WIDE_FRAME, str(err)), str(err)
+            return False
+        return True
+
+    # bisection on the bits of the positive floats, which order as the floats
+    lo, hi = _float_bits(0.0), _float_bits(1e300)
+    assert taken(0.0) and not taken(1e300)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if taken(_bits_float(mid)) else (lo, mid)
+    top, above = _bits_float(lo), _bits_float(hi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report, grad, _ = evaluate(state, *frames(top), *args)
+        assert np.isfinite(report.total)
+        assert all(np.all(np.isfinite(getattr(grad, f.name))) for f in fields(grad))
+        with pytest.raises(ValueError) as err:
+            evaluate(state, *frames(above), *args)
+    frame, found = re.match(WIDE_FRAME, str(err.value)).groups()
+    img = dict(zip(("img_t", "img_t1"), frames(above)))[frame]
+    assert found == f"{img.max() - img.min():.6g}"
+    if epsilon == 0.02:
+        # the 1e150 frames that overflowed the census unnamed
+        with pytest.raises(ValueError, match=WIDE_FRAME.replace("(img_t1?)", "img_t")):
+            evaluate(state, *frames(1e150), *args)
+
+
+@functools.cache
+def _small_scene(name):
+    gt = render(preset(name, width=16, height=12))
+    return gt, make_initial_state(gt, np.random.default_rng(0))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@seed(20180906)
+@given(name=st.sampled_from(["plane", "mover", "slanted"]), power=st.floats(-300.0, 300.0))
+def test_frames_at_any_scale_evaluate_or_are_named(name, power):
+    # frames scaled by 10 ** power either give a finite report and gradient
+    # without a warning or are named at the boundary
+    import warnings
+
+    gt, state = _small_scene(name)
+    c = 10.0**power
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            report, grad, _ = evaluate(state, gt.image_t * c, gt.image_t1 * c, gt.intrinsics, OptimizerConfig(scales=2))
+        except ValueError as err:
+            assert re.match(WIDE_FRAME, str(err)), str(err)
+            return
+    assert np.isfinite(report.total)
+    assert all(np.all(np.isfinite(getattr(grad, f.name))) for f in fields(grad))
 
 
 def fresh_bytes(state, img_t, img_t1, k, cfg, want_grads=True):
