@@ -167,8 +167,8 @@ def invert(pose: PoseSE3) -> PoseSE3:
     return PoseSE3(rt.copy(), -(rt @ pose.translation))
 
 
-def rotation_jacobians(w) -> np.ndarray:
-    """dR/dw_i for R = rodrigues(w), stacked as (3, 3, 3).
+def rotation_jacobians(w, r: np.ndarray) -> np.ndarray:
+    """dR/dw_i for r = rodrigues(w), stacked as (3, 3, 3).
 
     Closed form: dR/dw_i = ((w_i [w]x + [w x ((I - R) e_i)]x) / |w|^2) R,
     reducing to [e_i]x at w = 0.
@@ -181,7 +181,6 @@ def rotation_jacobians(w) -> np.ndarray:
         for i in range(3):
             jac[i] = _skew(eye[i])
         return jac
-    r = rodrigues(w)
     k = _skew(w)
     m = np.eye(3) - r
     # column i is np.cross(w, (I - R) e_i), the same products and differences
@@ -282,10 +281,10 @@ def _rigid_flow(depth: np.ndarray, k: Intrinsics, pixels, entries, ws: Workspace
     return flow, valid, q
 
 
-def _project_backward(depth, k: Intrinsics, pixels, r, q, valid, grad_u, grad_v, ws: Workspace, out=None):
+def _project_backward(depth, k: Intrinsics, pixels, r, q, valid, grad_u, grad_v, ws: Workspace, out):
     """Adjoint of `_rigid_flow` for per-pixel flow gradients dL/d(flow_u)
     and dL/d(flow_v), zero expected wherever the forward pass was invalid:
-    (grad_depth, into `out` if given, grad_r (3, 3) wrt the rotation matrix,
+    (grad_depth, into `out`, grad_r (3, 3) wrt the rotation matrix,
     grad_t (3,) wrt the translation), and for a stacked (n, H, W) depth one
     of each per side, (n, 3, 3) and (n, 3), each side's sums over its own
     contiguous (H, W) slice. It reads the transformed points q = (q0, q1, q2)
@@ -324,24 +323,24 @@ def _project_backward(depth, k: Intrinsics, pixels, r, q, valid, grad_u, grad_v,
     # w_i = r[i, 0] * rx + r[i, 1] * ry + r[i, 2]; grad_depth = a * w0 + b * w1 + c * w2
     ray_shape = np.shape(r[0, 0])[:-2] + (h, w)
     ray, ray_tmp = ws.take(ray_shape), ws.take(ray_shape)
-    grad_depth = np.empty(shape) if out is None else out
     for i, x in enumerate((a, b, c)):
         np.multiply(rx, r[i, 0], out=ray)
         ray += np.multiply(ry, r[i, 1], out=ray_tmp)
         ray += r[i, 2]
         if i == 0:
-            np.multiply(x, ray, out=grad_depth)
+            np.multiply(x, ray, out=out)
         else:
-            grad_depth += np.multiply(x, ray, out=tmp)
+            out += np.multiply(x, ray, out=tmp)
     ws.release(mark)
     if depth.ndim == 2:
-        return grad_depth, grad_r[0], grad_t[0]
-    return grad_depth, grad_r, grad_t
+        return out, grad_r[0], grad_t[0]
+    return out, grad_r, grad_t
 
 
-def pose_param_gradient(params, grad_r_fwd, grad_t_fwd, grad_r_inv, grad_t_inv):
+def pose_param_gradient(params, r: np.ndarray, grad_r_fwd, grad_t_fwd, grad_r_inv, grad_t_inv):
     """Fold rotation-matrix/translation gradients into the 6 pose parameters.
 
+    r is the rotation of the parameters, rodrigues(params[:3]).
     grad_r_fwd/grad_t_fwd are gradients w.r.t. (R, t) of pose_from_params(params);
     grad_r_inv/grad_t_inv are w.r.t. the inverted pose (R^T, -R^T t), which
     shares the same parameters.
@@ -351,11 +350,10 @@ def pose_param_gradient(params, grad_r_fwd, grad_t_fwd, grad_r_inv, grad_t_inv):
     gr = np.array(grad_r_fwd, dtype=float, copy=True)
     gt = np.array(grad_t_fwd, dtype=float, copy=True)
     grad_r_inv, grad_t_inv = np.asarray(grad_r_inv, dtype=float), np.asarray(grad_t_inv, dtype=float)
-    r = rodrigues(w)
     # R_inv = R^T contributes transposed; t_inv = -R^T t touches both R and t
     gr += grad_r_inv.T
     gr -= t[:, None] * grad_t_inv  # np.outer(t, grad_t_inv)
     gt -= r @ grad_t_inv
     # the np.sum of gr * dR/dw_i, one row each
-    gw = np.add.reduce((gr * rotation_jacobians(w)).reshape(3, 9), axis=1)
+    gw = np.add.reduce((gr * rotation_jacobians(w, r)).reshape(3, 9), axis=1)
     return np.concatenate([gw, gt])

@@ -138,18 +138,24 @@ def _cmd_mask(args) -> int:
 
 def _cmd_loss(args) -> int:
     cfg = _config_from_args(args)
+    inputs = ("image_t", "image_t1", "depth_t", "depth_t1", "flow_fwd", "flow_bwd", "pose", "intrinsics")
+    given = {"--" + n.replace("_", "-"): getattr(args, n) is not None for n in inputs}
     if args.scene or args.preset:
+        if any(given.values()):
+            # the scene gives every input, so these would be ignored
+            raise ValueError(
+                "with --scene/--preset, no other inputs are taken (given: "
+                + ", ".join(flag for flag, found in given.items() if found) + ")"
+            )
         spec = _scene_from_args(args)
         gt = render(spec)
         img_t, img_t1, k = gt.image_t, gt.image_t1, gt.intrinsics
         state = SceneState(gt.depth_t, gt.depth_t1, spec.pose_params, gt.flow_fwd, gt.flow_bwd)
     else:
-        needed = ("image_t", "image_t1", "depth_t", "depth_t1", "flow_fwd", "flow_bwd", "pose", "intrinsics")
-        missing = [n for n in needed if getattr(args, n) is None]
-        if missing:
+        if not all(given.values()):
             raise ValueError(
                 "without --scene/--preset, all inputs are required (missing: "
-                + ", ".join("--" + n.replace("_", "-") for n in missing) + ")"
+                + ", ".join(flag for flag, found in given.items() if not found) + ")"
             )
         img_t = read_pfm(args.image_t)
         img_t1 = read_pfm(args.image_t1)

@@ -229,9 +229,9 @@ def _census_terms(ref, branches, params: CensusParams, grads: bool, ws: Workspac
     offset runs on its in-bounds overlap only. All arrays are (h, w), or
     stacked (n, h, w) with n at most 2 and the losses summed side by side.
     Returns one (loss, grad wrt gray_warped) per branch, the loss one per side
-    (`_by_side`), or None for a branch whose mask is empty on every side. An
-    empty side adds zero loss and a zero gradient. Its arrays are taken from
-    ws's stack, where the returned gradients stay.
+    (`_by_side`). An empty side, or branch, gives a zero loss and a +0
+    gradient: its terms are +-0, and the accumulators start at +0. Its
+    arrays are taken from ws's stack, where the returned gradients stay.
 
     Only the first half of the offsets is computed. The second half is the
     first negated and reversed, and offset -o adds exactly what o adds,
@@ -246,23 +246,22 @@ def _census_terms(ref, branches, params: CensusParams, grads: bool, ws: Workspac
     subtract, multiply, divide, sqrt, add_reduce = np.subtract, np.multiply, np.divide, np.sqrt, np.add.reduce
     eps2 = params.epsilon * params.epsilon
     c = params.charbonnier_eps
-    # per live branch: its index, gray_w, mask, 1 / valid count per side, the
-    # same broadcastable, its gradient sum, and its sides' sums per offset
-    live = [
-        (b, gray_w, mask, inv, scale, _zeros(take(gray_w.shape)) if grads else None, [])
-        for b, (gray_w, mask, (_, inv, scale)) in enumerate(branches)
-        if any(inv)
+    # per branch: its gray_w, mask, 1 / valid count per side, the same
+    # broadcastable, its gradient sum, and its sides' sums per offset
+    per_branch = [
+        (gray_w, mask, inv, scale, _zeros(take(gray_w.shape)) if grads else None, [])
+        for gray_w, mask, (_, inv, scale) in branches
     ]
     mark = ws.mark()
     # each offset's gated gradient of each branch, kept for the mirrored half
-    gated = [[take(tr.shape) for _ in live] for _, _, tr in ref] if grads else None
+    gated = [[take(tr.shape) for _ in per_branch] for _, _, tr in ref] if grads else None
     offset_mark = ws.mark()
     # the arithmetic runs in place, in the order of the plain expressions
     # noted beside it, so every value is the same to the bit
     for o, (here, there, tr) in enumerate(ref):
         shape = tr.shape
         dw, s, root, gate = take(shape), take(shape), take(shape), take(shape, bool)
-        for j, (_, gray_w, mask, inv, scale, gsum, found) in enumerate(live):
+        for j, (gray_w, mask, inv, scale, gsum, found) in enumerate(per_branch):
             subtract(gray_w[there], gray_w[here], out=dw)
             multiply(dw, dw, out=s)
             s += eps2
@@ -295,19 +294,19 @@ def _census_terms(ref, branches, params: CensusParams, grads: bool, ws: Workspac
     if grads:
         # the mirrored half: -o's `-= g` is o's `+= g` and the other way round
         for (here, there, _), gs in zip(reversed(ref), reversed(gated)):
-            for (*_, gsum, _), g in zip(live, gs):
+            for (*_, gsum, _), g in zip(per_branch, gs):
                 gsum[there] += g
                 gsum[here] -= g
     ws.release(mark)
-    out = [None] * len(branches)
-    for b, _, mask, inv, _, gsum, found in live:
+    out = []
+    for _, mask, inv, _, gsum, found in per_branch:
         # a translation keeps row-major order, so -o's sums are o's, each
         # side's added in the order of the full offset list
         losses = [0.0] * len(inv)
         for parts in found + found[::-1]:
             for side, part in enumerate(parts):
                 losses[side] += part
-        out[b] = (_by_side([loss * i for loss, i in zip(losses, inv)], mask), gsum)
+        out.append((_by_side([loss * i for loss, i in zip(losses, inv)], mask), gsum))
     return out
 
 
@@ -555,13 +554,12 @@ def _photometric_terms(src, ref, census: CensusParams, branches, grads: bool, ws
         warps.append(plan.sample_grad(src, out=out) if grads else (plan.sample(src, out=out[0]),))
     pairs = [(warp[0], mask, counts) for warp, (_, mask, counts, _) in zip(warps, branches)]
     found = _census_terms(ref, pairs, census, grads, ws)
-    for term, warp, (*_, acc) in zip(found, warps, branches):
-        if grads and term:  # None: the branch's mask is empty on every side
+    if grads:
+        for (_, g), warp, (*_, acc) in zip(found, warps, branches):
             prod = warp[0]  # the warped image is dead once the census has run
-            acc[0] += np.multiply(term[1], warp[1], out=prod)
-            acc[1] += np.multiply(term[1], warp[2], out=prod)
-    by_branch = [term[0] if term else (0.0,) * len(src) for term in found]
-    return [loss for side in zip(*by_branch) for loss in side]
+            acc[0] += np.multiply(g, warp[1], out=prod)
+            acc[1] += np.multiply(g, warp[2], out=prod)
+    return [loss for side in zip(*[loss for loss, _ in found]) for loss in side]
 
 
 def _add_own_then_other(acc_own, acc_other, weight, own, other):
@@ -612,19 +610,18 @@ def scale_objective(
     entries,
     flows,
     weights: LossWeights,
-    census: CensusParams,
     fb_params: FBCheckParams,
+    ws: Workspace,
     terms: frozenset = ALL_TERMS,
     masks: LevelMasks | None = None,
     grads: bool = True,
-    ws: Workspace | None = None,
     key="level",
 ) -> ScaleResult:
     """Objective of a single pyramid level, both sides, with gradients unless
     `grads` is False (then the gradient fields are None; the losses are the same).
 
-    level holds the level's image-only inputs, its census descriptors built
-    for `census` (ValueError otherwise). depths are (frame t, frame t+1),
+    level holds the level's image-only inputs, among them the census
+    settings and the descriptors built for them. depths are (frame t, frame t+1),
     (2, h, w), and flows (forward, backward), planar (2, 2, h, w) as
     [component, side]: entry d of each belongs to side d, whose other frame
     is the other entry. entries holds the pose entries of each block, built
@@ -633,6 +630,18 @@ def scale_objective(
     levels, where plans along a stacked field read each side's other frame,
     and one side at a time on large ones, reading the other side's slice.
     The flow gradient has the flows' layout.
+
+    The terms run in three passes over the blocks, since the pair's two
+    directions are independent until the fb terms send gradients across:
+    pass 1, photometric then depth and flow smoothness, writes only the
+    block's own sides and rigid-flow gradient; pass 2, fb flow then fb
+    depth, also writes the other block's sides (`_add_own_then_other`);
+    pass 3 adds the cross term, which completes the rigid-flow gradient,
+    and then runs the projection adjoint on it. Only pass 2 writes across
+    blocks, each array in block order, so every gradient element gets its
+    terms in the order of one loop over the blocks per term. The smoothness
+    losses wait until pass 1 ends and the fb depth losses until pass 2 ends,
+    so every loss adds up in that order too, from 0.0 with `+=`.
 
     When `masks` is given the validity masks are taken as-is instead of being
     recomputed from the current state (needed by finite-difference checks,
@@ -644,10 +653,7 @@ def scale_objective(
     gradients in roles that the next level reuses, and each term's arrays on
     the stack, released once they are added up.
     """
-    if census != level.census:
-        raise ValueError(f"the level's census descriptors are for {level.census}, not {census}")
     h, w = level.gray.shape[-2:]
-    ws = Workspace() if ws is None else ws
     depth = np.asarray(depths, dtype=float)
     flow = np.asarray(flows, dtype=float)
     blocks = _side_blocks(h, w)
@@ -698,33 +704,37 @@ def scale_objective(
         _zeros(ws.get((key, name), a.shape)) if grads else None for name, a in (("g_flow", flow), ("g_depth", depth))
     )
     photometric = smooth = fb_total = cross = 0.0
+    # the losses that wait until their pass ends, in block order
+    depth_smooth, flow_smooth, depth_fb = [], [], []
 
-    if "photometric" in terms:
-        for b, (own, other) in enumerate(blocks):
+    # pass 1: the terms that write the block's own sides alone
+    for b, (own, _) in enumerate(blocks):
+        src, ref, edges = views[b]
+        if "photometric" in terms:
             branches = (
                 (rigid_plans[b], depth_mask[own], depth_counts[b], g_rigid[b]),
                 (flow_plans[b], flow_mask[own], flow_counts[b], None if g_flow is None else g_flow[:, own]),
             )
-            src, ref, _ = views[b]
             for loss in _photometric_terms(src, ref, level.census, branches, grads, ws):
                 photometric += loss
             ws.release(mark)
-
-    if "smooth" in terms:
-        for values, acc, mean_normalize in ((depth, g_depth, True), (flow, g_flow, False)):
-            for (own, _), (*_, edges) in zip(blocks, views):
+        if "smooth" in terms:
+            for values, acc, losses in ((depth, g_depth, depth_smooth), (flow, g_flow, flow_smooth)):
                 part = values[..., own, :, :]
                 out = ws.take(part.shape) if grads else None
-                loss, grad = smoothness_loss(part, edges, mean_normalize, grads, ws, out)
-                for side in loss:
-                    smooth += side
+                # the depths are mean-normalized
+                loss, grad = smoothness_loss(part, edges, values is depth, grads, ws, out)
+                losses += loss
                 if grads:
                     grad *= weights.lambda_s
                     acc[..., own, :, :] += grad  # acc += weights.lambda_s * grad
                 ws.release(mark)
+    for side in depth_smooth + flow_smooth:
+        smooth += side
 
-    if "fb_flow" in terms:
-        for b, (own, other) in enumerate(blocks):
+    # pass 2: the fb terms, which also write the other block's sides
+    for b, (own, other) in enumerate(blocks):
+        if "fb_flow" in terms:
             loss, grad, grad_other = _fb_flow_terms(
                 flow[:, own], flow_plans[b], cycles[b], flow_mask[own], flow_counts[b], grads, ws
             )
@@ -733,24 +743,26 @@ def scale_objective(
             if grads:
                 _add_own_then_other(g_flow[:, own], g_flow[:, other], weights.lambda_f, grad, grad_other)
             ws.release(mark)
-
-    if "fb_depth" in terms:
-        for b, (own, other) in enumerate(blocks):
+        if "fb_depth" in terms:
             loss, grad, grad_other, grad_rigid = _fb_depth_terms(
                 depth[own], depth[other], rigid_plans[b], depth_mask[own], depth_counts[b], grads, ws
             )
-            for side in loss:
-                fb_total += side
+            depth_fb += loss
             if grads:
                 _add_own_then_other(g_depth[own], g_depth[other], weights.lambda_f, grad, grad_other)
                 grad_rigid *= weights.lambda_f
                 g_rigid[b] += grad_rigid  # g_rigid[b] += weights.lambda_f * grad_rigid
             ws.release(mark)
+    for side in depth_fb:
+        fb_total += side
 
-    if "cross" in terms:
-        for b, (own, _) in enumerate(blocks):
+    # pass 3: the cross term, then the chain through the projection, on the
+    # points the rigid flow projected
+    grad_pose = []
+    for b, (own, _) in enumerate(blocks):
+        if "cross" in terms:
             mask = np.logical_and(depth_mask[own], flow_mask[own], out=ws.take(depth[own].shape, bool))
-            loss, grad_rigid, grad_flow = cross_task_loss(rigid[b], flow[:, own], mask, grads=grads, ws=ws)
+            loss, grad_rigid, grad_flow = cross_task_loss(rigid[b], flow[:, own], mask, grads, ws)
             for side in loss:
                 cross += side
             if grads:
@@ -759,19 +771,13 @@ def scale_objective(
                 grad_flow *= weights.lambda_c
                 g_flow[:, own] += grad_flow
             ws.release(mark)
-
-    if not grads:
-        return ScaleResult(photometric, smooth, fb_total, cross, None, None, None, masks)
-    # photometric branch gradients on rigid flow arrive unweighted; rescale
-    # happens at accumulation sites above, so here only the chain through
-    # the projection remains, on the points the rigid flow projected
-    grad_pose = []
-    for b, (own, _) in enumerate(blocks):
-        out = ws.take(depth[own].shape)
-        gd, gr, gt = _project_backward(
-            depth[own], level.k, level.pixels, entries[b][0], points[b], cheir[b], *g_rigid[b], ws, out
-        )
-        g_depth[own] += gd
-        grad_pose += zip(gr, gt)
-        ws.release(mark)
-    return ScaleResult(photometric, smooth, fb_total, cross, g_depth, tuple(grad_pose), g_flow, masks)
+        if grads:
+            out = ws.take(depth[own].shape)
+            gd, gr, gt = _project_backward(
+                depth[own], level.k, level.pixels, entries[b][0], points[b], cheir[b], *g_rigid[b], ws, out
+            )
+            g_depth[own] += gd
+            grad_pose += zip(gr, gt)
+            ws.release(mark)
+    grad_pose = tuple(grad_pose) if grads else None
+    return ScaleResult(photometric, smooth, fb_total, cross, g_depth, grad_pose, g_flow, masks)

@@ -46,14 +46,15 @@ def fb_check(fwd: np.ndarray, bwd: np.ndarray, params: FBCheckParams = FBCheckPa
         if not np.all(np.isfinite(flow)):
             raise ValueError(f"{name} must be finite")
     fwd, bwd = np.moveaxis(fwd, -1, 0), np.moveaxis(bwd, -1, 0)  # planar views
-    plan = WarpPlan.along(fwd)
-    return _cycle_mask(fwd, plan.sample(bwd), plan.inbounds, params, Workspace())
+    ws = Workspace()
+    plan = WarpPlan.along(fwd, ws)
+    return _cycle_mask(fwd, plan.sample(bwd), plan.inbounds, params, ws, np.empty(fwd.shape[1:], bool))
 
 
-def _cycle_mask(fwd, back, inbounds, params: FBCheckParams, ws: Workspace, out=None):
+def _cycle_mask(fwd, back, inbounds, params: FBCheckParams, ws: Workspace, out):
     """The fb check of the planar (2, H, W) fwd given its cycle back =
     b(p + f(p)), sampled through the plan of fwd whose in-bounds flags are
-    `inbounds`, into `out` if given. Its temporaries are taken from ws's stack."""
+    `inbounds`, into `out`. Its temporaries are taken from ws's stack."""
     shape = inbounds.shape
     mark = ws.mark()
     lhs, mag, tmp = [ws.take(shape) for _ in range(3)]
@@ -68,7 +69,6 @@ def _cycle_mask(fwd, back, inbounds, params: FBCheckParams, ws: Workspace, out=N
         mag += np.multiply(x, x, out=tmp)
     mag *= params.alpha1
     mag += params.alpha2
-    out = np.empty(shape, dtype=bool) if out is None else out
     np.less(lhs, mag, out=out)  # lhs < alpha1 * mag + alpha2
     ws.release(mark)
     return np.logical_and(out, inbounds, out=out)

@@ -94,8 +94,8 @@ class SceneState:
     def check(self) -> None:
         """Raise ValueError naming the malformed field and, for a wrong size,
         the shape found, for a depth mean too small to normalize by, the
-        mean, and for a depth or flow too large to square, its largest value
-        or magnitude.
+        mean, and for a depth, flow or rotation too large to square, its
+        largest value or magnitude.
         `evaluate` calls this again, since the arrays can be changed in place
         after construction; `refine` calls it once per state it evaluates."""
         if self.depth_t.ndim != 2:
@@ -142,6 +142,15 @@ class SceneState:
                 raise ValueError(
                     f"{name} has a largest magnitude of {top:.6g}, above the {ceiling:.6g} the fb check can square"
                 )
+        # rodrigues squares the rotation, w @ w, which stays finite while no
+        # component is above sqrt(max float / 3)
+        ceiling = math.sqrt(np.finfo(float).max / 3)
+        top = float(np.abs(self.pose_params[:3]).max())
+        if top > ceiling:
+            raise ValueError(
+                f"pose_params has a rotation component of magnitude {top:.6g}, "
+                f"above the {ceiling:.6g} the rotation angle can square"
+            )
 
     def copy(self) -> "SceneState":
         return _copied(self)
@@ -234,8 +243,9 @@ class PairContext:
     Each frame is pooled as its planar (C, H, W) view, (1, H, W)
     for a gray (H, W) one. Raises ValueError naming an image that is not
     (H, W) or (H, W, C), not real, not of `shape`, the state's (H, W), not
-    finite, or whose values span a range the census cannot square (the
-    range found), and when `shape` is too small for the pyramid.
+    finite, too large for the sums of its pyramid and gray mean, or whose
+    values span a range the census cannot square (the magnitude or range
+    found), and when `shape` is too small for the pyramid.
 
     `ws` is the pair's workspace: `_objective` and `_adam` keep every array
     whose size follows the state there, so a refine allocates them once.
@@ -260,6 +270,14 @@ class PairContext:
             lo, hi = float(img.min()), float(img.max())  # NaN and +-inf reach one of them
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError(f"{name} must be finite")
+            # the largest sums the context takes: the 2x2 pool adds four
+            # values, the gray mean the C channels
+            top, ceiling = max(hi, -lo), np.finfo(float).max / max(4, np.atleast_3d(img).shape[2])
+            if top > ceiling:
+                raise ValueError(
+                    f"{name} has a largest magnitude of {top:.6g}, "
+                    f"above the {ceiling:.6g} its pyramid and gray mean can sum"
+                )
             if not _census_squares(hi - lo, cfg.census):
                 raise ValueError(f"{name} has a value range of {hi - lo:.6g}, too wide for the census to square")
             # the planar view of the frame's channel-last memory: no copy
@@ -384,6 +402,10 @@ def _objective(state: SceneState, ctx: PairContext, cfg: OptimizerConfig, masks,
     sw = list(cfg.scale_weights) if cfg.scale_weights else [1.0] * scales
     if masks is not None:
         _check_masks(masks, [level.gray[0].shape for level in ctx.levels])
+    # the context builds every level's census descriptors for one setting
+    census = ctx.levels[0].census
+    if cfg.census != census:
+        raise ValueError(f"the level's census descriptors are for {census}, not {cfg.census}")
     ws = ctx.ws
     depths, flows = (
         [ws.get((name, lvl), lead + level.gray.shape[1:]) for lvl, level in enumerate(ctx.levels)]
@@ -411,12 +433,11 @@ def _objective(state: SceneState, ctx: PairContext, cfg: OptimizerConfig, masks,
             entries,
             flows[lvl],
             cfg.weights,
-            cfg.census,
             cfg.fb_params,
+            ws,
             terms=terms if lvl < cfg.cross_scales else terms - {"cross"},
             masks=None if masks is None else masks[lvl],
             grads=want_grads,
-            ws=ws,
             key=("level", lvl),
         )
         photometric += sw[lvl] * res.photometric
@@ -449,7 +470,7 @@ def _objective(state: SceneState, ctx: PairContext, cfg: OptimizerConfig, masks,
     grad = StateGrad(
         depth_t=depth[0],
         depth_t1=depth[1],
-        pose_params=pose_param_gradient(state.pose_params, *pose_grads),
+        pose_params=pose_param_gradient(state.pose_params, r, *pose_grads),
         flow_fwd=flow_fwd,
         flow_bwd=flow_bwd,
     )

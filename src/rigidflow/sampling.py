@@ -67,9 +67,8 @@ Every kernel writes each element it returns, in the order of the plain
 expression it replaces, so the bytes do not depend on what a buffer held.
 
 Aliasing: a plan's arrays stay valid until the next plan of the same `key`
-is built in its workspace; a plan built without one gets a private one.
-`sample`, `sample_grad` and `scatter` write into `out` when given it, and
-otherwise return new arrays; `pyramid` writes into `out` when given it.
+is built in its workspace. `sample_grad` and `scatter` write into the `out`
+they are given, and `sample` and `pyramid` into `out` when given it.
 `pyramid_adjoint` folds in place, into the gradients it is given.
 """
 
@@ -173,16 +172,15 @@ class WarpPlan:
 
     The plan's arrays live in `ws` under roles named after `key`, so they stay
     valid until another plan of the same key is built there; xs and ys are
-    only read. Without `ws` the plan gets a workspace of its own.
+    only read.
     """
 
     __slots__ = ("shape", "i00", "sx", "sy", "wx", "wy", "inbounds", "free_x", "free_y", "ws")
 
-    def __init__(self, shape, xs, ys, ws: Workspace | None = None, key="plan"):
+    def __init__(self, shape, xs, ys, ws: Workspace, key="plan"):
         *sides, h, w = shape
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
-        ws = Workspace() if ws is None else ws
         pts = xs.shape
         self.ws = ws
         self.shape = tuple(shape)
@@ -207,14 +205,13 @@ class WarpPlan:
         ws.release(mark)
 
     @classmethod
-    def along(cls, field: np.ndarray, ws: Workspace | None = None, key="plan", grid=None) -> "WarpPlan":
+    def along(cls, field: np.ndarray, ws: Workspace, key="plan", grid=None) -> "WarpPlan":
         """Plan of the points p + field(p) for every pixel p of a planar
         (2, H, W) field, or of each side of a stacked (2, n, H, W) one.
         `grid` is the field's pixel grid as `_grid` builds it, built here
         when not given."""
         field = np.asarray(field, dtype=float)
         h, w = field.shape[-2:]
-        ws = Workspace() if ws is None else ws
         gx, gy = _grid(h, w) if grid is None else grid
         mark = ws.mark()
         xs = np.add(gx, field[0], out=ws.take(field.shape[1:]))
@@ -254,14 +251,14 @@ class WarpPlan:
         self.ws.release(mark)
         return out
 
-    def sample_grad(self, src: np.ndarray, out=None):
+    def sample_grad(self, src: np.ndarray, out):
         """(values, d/dx, d/dy) of src at the plan's points, per channel,
-        into the three arrays of `out` if given.
+        into the three arrays of `out`.
 
         Derivatives are zero where the lookup is clamped on that axis."""
         mark = self.ws.mark()
         v00, v01, v10, v11 = self._corners(src)
-        val, ddx, ddy = (np.empty_like(v00) for _ in range(3)) if out is None else out
+        val, ddx, ddy = out
         wx, wy = self.wx, self.wy
         v01 -= v00  # dx_top
         v11 -= v10  # dx_bot
@@ -280,10 +277,10 @@ class WarpPlan:
         self.ws.release(mark)
         return val, ddx, ddy
 
-    def scatter(self, grad_out, out: np.ndarray | None = None) -> np.ndarray:
+    def scatter(self, grad_out, out: np.ndarray) -> np.ndarray:
         """Adjoint of `sample` w.r.t. the source: accumulate grad_out (shape S,
-        or (C,) + S) into an array of the grid's shape, or (C,) + grid, with
-        the forward lookup's corner weights, clamping included."""
+        or (C,) + S) into out, of the grid's shape, or (C,) + grid, with the
+        forward lookup's corner weights, clamping included."""
         g = np.asarray(grad_out, dtype=float)
         n = self.i00.size
         i = self.i00.reshape(n)
@@ -302,8 +299,6 @@ class WarpPlan:
         uy = np.subtract(1.0, wy, out=ws.take((n,)))
         wgt = ws.take((4, n))
         size = math.prod(self.shape)
-        lead = g.shape[: g.ndim - self.i00.ndim]
-        out = np.empty(lead + self.shape) if out is None else out
         for gc, oc in zip(g.reshape((-1, n)), out.reshape((-1, size))):
             for part, a, b in zip(wgt, (ux, wx, ux, wx), (uy, uy, wy, wy)):
                 np.multiply(gc, a, out=part)
@@ -367,7 +362,7 @@ def inverse_warp(target: np.ndarray, flow: np.ndarray):
     for name, arr in (("flow", flow), ("target", target)):
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} must be finite")
-    plan = WarpPlan.along(np.moveaxis(flow, -1, 0))
+    plan = WarpPlan.along(np.moveaxis(flow, -1, 0), Workspace())
     if target.ndim == 3:
         return np.moveaxis(plan.sample(np.moveaxis(target, -1, 0)), 0, -1), plan.inbounds
     return plan.sample(target), plan.inbounds
@@ -447,7 +442,7 @@ def pyramid(a, levels: int, scale: float = 1.0, out=None) -> list:
     return pyr
 
 
-def pyramid_adjoint(grads, weights, scale: float = 1.0, ws: Workspace | None = None) -> np.ndarray:
+def pyramid_adjoint(grads, weights, scale: float = 1.0, *, ws: Workspace) -> np.ndarray:
     """Adjoint of `pyramid`: the per-level gradients, finest first, each
     times its weight, folded onto the finest level, from the coarsest one
     down: acc = weights[l] * grads[l] + adjoint(acc).
@@ -455,7 +450,6 @@ def pyramid_adjoint(grads, weights, scale: float = 1.0, ws: Workspace | None = N
     The fold runs in place: on return grads[l] holds the fold of level l and
     every coarser one, and the result is grads[0]. Its scratch is taken
     from ws's stack."""
-    ws = Workspace() if ws is None else ws
     mark = ws.mark()
     acc = grads[-1]
     acc *= weights[-1]

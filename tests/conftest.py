@@ -49,6 +49,17 @@ def state_from_gt(gt) -> SceneState:
     )
 
 
+def sample_grad(plan, src):
+    """plan.sample_grad of src into three new arrays."""
+    shape = np.shape(src)[: np.ndim(src) - len(plan.shape)] + plan.i00.shape
+    return plan.sample_grad(src, [np.empty(shape) for _ in range(3)])
+
+
+def scatter(plan, g):
+    """plan.scatter of g into a new array: the plan's grid, with g's channel axis if any."""
+    return plan.scatter(g, np.empty(np.shape(g)[: np.ndim(g) - plan.i00.ndim] + plan.shape))
+
+
 def census_terms(ref, branches, params, grads=True):
     """The census core on ref's reference descriptors, against (warped,
     mask) branches, each mask with its counts, as the level objective calls it."""

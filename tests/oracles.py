@@ -590,7 +590,7 @@ def project_backward(depth, k, pose, grad_u, grad_v):
     pixels = _pixels(*depth.shape[-2:], k)
     ws = Workspace()
     _, valid, q = _rigid_flow(depth, k, pixels, entries, ws)
-    return _project_backward(depth, k, pixels, entries[0], q, valid, grad_u, grad_v, ws)
+    return _project_backward(depth, k, pixels, entries[0], q, valid, grad_u, grad_v, ws, np.empty(depth.shape))
 
 
 def scale_objective_cell(

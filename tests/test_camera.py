@@ -312,7 +312,7 @@ def test_rotation_jacobians_match_finite_differences():
     rng = np.random.default_rng(8)
     h = 1e-6
     for w in [np.zeros(3), rng.uniform(-1.0, 1.0, 3), rng.uniform(-2.0, 2.0, 3)]:
-        jac = rotation_jacobians(w)
+        jac = rotation_jacobians(w, rodrigues(w))
         for i in range(3):
             e = np.zeros(3)
             e[i] = h
@@ -372,7 +372,7 @@ def test_pose_param_gradient_full_chain():
             + d @ inv.translation
         )
 
-    grad = pose_param_gradient(params, a, b, c, d)
+    grad = pose_param_gradient(params, rodrigues(params[:3]), a, b, c, d)
     h = 1e-6
     for i in range(6):
         e = np.zeros(6)

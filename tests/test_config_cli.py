@@ -429,6 +429,34 @@ def test_loss_requires_full_inputs_without_scene(capsys):
     assert "--image-t" in stderr
 
 
+LOSS_INPUTS = {
+    "--image-t": "image_t.pfm",
+    "--image-t1": "image_t1.pfm",
+    "--depth-t": "depth_t.pfm",
+    "--depth-t1": "depth_t1.pfm",
+    "--flow-fwd": "flow_fwd.flo",
+    "--flow-bwd": "flow_bwd.flo",
+    "--pose": "9,9,9,9,9,9",
+    "--intrinsics": "100,100,31.5,31.5",
+}
+
+
+@pytest.mark.parametrize("source", ["--preset", "--scene"])
+def test_loss_with_a_scene_names_the_inputs_it_would_ignore(tmp_path, capsys, source):
+    # a scene gives the images, the state and the camera: each file, pose or
+    # intrinsics flag beside it is named, where it was ignored with exit 0
+    scene = tmp_path / "scene.cfg"
+    scene.write_text("width=16\nheight=12\nfx=20\nfy=20\ncx=7.5\ncy=5.5\nplane=0,0,1,5,3\n")
+    given = {"--preset": "plane", "--scene": str(scene)}[source]
+    for flags in [[flag] for flag in LOSS_INPUTS] + [["--image-t", "--pose"], list(LOSS_INPUTS)]:
+        argv = [item for flag in flags for item in (flag, LOSS_INPUTS[flag])]
+        code, stdout, stderr = run_cli(capsys, "loss", source, given, *argv)
+        assert (code, stdout) == (1, "")
+        assert stderr == f"error: with --scene/--preset, no other inputs are taken (given: {', '.join(flags)})\n"
+    code, stdout, _ = run_cli(capsys, "loss", source, given)
+    assert code == 0 and "total=" in stdout
+
+
 def test_loss_names_a_non_finite_input_field(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "render-scene", "--preset", "plane", "--output-dir", str(tmp_path))
     assert code == 0

@@ -16,10 +16,10 @@ from rigidflow.losses import (
     smoothness_loss,
 )
 from rigidflow.optimize import OptimizerConfig, SceneState, evaluate, make_initial_state
-from rigidflow.sampling import WarpPlan
+from rigidflow.sampling import WarpPlan, Workspace
 from rigidflow.scenes import preset, render
 
-from conftest import census_terms, channel_last, fb_depth_terms, fb_flow_terms, planar, state_from_gt
+from conftest import census_terms, channel_last, fb_depth_terms, fb_flow_terms, planar, sample_grad, state_from_gt
 from oracles import (
     census_loss_ref,
     cross_ref,
@@ -197,10 +197,11 @@ def test_excluded_pixels_contribute_exactly_zero():
 
 
 def test_photometric_empty_mask_degenerate():
-    # an empty branch gives None, which the objective reads as a zero loss
-    # and adds no gradient for
+    # an empty branch runs the general path: a +0.0 loss and a +0 gradient
     img = np.zeros((5, 5))
-    assert census_terms(img, [(img, np.zeros((5, 5), bool))], CensusParams()) == [None]
+    ((loss, grad),) = census_terms(img, [(img, np.zeros((5, 5), bool))], CensusParams())
+    assert np.float64(loss).tobytes() == np.float64(0.0).tobytes()
+    assert grad.shape == (5, 5) and grad.tobytes() == np.zeros((5, 5)).tobytes()
 
 
 def test_photometric_gradient_matches_fd():
@@ -339,8 +340,8 @@ def test_fb_flow_zero_for_perfect_cycle():
     fwd = constant_flow(8, 8, 2.0, 0.0)
     mask = np.zeros((8, 8), bool)
     mask[:, :6] = True  # interior: landing points stay in bounds
-    plan = WarpPlan.along(planar(fwd))
-    loss, gf, gb = fb_flow_terms(planar(fwd), plan, plan.sample_grad(planar(-fwd)), mask)
+    plan = WarpPlan.along(planar(fwd), Workspace())
+    loss, gf, gb = fb_flow_terms(planar(fwd), plan, sample_grad(plan, planar(-fwd)), mask)
     assert loss == 0.0
     assert np.abs(gf).max() == 0.0
     assert np.abs(gb).max() == 0.0
@@ -349,8 +350,8 @@ def test_fb_flow_zero_for_perfect_cycle():
 def test_fb_flow_unit_residual_value():
     fwd = constant_flow(6, 6, 1.0, 0.0)
     bwd = constant_flow(6, 6, 0.0, 0.0)
-    plan = WarpPlan.along(planar(fwd))
-    loss, _, _ = fb_flow_terms(planar(fwd), plan, plan.sample_grad(planar(bwd)), np.ones((6, 6), bool))
+    plan = WarpPlan.along(planar(fwd), Workspace())
+    loss, _, _ = fb_flow_terms(planar(fwd), plan, sample_grad(plan, planar(bwd)), np.ones((6, 6), bool))
     assert abs(loss - PHI_1) < 1e-15
 
 
@@ -359,22 +360,23 @@ def test_fb_flow_matches_scalar_oracle():
     fwd = rng.uniform(-2.0, 2.0, (7, 7, 2))
     bwd = rng.uniform(-2.0, 2.0, (7, 7, 2))
     mask = rng.uniform(size=(7, 7)) > 0.3
-    plan = WarpPlan.along(planar(fwd))
-    loss, _, _ = fb_flow_terms(planar(fwd), plan, plan.sample_grad(planar(bwd)), mask)
+    plan = WarpPlan.along(planar(fwd), Workspace())
+    loss, _, _ = fb_flow_terms(planar(fwd), plan, sample_grad(plan, planar(bwd)), mask)
     assert abs(loss - fb_flow_ref(fwd, bwd, mask)) < 1e-10
 
 
 def test_fb_flow_empty_mask_degenerate():
     fwd = np.ones((4, 4, 2))
-    plan = WarpPlan.along(planar(fwd))
-    loss, gf, gb = fb_flow_terms(planar(fwd), plan, plan.sample_grad(planar(np.ones((4, 4, 2)))), np.zeros((4, 4), bool))
+    plan = WarpPlan.along(planar(fwd), Workspace())
+    cycle = sample_grad(plan, planar(np.ones((4, 4, 2))))
+    loss, gf, gb = fb_flow_terms(planar(fwd), plan, cycle, np.zeros((4, 4), bool))
     assert loss == 0.0
     assert not gf.any() and not gb.any()
 
 
 def test_fb_depth_empty_mask_degenerate():
     depth = np.full((4, 4), 2.0)
-    plan = WarpPlan.along(planar(np.ones((4, 4, 2))))
+    plan = WarpPlan.along(planar(np.ones((4, 4, 2))), Workspace())
     loss, g_t, g_t1, g_rigid = fb_depth_terms(depth, 1.5 * depth, plan, np.zeros((4, 4), bool))
     assert loss == 0.0
     assert not g_t.any() and not g_t1.any() and not g_rigid.any()
@@ -385,25 +387,25 @@ def test_fb_flow_gradients_match_fd():
     fwd = rng.uniform(-1.5, 1.5, (6, 6, 2))
     bwd = rng.uniform(-1.5, 1.5, (6, 6, 2))
     mask = np.ones((6, 6), bool)
-    plan = WarpPlan.along(planar(fwd))
-    gf, gb = map(channel_last, fb_flow_terms(planar(fwd), plan, plan.sample_grad(planar(bwd)), mask)[1:])
+    plan = WarpPlan.along(planar(fwd), Workspace())
+    gf, gb = map(channel_last, fb_flow_terms(planar(fwd), plan, sample_grad(plan, planar(bwd)), mask)[1:])
     h = 1e-6
     for y, x, c in [(0, 0, 0), (2, 3, 1), (5, 5, 0), (3, 1, 1)]:
         fp = fwd.copy()
         fp[y, x, c] += h
         fm = fwd.copy()
         fm[y, x, c] -= h
-        plan_p, plan_m = WarpPlan.along(planar(fp)), WarpPlan.along(planar(fm))
-        lp = fb_flow_terms(planar(fp), plan_p, plan_p.sample_grad(planar(bwd)), mask)[0]
-        lm = fb_flow_terms(planar(fm), plan_m, plan_m.sample_grad(planar(bwd)), mask)[0]
+        plan_p, plan_m = WarpPlan.along(planar(fp), Workspace()), WarpPlan.along(planar(fm), Workspace())
+        lp = fb_flow_terms(planar(fp), plan_p, sample_grad(plan_p, planar(bwd)), mask)[0]
+        lm = fb_flow_terms(planar(fm), plan_m, sample_grad(plan_m, planar(bwd)), mask)[0]
         assert abs(gf[y, x, c] - (lp - lm) / (2 * h)) < 1e-5
         bp = bwd.copy()
         bp[y, x, c] += h
         bm = bwd.copy()
         bm[y, x, c] -= h
         # the sample points depend on fwd alone, so its plan serves both
-        lp = fb_flow_terms(planar(fwd), plan, plan.sample_grad(planar(bp)), mask)[0]
-        lm = fb_flow_terms(planar(fwd), plan, plan.sample_grad(planar(bm)), mask)[0]
+        lp = fb_flow_terms(planar(fwd), plan, sample_grad(plan, planar(bp)), mask)[0]
+        lm = fb_flow_terms(planar(fwd), plan, sample_grad(plan, planar(bm)), mask)[0]
         assert abs(gb[y, x, c] - (lp - lm) / (2 * h)) < 1e-5
 
 
@@ -414,14 +416,16 @@ def test_fb_flow_gradients_match_fd():
 
 def test_fb_depth_zero_for_static_plane():
     depth = np.full((8, 8), 3.0)
-    loss, *_ = fb_depth_terms(depth, depth, WarpPlan.along(planar(np.zeros((8, 8, 2)))), np.ones((8, 8), bool))
+    plan = WarpPlan.along(planar(np.zeros((8, 8, 2))), Workspace())
+    loss, *_ = fb_depth_terms(depth, depth, plan, np.ones((8, 8), bool))
     assert loss == 0.0
 
 
 def test_fb_depth_unit_gap_value():
     d_t = np.full((5, 5), 2.0)
     d_t1 = np.full((5, 5), 3.0)
-    loss, *_ = fb_depth_terms(d_t, d_t1, WarpPlan.along(planar(np.zeros((5, 5, 2)))), np.ones((5, 5), bool))
+    plan = WarpPlan.along(planar(np.zeros((5, 5, 2))), Workspace())
+    loss, *_ = fb_depth_terms(d_t, d_t1, plan, np.ones((5, 5), bool))
     assert abs(loss - PHI_1) < 1e-15
 
 
@@ -429,7 +433,8 @@ def test_fb_depth_consistent_on_rendered_scene(plane_gt):
     from rigidflow.camera import rigid_flow
 
     rigid, _ = rigid_flow(plane_gt.depth_t, plane_gt.intrinsics, plane_gt.pose)
-    loss, *_ = fb_depth_terms(plane_gt.depth_t, plane_gt.depth_t1, WarpPlan.along(planar(rigid)), ~plane_gt.occlusion)
+    plan = WarpPlan.along(planar(rigid), Workspace())
+    loss, *_ = fb_depth_terms(plane_gt.depth_t, plane_gt.depth_t1, plan, ~plane_gt.occlusion)
     assert loss < 1e-6
 
 
@@ -439,7 +444,7 @@ def test_fb_depth_matches_scalar_oracle():
     d_t1 = rng.uniform(2.0, 4.0, (7, 7))
     rigid = rng.uniform(-1.5, 1.5, (7, 7, 2))
     mask = rng.uniform(size=(7, 7)) > 0.3
-    loss, *_ = fb_depth_terms(d_t, d_t1, WarpPlan.along(planar(rigid)), mask)
+    loss, *_ = fb_depth_terms(d_t, d_t1, WarpPlan.along(planar(rigid), Workspace()), mask)
     assert abs(loss - fb_depth_ref(d_t, d_t1, rigid, mask)) < 1e-10
 
 
@@ -449,7 +454,7 @@ def test_fb_depth_gradients_match_fd():
     d_t1 = rng.uniform(2.0, 4.0, (6, 6))
     rigid = rng.uniform(-1.2, 1.2, (6, 6, 2))
     mask = np.ones((6, 6), bool)
-    plan = WarpPlan.along(planar(rigid))
+    plan = WarpPlan.along(planar(rigid), Workspace())
     _, g_dt, g_dt1, g_rig = fb_depth_terms(d_t, d_t1, plan, mask)
     g_rig = channel_last(g_rig)
     h = 1e-6
@@ -471,8 +476,8 @@ def test_fb_depth_gradients_match_fd():
             rp[y, x, c] += h
             rm = rigid.copy()
             rm[y, x, c] -= h
-            lp = fb_depth_terms(d_t, d_t1, WarpPlan.along(planar(rp)), mask)[0]
-            lm = fb_depth_terms(d_t, d_t1, WarpPlan.along(planar(rm)), mask)[0]
+            lp = fb_depth_terms(d_t, d_t1, WarpPlan.along(planar(rp), Workspace()), mask)[0]
+            lm = fb_depth_terms(d_t, d_t1, WarpPlan.along(planar(rm), Workspace()), mask)[0]
             assert abs(g_rig[y, x, c] - (lp - lm) / (2 * h)) < 1e-5
 
 
@@ -720,7 +725,10 @@ def level_objective(imgs, depths, poses, flows, k, *settings, **case):
     cfg = OptimizerConfig(scales=1, census=settings[1])
     (level,) = PairContext(*imgs, k, cfg, depths[0].shape).levels
     entries = _block_entries([(p.rotation, p.translation) for p in poses], [depths[0].shape])
-    res = scale_objective(level, depths, entries, np.stack([planar(f) for f in flows], axis=1), *settings, **case)
+    weights, _, fb_params = settings
+    res = scale_objective(
+        level, depths, entries, np.stack([planar(f) for f in flows], axis=1), weights, fb_params, Workspace(), **case
+    )
     return replace(res, grad_flow=tuple(np.ascontiguousarray(channel_last(res.grad_flow[:, d])) for d in (0, 1)))
 
 
@@ -823,8 +831,8 @@ def test_public_terms_match_term_by_term_sampling(odd_level):
     mask = fb_check_cell(flow_fwd, flow_bwd, 0.01, 0.5)
     assert same_bits(fb_check(flow_fwd, flow_bwd, FBCheckParams()), mask)
     gray_t, gray_t1 = img_t[..., 0], img_t1[..., 0]
-    plan = WarpPlan.along(planar(flow_fwd))
-    fb_flow = fb_flow_terms(planar(flow_fwd), plan, plan.sample_grad(planar(flow_bwd)), mask)
+    plan = WarpPlan.along(planar(flow_fwd), Workspace())
+    fb_flow = fb_flow_terms(planar(flow_fwd), plan, sample_grad(plan, planar(flow_bwd)), mask)
     fb_depth = fb_depth_terms(depth_t, depth_t1, plan, mask)
     for got, want in (
         ((fb_flow[0], *map(channel_last, fb_flow[1:])), fb_flow_cell(flow_fwd, flow_bwd, mask)),
@@ -882,7 +890,9 @@ def test_census_with_an_empty_and_a_live_branch_matches_the_oracle():
     params = CensusParams(radius=2)
     for branches, live in (([(other, empty), (warped, holes)], 1), ([(warped, holes), (other, empty)], 0)):
         out = census_terms(ref, branches, params)
-        assert out[1 - live] is None
+        loss, grad = out[1 - live]
+        assert np.float64(loss).tobytes() == np.float64(0.0).tobytes()
+        assert grad.shape == empty.shape and grad.tobytes() == np.zeros(empty.shape).tobytes()
         loss, grad, _ = photometric_cell(ref, warped, holes, 2, 0.02, 1e-3)
         assert same_bits(out[live][0], loss)
         assert same_bits(out[live][1], grad)

@@ -74,6 +74,20 @@ def test_scene_state_validation():
     flow_bwd[2, 3, 1], depth_t[0, 0] = np.nan, 0.0
     with pytest.raises(ValueError, match="^flow_bwd must be finite$"):
         SceneState(**{**good, "flow_bwd": flow_bwd, "depth_t": depth_t})
+    # a rotation component of either sign above sqrt(max float / 3), whose
+    # square rodrigues's w @ w could overflow; at it the state is taken
+    ceiling = np.sqrt(np.finfo(float).max / 3)
+    for i in range(3):
+        for bad in (1e154, -1e300, np.nextafter(ceiling, np.inf)):
+            pose = np.zeros(6)
+            pose[i] = bad
+            with pytest.raises(ValueError) as err:
+                SceneState(**{**good, "pose_params": pose})
+            assert str(err.value) == (
+                f"pose_params has a rotation component of magnitude {abs(bad):.6g}, "
+                f"above the {ceiling:.6g} the rotation angle can square"
+            )
+    SceneState(**{**good, "pose_params": np.array([ceiling, -ceiling, ceiling, 0.0, 0.0, 0.0])})
 
 
 def test_evaluate_rechecks_a_state_changed_in_place(plane_gt):
@@ -135,6 +149,36 @@ def test_a_flow_too_large_to_square_is_named(name, kwargs):
             report, grad, _ = evaluate(SceneState(state.depth_t, state.depth_t1, state.pose_params, *flows), *args)
             assert np.isfinite(report.total)
             assert all(np.all(np.isfinite(getattr(grad, f.name))) for f in fields(grad))
+
+
+@pytest.mark.parametrize("name", ["plane", "mover", "slanted"])
+def test_a_rotation_too_large_to_square_is_named(name):
+    # rodrigues squares the rotation, w @ w: with every component at
+    # sqrt(max float / 3), either sign, evaluate runs without a warning; one
+    # float above it, or at 1e300, whose square would overflow and whose
+    # angle math.sin cannot take, the state is rejected, naming the field
+    # and the value
+    import warnings
+
+    gt = render(preset(name))
+    args = (gt.image_t, gt.image_t1, gt.intrinsics, small_cfg())
+    state = make_initial_state(gt, np.random.default_rng(0))
+    ceiling = np.sqrt(np.finfo(float).max / 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for sign in (1.0, -1.0):
+            state.pose_params[:3] = sign * ceiling
+            report, grad, _ = evaluate(state, *args)
+            assert np.isfinite(report.total)
+            assert all(np.all(np.isfinite(getattr(grad, f.name))) for f in fields(grad))
+            for bad in (np.nextafter(ceiling, np.inf), 1e300):
+                state.pose_params[:3] = sign * bad
+                with pytest.raises(ValueError) as err:
+                    evaluate(state, *args)
+                assert str(err.value) == (
+                    f"pose_params has a rotation component of magnitude {bad:.6g}, "
+                    f"above the {ceiling:.6g} the rotation angle can square"
+                )
 
 
 def test_a_depth_too_large_to_square_is_named(plane_gt):
@@ -485,10 +529,12 @@ def test_objective_projects_each_block_once_and_its_adjoint_matches(monkeypatch)
 
 def test_refine_builds_no_pose_and_the_entries_once_per_layout(monkeypatch):
     # the objective builds the pose entries from the pose parameters, once
-    # per block layout (one side 0, one side 1, both stacked) of an evaluate
+    # per block layout (one side 0, one side 1, both stacked) of an evaluate,
+    # and the rotation once per evaluate: the pose gradient and its
+    # rotation jacobians take the one the entries were built from
     gt = render(preset("mover", width=128, height=96))
     state = make_initial_state(gt, np.random.default_rng(0), depth_noise=0.1, flow_noise=0.3)
-    built, entries, per_evaluate = [], [], []
+    built, entries, rotations, per_evaluate = [], [], [], []
 
     def post_init(self, real=camera.PoseSE3.__post_init__):
         built.append(self)
@@ -498,18 +544,29 @@ def test_refine_builds_no_pose_and_the_entries_once_per_layout(monkeypatch):
         entries.append(tuple(map(id, sides)))  # each side's pose
         return real(sides)
 
+    def rotation(w, real=camera.rodrigues):
+        rotations.append(tuple(w))
+        return real(w)
+
     def callback(it, state, report):
-        per_evaluate.append(entries[:])
+        per_evaluate.append((entries[:], rotations[:]))
         entries.clear()
+        rotations.clear()
 
     monkeypatch.setattr(camera.PoseSE3, "__post_init__", post_init)
     monkeypatch.setattr(losses, "_entries", counted)
+    # by every name the engine calls it by
+    monkeypatch.setattr(camera, "rodrigues", rotation)
+    monkeypatch.setattr(optimize, "rodrigues", rotation)
     _, trace = refine(gt.image_t, gt.image_t1, gt.intrinsics, state, small_cfg(iterations=3, scales=3), callback)
     assert len(trace) == len(per_evaluate) == 4
     assert built == []
-    for calls in per_evaluate:
+    for calls, rotated in per_evaluate:
         # side 0 and side 1 of level 0, then both sides of levels 1 and 2
         assert len(calls) == len(set(calls)) == 3, calls
+        assert len(rotated) == 1, rotated
+    # the rotation is zero at the start and moves with the first step
+    assert per_evaluate[0][1] == [(0.0, 0.0, 0.0)] and per_evaluate[1][1] != per_evaluate[0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -664,35 +721,53 @@ def _bits_float(bits: int) -> float:
     return float(np.int64(bits).view(np.float64))
 
 
-@pytest.mark.parametrize("epsilon", [0.02, float(np.nextafter(losses.EPSILON_RANGE[1], 0.0))], ids=["default", "top"])
+LARGE_FRAME = r"^(img_t1?) has a largest magnitude of (\S+), above the \S+ its pyramid and gray mean can sum$"
+
+# how a probe moves the frames, the largest move it tries, the message that
+# names a frame moved too far, and the value the message gives
+FRAME_MOVES = {
+    "scale": (np.multiply, 1e300, WIDE_FRAME, lambda img: img.max() - img.min()),
+    "shift": (np.add, 1e308, LARGE_FRAME, lambda img: np.abs(img).max()),
+}
+
+
+@pytest.mark.parametrize(
+    "move, epsilon",
+    [("scale", 0.02), ("scale", float(np.nextafter(losses.EPSILON_RANGE[1], 0.0))), ("shift", 0.02)],
+    ids=["default", "top", "shift"],
+)
 @pytest.mark.parametrize("name", ["plane", "mover", "slanted"])
-def test_frames_too_wide_for_the_census_are_named(name, epsilon):
+def test_frames_too_wide_for_the_census_are_named(name, move, epsilon):
     # a census difference of a frame is at most its value range, and the
     # census gradient takes (d^2 + epsilon^2) ** 1.5: the context rejects a
     # frame whose range would overflow it, naming the frame and the range.
-    # At the largest scale of the frames the context takes, evaluate runs
-    # without a warning; one float above it, it names a frame
+    # The 2x2 pool adds four values and the gray mean the channels: a frame
+    # shifted so far that those sums would overflow is named with its
+    # largest magnitude. At the largest scale or shift of the frames the
+    # context takes, evaluate runs without a warning; one float above it,
+    # it names a frame
     import warnings
 
     gt = render(preset(name))
     state = make_initial_state(gt, np.random.default_rng(0))
     cfg = OptimizerConfig(scales=2, census=CensusParams(epsilon=epsilon))
     args = (gt.intrinsics, cfg)
+    op, far, pattern, measure = FRAME_MOVES[move]
 
     def frames(c):
-        return gt.image_t * c, gt.image_t1 * c
+        return op(gt.image_t, c), op(gt.image_t1, c)
 
     def taken(c):
         try:
             optimize.PairContext(*frames(c), *args, state.depth_t.shape)
         except ValueError as err:
-            assert re.match(WIDE_FRAME, str(err)), str(err)
+            assert re.match(pattern, str(err)), str(err)
             return False
         return True
 
     # bisection on the bits of the positive floats, which order as the floats
-    lo, hi = _float_bits(0.0), _float_bits(1e300)
-    assert taken(0.0) and not taken(1e300)
+    lo, hi = _float_bits(0.0), _float_bits(far)
+    assert taken(0.0) and not taken(far)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if taken(_bits_float(mid)) else (lo, mid)
@@ -704,13 +779,18 @@ def test_frames_too_wide_for_the_census_are_named(name, epsilon):
         assert all(np.all(np.isfinite(getattr(grad, f.name))) for f in fields(grad))
         with pytest.raises(ValueError) as err:
             evaluate(state, *frames(above), *args)
-    frame, found = re.match(WIDE_FRAME, str(err.value)).groups()
+    frame, found = re.match(pattern, str(err.value)).groups()
     img = dict(zip(("img_t", "img_t1"), frames(above)))[frame]
-    assert found == f"{img.max() - img.min():.6g}"
-    if epsilon == 0.02:
+    assert found == f"{measure(img):.6g}"
+    if (move, epsilon) == ("scale", 0.02):
         # the 1e150 frames that overflowed the census unnamed
         with pytest.raises(ValueError, match=WIDE_FRAME.replace("(img_t1?)", "img_t")):
             evaluate(state, *frames(1e150), *args)
+    if move == "shift":
+        # the shift of 5e307 that overflowed the pool and ended in a
+        # non-finite photometric term
+        with pytest.raises(ValueError, match=LARGE_FRAME.replace("(img_t1?)", "img_t")):
+            evaluate(state, *frames(5e307), *args)
 
 
 @functools.cache

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rigidflow.sampling import WarpPlan, Workspace, inverse_warp, pyramid, pyramid_adjoint
 
-from conftest import channel_last, planar
+from conftest import channel_last, planar, sample_grad, scatter
 from oracles import bilinear_ref, cell_sample, cell_sample_grad, cell_scatter, pool_adjoint_ref, pool_ref
 
 coord = st.floats(min_value=-20.0, max_value=40.0, allow_nan=False)
@@ -18,7 +18,7 @@ coord = st.floats(min_value=-20.0, max_value=40.0, allow_nan=False)
 def test_integer_coordinates_gather_exactly():
     rng = np.random.default_rng(0)
     img = rng.uniform(size=(7, 9))
-    plan = WarpPlan(img.shape, np.array([3.0]), np.array([5.0]))
+    plan = WarpPlan(img.shape, np.array([3.0]), np.array([5.0]), Workspace())
     val, inb = plan.sample(img), plan.inbounds
     assert val[0] == img[5, 3]
     assert inb[0]
@@ -28,7 +28,7 @@ def test_midpoint_averages_two_pixels():
     img = np.zeros((2, 5))
     img[0, 3] = 0.2
     img[0, 4] = 0.8
-    plan = WarpPlan(img.shape, np.array([3.5]), np.array([0.0]))
+    plan = WarpPlan(img.shape, np.array([3.5]), np.array([0.0]), Workspace())
     val, inb = plan.sample(img), plan.inbounds
     assert abs(val[0] - 0.5) < 1e-15
     assert inb[0]
@@ -37,7 +37,7 @@ def test_midpoint_averages_two_pixels():
 def test_far_outside_clamps_to_corner_and_flags():
     rng = np.random.default_rng(1)
     img = rng.uniform(size=(6, 6))
-    plan = WarpPlan(img.shape, np.array([-10.0]), np.array([-10.0]))
+    plan = WarpPlan(img.shape, np.array([-10.0]), np.array([-10.0]), Workspace())
     val, inb = plan.sample(img), plan.inbounds
     assert val[0] == img[0, 0]
     assert not inb[0]
@@ -48,7 +48,7 @@ def test_far_outside_clamps_to_corner_and_flags():
 def test_bilinear_matches_scalar_reference(x, y):
     rng = np.random.default_rng(2)
     img = rng.uniform(size=(8, 12))
-    plan = WarpPlan(img.shape, np.array([x]), np.array([y]))
+    plan = WarpPlan(img.shape, np.array([x]), np.array([y]), Workspace())
     val, inb = plan.sample(img), plan.inbounds
     want, want_inb = bilinear_ref(img, x, y)
     assert abs(val[0] - want) < 1e-12
@@ -60,7 +60,7 @@ def test_multichannel_sampling_per_channel():
     img = rng.uniform(size=(8, 8, 3))
     xs = rng.uniform(0.0, 7.0, (4,))
     ys = rng.uniform(0.0, 7.0, (4,))
-    plan = WarpPlan(img.shape[:2], xs, ys)
+    plan = WarpPlan(img.shape[:2], xs, ys, Workspace())
     val = np.moveaxis(plan.sample(planar(img)), 0, -1)
     assert val.shape == (4, 3)
     for c in range(3):
@@ -76,20 +76,20 @@ def test_sample_grad_matches_finite_differences():
     # stay away from integer lattice lines where the gradient has kinks
     xs = np.where(np.abs(xs - np.round(xs)) < 0.05, xs + 0.1, xs)
     ys = np.where(np.abs(ys - np.round(ys)) < 0.05, ys + 0.1, ys)
-    val, ddx, ddy = WarpPlan(img.shape, xs, ys).sample_grad(img)
+    val, ddx, ddy = sample_grad(WarpPlan(img.shape, xs, ys, Workspace()), img)
     h = 1e-6
-    vx1 = WarpPlan(img.shape, xs + h, ys).sample(img)
-    vx0 = WarpPlan(img.shape, xs - h, ys).sample(img)
-    vy1 = WarpPlan(img.shape, xs, ys + h).sample(img)
-    vy0 = WarpPlan(img.shape, xs, ys - h).sample(img)
+    vx1 = WarpPlan(img.shape, xs + h, ys, Workspace()).sample(img)
+    vx0 = WarpPlan(img.shape, xs - h, ys, Workspace()).sample(img)
+    vy1 = WarpPlan(img.shape, xs, ys + h, Workspace()).sample(img)
+    vy0 = WarpPlan(img.shape, xs, ys - h, Workspace()).sample(img)
     assert np.abs(ddx - (vx1 - vx0) / (2 * h)).max() < 1e-8
     assert np.abs(ddy - (vy1 - vy0) / (2 * h)).max() < 1e-8
 
 
 def test_sample_grad_zero_outside_valid_range():
     img = np.arange(16.0).reshape(4, 4)
-    plan = WarpPlan(img.shape, np.array([-0.5, 5.0]), np.array([1.0, 1.0]))
-    _, ddx, ddy = plan.sample_grad(img)
+    plan = WarpPlan(img.shape, np.array([-0.5, 5.0]), np.array([1.0, 1.0]), Workspace())
+    _, ddx, ddy = sample_grad(plan, img)
     inb = plan.inbounds
     assert ddx[0] == 0.0 and ddx[1] == 0.0
     assert not inb.any()
@@ -102,9 +102,9 @@ def test_scatter_is_adjoint_of_sample():
     xs = rng.uniform(-1.0, 8.0, (30,))
     ys = rng.uniform(-1.0, 9.5, (30,))
     g = rng.normal(size=(30,))
-    plan = WarpPlan((9, 7), xs, ys)
+    plan = WarpPlan((9, 7), xs, ys, Workspace())
     sampled = plan.sample(img)
-    scattered = plan.scatter(g)
+    scattered = scatter(plan, g)
     assert abs(np.sum(scattered * img) - np.sum(g * sampled)) < 1e-10
 
 
@@ -138,7 +138,7 @@ def plan_points(shape, seed):
 def test_plan_sample_matches_per_call_sampling(shape):
     rng = np.random.default_rng(11)
     xs, ys = plan_points(shape, 12)
-    plan = WarpPlan(shape, xs, ys)
+    plan = WarpPlan(shape, xs, ys, Workspace())
     for img in (rng.uniform(size=shape), rng.uniform(size=shape + (3,))):
         want, want_inb = cell_sample(img, xs, ys)
         assert same_bits(channel_last(plan.sample(planar(img))), want)
@@ -149,17 +149,17 @@ def test_plan_sample_matches_per_call_sampling(shape):
 def test_plan_sample_grad_matches_per_call_sampling(shape):
     rng = np.random.default_rng(13)
     xs, ys = plan_points(shape, 14)
-    plan = WarpPlan(shape, xs, ys)
+    plan = WarpPlan(shape, xs, ys, Workspace())
     img = rng.uniform(size=shape)
     want = cell_sample_grad(img, xs, ys)
-    for got, ref in zip(plan.sample_grad(img), want[:3]):
+    for got, ref in zip(sample_grad(plan, img), want[:3]):
         assert same_bits(got, ref)
     assert same_bits(plan.inbounds, want[3])
     # a multi-channel source is per channel what each channel gives alone
     stack = rng.uniform(size=shape + (2,))
     for c in range(2):
         want_c = cell_sample_grad(stack[..., c], xs, ys)
-        for got, ref in zip(plan.sample_grad(planar(stack)), want_c[:3]):
+        for got, ref in zip(sample_grad(plan, planar(stack)), want_c[:3]):
             assert same_bits(channel_last(got)[..., c], ref)
 
 
@@ -167,12 +167,12 @@ def test_plan_sample_grad_matches_per_call_sampling(shape):
 def test_plan_scatter_matches_per_call_scatter(shape):
     rng = np.random.default_rng(15)
     xs, ys = plan_points(shape, 16)
-    plan = WarpPlan(shape, xs, ys)
+    plan = WarpPlan(shape, xs, ys, Workspace())
     g = rng.normal(size=shape)
     want = cell_scatter(g, xs, ys, shape)
-    assert same_bits(plan.scatter(g), want)
+    assert same_bits(scatter(plan, g), want)
     g2 = rng.normal(size=shape + (2,))
-    got = channel_last(plan.scatter(planar(g2)))
+    got = channel_last(scatter(plan, planar(g2)))
     assert got.shape == shape + (2,)
     for c in range(2):
         assert same_bits(got[..., c], cell_scatter(g2[..., c], xs, ys, shape))
@@ -184,7 +184,7 @@ def test_plan_along_a_field_samples_at_p_plus_field():
     img = rng.uniform(size=(9, 7))
     ys, xs = np.meshgrid(np.arange(9.0), np.arange(7.0), indexing="ij")
     want, want_inb = cell_sample(img, xs + field[..., 0], ys + field[..., 1])
-    plan = WarpPlan.along(planar(field))
+    plan = WarpPlan.along(planar(field), Workspace())
     assert same_bits(plan.sample(img), want)
     assert same_bits(plan.inbounds, want_inb)
 
@@ -195,15 +195,15 @@ def test_planar_sources_equal_their_per_channel_calls():
     shape = (37, 45)
     rng = np.random.default_rng(19)
     xs, ys = plan_points(shape, 20)
-    plan = WarpPlan(shape, xs, ys)
+    plan = WarpPlan(shape, xs, ys, Workspace())
     for c in (1, 2, 3):
         src = rng.uniform(size=(c,) + shape)
         assert same_bits(plan.sample(src), np.stack([plan.sample(p) for p in src]))
-        per_channel = [plan.sample_grad(p) for p in src]
-        for i, got in enumerate(plan.sample_grad(src)):
+        per_channel = [sample_grad(plan, p) for p in src]
+        for i, got in enumerate(sample_grad(plan, src)):
             assert same_bits(got, np.stack([part[i] for part in per_channel]))
         g = rng.normal(size=(c,) + shape)
-        assert same_bits(plan.scatter(g), np.stack([plan.scatter(gc) for gc in g]))
+        assert same_bits(scatter(plan, g), np.stack([scatter(plan, gc) for gc in g]))
 
 
 def test_scatter_is_adjoint_of_sample_for_two_channels():
@@ -212,8 +212,8 @@ def test_scatter_is_adjoint_of_sample_for_two_channels():
     xs = rng.uniform(-1.0, 8.0, (30,))
     ys = rng.uniform(-1.0, 9.5, (30,))
     g = rng.normal(size=(2, 30))
-    plan = WarpPlan((9, 7), xs, ys)
-    scattered = plan.scatter(g)
+    plan = WarpPlan((9, 7), xs, ys, Workspace())
+    scattered = scatter(plan, g)
     assert scattered.shape == (2, 9, 7)
     assert abs(np.sum(scattered * src) - np.sum(g * plan.sample(src))) < 1e-10
 
@@ -244,8 +244,8 @@ def test_sides_of_a_stacked_plan_stay_apart(shape):
     special = [(w - 1.0, 0.0), (1e9, 0.5), (0.5, 1e9), (w - 1.0, h - 1.0), (1e9, 1e9), (w - 1.5, h - 1.0)]
     for k, (x, y) in enumerate(special[: h * w]):
         xs.reshape(2, -1)[:, k], ys.reshape(2, -1)[:, k] = x, y
-    plan = WarpPlan((2, h, w), xs, ys)
-    alone = [WarpPlan(shape, xs[d], ys[d]) for d in (0, 1)]
+    plan = WarpPlan((2, h, w), xs, ys, Workspace())
+    alone = [WarpPlan(shape, xs[d], ys[d], Workspace()) for d in (0, 1)]
     big = 1e6
     src = np.stack([rng.uniform(size=shape), np.full(shape, big)])
     vals = plan.sample(src)
@@ -253,24 +253,24 @@ def test_sides_of_a_stacked_plan_stay_apart(shape):
     for d in (0, 1):
         assert same_bits(vals[d], alone[d].sample(src[1 - d]))
         assert same_bits(plan.inbounds[d], alone[d].inbounds)
-    for got, want in zip(plan.sample_grad(src), zip(*(alone[d].sample_grad(src[1 - d]) for d in (0, 1)))):
+    for got, want in zip(sample_grad(plan, src), zip(*(sample_grad(alone[d], src[1 - d]) for d in (0, 1)))):
         assert same_bits(got, np.stack(want))
     two = rng.uniform(size=(2, 2) + shape)  # [channel, side]
     assert same_bits(plan.sample(two), np.stack([alone[d].sample(two[:, 1 - d]) for d in (0, 1)], axis=1))
     # gradients on side 0's points only: side 0 of the scatter stays zero
     g = np.stack([rng.normal(size=shape), np.zeros(shape)])
-    out = plan.scatter(g)
+    out = scatter(plan, g)
     assert np.all(out[0] == 0.0) and np.any(out[1] != 0.0)
     g[1] = rng.normal(size=shape)
-    out = plan.scatter(g)
+    out = scatter(plan, g)
     for d in (0, 1):
-        assert same_bits(out[1 - d], alone[d].scatter(g[d]))
+        assert same_bits(out[1 - d], scatter(alone[d], g[d]))
     g2 = rng.normal(size=(2, 2) + shape)
-    assert same_bits(plan.scatter(g2), np.stack([plan.scatter(gc) for gc in g2]))
+    assert same_bits(scatter(plan, g2), np.stack([scatter(plan, gc) for gc in g2]))
 
 
 def test_plan_rejects_a_source_of_another_size():
-    plan = WarpPlan((4, 5), np.zeros(3), np.zeros(3))
+    plan = WarpPlan((4, 5), np.zeros(3), np.zeros(3), Workspace())
     with pytest.raises(ValueError, match="plan's grid"):
         plan.sample(np.zeros((5, 4)))
 
@@ -344,7 +344,7 @@ def pool(a, scale=1.0):
 
 def pool_adjoint(g, fine_shape, scale=1.0):
     """The adjoint of `pool`: a two-level fold with nothing at the finest level."""
-    return pyramid_adjoint([np.zeros(g.shape[:-2] + fine_shape), g], [1.0, 1.0], scale)
+    return pyramid_adjoint([np.zeros(g.shape[:-2] + fine_shape), g], [1.0, 1.0], scale, ws=Workspace())
 
 
 def test_constant_image_stays_constant():
@@ -447,7 +447,7 @@ def test_pyramid_adjoint_matches_the_loop_reference_bit_for_bit(shape, scale):
     want = weights[-1] * grads[-1]
     for g, wgt in zip(grads[-2::-1], weights[-2::-1]):
         want = wgt * g + pool_adjoint_ref(want, g.shape[-2:], scale)
-    got = pyramid_adjoint([g.copy() for g in grads], weights, scale)
+    got = pyramid_adjoint([g.copy() for g in grads], weights, scale, ws=Workspace())
     assert got.tobytes() == want.tobytes()
 
 
@@ -461,7 +461,7 @@ def test_weighted_pyramid_adjoint_dot_product_identity(shape, scale):
     levels = pyramid(a, 3, scale)
     grads = [rng.normal(size=lvl.shape) for lvl in levels]
     lhs = sum(w * np.sum(g * lvl) for w, g, lvl in zip(weights, grads, levels))
-    folded = pyramid_adjoint(grads, weights, scale)
+    folded = pyramid_adjoint(grads, weights, scale, ws=Workspace())
     assert folded.shape == shape
     assert abs(lhs - np.sum(folded * a)) < 1e-12
 
