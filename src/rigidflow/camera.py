@@ -254,16 +254,18 @@ def rigid_flow(depth: np.ndarray, k: Intrinsics, pose: PoseSE3):
     return np.moveaxis(flow, 0, -1), valid
 
 
-def _rigid_flow(depth: np.ndarray, k: Intrinsics, pixels, entries, ws: Workspace, key="rigid"):
+def _rigid_flow(depth: np.ndarray, k: Intrinsics, pixels, entries, ws: Workspace):
     """`rigid_flow` of an (H, W) or stacked (n, H, W) depth, on the grid and
     rays `pixels` of its level (`_pixels`), for the `_entries` of one pose or
     of one per side: the planar (2, H, W) or (2, n, H, W) flow, the
     cheirality mask and the transformed points (q0, q1, q2) of `_transform`,
-    each in a role of ws under key (`sampling` lists them), where
-    `_project_backward` reads the last two."""
+    which `_project_backward` reads with the mask. All are taken from ws's
+    stack, in that order, below the temporaries, for the caller to release."""
     if not (depth > 0.0).all():
         raise ValueError("depth must be positive")
-    q0, q1, q2 = q = _transform(pixels, depth, *entries, [ws.get((key, "q", i), depth.shape) for i in range(3)], ws)
+    flow = ws.take((2,) + depth.shape)
+    valid = ws.take(depth.shape, bool)
+    q0, q1, q2 = q = _transform(pixels, depth, *entries, [ws.take(depth.shape) for _ in range(3)], ws)
     mark = ws.mark()
     with np.errstate(divide="ignore", invalid="ignore"):
         u = np.divide(q0, q2, out=ws.take(depth.shape))
@@ -272,8 +274,7 @@ def _rigid_flow(depth: np.ndarray, k: Intrinsics, pixels, entries, ws: Workspace
         v = np.divide(q1, q2, out=ws.take(depth.shape))
         v *= k.fy
         v += k.cy
-    valid = np.greater(q2, 0.0, out=ws.get((key, "valid"), depth.shape, bool))
-    flow = ws.get((key, "flow"), (2,) + depth.shape)
+    np.greater(q2, 0.0, out=valid)
     for out, proj, grid in zip(flow, (u, v), pixels[:2]):
         proj -= grid
         _where(valid, proj, out)

@@ -90,16 +90,6 @@ def _config_from_args(args) -> OptimizerConfig:
     return optimizer_config_from(settings)
 
 
-def _report_lines(report) -> str:
-    return (
-        f"photometric={report.photometric!r}\n"
-        f"smooth={report.smooth!r}\n"
-        f"forward_backward={report.forward_backward!r}\n"
-        f"cross={report.cross!r}\n"
-        f"total={report.total!r}"
-    )
-
-
 def _cmd_synth_flow(args) -> int:
     depth = read_pfm(args.depth)
     pose = pose_from_params(_pose_arg(args.pose))
@@ -167,7 +157,7 @@ def _cmd_loss(args) -> int:
         k = _intrinsics_arg(args.intrinsics)
         state = SceneState(depth_t, depth_t1, pose_params, flow_fwd, flow_bwd)
     report, _, masks = evaluate(state, img_t, img_t1, k, cfg, want_grads=False)
-    print(_report_lines(report))
+    print(report_text(report))
     _warn_empty_masks(masks)
     return 0
 
@@ -202,7 +192,7 @@ def _cmd_refine(args) -> int:
         write_flo(os.path.join(args.output_dir, "flow_bwd.flo"), final.flow_bwd)
         with open(os.path.join(args.output_dir, "pose.txt"), "w") as fh:
             fh.write(",".join(repr(float(v)) for v in final.pose_params) + "\n")
-    print(_report_lines(trace[-1]))
+    print(report_text(trace[-1]))
     # the final state's masks, from the forward evaluation its trace entry had
     _warn_empty_masks(evaluate(final, gt.image_t, gt.image_t1, gt.intrinsics, cfg, want_grads=False)[2])
     dm = depth_metrics(final.depth_t, gt.depth_t)

@@ -615,7 +615,6 @@ def scale_objective(
     terms: frozenset = ALL_TERMS,
     masks: LevelMasks | None = None,
     grads: bool = True,
-    key="level",
 ) -> ScaleResult:
     """Objective of a single pyramid level, both sides, with gradients unless
     `grads` is False (then the gradient fields are None; the losses are the same).
@@ -647,11 +646,11 @@ def scale_objective(
     recomputed from the current state (needed by finite-difference checks,
     where the masks must stay frozen while the state moves).
 
-    Every array lives in ws: the gradients and the recomputed masks of the
-    result in roles (key, ...), which must differ between levels whose
-    results are alive at once, the rigid flows, plans, fb cycles and rigid
-    gradients in roles that the next level reuses, and each term's arrays on
-    the stack, released once they are added up.
+    Every array lives on ws's stack. The result's masks and gradients are
+    taken first and stay for the caller to release; the rigid flows, plans,
+    fb cycles and rigid-flow gradients above them, and each term's arrays
+    above those, released once they are added up; everything above the
+    result is released before returning.
     """
     h, w = level.gray.shape[-2:]
     depth = np.asarray(depths, dtype=float)
@@ -659,27 +658,27 @@ def scale_objective(
     blocks = _side_blocks(h, w)
     views = [level.block(own, other) for own, other in blocks]
     entries = [entries[own.start, own.stop] for own, _ in blocks]
+    depth_mask = ws.take((2, h, w), bool)
+    flow_mask = ws.take((2, h, w), bool)
+    g_flow, g_depth = (_zeros(ws.take(a.shape)) if grads else None for a in (flow, depth))
+    result_mark = ws.mark()
     # per block: its rigid flows, cheirality, projected points and plans;
     # block b's other sides are those of block -1 - b
     rigid, cheir, points = zip(
-        *(
-            _rigid_flow(depth[own], level.k, level.pixels, entries[b], ws, ("rigid", b))
-            for b, (own, _) in enumerate(blocks)
-        )
+        *(_rigid_flow(depth[own], level.k, level.pixels, entries[b], ws) for b, (own, _) in enumerate(blocks))
     )
     # one warp plan per correspondence field serves every term of the level
     grid = level.pixels[:2]
-    rigid_plans = [WarpPlan.along(r, ws, ("rigid", b), grid) for b, r in enumerate(rigid)]
-    flow_plans = [WarpPlan.along(flow[:, own], ws, ("flow", b), grid) for b, (own, _) in enumerate(blocks)]
+    rigid_plans = [WarpPlan.along(r, ws, grid) for r in rigid]
+    flow_plans = [WarpPlan.along(flow[:, own], ws, grid) for own, _ in blocks]
     # the fb cycle b(p + f(p)) of the flows feeds both their masks and their loss
     cycles = []
     if "fb_flow" in terms:
-        for b, (plan, (_, other)) in enumerate(zip(flow_plans, blocks)):
-            out = [ws.get(("cycle", b, i), (2,) + plan.i00.shape) for i in range(3 if grads else 1)]
+        for plan, (_, other) in zip(flow_plans, blocks):
+            out = [ws.take((2,) + plan.i00.shape) for _ in range(3 if grads else 1)]
             src = flow[:, other]
             cycles.append(plan.sample_grad(src, out=out) if grads else (plan.sample(src, out=out[0]),))
-    depth_mask = ws.get((key, "depth_mask"), (2, h, w), bool)
-    flow_mask = ws.get((key, "flow_mask"), (2, h, w), bool)
+    g_rigid = [_zeros(ws.take(r.shape)) if grads else None for r in rigid]
     mark = ws.mark()
     if masks is None:
         for b, (own, other) in enumerate(blocks):
@@ -699,10 +698,6 @@ def scale_objective(
         np.stack((masks.flow_fwd, masks.flow_bwd), out=flow_mask)
     # each block's valid counts of the two masks, for every term that reads them
     depth_counts, flow_counts = ([_inverse_counts(m[own]) for own, _ in blocks] for m in (depth_mask, flow_mask))
-    g_rigid = [_zeros(ws.get(("g_rigid", b), r.shape)) if grads else None for b, r in enumerate(rigid)]
-    g_flow, g_depth = (
-        _zeros(ws.get((key, name), a.shape)) if grads else None for name, a in (("g_flow", flow), ("g_depth", depth))
-    )
     photometric = smooth = fb_total = cross = 0.0
     # the losses that wait until their pass ends, in block order
     depth_smooth, flow_smooth, depth_fb = [], [], []
@@ -779,5 +774,6 @@ def scale_objective(
             g_depth[own] += gd
             grad_pose += zip(gr, gt)
             ws.release(mark)
+    ws.release(result_mark)
     grad_pose = tuple(grad_pose) if grads else None
     return ScaleResult(photometric, smooth, fb_total, cross, g_depth, grad_pose, g_flow, masks)

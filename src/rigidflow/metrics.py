@@ -118,7 +118,7 @@ def flow_metrics(est: np.ndarray, gt: np.ndarray, mask=None) -> FlowMetrics:
 
 
 def report_text(metrics) -> str:
-    """Flat key=value lines, one metric per line, full precision."""
+    """Flat key=value lines, one field per line (metrics or a loss report), full precision."""
     return "\n".join(f"{f.name}={getattr(metrics, f.name)!r}" for f in fields(metrics))
 
 

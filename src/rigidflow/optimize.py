@@ -203,18 +203,9 @@ class AdamMoments:
 
     @classmethod
     def zeros(cls, state: SceneState) -> "AdamMoments":
-        shapes = {
-            "log_depth_t": state.depth_t,
-            "log_depth_t1": state.depth_t1,
-            "pose_params": state.pose_params,
-            "flow_fwd": state.flow_fwd,
-            "flow_bwd": state.flow_bwd,
-        }
-        return cls(
-            m={k: np.zeros_like(v) for k, v in shapes.items()},
-            v={k: np.zeros_like(v) for k, v in shapes.items()},
-            count=0,
-        )
+        """Zero moments for each raw parameter of state (`_RAW_FIELDS`)."""
+        m, v = ({key: np.zeros_like(getattr(state, name)) for key, (name, _) in _RAW_FIELDS.items()} for _ in range(2))
+        return cls(m, v)
 
 
 def _check_masks(masks, sizes) -> None:
@@ -332,7 +323,8 @@ def evaluate(
     weights and frame bytes at 129x97, and the census reference descriptors,
     about 1.1 MiB more at 129x97 and 5.6 MiB at 256x256 (radius 1). A call
     on the slot's frames returns copies of the gradient and of the masks it
-    recomputed and keeps the workspace, 5.5 MiB more at 129x97 forward.
+    recomputed and keeps the workspace, 6.2 MiB more at 129x97 forward,
+    4.3 MiB of it ever written.
     Either way the frozen masks given are returned as they are, and no two
     results share memory.
     """
@@ -393,11 +385,13 @@ def _pair_key(img_t, img_t1, k: Intrinsics, cfg: OptimizerConfig, shape):
 def _objective(state: SceneState, ctx: PairContext, cfg: OptimizerConfig, masks, terms, want_grads):
     """`evaluate` on the image-only inputs of ctx, built with the same cfg.
 
-    The returned gradient and recomputed masks are arrays of ctx.ws, valid
-    until the next call on ctx; the gradient's flows are on its stack, taken
-    above the caller's mark, which the caller releases once it is done with
-    them. The state is only read, and not checked: `evaluate` checks it, and
-    `refine` evaluates only states it has checked (see there)."""
+    Every array it writes is taken from ctx.ws's stack above the caller's
+    mark: the depth and flow pyramids first, then each level's result, whose
+    gradients the fold overwrites, and the gradient's flows last. The
+    returned gradient and recomputed masks stay valid until the caller
+    releases to its mark. The state is only read, and not checked:
+    `evaluate` checks it, and `refine` evaluates only states it has checked
+    (see there)."""
     scales = cfg.scales
     sw = list(cfg.scale_weights) if cfg.scale_weights else [1.0] * scales
     if masks is not None:
@@ -407,10 +401,7 @@ def _objective(state: SceneState, ctx: PairContext, cfg: OptimizerConfig, masks,
     if cfg.census != census:
         raise ValueError(f"the level's census descriptors are for {census}, not {cfg.census}")
     ws = ctx.ws
-    depths, flows = (
-        [ws.get((name, lvl), lead + level.gray.shape[1:]) for lvl, level in enumerate(ctx.levels)]
-        for name, lead in (("depths", (2,)), ("flows", (2, 2)))
-    )
+    depths, flows = ([ws.take(lead + level.gray.shape[1:]) for level in ctx.levels] for lead in ((2,), (2, 2)))
     # per level, the stacked (side 0, side 1) depths (2, h, w) and planar
     # flows (2, 2, h, w), [component, side]: one row-major copy of the state's
     # on entry (a plain `np.stack` keeps the flows' channel-last order)
@@ -438,7 +429,6 @@ def _objective(state: SceneState, ctx: PairContext, cfg: OptimizerConfig, masks,
             terms=terms if lvl < cfg.cross_scales else terms - {"cross"},
             masks=None if masks is None else masks[lvl],
             grads=want_grads,
-            key=("level", lvl),
         )
         photometric += sw[lvl] * res.photometric
         smooth += sw[lvl] * res.smooth

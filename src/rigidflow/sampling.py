@@ -49,27 +49,27 @@ this one pair.
 Buffers: a `Workspace` owns every array the objective writes into.
 A workspace belongs to one `optimize.PairContext`, which a refine keeps for
 all its iterations, so a refine allocates its arrays in its first iteration
-only and the heap keeps its size from then on. A workspace has two kinds of
-buffer:
-- named roles, one buffer each, for what lives longer than a term: a plan's
-  indices, weights and flags (roles under the plan's `key`), a level's rigid
-  flows, fb cycles, rigid-flow gradients, masks and gradient accumulators,
-  and the pyramids. Each block's rigid flow (`camera._rigid_flow`) keeps,
-  under its key, the flow (key, "flow"), the cheirality mask (key, "valid")
-  and the transformed points (key, "q", 0..2), which the projection adjoint
-  reads; the names differ from those of the block's plan, which shares the
-  key. A coarser level reads a prefix of level 0's buffer.
-- one stack, for the temporaries of a phase: the sampled corners, the
-  scatter's index and weights, the term cores' arrays, the projection
-  adjoint's and the fold's scratch, the Adam step's. A kernel marks the
-  stack, takes above what its caller holds, and releases before returning.
+only and the heap keeps its size from then on. A workspace is one stack,
+whose bytes are never freed or moved while it lives. A kernel marks the
+stack, takes above what its caller holds, and releases before returning.
+An array that outlives a kernel is taken first, below that kernel's
+temporaries, and released by its owner. So the objective's arrays nest:
+- the depth and flow pyramids;
+- each level's result, its masks and gradient accumulators;
+- that level's rigid flows (each with the cheirality mask and transformed
+  points the projection adjoint reads), plans, fb cycles and rigid-flow
+  gradients;
+- each term's arrays: the sampled corners, the scatter's index and
+  weights, the term cores' arrays, the projection adjoint's scratch.
+The fold's and the Adam step's scratch sit above the results they read.
 Every kernel writes each element it returns, in the order of the plain
 expression it replaces, so the bytes do not depend on what a buffer held.
 
-Aliasing: a plan's arrays stay valid until the next plan of the same `key`
-is built in its workspace. `sample_grad` and `scatter` write into the `out`
-they are given, and `sample` and `pyramid` into `out` when given it.
-`pyramid_adjoint` folds in place, into the gradients it is given.
+Aliasing: a plan's arrays, like every array taken from the stack, stay
+valid until the stack is released below them. `sample_grad` and `scatter`
+write into the `out` they are given, and `sample` and `pyramid` into `out`
+when given it. `pyramid_adjoint` folds in place, into the gradients it is
+given.
 """
 
 from __future__ import annotations
@@ -82,62 +82,50 @@ __all__ = ["Workspace", "WarpPlan", "inverse_warp", "pyramid", "pyramid_adjoint"
 
 
 class Workspace:
-    """Reusable arrays by role (any hashable name), and a stack of them.
+    """A stack of arrays, each starting on a cache line (`_aligned`).
 
-    `get(role, shape, dtype)` returns a C-contiguous `shape` view of the
-    role's buffer, which starts on a cache line (`_aligned`): the first
-    `prod(shape)` items of it, reallocated only when a larger size is asked
-    for. Its contents are whatever the role's last user wrote. The bytes of
-    a role are shared by every dtype asked of it, so a role may hold floats
-    on one level and indices or flags on another.
+    `take(shape, dtype)` returns the next free bytes as a C-contiguous
+    array, and `release(mark)` frees every array taken since `mark()`
+    returned mark, for the next phase to take again. A kernel marks, takes
+    its temporaries above whatever its caller holds, and releases them
+    before it returns; an array that outlives the kernel is taken first,
+    below its temporaries, and stays valid until its owner releases it.
+    The contents of an array are whatever its last user wrote.
 
-    The stack holds what lives for one phase of a computation: `take` returns
-    the next free bytes of one buffer, each array on a cache line, and
-    `release(mark)` frees every array taken since `mark()` returned mark,
-    for the next phase to take again. A
-    kernel marks, takes its temporaries above whatever its caller holds, and
-    releases them before it returns; what it returns from the stack stays
-    valid until its caller releases. The same sequence of phases takes the
-    same bytes on every call, so the buffer only grows while it is deeper
-    than ever before, and then to twice its size: the arrays taken so far
-    keep the old one alive until they are released.
+    The bytes are never freed or moved while the workspace lives: they are
+    a list of segments, and a take that does not fit in what is left of one
+    segment starts at the next; past the last one, a new segment of the
+    stack's size so far is appended. So every array the workspace ever
+    handed out stays valid memory, and the same sequence of takes returns
+    the same arrays, from a cache of views by (top, shape, dtype).
     """
 
-    __slots__ = ("_buffers", "_views", "_stack", "_stack_views", "_top")
+    __slots__ = ("_segments", "_views", "_top")
 
     def __init__(self):
-        self._buffers = {}
+        self._segments = []
         self._views = {}
-        self._stack = np.empty(0, np.uint8)
-        self._stack_views = {}
         self._top = 0
-
-    def get(self, role, shape, dtype=float) -> np.ndarray:
-        key = (role, shape, dtype)
-        view = self._views.get(key)
-        if view is None:
-            dt = np.dtype(dtype)
-            nbytes = math.prod(shape) * dt.itemsize
-            buf = self._buffers.get(role)
-            if buf is None or buf.size < nbytes:
-                if buf is not None:
-                    # a larger request: every view of the old buffer goes with it
-                    self._views = {k: v for k, v in self._views.items() if k[0] != role}
-                buf = self._buffers[role] = _aligned(nbytes)
-            view = self._views[key] = buf[:nbytes].view(dt).reshape(shape)
-        return view
 
     def take(self, shape, dtype=float) -> np.ndarray:
         key = (self._top, shape, dtype)
-        hit = self._stack_views.get(key)  # (view, the top after it)
+        hit = self._views.get(key)  # (view, the top after it)
         if hit is None:
-            start, dt = self._top, np.dtype(dtype)
-            end = start + math.prod(shape) * dt.itemsize
-            if end > self._stack.size:
-                self._stack = _aligned(max(end, 2 * self._stack.size))
-                self._stack_views = {}
-            view = self._stack[start:end].view(dt).reshape(shape)
-            hit = self._stack_views[key] = view, start + -(-view.nbytes // 64) * 64  # the next array 64-byte aligned
+            dt = np.dtype(dtype)
+            nbytes = math.prod(shape) * dt.itemsize
+            padded = -(-nbytes // 64) * 64  # the next array 64-byte aligned
+            lo = 0  # the stack offset of each segment
+            for seg in self._segments:
+                start = self._top if self._top > lo else lo  # a later segment from its start
+                if start + nbytes <= lo + seg.size:
+                    break
+                lo += seg.size
+            else:  # past the last segment: a new one, of the stack's size so far
+                seg = _aligned(max(padded, lo))
+                self._segments.append(seg)
+                start = lo
+            view = seg[start - lo : start - lo + nbytes].view(dt).reshape(shape)
+            hit = self._views[key] = view, start + padded
         view, self._top = hit
         return view
 
@@ -170,54 +158,64 @@ class WarpPlan:
     n-1-d of the source (the other frame of a pair), and `scatter` returns
     the adjoint on that side.
 
-    The plan's arrays live in `ws` under roles named after `key`, so they stay
-    valid until another plan of the same key is built there; xs and ys are
-    only read.
+    The plan's arrays are taken from ws's stack, so they stay valid until
+    the plan's owner releases below them; xs and ys are only read.
     """
 
     __slots__ = ("shape", "i00", "sx", "sy", "wx", "wy", "inbounds", "free_x", "free_y", "ws")
 
-    def __init__(self, shape, xs, ys, ws: Workspace, key="plan"):
-        *sides, h, w = shape
+    def __init__(self, shape, xs, ys, ws: Workspace):
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
-        pts = xs.shape
+        self._take(shape, xs.shape, ws)
+        self._build(xs, ys)
+
+    def _take(self, shape, pts, ws: Workspace) -> None:
+        """Take the plan's arrays for points of shape pts from ws's stack."""
+        h, w = shape[-2:]
         self.ws = ws
         self.shape = tuple(shape)
         self.sx = 1 if w > 1 else 0
         self.sy = w if h > 1 else 0
+        take = ws.take
+        self.free_x, self.free_y, self.inbounds = take(pts, bool), take(pts, bool), take(pts, bool)
+        self.wx, self.wy, self.i00 = take(pts), take(pts), take(pts, np.intp)
+
+    def _build(self, xs: np.ndarray, ys: np.ndarray) -> None:
+        """Fill the plan's arrays for the points (xs, ys), which may be its
+        own wx and wy: each is read before its weight overwrites it."""
+        *sides, h, w = self.shape
+        ws = self.ws
+        pts = xs.shape
         mark = ws.mark()
         flags = ws.take(pts, bool)
-        self.free_x = _in_range(xs, w - 1.0, ws.get((key, "free_x"), pts, bool), flags)
-        self.free_y = _in_range(ys, h - 1.0, ws.get((key, "free_y"), pts, bool), flags)
-        self.inbounds = np.logical_and(self.free_x, self.free_y, out=ws.get((key, "inbounds"), pts, bool))
+        _in_range(xs, w - 1.0, self.free_x, flags)
+        _in_range(ys, h - 1.0, self.free_y, flags)
+        np.logical_and(self.free_x, self.free_y, out=self.inbounds)
         # wx = clip(xs) - x0 with x0 = min(floor(clip(xs)), w - 2), and so for y;
         # floor in float: the corners are small integers, exact in float64
         x0, y0 = ws.take(pts), ws.take(pts)
-        self.wx = _weight(xs, w, x0, ws.get((key, "wx"), pts))
-        self.wy = _weight(ys, h, y0, ws.get((key, "wy"), pts))
+        _weight(xs, w, x0, self.wx)
+        _weight(ys, h, y0, self.wy)
         y0 *= w
         y0 += x0  # i00 = y0 * w + x0
         if sides and sides[0] > 1:  # the offset of the source side each side reads
             y0 += np.arange(sides[0] - 1, -1, -1).reshape(-1, 1, 1) * (h * w)
-        self.i00 = ws.get((key, "i00"), pts, np.intp)
         np.copyto(self.i00, y0, casting="unsafe")
         ws.release(mark)
 
     @classmethod
-    def along(cls, field: np.ndarray, ws: Workspace, key="plan", grid=None) -> "WarpPlan":
+    def along(cls, field: np.ndarray, ws: Workspace, grid=None) -> "WarpPlan":
         """Plan of the points p + field(p) for every pixel p of a planar
         (2, H, W) field, or of each side of a stacked (2, n, H, W) one.
         `grid` is the field's pixel grid as `_grid` builds it, built here
-        when not given."""
+        when not given. The points are formed in the plan's own wx and wy."""
         field = np.asarray(field, dtype=float)
         h, w = field.shape[-2:]
         gx, gy = _grid(h, w) if grid is None else grid
-        mark = ws.mark()
-        xs = np.add(gx, field[0], out=ws.take(field.shape[1:]))
-        ys = np.add(gy, field[1], out=ws.take(field.shape[1:]))
-        plan = cls(field.shape[1:-2] + (h, w), xs, ys, ws, key)
-        ws.release(mark)
+        plan = cls.__new__(cls)
+        plan._take(field.shape[1:], field.shape[1:], ws)
+        plan._build(np.add(gx, field[0], out=plan.wx), np.add(gy, field[1], out=plan.wy))
         return plan
 
     def _corners(self, src: np.ndarray):
@@ -280,7 +278,13 @@ class WarpPlan:
     def scatter(self, grad_out, out: np.ndarray) -> np.ndarray:
         """Adjoint of `sample` w.r.t. the source: accumulate grad_out (shape S,
         or (C,) + S) into out, of the grid's shape, or (C,) + grid, with the
-        forward lookup's corner weights, clamping included."""
+        forward lookup's corner weights, clamping included. out may have any
+        memory layout."""
+        grid = self.shape
+        if out.shape != grid and out.shape[1:] != grid:
+            raise ValueError(
+                f"out must be the plan's grid {grid}, with at most a leading channel axis, got shape {out.shape}"
+            )
         g = np.asarray(grad_out, dtype=float)
         n = self.i00.size
         i = self.i00.reshape(n)
@@ -298,12 +302,13 @@ class WarpPlan:
         ux = np.subtract(1.0, wx, out=ws.take((n,)))
         uy = np.subtract(1.0, wy, out=ws.take((n,)))
         wgt = ws.take((4, n))
-        size = math.prod(self.shape)
-        for gc, oc in zip(g.reshape((-1, n)), out.reshape((-1, size))):
+        size = math.prod(grid)
+        # a leading axis added or kept: a view of out whatever its layout
+        for gc, oc in zip(g.reshape((-1, n)), out.reshape((-1,) + grid)):
             for part, a, b in zip(wgt, (ux, wx, ux, wx), (uy, uy, wy, wy)):
                 np.multiply(gc, a, out=part)
                 part *= b
-            oc[...] = np.bincount(idx, weights=wgt.reshape(4 * n), minlength=size)
+            oc[...] = np.bincount(idx, weights=wgt.reshape(4 * n), minlength=size).reshape(grid)
         ws.release(mark)
         return out
 

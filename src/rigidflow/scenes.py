@@ -16,7 +16,7 @@ frames see the same material value by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -440,14 +440,7 @@ def preset_slanted(width: int = 64, height: int = 64, seed: int = 37) -> SceneSp
 
 def preset_lowtex(width: int = 64, height: int = 64, seed: int = 43) -> SceneSpec:
     """Nearly textureless plane; photometric gradients carry almost nothing."""
-    base = _centered(width, height)
-    spec = preset_plane(width, height, seed=seed)
-    return SceneSpec(
-        pose_params=spec.pose_params,
-        planes=spec.planes,
-        texture=TextureParams(contrast=0.002),
-        **base,
-    )
+    return replace(preset_plane(width, height, seed=seed), texture=TextureParams(contrast=0.002))
 
 
 PRESETS = {

@@ -984,6 +984,36 @@ def test_evaluate_keeps_a_workspace_for_repeat_calls_only(monkeypatch):
     assert max(kept[0], kept[4]) <= 23 and min(kept[1:4]) >= 50, figures
 
 
+def test_a_context_workspace_frees_no_buffer_while_it_lives(monkeypatch):
+    # forward under frozen masks, then gradients with recomputed masks, which
+    # run deeper, twice on one context: every buffer its workspace allocates
+    # stays alive, none dropped for a larger one
+    import weakref
+
+    from rigidflow import sampling
+
+    gt = render(preset("slanted", width=129, height=97))
+    args = (gt.image_t, gt.image_t1, gt.intrinsics)
+    state = make_initial_state(gt, np.random.default_rng(0))
+    cfg = OptimizerConfig()
+    frozen = evaluate(state, *args, cfg)[2]
+    buffers = []
+
+    def aligned(nbytes, real=sampling._aligned):
+        buf = real(nbytes)
+        buffers.append(weakref.ref(buf))
+        return buf
+
+    monkeypatch.setattr(sampling, "_aligned", aligned)
+    ctx = optimize.PairContext(*args, cfg, state.depth_t.shape)
+    for masks, grads in ((frozen, False), (None, True)) * 2:
+        mark = ctx.ws.mark()
+        optimize._objective(state, ctx, cfg, masks, ALL_TERMS, grads)
+        ctx.ws.release(mark)
+    freed = sum(ref() is None for ref in buffers)
+    assert buffers and freed == 0, f"{freed} of {len(buffers)} buffers freed"
+
+
 def test_threads_on_one_pair_give_the_sequential_results():
     # more threads than cores, switching often: a call takes the slot's
     # context out while it runs, so no two calls write into one workspace

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -269,6 +271,21 @@ def test_sides_of_a_stacked_plan_stay_apart(shape):
     assert same_bits(scatter(plan, g2), np.stack([scatter(plan, gc) for gc in g2]))
 
 
+def test_scatter_writes_into_an_out_of_any_layout():
+    # a transposed out gets what a contiguous one gets, per channel too
+    plan = WarpPlan((4, 5), np.array([1.0, 2.5]), np.array([0.0, 3.0]), Workspace())
+    g = np.array([1.0, 2.0])
+    want = plan.scatter(g, np.zeros((4, 5)))
+    assert want.sum() == 3.0
+    assert same_bits(plan.scatter(g, np.zeros((5, 4)).T), want)
+    g2 = np.stack([g, -3.0 * g])
+    want2 = plan.scatter(g2, np.zeros((2, 4, 5)))
+    assert same_bits(plan.scatter(g2, np.moveaxis(np.zeros((4, 5, 2)), -1, 0)), want2)
+    for shape in ((5, 4), (20,), (1, 2, 4, 5)):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            plan.scatter(g, np.zeros(shape))
+
+
 def test_plan_rejects_a_source_of_another_size():
     plan = WarpPlan((4, 5), np.zeros(3), np.zeros(3), Workspace())
     with pytest.raises(ValueError, match="plan's grid"):
@@ -467,10 +484,13 @@ def test_weighted_pyramid_adjoint_dot_product_identity(shape, scale):
 
 
 def test_workspace_arrays_start_on_a_cache_line():
-    # named buffers and stack arrays, of any dtype and size, and after the
-    # stack grows
+    # stack arrays of any dtype and size, and one that spills past what is
+    # left of its segment into the next one
     ws = Workspace()
-    views = [ws.get(("role", i), (3, 5 + i)) for i in range(4)]
-    views += [ws.take((7, i + 1)) for i in range(6)] + [ws.take((1001,), bool), ws.take((5,), np.intp)]
-    views += [ws.take((300, 300))]
+    views = [ws.take((7, i + 1)) for i in range(6)] + [ws.take((1001,), bool), ws.take((5,), np.intp)]
+    mark = ws.mark()
+    views += [ws.take((300, 300))]  # larger than every segment: a new one
+    ws.release(mark)
+    views += [ws.take((301, 299), np.float32)]  # starts the (300, 300) array's segment
+    assert views[-1].ctypes.data == views[-2].ctypes.data
     assert [v.ctypes.data % 64 for v in views] == [0] * len(views)

@@ -204,6 +204,26 @@ def test_slanted_forward_backward_cycle_closes(slanted_gt):
     assert valid[interior].mean() > 0.9
 
 
+@pytest.mark.parametrize("kwargs", [{}, {"width": 33, "height": 20, "seed": 5}])
+def test_lowtex_is_the_plane_preset_with_low_contrast(kwargs):
+    # the plane's pose and planes, on a centred camera, every other field
+    # at its default but the texture's contrast
+    width, height = kwargs.get("width", 64), kwargs.get("height", 64)
+    plane = preset("plane", width=width, height=height, seed=kwargs.get("seed", 43))
+    want = SceneSpec(
+        width=width,
+        height=height,
+        fx=100.0,
+        fy=100.0,
+        cx=(width - 1) / 2.0,
+        cy=(height - 1) / 2.0,
+        pose_params=plane.pose_params,
+        planes=plane.planes,
+        texture=TextureParams(contrast=0.002),
+    )
+    assert preset("lowtex", **kwargs) == want
+
+
 def test_lowtex_has_nearly_flat_images():
     gt = render(preset("lowtex"))
     assert gt.image_t.std() < 0.002
