@@ -192,11 +192,8 @@ def rotation_jacobians(w, r: np.ndarray) -> np.ndarray:
 
 def _entries(sides):
     """The rotation and translation entries, indexed as r[i, j] and t[i], of
-    a block of sides given as one (rotation, translation) per side: the
-    side's own arrays for one side, and for more, (n, 1, 1) arrays that
-    broadcast over a stacked (n, H, W) depth."""
-    if len(sides) == 1:
-        return sides[0]  # its scalar entries broadcast over the one side
+    a block of n sides given as one (rotation, translation) per side: (n, 1,
+    1) arrays that broadcast over a stacked (n, H, W) depth."""
     r = np.array([r for r, _ in sides]).transpose(1, 2, 0)[..., None, None]
     t = np.array([t for _, t in sides]).T[..., None, None]
     return r, t
@@ -284,17 +281,16 @@ def _rigid_flow(depth: np.ndarray, k: Intrinsics, pixels, entries, ws: Workspace
 
 def _project_backward(depth, k: Intrinsics, pixels, r, q, valid, grad_u, grad_v, ws: Workspace, out):
     """Adjoint of `_rigid_flow` for per-pixel flow gradients dL/d(flow_u)
-    and dL/d(flow_v), zero expected wherever the forward pass was invalid:
-    (grad_depth, into `out`, grad_r (3, 3) wrt the rotation matrix,
-    grad_t (3,) wrt the translation), and for a stacked (n, H, W) depth one
-    of each per side, (n, 3, 3) and (n, 3), each side's sums over its own
-    contiguous (H, W) slice. It reads the transformed points q = (q0, q1, q2)
-    and cheirality mask valid (q2 > 0) that `_rigid_flow` kept, for the
-    rotation entries r of `_entries` and the rays of `pixels`, and
-    recomputes only depth * rx and depth * ry. Its temporaries are taken
-    from ws's stack; q, valid, grad_u and grad_v are only read."""
+    and dL/d(flow_v) of a stacked (n, H, W) depth, zero expected wherever
+    the forward pass was invalid: (grad_depth, into `out`, grad_r (n, 3, 3)
+    wrt each side's rotation matrix, grad_t (n, 3) wrt its translation),
+    each side's sums over its own contiguous (H, W) slice. It reads the
+    transformed points q = (q0, q1, q2) and cheirality mask valid (q2 > 0)
+    that `_rigid_flow` kept, for the rotation entries r of `_entries` and
+    the rays of `pixels`, and recomputes only depth * rx and depth * ry. Its
+    temporaries are taken from ws's stack; q, valid, grad_u and grad_v are
+    only read."""
     shape = depth.shape
-    h, w = shape[-2:]
     rx, ry = pixels[2:]
     q0, q1, q2 = q
     mark = ws.mark()
@@ -313,8 +309,8 @@ def _project_backward(depth, k: Intrinsics, pixels, r, q, valid, grad_u, grad_v,
         c = _where(valid, np.divide(tmp, q2, out=tmp), c)
 
     # the np.sum of each side: one row per side's contiguous (h, w) slice,
-    # each row reduced pairwise, one side for an unstacked depth
-    sides = depth.size // (h * w)
+    # each row reduced pairwise
+    sides = depth.shape[0]
     grad_r, grad_t = np.empty((sides, 3, 3)), np.empty((sides, 3))
     for i, x in enumerate((a, b, c)):
         for j, y in enumerate((drx, dry, depth)):
@@ -322,8 +318,7 @@ def _project_backward(depth, k: Intrinsics, pixels, r, q, valid, grad_u, grad_v,
         np.add.reduce(x.reshape(sides, -1), axis=1, out=grad_t[:, i])
     # direction of the transformed point per unit depth: d(q)/d(depth) = R @ ray,
     # w_i = r[i, 0] * rx + r[i, 1] * ry + r[i, 2]; grad_depth = a * w0 + b * w1 + c * w2
-    ray_shape = np.shape(r[0, 0])[:-2] + (h, w)
-    ray, ray_tmp = ws.take(ray_shape), ws.take(ray_shape)
+    ray, ray_tmp = ws.take(shape), ws.take(shape)
     for i, x in enumerate((a, b, c)):
         np.multiply(rx, r[i, 0], out=ray)
         ray += np.multiply(ry, r[i, 1], out=ray_tmp)
@@ -333,8 +328,6 @@ def _project_backward(depth, k: Intrinsics, pixels, r, q, valid, grad_u, grad_v,
         else:
             out += np.multiply(x, ray, out=tmp)
     ws.release(mark)
-    if depth.ndim == 2:
-        return out, grad_r[0], grad_t[0]
     return out, grad_r, grad_t
 
 

@@ -3,27 +3,14 @@
 Subcommands cover the whole pipeline: synthesizing rigid flow, warping,
 consistency masks, loss evaluation, refinement, scene rendering, metric
 evaluation, and flow visualization. Numerical results are independent of
-the BLAS thread count; RIGIDFLOW_THREADS (read before numpy loads) pins the
-thread-count environment variables anyway so runs are reproducible even for
-code paths that might thread.
+the BLAS thread count, which the standard variables set at launch
+(OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, MKL_NUM_THREADS).
 """
 
 from __future__ import annotations
 
-import os
-
-_threads = os.environ.get("RIGIDFLOW_THREADS")
-if _threads:
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-        "VECLIB_MAXIMUM_THREADS",
-    ):
-        os.environ[_var] = _threads
-
 import argparse
+import os
 import sys
 
 import numpy as np

@@ -484,20 +484,15 @@ def _fb_depth_terms(depth_t, depth_t1, plan: WarpPlan, mask, counts, grads: bool
     from the other side of depth_t1). Returns (loss, grad wrt depth_t, grad
     wrt depth_t1, planar grad wrt the rigid flow), all taken from ws's stack."""
     shape = np.shape(depth_t)
-    pulled = ws.take(shape)
-    if grads:
-        ddx, ddy = ws.take(shape), ws.take(shape)
-        plan.sample_grad(depth_t1, out=(pulled, ddx, ddy))
-    else:
-        plan.sample(depth_t1, out=pulled)
+    pulled, *dd = plan.sample(depth_t1, grads)
     x = np.subtract(depth_t, pulled, out=pulled)
     loss, g = _masked_penalty(x, mask, counts, grads, ws)
     if not grads:
         return loss, None, None, None
     neg = np.negative(g, out=x)
     grad_rigid = ws.take((2,) + shape)
-    for dd, out in zip((ddx, ddy), grad_rigid):
-        np.multiply(neg, dd, out=out)
+    for d, out in zip(dd, grad_rigid):
+        np.multiply(neg, d, out=out)
     return loss, g, plan.scatter(neg, out=ws.take(shape)), grad_rigid
 
 
@@ -548,10 +543,7 @@ def _photometric_terms(src, ref, census: CensusParams, branches, grads: bool, ws
     that field into acc. Returns the branch losses, side by side and branch
     by branch within a side.
     """
-    warps = []
-    for plan, *_ in branches:
-        out = [ws.take(plan.i00.shape) for _ in range(3 if grads else 1)]
-        warps.append(plan.sample_grad(src, out=out) if grads else (plan.sample(src, out=out[0]),))
+    warps = [plan.sample(src, grads) for plan, *_ in branches]
     pairs = [(warp[0], mask, counts) for warp, (_, mask, counts, _) in zip(warps, branches)]
     found = _census_terms(ref, pairs, census, grads, ws)
     if grads:
@@ -672,23 +664,14 @@ def scale_objective(
     rigid_plans = [WarpPlan.along(r, ws, grid) for r in rigid]
     flow_plans = [WarpPlan.along(flow[:, own], ws, grid) for own, _ in blocks]
     # the fb cycle b(p + f(p)) of the flows feeds both their masks and their loss
-    cycles = []
-    if "fb_flow" in terms:
-        for plan, (_, other) in zip(flow_plans, blocks):
-            out = [ws.take((2,) + plan.i00.shape) for _ in range(3 if grads else 1)]
-            src = flow[:, other]
-            cycles.append(plan.sample_grad(src, out=out) if grads else (plan.sample(src, out=out[0]),))
+    cycles = [plan.sample(flow[:, other], grads) for plan, (_, other) in zip(flow_plans, blocks) if "fb_flow" in terms]
     g_rigid = [_zeros(ws.take(r.shape)) if grads else None for r in rigid]
     mark = ws.mark()
     if masks is None:
         for b, (own, other) in enumerate(blocks):
-            back = ws.take((2,) + flow_plans[b].i00.shape)
-            if cycles:
-                back = cycles[b][0]
-            else:
-                flow_plans[b].sample(flow[:, other], out=back)
+            back = cycles[b][0] if cycles else flow_plans[b].sample(flow[:, other])[0]
             _cycle_mask(flow[:, own], back, flow_plans[b].inbounds, fb_params, ws, flow_mask[own])
-            back = rigid_plans[b].sample(rigid[-1 - b], out=ws.take(back.shape))
+            back = rigid_plans[b].sample(rigid[-1 - b])[0]
             _cycle_mask(rigid[b], back, rigid_plans[b].inbounds, fb_params, ws, depth_mask[own])
             depth_mask[own] &= cheir[b]
             ws.release(mark)

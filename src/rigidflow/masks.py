@@ -48,7 +48,7 @@ def fb_check(fwd: np.ndarray, bwd: np.ndarray, params: FBCheckParams = FBCheckPa
     fwd, bwd = np.moveaxis(fwd, -1, 0), np.moveaxis(bwd, -1, 0)  # planar views
     ws = Workspace()
     plan = WarpPlan.along(fwd, ws)
-    return _cycle_mask(fwd, plan.sample(bwd), plan.inbounds, params, ws, np.empty(fwd.shape[1:], bool))
+    return _cycle_mask(fwd, plan.sample(bwd)[0], plan.inbounds, params, ws, np.empty(fwd.shape[1:], bool))
 
 
 def _cycle_mask(fwd, back, inbounds, params: FBCheckParams, ws: Workspace, out):

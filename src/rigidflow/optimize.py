@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from numbers import Real
 
 import numpy as np
 
@@ -193,6 +194,9 @@ class OptimizerConfig:
         if self.scale_weights is not None and len(self.scale_weights) != self.scales:
             n = len(self.scale_weights)
             raise ValueError(f"scale_weights needs one weight per scale ({self.scales}), got {n}")
+        # each a weight of its level's terms; NaN fails the comparison too
+        ok = lambda v: v is None or all(isinstance(w, Real) and 0.0 <= w < math.inf for w in v)
+        check_fields(self, ("scale_weights",), ok, "finite and non-negative")
 
 
 @dataclass

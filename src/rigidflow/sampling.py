@@ -14,11 +14,11 @@ point's top-left corner, the two interpolation weights, and the in-bounds
 and free-axis flags. The other three corners are read as offset views of
 the flattened source (`flat[sx:]`, `flat[sy:]`, `flat[sy + sx:]`, with the
 offset 0 along an axis of size 1), so no other index array is stored. One
-plan serves any number of `sample`, `sample_grad` and `scatter` calls, on
-sources of its grid's shape or planar ones with a leading channel axis of
-any size. The objective builds one plan per correspondence field per
-pyramid level and block of sides; `inverse_warp` builds a throwaway plan
-per call.
+plan serves any number of `sample` calls (values, with their coordinate
+derivatives when asked, from one kernel) and `scatter` calls, on sources of
+its grid's shape or planar ones with a leading channel axis of any size.
+The objective builds one plan per correspondence field per pyramid level
+and block of sides; `inverse_warp` builds a throwaway plan per call.
 
 Layout: inside the objective every field is stacked over the two sides of
 the pair (side 0 is frame t against t+1, side 1 the reverse): depths and
@@ -59,17 +59,19 @@ temporaries, and released by its owner. So the objective's arrays nest:
 - that level's rigid flows (each with the cheirality mask and transformed
   points the projection adjoint reads), plans, fb cycles and rigid-flow
   gradients;
-- each term's arrays: the sampled corners, the scatter's index and
-  weights, the term cores' arrays, the projection adjoint's scratch.
+- each term's arrays: the sampled values and derivatives, with the
+  corners above them, the scatter's index and weights, the term cores'
+  arrays, the projection adjoint's scratch.
 The fold's and the Adam step's scratch sit above the results they read.
 Every kernel writes each element it returns, in the order of the plain
 expression it replaces, so the bytes do not depend on what a buffer held.
 
 Aliasing: a plan's arrays, like every array taken from the stack, stay
-valid until the stack is released below them. `sample_grad` and `scatter`
-write into the `out` they are given, and `sample` and `pyramid` into `out`
-when given it. `pyramid_adjoint` folds in place, into the gradients it is
-given.
+valid until the stack is released below them. `sample` takes its outputs
+from the plan's stack, below its own temporaries, so they stay valid until
+the caller releases below them. `scatter` writes into the `out` it is given,
+and `pyramid` into `out` when given it. `pyramid_adjoint` folds in place,
+into the gradients it is given.
 """
 
 from __future__ import annotations
@@ -218,45 +220,27 @@ class WarpPlan:
         plan._build(np.add(gx, field[0], out=plan.wx), np.add(gy, field[1], out=plan.wy))
         return plan
 
-    def _corners(self, src: np.ndarray):
-        """Source values at the four corners, each of shape S or (C,) + S,
-        taken from the workspace's stack, as a list."""
+    def sample(self, src: np.ndarray, grads: bool = False):
+        """src at the plan's points, (values,), or (values, d/dx, d/dy) with
+        `grads`, each of shape S, or (C,) + S for a (C,) + grid src, taken
+        from the workspace's stack below the kernel's temporaries.
+
+        Derivatives are zero where the lookup is clamped on that axis."""
         src = np.asarray(src, dtype=float)
         grid = self.shape
         lead = src.shape[: src.ndim - len(grid)]
         if src.shape[len(lead) :] != grid or len(lead) > 1:
             raise ValueError("source must be the plan's grid, with at most a leading channel axis")
-        flat = src.reshape(lead + (-1,))
         i, sx, sy, take = self.i00, self.sx, self.sy, self.ws.take
         shape = lead + i.shape
+        out = [take(shape) for _ in range(3 if grads else 1)]
+        mark = self.ws.mark()
+        flat = src.reshape(lead + (-1,))
         # every index is in range, so "clip" takes what "raise" would, unbuffered
-        return [flat[..., off:].take(i, axis=-1, out=take(shape), mode="clip") for off in (0, sx, sy, sy + sx)]
-
-    def sample(self, src: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """src at the plan's points: shape S, or (C,) + S for (C,) + grid."""
-        mark = self.ws.mark()
-        v00, v01, v10, v11 = self._corners(src)
-        wx, wy = self.wx, self.wy
-        v01 -= v00
-        v01 *= wx
-        v01 += v00  # top = v00 + wx * (v01 - v00)
-        v11 -= v10
-        v11 *= wx
-        v11 += v10  # bot = v10 + wx * (v11 - v10)
-        v11 -= v01
-        v11 *= wy
-        out = np.add(v11, v01, out=out)  # top + wy * (bot - top)
-        self.ws.release(mark)
-        return out
-
-    def sample_grad(self, src: np.ndarray, out):
-        """(values, d/dx, d/dy) of src at the plan's points, per channel,
-        into the three arrays of `out`.
-
-        Derivatives are zero where the lookup is clamped on that axis."""
-        mark = self.ws.mark()
-        v00, v01, v10, v11 = self._corners(src)
-        val, ddx, ddy = out
+        v00, v01, v10, v11 = [
+            flat[..., off:].take(i, axis=-1, out=take(shape), mode="clip") for off in (0, sx, sy, sy + sx)
+        ]
+        val = out[0]
         wx, wy = self.wx, self.wy
         v01 -= v00  # dx_top
         v11 -= v10  # dx_bot
@@ -265,15 +249,16 @@ class WarpPlan:
         np.multiply(v11, wx, out=val)
         v10 += val  # bot = v10 + wx * dx_bot
         v10 -= v00  # dy = bot - top
-        v11 -= v01
-        v11 *= wy
-        v11 += v01  # dx_top + wy * (dx_bot - dx_top)
-        _where(self.free_x, v11, ddx)
-        _where(self.free_y, v10, ddy)
+        if grads:
+            v11 -= v01
+            v11 *= wy
+            v11 += v01  # dx_top + wy * (dx_bot - dx_top)
+            _where(self.free_x, v11, out[1])
+            _where(self.free_y, v10, out[2])
         np.multiply(v10, wy, out=val)
         val += v00  # top + wy * dy
         self.ws.release(mark)
-        return val, ddx, ddy
+        return tuple(out)
 
     def scatter(self, grad_out, out: np.ndarray) -> np.ndarray:
         """Adjoint of `sample` w.r.t. the source: accumulate grad_out (shape S,
@@ -369,8 +354,8 @@ def inverse_warp(target: np.ndarray, flow: np.ndarray):
             raise ValueError(f"{name} must be finite")
     plan = WarpPlan.along(np.moveaxis(flow, -1, 0), Workspace())
     if target.ndim == 3:
-        return np.moveaxis(plan.sample(np.moveaxis(target, -1, 0)), 0, -1), plan.inbounds
-    return plan.sample(target), plan.inbounds
+        return np.moveaxis(plan.sample(np.moveaxis(target, -1, 0))[0], 0, -1), plan.inbounds
+    return plan.sample(target)[0], plan.inbounds
 
 
 def _size(a: np.ndarray) -> str:

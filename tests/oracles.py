@@ -578,19 +578,24 @@ def _photometric_branch_cell(gray_ref, gray_src, flow_field, mask, census):
 
 def project_backward(depth, k, pose, grad_u, grad_v):
     """The package's projection adjoint called bare: `camera._rigid_flow`
-    projects the (H, W) depth, or a stacked (n, H, W) one with a sequence of
-    one pose per side, and `camera._project_backward` reads the points it
-    kept. Returns (grad_depth, grad_r, grad_t)."""
+    projects the stacked (n, H, W) depth with a sequence of one pose per
+    side, or the (H, W) one of a single pose as a stack of one side, and
+    `camera._project_backward` reads the points it kept. Returns
+    (grad_depth, grad_r, grad_t), without the side axis for an (H, W) depth."""
     from rigidflow.camera import PoseSE3, _entries, _pixels, _project_backward, _rigid_flow
     from rigidflow.sampling import Workspace
 
     depth = np.asarray(depth, dtype=float)
+    bare = depth.ndim == 2
+    if bare:  # the engine's cores always take the side axis
+        depth, grad_u, grad_v = depth[None], np.asarray(grad_u)[None], np.asarray(grad_v)[None]
     poses = [pose] if isinstance(pose, PoseSE3) else pose
     entries = _entries([(p.rotation, p.translation) for p in poses])
     pixels = _pixels(*depth.shape[-2:], k)
     ws = Workspace()
     _, valid, q = _rigid_flow(depth, k, pixels, entries, ws)
-    return _project_backward(depth, k, pixels, entries[0], q, valid, grad_u, grad_v, ws, np.empty(depth.shape))
+    got = _project_backward(depth, k, pixels, entries[0], q, valid, grad_u, grad_v, ws, np.empty(depth.shape))
+    return tuple(a[0] for a in got) if bare else got
 
 
 def scale_objective_cell(

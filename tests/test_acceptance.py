@@ -259,12 +259,27 @@ def test_09_io_round_trips(tmp_path):
 # 10. bit-identical refinement traces across thread counts
 
 
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _threads_after_import(env) -> int:
+    """The thread count of a child process that imported rigidflow under env."""
+    code = "import rigidflow; print(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('Threads:')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
 def test_10_trace_determinism_across_thread_counts(tmp_path):
+    envs = {n: dict(os.environ, **dict.fromkeys(THREAD_VARS, n)) for n in ("1", "4")}
+    if sys.platform.startswith("linux") and len(os.sched_getaffinity(0)) > 1:
+        # the variables reach the BLAS pool: the two settings run apart
+        counts = {n: _threads_after_import(env) for n, env in envs.items()}
+        assert counts["1"] != counts["4"], f"thread counts after import: {counts}"
     blobs = []
-    for threads in ("1", "4"):
+    for threads, env in envs.items():
         for rep in ("a", "b"):
             trace = tmp_path / f"t{threads}{rep}.csv"
-            env = dict(os.environ, RIGIDFLOW_THREADS=threads)
             proc = subprocess.run(
                 [sys.executable, "-m", "rigidflow.cli", "refine",
                  "--preset", "plane", "--seed", "5",

@@ -1,6 +1,7 @@
 """Config parsing and command-line entry points, end to end in a tmpdir."""
 
 import math
+import os
 import re
 import struct
 import subprocess
@@ -634,6 +635,36 @@ def test_refine_rejects_scale_weights_of_the_wrong_length():
     assert proc.returncode == 1
     assert proc.stderr == "error: scale_weights needs one weight per scale (4), got 1\n"
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("weight", [-1.0, -1e-300, math.nan, math.inf, -math.inf, "a", 1j])
+def test_optimizer_config_rejects_a_scale_weight_that_is_not_finite_and_non_negative(weight):
+    weights = (weight, 1, 1, 1)
+    with pytest.raises(ValueError, match=re.escape(f"scale_weights must be finite and non-negative, got {weights!r}")):
+        OptimizerConfig(scale_weights=weights)
+    # zero, the largest float and numpy scalars are weights
+    for ok in ((0.0, 1e308, np.float64(0.5), np.int64(2)), None):
+        assert OptimizerConfig(scale_weights=ok).scale_weights == ok
+
+
+def test_refine_rejects_a_negative_scale_weight(capsys):
+    code, stdout, stderr = run_cli(
+        capsys, "refine", "--preset", "plane", "--set", "iterations=3", "--set", "scale_weights=-1,1,1,1"
+    )
+    assert code == 1
+    assert stderr == "error: scale_weights must be finite and non-negative, got (-1.0, 1.0, 1.0, 1.0)\n"
+    assert stdout == ""
+
+
+def test_importing_the_cli_leaves_the_thread_variables_alone():
+    # the BLAS pool is sized when numpy loads, before any module of the
+    # package runs, so the thread count is the standard variables' alone
+    env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")}
+    env["RIGIDFLOW_THREADS"] = "3"
+    code = "import os, rigidflow.cli; print(os.environ.get('OMP_NUM_THREADS'), os.environ.get('OPENBLAS_NUM_THREADS'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "None None\n"
 
 
 @pytest.mark.parametrize(

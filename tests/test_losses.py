@@ -19,7 +19,7 @@ from rigidflow.optimize import OptimizerConfig, SceneState, evaluate, make_initi
 from rigidflow.sampling import WarpPlan, Workspace
 from rigidflow.scenes import preset, render
 
-from conftest import census_terms, channel_last, fb_depth_terms, fb_flow_terms, planar, sample_grad, state_from_gt
+from conftest import census_terms, channel_last, fb_depth_terms, fb_flow_terms, planar, state_from_gt
 from oracles import (
     census_loss_ref,
     cross_ref,
@@ -341,7 +341,7 @@ def test_fb_flow_zero_for_perfect_cycle():
     mask = np.zeros((8, 8), bool)
     mask[:, :6] = True  # interior: landing points stay in bounds
     plan = WarpPlan.along(planar(fwd), Workspace())
-    loss, gf, gb = fb_flow_terms(planar(fwd), plan, sample_grad(plan, planar(-fwd)), mask)
+    loss, gf, gb = fb_flow_terms(planar(fwd), plan, plan.sample(planar(-fwd), True), mask)
     assert loss == 0.0
     assert np.abs(gf).max() == 0.0
     assert np.abs(gb).max() == 0.0
@@ -351,7 +351,7 @@ def test_fb_flow_unit_residual_value():
     fwd = constant_flow(6, 6, 1.0, 0.0)
     bwd = constant_flow(6, 6, 0.0, 0.0)
     plan = WarpPlan.along(planar(fwd), Workspace())
-    loss, _, _ = fb_flow_terms(planar(fwd), plan, sample_grad(plan, planar(bwd)), np.ones((6, 6), bool))
+    loss, _, _ = fb_flow_terms(planar(fwd), plan, plan.sample(planar(bwd), True), np.ones((6, 6), bool))
     assert abs(loss - PHI_1) < 1e-15
 
 
@@ -361,14 +361,14 @@ def test_fb_flow_matches_scalar_oracle():
     bwd = rng.uniform(-2.0, 2.0, (7, 7, 2))
     mask = rng.uniform(size=(7, 7)) > 0.3
     plan = WarpPlan.along(planar(fwd), Workspace())
-    loss, _, _ = fb_flow_terms(planar(fwd), plan, sample_grad(plan, planar(bwd)), mask)
+    loss, _, _ = fb_flow_terms(planar(fwd), plan, plan.sample(planar(bwd), True), mask)
     assert abs(loss - fb_flow_ref(fwd, bwd, mask)) < 1e-10
 
 
 def test_fb_flow_empty_mask_degenerate():
     fwd = np.ones((4, 4, 2))
     plan = WarpPlan.along(planar(fwd), Workspace())
-    cycle = sample_grad(plan, planar(np.ones((4, 4, 2))))
+    cycle = plan.sample(planar(np.ones((4, 4, 2))), True)
     loss, gf, gb = fb_flow_terms(planar(fwd), plan, cycle, np.zeros((4, 4), bool))
     assert loss == 0.0
     assert not gf.any() and not gb.any()
@@ -388,7 +388,7 @@ def test_fb_flow_gradients_match_fd():
     bwd = rng.uniform(-1.5, 1.5, (6, 6, 2))
     mask = np.ones((6, 6), bool)
     plan = WarpPlan.along(planar(fwd), Workspace())
-    gf, gb = map(channel_last, fb_flow_terms(planar(fwd), plan, sample_grad(plan, planar(bwd)), mask)[1:])
+    gf, gb = map(channel_last, fb_flow_terms(planar(fwd), plan, plan.sample(planar(bwd), True), mask)[1:])
     h = 1e-6
     for y, x, c in [(0, 0, 0), (2, 3, 1), (5, 5, 0), (3, 1, 1)]:
         fp = fwd.copy()
@@ -396,16 +396,16 @@ def test_fb_flow_gradients_match_fd():
         fm = fwd.copy()
         fm[y, x, c] -= h
         plan_p, plan_m = WarpPlan.along(planar(fp), Workspace()), WarpPlan.along(planar(fm), Workspace())
-        lp = fb_flow_terms(planar(fp), plan_p, sample_grad(plan_p, planar(bwd)), mask)[0]
-        lm = fb_flow_terms(planar(fm), plan_m, sample_grad(plan_m, planar(bwd)), mask)[0]
+        lp = fb_flow_terms(planar(fp), plan_p, plan_p.sample(planar(bwd), True), mask)[0]
+        lm = fb_flow_terms(planar(fm), plan_m, plan_m.sample(planar(bwd), True), mask)[0]
         assert abs(gf[y, x, c] - (lp - lm) / (2 * h)) < 1e-5
         bp = bwd.copy()
         bp[y, x, c] += h
         bm = bwd.copy()
         bm[y, x, c] -= h
         # the sample points depend on fwd alone, so its plan serves both
-        lp = fb_flow_terms(planar(fwd), plan, sample_grad(plan, planar(bp)), mask)[0]
-        lm = fb_flow_terms(planar(fwd), plan, sample_grad(plan, planar(bm)), mask)[0]
+        lp = fb_flow_terms(planar(fwd), plan, plan.sample(planar(bp), True), mask)[0]
+        lm = fb_flow_terms(planar(fwd), plan, plan.sample(planar(bm), True), mask)[0]
         assert abs(gb[y, x, c] - (lp - lm) / (2 * h)) < 1e-5
 
 
@@ -832,7 +832,7 @@ def test_public_terms_match_term_by_term_sampling(odd_level):
     assert same_bits(fb_check(flow_fwd, flow_bwd, FBCheckParams()), mask)
     gray_t, gray_t1 = img_t[..., 0], img_t1[..., 0]
     plan = WarpPlan.along(planar(flow_fwd), Workspace())
-    fb_flow = fb_flow_terms(planar(flow_fwd), plan, sample_grad(plan, planar(flow_bwd)), mask)
+    fb_flow = fb_flow_terms(planar(flow_fwd), plan, plan.sample(planar(flow_bwd), True), mask)
     fb_depth = fb_depth_terms(depth_t, depth_t1, plan, mask)
     for got, want in (
         ((fb_flow[0], *map(channel_last, fb_flow[1:])), fb_flow_cell(flow_fwd, flow_bwd, mask)),

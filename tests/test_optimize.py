@@ -441,7 +441,12 @@ def test_forward_only_evaluate_runs_no_gradient_work(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("gradient work in a forward-only evaluate")
 
-    monkeypatch.setattr(WarpPlan, "sample_grad", forbidden)
+    def values_only(plan, src, grads=False, real=WarpPlan.sample):
+        if grads:
+            forbidden()
+        return real(plan, src)
+
+    monkeypatch.setattr(WarpPlan, "sample", values_only)
     monkeypatch.setattr(WarpPlan, "scatter", forbidden)
     # the names the objective calls them by
     monkeypatch.setattr(losses, "_project_backward", forbidden)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rigidflow.sampling import WarpPlan, Workspace, inverse_warp, pyramid, pyramid_adjoint
 
-from conftest import channel_last, planar, sample_grad, scatter
+from conftest import channel_last, planar, scatter
 from oracles import bilinear_ref, cell_sample, cell_sample_grad, cell_scatter, pool_adjoint_ref, pool_ref
 
 coord = st.floats(min_value=-20.0, max_value=40.0, allow_nan=False)
@@ -21,7 +21,7 @@ def test_integer_coordinates_gather_exactly():
     rng = np.random.default_rng(0)
     img = rng.uniform(size=(7, 9))
     plan = WarpPlan(img.shape, np.array([3.0]), np.array([5.0]), Workspace())
-    val, inb = plan.sample(img), plan.inbounds
+    val, inb = plan.sample(img)[0], plan.inbounds
     assert val[0] == img[5, 3]
     assert inb[0]
 
@@ -31,7 +31,7 @@ def test_midpoint_averages_two_pixels():
     img[0, 3] = 0.2
     img[0, 4] = 0.8
     plan = WarpPlan(img.shape, np.array([3.5]), np.array([0.0]), Workspace())
-    val, inb = plan.sample(img), plan.inbounds
+    val, inb = plan.sample(img)[0], plan.inbounds
     assert abs(val[0] - 0.5) < 1e-15
     assert inb[0]
 
@@ -40,7 +40,7 @@ def test_far_outside_clamps_to_corner_and_flags():
     rng = np.random.default_rng(1)
     img = rng.uniform(size=(6, 6))
     plan = WarpPlan(img.shape, np.array([-10.0]), np.array([-10.0]), Workspace())
-    val, inb = plan.sample(img), plan.inbounds
+    val, inb = plan.sample(img)[0], plan.inbounds
     assert val[0] == img[0, 0]
     assert not inb[0]
 
@@ -51,7 +51,7 @@ def test_bilinear_matches_scalar_reference(x, y):
     rng = np.random.default_rng(2)
     img = rng.uniform(size=(8, 12))
     plan = WarpPlan(img.shape, np.array([x]), np.array([y]), Workspace())
-    val, inb = plan.sample(img), plan.inbounds
+    val, inb = plan.sample(img)[0], plan.inbounds
     want, want_inb = bilinear_ref(img, x, y)
     assert abs(val[0] - want) < 1e-12
     assert inb[0] == want_inb
@@ -63,10 +63,10 @@ def test_multichannel_sampling_per_channel():
     xs = rng.uniform(0.0, 7.0, (4,))
     ys = rng.uniform(0.0, 7.0, (4,))
     plan = WarpPlan(img.shape[:2], xs, ys, Workspace())
-    val = np.moveaxis(plan.sample(planar(img)), 0, -1)
+    val = np.moveaxis(plan.sample(planar(img))[0], 0, -1)
     assert val.shape == (4, 3)
     for c in range(3):
-        single = plan.sample(img[..., c])
+        single = plan.sample(img[..., c])[0]
         assert np.abs(val[:, c] - single).max() < 1e-15
 
 
@@ -78,12 +78,12 @@ def test_sample_grad_matches_finite_differences():
     # stay away from integer lattice lines where the gradient has kinks
     xs = np.where(np.abs(xs - np.round(xs)) < 0.05, xs + 0.1, xs)
     ys = np.where(np.abs(ys - np.round(ys)) < 0.05, ys + 0.1, ys)
-    val, ddx, ddy = sample_grad(WarpPlan(img.shape, xs, ys, Workspace()), img)
+    val, ddx, ddy = WarpPlan(img.shape, xs, ys, Workspace()).sample(img, True)
     h = 1e-6
-    vx1 = WarpPlan(img.shape, xs + h, ys, Workspace()).sample(img)
-    vx0 = WarpPlan(img.shape, xs - h, ys, Workspace()).sample(img)
-    vy1 = WarpPlan(img.shape, xs, ys + h, Workspace()).sample(img)
-    vy0 = WarpPlan(img.shape, xs, ys - h, Workspace()).sample(img)
+    vx1 = WarpPlan(img.shape, xs + h, ys, Workspace()).sample(img)[0]
+    vx0 = WarpPlan(img.shape, xs - h, ys, Workspace()).sample(img)[0]
+    vy1 = WarpPlan(img.shape, xs, ys + h, Workspace()).sample(img)[0]
+    vy0 = WarpPlan(img.shape, xs, ys - h, Workspace()).sample(img)[0]
     assert np.abs(ddx - (vx1 - vx0) / (2 * h)).max() < 1e-8
     assert np.abs(ddy - (vy1 - vy0) / (2 * h)).max() < 1e-8
 
@@ -91,7 +91,7 @@ def test_sample_grad_matches_finite_differences():
 def test_sample_grad_zero_outside_valid_range():
     img = np.arange(16.0).reshape(4, 4)
     plan = WarpPlan(img.shape, np.array([-0.5, 5.0]), np.array([1.0, 1.0]), Workspace())
-    _, ddx, ddy = sample_grad(plan, img)
+    _, ddx, ddy = plan.sample(img, True)
     inb = plan.inbounds
     assert ddx[0] == 0.0 and ddx[1] == 0.0
     assert not inb.any()
@@ -105,7 +105,7 @@ def test_scatter_is_adjoint_of_sample():
     ys = rng.uniform(-1.0, 9.5, (30,))
     g = rng.normal(size=(30,))
     plan = WarpPlan((9, 7), xs, ys, Workspace())
-    sampled = plan.sample(img)
+    sampled = plan.sample(img)[0]
     scattered = scatter(plan, g)
     assert abs(np.sum(scattered * img) - np.sum(g * sampled)) < 1e-10
 
@@ -143,7 +143,7 @@ def test_plan_sample_matches_per_call_sampling(shape):
     plan = WarpPlan(shape, xs, ys, Workspace())
     for img in (rng.uniform(size=shape), rng.uniform(size=shape + (3,))):
         want, want_inb = cell_sample(img, xs, ys)
-        assert same_bits(channel_last(plan.sample(planar(img))), want)
+        assert same_bits(channel_last(plan.sample(planar(img))[0]), want)
         assert same_bits(plan.inbounds, want_inb)
 
 
@@ -154,15 +154,25 @@ def test_plan_sample_grad_matches_per_call_sampling(shape):
     plan = WarpPlan(shape, xs, ys, Workspace())
     img = rng.uniform(size=shape)
     want = cell_sample_grad(img, xs, ys)
-    for got, ref in zip(sample_grad(plan, img), want[:3]):
+    for got, ref in zip(plan.sample(img, True), want[:3]):
         assert same_bits(got, ref)
     assert same_bits(plan.inbounds, want[3])
     # a multi-channel source is per channel what each channel gives alone
     stack = rng.uniform(size=shape + (2,))
     for c in range(2):
         want_c = cell_sample_grad(stack[..., c], xs, ys)
-        for got, ref in zip(sample_grad(plan, planar(stack)), want_c[:3]):
+        for got, ref in zip(plan.sample(planar(stack), True), want_c[:3]):
             assert same_bits(channel_last(got)[..., c], ref)
+    # the values are the same bits with or without their derivatives, on
+    # planar sources and on a stacked plan's sides, signed zeros included
+    xs2, ys2 = plan_points(shape, 15)
+    stacked = WarpPlan((2,) + shape, np.stack([xs, xs2]), np.stack([ys, ys2]), Workspace())
+    for p, grid in ((plan, shape), (stacked, (2,) + shape)):
+        for lead in ((), (1,), (2,), (3,)):
+            src = rng.normal(size=lead + grid)
+            src[src > 1.0] = -0.0
+            src[src < -1.0] = 0.0
+            assert same_bits(p.sample(src)[0], p.sample(src, True)[0])
 
 
 @pytest.mark.parametrize("shape", PLAN_SHAPES)
@@ -187,7 +197,7 @@ def test_plan_along_a_field_samples_at_p_plus_field():
     ys, xs = np.meshgrid(np.arange(9.0), np.arange(7.0), indexing="ij")
     want, want_inb = cell_sample(img, xs + field[..., 0], ys + field[..., 1])
     plan = WarpPlan.along(planar(field), Workspace())
-    assert same_bits(plan.sample(img), want)
+    assert same_bits(plan.sample(img)[0], want)
     assert same_bits(plan.inbounds, want_inb)
 
 
@@ -200,9 +210,9 @@ def test_planar_sources_equal_their_per_channel_calls():
     plan = WarpPlan(shape, xs, ys, Workspace())
     for c in (1, 2, 3):
         src = rng.uniform(size=(c,) + shape)
-        assert same_bits(plan.sample(src), np.stack([plan.sample(p) for p in src]))
-        per_channel = [sample_grad(plan, p) for p in src]
-        for i, got in enumerate(sample_grad(plan, src)):
+        assert same_bits(plan.sample(src)[0], np.stack([plan.sample(p)[0] for p in src]))
+        per_channel = [plan.sample(p, True) for p in src]
+        for i, got in enumerate(plan.sample(src, True)):
             assert same_bits(got, np.stack([part[i] for part in per_channel]))
         g = rng.normal(size=(c,) + shape)
         assert same_bits(scatter(plan, g), np.stack([scatter(plan, gc) for gc in g]))
@@ -217,7 +227,7 @@ def test_scatter_is_adjoint_of_sample_for_two_channels():
     plan = WarpPlan((9, 7), xs, ys, Workspace())
     scattered = scatter(plan, g)
     assert scattered.shape == (2, 9, 7)
-    assert abs(np.sum(scattered * src) - np.sum(g * plan.sample(src))) < 1e-10
+    assert abs(np.sum(scattered * src) - np.sum(g * plan.sample(src)[0])) < 1e-10
 
 
 def test_warp_keeps_a_channel_last_target():
@@ -250,15 +260,15 @@ def test_sides_of_a_stacked_plan_stay_apart(shape):
     alone = [WarpPlan(shape, xs[d], ys[d], Workspace()) for d in (0, 1)]
     big = 1e6
     src = np.stack([rng.uniform(size=shape), np.full(shape, big)])
-    vals = plan.sample(src)
+    vals = plan.sample(src)[0]
     assert np.all(vals[0] == big) and np.all(vals[1] <= 1.0)
     for d in (0, 1):
-        assert same_bits(vals[d], alone[d].sample(src[1 - d]))
+        assert same_bits(vals[d], alone[d].sample(src[1 - d])[0])
         assert same_bits(plan.inbounds[d], alone[d].inbounds)
-    for got, want in zip(sample_grad(plan, src), zip(*(sample_grad(alone[d], src[1 - d]) for d in (0, 1)))):
+    for got, want in zip(plan.sample(src, True), zip(*(alone[d].sample(src[1 - d], True) for d in (0, 1)))):
         assert same_bits(got, np.stack(want))
     two = rng.uniform(size=(2, 2) + shape)  # [channel, side]
-    assert same_bits(plan.sample(two), np.stack([alone[d].sample(two[:, 1 - d]) for d in (0, 1)], axis=1))
+    assert same_bits(plan.sample(two)[0], np.stack([alone[d].sample(two[:, 1 - d])[0] for d in (0, 1)], axis=1))
     # gradients on side 0's points only: side 0 of the scatter stays zero
     g = np.stack([rng.normal(size=shape), np.zeros(shape)])
     out = scatter(plan, g)
